@@ -34,16 +34,15 @@ from .bridge import (
     BridgeResiduals,
     LatentTrajectory,
     SpatialCovariance,
-    TemporalCovariance,
     bridge_mean,
+    increments,
     log_likelihood,
     log_likelihood_corpus,
-    mahalanobis_trace,
     mle_sigma,
     pooled_covariance,
+    quadratic_form,
     residuals,
     sample_bridge,
-    temporal_cov,
 )
 from .score import ScoreReport, bbscore, bbscore_batch, heuristic_bbscore
 from .encoder import (

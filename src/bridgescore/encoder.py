@@ -7,8 +7,8 @@ embeddings bypass this module entirely.
 
 Both losses are quadratic in the weights once the covariances are held
 fixed. Because the chord mean is built from the encoded endpoints, each
-residual column is the encoding of a raw-space contrast
-x_t - (1 - t/T) x_0 - (t/T) x_T, and gradients follow in closed form.
+latent bridge increment is the encoding of a raw-space increment
+(x_{t+1} - x_t) - (x_T - x_0)/T, and gradients follow in closed form.
 """
 
 from __future__ import annotations
@@ -20,10 +20,9 @@ import numpy as np
 from .bridge import (
     LatentTrajectory,
     SpatialCovariance,
-    mahalanobis_trace,
+    increments,
     pooled_covariance,
-    residuals,
-    temporal_cov,
+    quadratic_form,
 )
 from .errors import (
     DimensionMismatchError,
@@ -192,39 +191,31 @@ def sample_triplets(batch, rng) -> list[tuple[int, int, int]]:
     return out
 
 
-def _centered_contrasts(seq: RawSequence) -> np.ndarray:
-    """Raw-space residual contrasts x_t - (1 - t/T) x_0 - (t/T) x_T, shape (d_in, T-1)."""
-    T = seq.T
-    t = np.arange(1, T, dtype=float) / T
-    chord = np.outer(seq.inputs[0], 1.0 - t) + np.outer(seq.inputs[-1], t)
-    return seq.inputs[1:-1].T - chord
+def _raw_increments(encoder: LinearEncoder, batch, triplets) -> list[np.ndarray]:
+    """Raw-input increments dM_i of each sequence, shape (n_i, d_in).
 
-
-def _nll_pieces(encoder: LinearEncoder, batch, triplets):
+    The encoder is linear, so the latent increments are dM_i W^T. A triplet
+    observes its sequence at times (0, t1, t2, t3, T) only, gap-weighted.
+    """
     if triplets is not None and len(triplets) != len(batch):
         raise ValidationError(
             f"got {len(triplets)} triplets for a batch of {len(batch)} sequences"
         )
-    for seq, triplet in zip(batch, triplets or []):
-        t1, t2, t3 = (int(v) for v in triplet)
-        if not (1 <= t1 < t2 < t3 <= seq.T - 1):
-            raise ValidationError(
-                f"sequence {seq.id!r}: interior triple {triplet} invalid for T={seq.T}"
-            )
     pieces = []
-    for idx, seq in enumerate(batch):
+    for seq, triplet in zip(batch, triplets or [None] * len(batch)):
         if seq.d_in != encoder.d_in:
             raise DimensionMismatchError(
                 f"sequence {seq.id!r} has d_in={seq.d_in}, encoder expects {encoder.d_in}"
             )
-        contrasts = _centered_contrasts(seq)
-        full = temporal_cov(seq.T).matrix
-        if triplets is None:
-            pieces.append((contrasts, full))
-        else:
-            cols = np.asarray(triplets[idx], dtype=int) - 1
-            sub = full.entries[np.ix_(cols, cols)]
-            pieces.append((contrasts[:, cols], SpdMatrix(sub)))
+        if triplet is None:
+            pieces.append(increments(seq.inputs))
+            continue
+        times = [0, *(int(v) for v in triplet), seq.T]
+        if len(times) != 5 or not 0 < times[1] < times[2] < times[3] < seq.T:
+            raise ValidationError(
+                f"sequence {seq.id!r}: interior triple {triplet} invalid for T={seq.T}"
+            )
+        pieces.append(increments(seq.inputs[times], times))
     return pieces
 
 
@@ -233,25 +224,22 @@ def nll_batch_loss(encoder: LinearEncoder, batch, sigma_hat: SpatialCovariance,
     """Within-batch trace loss sum_i tr(Sigma_hat^-1 R_i Sigma_Ti^-1 R_i^T).
 
     With triplets (one interior index triple per sequence, e.g. from
-    sample_triplets) the residuals and temporal covariance restrict to those
-    three columns. Sampling lives outside this function so that loss and
-    gradient evaluations can share identical draws.
+    sample_triplets) each sequence keeps its gap-weighted increments over
+    (0, t1, t2, t3, T) only. Sampling lives outside this function so that
+    loss and gradient evaluations can share identical draws.
     """
-    total = 0.0
-    for contrasts, tc in _nll_pieces(encoder, batch, triplets):
-        r = encoder.weights @ contrasts
-        total += mahalanobis_trace(sigma_hat.sigma, tc, r)
-    return float(total)
+    w = encoder.weights
+    return float(sum(quadratic_form(sigma_hat, m @ w.T)
+                     for m in _raw_increments(encoder, batch, triplets)))
 
 
 def nll_gradient(encoder: LinearEncoder, batch, sigma_hat: SpatialCovariance,
                  triplets=None) -> np.ndarray:
-    """Analytic d(nll_batch_loss)/d(weights): sum_i 2 Sigma_hat^-1 R_i K_i^-1 M_i^T."""
-    grad = np.zeros_like(encoder.weights)
-    for contrasts, tc in _nll_pieces(encoder, batch, triplets):
-        r = encoder.weights @ contrasts
-        grad += 2.0 * spd_solve(sigma_hat.sigma, r) @ spd_solve(tc, contrasts.T)
-    return grad
+    """Analytic d(nll_batch_loss)/d(weights): 2 Sigma_hat^-1 W sum_i dM_i^T dM_i."""
+    gram = np.zeros((encoder.d_in, encoder.d_in))
+    for m in _raw_increments(encoder, batch, triplets):
+        gram += m.T @ m
+    return 2.0 * spd_solve(sigma_hat.sigma, encoder.weights @ gram)
 
 
 # --- training loop ------------------------------------------------------------
@@ -320,15 +308,13 @@ def nll_objective(state: TrainerState, corpora) -> float:
             + sum_i tr(Sigma_hat_j^-1 R_i Sigma_Ti^-1 R_i^T) ].
     """
     total = 0.0
+    w = state.encoder.weights
     for domain in sorted(corpora):
         sig = state.sigma_hat[domain]
         ld = log_det_spd(sig.sigma)
-        for seq in sorted(corpora[domain], key=lambda s: s.id):
-            traj = encode(state.encoder, seq)
-            quad = mahalanobis_trace(
-                sig.sigma, temporal_cov(traj.T).matrix, residuals(traj).centered
-            )
-            total += (traj.T - 1) * ld + quad
+        seqs = sorted(corpora[domain], key=lambda s: s.id)
+        for seq, m in zip(seqs, _raw_increments(state.encoder, seqs, None)):
+            total += (seq.T - 1) * ld + quadratic_form(sig, m @ w.T)
     return float(total)
 
 

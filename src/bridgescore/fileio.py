@@ -26,8 +26,12 @@ TOOL_VERSION = f"bridgescore {__version__}"
 
 
 def file_digest(path) -> str:
-    """SHA-256 hex digest of a file's bytes."""
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """SHA-256 hex digest of a file's bytes, read in 1 MiB chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _dumps(obj) -> str:
@@ -73,7 +77,12 @@ def _parse_record(path, lineno: int, row: dict) -> TrajectoryRecord:
     widths = {len(p) if isinstance(p, list) else -1 for p in points}
     if len(widths) != 1 or -1 in widths or widths == {0}:
         raise ValidationError(f"{where}: 'points' must be rectangular with d >= 1")
-    arr = np.asarray(points, dtype=float)
+    try:
+        arr = np.asarray(points, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.ndim != 2:
+        raise ValidationError(f"{where}: 'points' must hold only numbers, not strings or lists")
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{where}: 'points' contains a non-finite number")
     label = row.get("label")

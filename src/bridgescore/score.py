@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bridge import LatentTrajectory, SpatialCovariance, mahalanobis_trace, residuals, temporal_cov
+from .bridge import LatentTrajectory, SpatialCovariance, increments, quadratic_form, residuals
 from .errors import BridgeModelError, DegenerateVarianceError, DimensionMismatchError, ValidationError
 from .numerics import LOG_2PI, chi_square_sf
 
@@ -37,19 +37,16 @@ class ScoreReport:
 def bbscore(traj: LatentTrajectory, spatial: SpatialCovariance) -> ScoreReport:
     """Score one trajectory against a spatial covariance.
 
-    bbscore = tr(Sigma^-1 (s-mu) Sigma_T^-1 (s-mu)^T) / [(T-1) d]. Zero for
-    straight-line trajectories, exactly 1 against the trajectory's own
-    single-sequence MLE, and chi-square-calibrated under the true model.
+    bbscore = tr(Sigma^-1 (s-mu) Sigma_T^-1 (s-mu)^T) / [(T-1) d], in increment
+    form. Zero for straight-line trajectories, exactly 1 against the
+    trajectory's own single-sequence MLE, chi-square-calibrated under the truth.
     """
     if spatial.dim != traj.d:
         raise DimensionMismatchError(
             f"trajectory {traj.id!r} has d={traj.d}, spatial covariance has dim {spatial.dim}"
         )
     dof = (traj.T - 1) * traj.d
-    statistic = mahalanobis_trace(
-        spatial.sigma, temporal_cov(traj.T).matrix, residuals(traj).centered
-    )
-    statistic = max(statistic, 0.0)
+    statistic = quadratic_form(spatial, increments(traj.points))
     return ScoreReport(
         trajectory_id=traj.id,
         bbscore=statistic / dof,

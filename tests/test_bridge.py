@@ -10,13 +10,14 @@ from bridgescore import (
     SpdMatrix,
     ValidationError,
     bridge_mean,
+    increments,
     log_likelihood,
     log_likelihood_corpus,
-    mahalanobis_trace,
     mle_sigma,
+    pooled_covariance,
+    quadratic_form,
     residuals,
     sample_bridge,
-    temporal_cov,
 )
 from conftest import (
     dense_log_density,
@@ -44,27 +45,92 @@ class TestLatentTrajectory:
 
 
 class TestTemporalCov:
+    """The dense temporal covariance, through the temporal_matrix oracle."""
+
     def test_t2(self):
-        np.testing.assert_allclose(temporal_cov(2).matrix.entries, [[0.5]])
+        np.testing.assert_allclose(temporal_matrix(2), [[0.5]])
 
     def test_t3(self):
-        np.testing.assert_allclose(
-            temporal_cov(3).matrix.entries, [[2 / 3, 1 / 3], [1 / 3, 2 / 3]]
-        )
+        np.testing.assert_allclose(temporal_matrix(3), [[2 / 3, 1 / 3], [1 / 3, 2 / 3]])
 
     def test_t10_entry(self):
-        assert temporal_cov(10).matrix.entries[1, 6] == pytest.approx(2 * (10 - 7) / 10)
+        assert temporal_matrix(10)[1, 6] == pytest.approx(2 * (10 - 7) / 10)
 
-    def test_matches_elementwise_formula(self):
+    def test_matches_elementwise_formula(self, rng):
+        # the increment form is the oracle's precision applied to each coordinate row
         for T in (2, 3, 5, 11, 40):
-            np.testing.assert_allclose(temporal_cov(T).matrix.entries, temporal_matrix(T))
-
-    def test_memoized(self):
-        assert temporal_cov(17) is temporal_cov(17)
+            np.testing.assert_allclose(
+                np.linalg.inv(temporal_matrix(T)),
+                2 * np.eye(T - 1) - np.eye(T - 1, k=1) - np.eye(T - 1, k=-1),
+                atol=1e-9,
+            )
+            assert np.linalg.slogdet(temporal_matrix(T))[1] == pytest.approx(-np.log(T))
+            t = random_trajectory(rng, 1, T)
+            r = residuals(t).centered[0]
+            dense = float(r @ np.linalg.solve(temporal_matrix(T), r))
+            assert quadratic_form(SpatialCovariance.identity(1),
+                                  increments(t.points)) == pytest.approx(dense, rel=1e-10)
 
     def test_rejects_small_t(self):
         with pytest.raises(ValidationError):
-            temporal_cov(1)
+            sample_bridge(1, 1, SpatialCovariance.identity(1), [0.0], [0.0], seed=0)
+
+
+class TestIncrementKernel:
+    """The increment form against the dense temporal_matrix oracle."""
+
+    def test_t2(self, rng):
+        t = random_trajectory(rng, 2, 2)
+        r = residuals(t).centered[:, 0]
+        np.testing.assert_allclose(increments(t.points), [r, -r], atol=1e-15)
+        sigma = random_spd(rng, 2)
+        value = quadratic_form(SpatialCovariance(sigma=SpdMatrix(sigma)), increments(t.points))
+        assert value == pytest.approx(dense_quad_form(t, sigma), rel=1e-12)
+
+    def test_pooled_mle_mixed_lengths(self, rng):
+        trajs = [random_trajectory(rng, 3, T, traj_id=f"m{T}") for T in (2, 3, 7, 19, 40)]
+        acc = np.zeros((3, 3))
+        for t in trajs:
+            r = residuals(t).centered
+            acc += r @ np.linalg.solve(temporal_matrix(t.T), r.T)
+        weight = sum(t.T - 1 for t in trajs)
+        m, w = pooled_covariance(trajs)
+        assert w == weight
+        np.testing.assert_allclose(m, acc / weight, rtol=1e-12, atol=0)
+
+    def test_triplet_gap_form(self, rng):
+        T, d = 12, 2
+        t = random_trajectory(rng, d, T)
+        sigma = random_spd(rng, d)
+        for triple in ((1, 2, 3), (2, 5, 9), (1, 6, 11)):
+            times = [0, *triple, T]
+            gap = increments(t.points[times], times)
+            cols = np.array(triple) - 1
+            r = residuals(t).centered[:, cols]
+            sub = temporal_matrix(T)[np.ix_(cols, cols)]
+            dense = float(np.trace(np.linalg.solve(sigma, r) @ np.linalg.solve(sub, r.T)))
+            value = quadratic_form(SpatialCovariance(sigma=SpdMatrix(sigma)), gap)
+            assert value == pytest.approx(dense, rel=1e-12)
+
+    def test_log_likelihood_long_documents(self, rng):
+        for d in (1, 2):
+            for T in (8, 25, 60):
+                t = random_trajectory(rng, d, T)
+                sigma = random_spd(rng, d)
+                value = log_likelihood(t, SpatialCovariance(sigma=SpdMatrix(sigma)))
+                assert value == pytest.approx(dense_log_density(t, sigma), rel=1e-10)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            quadratic_form(SpatialCovariance.identity(3), np.ones((4, 2)))
+
+    def test_pooled_corpus_order_invariant(self, rng):
+        trajs = [random_trajectory(rng, 4, T, traj_id=f"p{i}")
+                 for i, T in enumerate((3, 9, 2, 33, 12))]
+        m, w = pooled_covariance(trajs)
+        m_rev, w_rev = pooled_covariance(trajs[::-1])
+        np.testing.assert_array_equal(m, m_rev)
+        assert w == w_rev
 
 
 class TestBridgeMean:
@@ -133,6 +199,16 @@ class TestSampleBridge:
         corr = float(np.corrcoef(pts.T)[0, 1])
         assert corr == pytest.approx(0.9, abs=0.02)
 
+    def test_draws_are_w_z_lt(self, rng):
+        # the dense temporal factor is built inline; draws must not move by a bit
+        d = 3
+        spatial = random_spatial(rng, d)
+        for T in (2, 3, 17, 60):
+            t = sample_bridge(d, T, spatial, np.zeros(d), np.zeros(d), seed=T)
+            z = np.random.default_rng(T).standard_normal((d, T - 1))
+            expected = spatial.mixing() @ z @ np.linalg.cholesky(temporal_matrix(T)).T
+            np.testing.assert_array_equal(t.points[1:-1].T, expected)
+
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionMismatchError):
             sample_bridge(3, 5, random_spatial(rng, 2), np.zeros(3), np.zeros(3), seed=0)
@@ -166,16 +242,15 @@ class TestLogLikelihood:
             for T in (2, 3, 4, 5):
                 t = random_trajectory(rng, d, T)
                 sigma = random_spd(rng, d)
-                trace = mahalanobis_trace(
-                    SpdMatrix(sigma), temporal_cov(T).matrix, residuals(t).centered
-                )
+                trace = quadratic_form(SpatialCovariance(sigma=SpdMatrix(sigma)),
+                                       increments(t.points))
                 assert trace == pytest.approx(dense_quad_form(t, sigma), rel=1e-10)
 
     def test_scaling_metamorphic(self, rng):
         t = random_trajectory(rng, 3, 7)
         sigma = random_spd(rng, 3)
         base = log_likelihood(t, SpatialCovariance(sigma=SpdMatrix(sigma)))
-        trace = mahalanobis_trace(SpdMatrix(sigma), temporal_cov(7).matrix, residuals(t).centered)
+        trace = dense_quad_form(t, sigma)
         for c in (0.5, 2.0, 11.0):
             scaled = log_likelihood(t, SpatialCovariance(sigma=SpdMatrix(c * sigma)))
             expected = base - (t.T - 1) * t.d / 2 * np.log(c) - 0.5 * (1 / c - 1) * trace

@@ -1,13 +1,20 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bridgescore
 from bridgescore import ValidationError
 from bridgescore.cli import main
 from bridgescore.fileio import (
     SigmaModel,
     TrajectoryRecord,
+    file_digest,
     read_sigma_model,
     read_trajectories,
     write_sigma_model,
@@ -108,6 +115,38 @@ class TestIngestionDiagnostics:
         rc = run("fit", "--in", path, "--out", tmp_path / "m.json")
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("point", ['["q", 1]', '[[1], 1]', '[[1], [1]]'])
+    def test_non_numeric_coordinate(self, tmp_path, point):
+        row = '{"id":"a","domain":"d","points":[[0,1],%s,[3,4]]}' % point
+        path = self.write_lines(tmp_path, [row])
+        with pytest.raises(ValidationError, match="bad.jsonl:1"):
+            read_trajectories(path)
+
+    @pytest.mark.parametrize("point", ['["q", 1]', '[[1], 1]'])
+    def test_non_numeric_coordinate_cli_exit_1(self, tmp_path, point):
+        row = '{"id":"a","domain":"d","points":[[0,1],%s,[3,4]]}' % point
+        path = self.write_lines(tmp_path, [row])
+        src = str(Path(bridgescore.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "bridgescore.cli", "fit", "--in", str(path),
+             "--out", str(tmp_path / "m.json")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert "bad.jsonl:1" in done.stderr
+
+
+class TestFileDigest:
+    @pytest.mark.parametrize("size", [0, 1 << 20, (1 << 20) + 1, 5 * (1 << 19) + 7])
+    def test_matches_whole_file_hash(self, tmp_path, size):
+        data = np.random.default_rng(size).bytes(size)
+        path = tmp_path / "blob.bin"
+        path.write_bytes(data)
+        assert file_digest(path) == hashlib.sha256(data).hexdigest()
 
 
 class TestFit:

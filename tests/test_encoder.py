@@ -24,12 +24,11 @@ from bridgescore import (
     nll_objective,
     sample_bridge,
     sample_triplets,
-    temporal_cov,
     train,
     update_sigma_hat,
 )
-from bridgescore.bridge import mahalanobis_trace, residuals
-from conftest import random_spd
+from bridgescore.bridge import residuals
+from conftest import dense_quad_form, random_spd, temporal_matrix
 
 
 def raw_sequence(rng, d_in, T, seq_id="r", domain="dom", scale=1.0):
@@ -213,11 +212,11 @@ class TestNllLoss:
             enc = LinearEncoder(rng.standard_normal((2, 2)))
             sigma = SpatialCovariance(sigma=SpdMatrix(random_spd(rng, 2)))
             triples = list(combinations(range(1, T), 3))
-            tc = temporal_cov(T).matrix
+            tc = temporal_matrix(T)
             kernel = np.zeros((T - 1, T - 1))
             for trip in triples:
                 cols = np.array(trip) - 1
-                sub_inv = np.linalg.inv(tc.entries[np.ix_(cols, cols)])
+                sub_inv = np.linalg.inv(tc[np.ix_(cols, cols)])
                 kernel[np.ix_(cols, cols)] += sub_inv
             kernel /= len(triples)
             avg = np.mean([
@@ -227,7 +226,7 @@ class TestNllLoss:
             r = residuals(traj).centered
             quad = float(np.trace(np.linalg.solve(sigma.sigma.entries, r) @ kernel @ r.T))
             assert avg == pytest.approx(quad, rel=1e-10)
-            assert float(np.trace(kernel @ tc.entries)) == pytest.approx(3.0, rel=1e-10)
+            assert float(np.trace(kernel @ tc)) == pytest.approx(3.0, rel=1e-10)
             if T == 4:
                 full = nll_batch_loss(enc, [seq], sigma)
                 assert avg == pytest.approx(full, rel=1e-12)
@@ -443,9 +442,7 @@ class TestTrain:
         for seq in corpora["solo"]:
             traj = encode(state.encoder, seq)
             ld = 2.0 * float(np.sum(np.log(np.diag(sig.sigma.chol))))
-            expected += (traj.T - 1) * ld + mahalanobis_trace(
-                sig.sigma, temporal_cov(traj.T).matrix, residuals(traj).centered
-            )
+            expected += (traj.T - 1) * ld + dense_quad_form(traj, sig.sigma.entries)
         assert nll_objective(state, corpora) == pytest.approx(expected, rel=1e-12)
 
     def test_triplet_mode_runs_deterministically(self):

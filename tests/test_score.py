@@ -16,15 +16,12 @@ from bridgescore import (
     bridge_mean,
     chi_square_sf,
     heuristic_bbscore,
-    log_det_spd,
     log_likelihood,
-    mahalanobis_trace,
     mle_sigma,
     residuals,
     sample_bridge,
-    temporal_cov,
 )
-from conftest import random_spatial, random_spd, random_trajectory
+from conftest import random_spatial, random_spd, random_trajectory, temporal_matrix
 
 
 def simulate(spatial, d, T, n, seed0, prefix="s"):
@@ -97,6 +94,13 @@ class TestBBScoreBatch:
         trajs = [random_trajectory(rng, 2, 5, traj_id=f"z{i}") for i in range(5)]
         reports = bbscore_batch(trajs, random_spatial(rng, 2))
         assert [r.trajectory_id for r in reports] == [t.id for t in trajs]
+
+    def test_corpus_order_invariant(self, rng):
+        trajs = [random_trajectory(rng, 3, T, traj_id=f"o{T}") for T in (2, 5, 9, 30)]
+        spatial = random_spatial(rng, 3)
+        forward = {r.trajectory_id: r for r in bbscore_batch(trajs, spatial)}
+        backward = {r.trajectory_id: r for r in bbscore_batch(trajs[::-1], spatial)}
+        assert forward == backward
 
     def test_failure_names_trajectory(self, rng):
         good = random_trajectory(rng, 2, 5, traj_id="fine")
@@ -178,10 +182,10 @@ class TestHeuristic:
                 exact = log_likelihood(
                     t, SpatialCovariance(sigma=SpdMatrix(sigma2 * np.eye(d)))
                 )
-                tc = temporal_cov(T).matrix
-                trace_full = mahalanobis_trace(SpdMatrix(np.eye(d)), tc, r)
+                tc = temporal_matrix(T)
+                trace_full = float(np.trace(r @ np.linalg.solve(tc, r.T)))
                 gap = (
-                    0.5 * d * (log_det_spd(tc) - float(np.sum(np.log(v))))
+                    0.5 * d * (np.linalg.slogdet(tc)[1] - float(np.sum(np.log(v))))
                     + (trace_full - float(np.sum(sq / v))) / (2.0 * sigma2)
                 )
                 assert heur - exact == pytest.approx(gap, rel=1e-9, abs=1e-9)
