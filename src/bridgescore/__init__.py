@@ -22,8 +22,8 @@ from .errors import (
     ValidationError,
 )
 from .numerics import (
-    RankedSample,
     SpdMatrix,
+    average_ranks,
     chi_square_sf,
     cholesky,
     log_det_spd,

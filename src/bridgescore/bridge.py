@@ -141,36 +141,46 @@ def residuals(traj: LatentTrajectory) -> BridgeResiduals:
 
 
 def increments(points, times=None) -> np.ndarray:
-    """Chord-removed increments of a (n+1, d) point sequence, shape (n, d).
+    """Chord-removed increments of (..., n+1, d) point sequences, shape (..., n, d).
 
     Row k is [(s_{k+1} - s_k) - (g_k / G)(s_n - s_0)] / sqrt(g_k) for the gaps
     g_k between observation times (0, 1, .., n unless given), G their sum.
     The rows' summed Sigma^-1 norms are the bridge quadratic form at those
-    times, since the precision stays tridiagonal, gap-weighted.
+    times, since the precision stays tridiagonal, gap-weighted. Leading axes
+    stack sequences of one length.
     """
     points = np.asarray(points, dtype=float)
-    steps = np.diff(points, axis=0)
-    chord = points[-1] - points[0]
+    steps = np.diff(points, axis=-2)
+    chord = (points[..., -1, :] - points[..., 0, :])[..., None, :]
     if times is None:
-        return steps - chord / steps.shape[0]
+        return steps - chord / steps.shape[-2]
     gaps = np.diff(np.asarray(times, dtype=float))
-    steps -= np.outer(gaps / gaps.sum(), chord)
+    steps -= (gaps / gaps.sum())[:, None] * chord
     return steps / np.sqrt(gaps)[:, None]
 
 
-def quadratic_form(spatial: SpatialCovariance, incr: np.ndarray) -> float:
-    """||L^-1 incr^T||_F^2 = sum_k incr_k^T Sigma^-1 incr_k for Sigma = L L^T.
+def quadratic_form(spatial: SpatialCovariance, incr, starts=None):
+    """Per-document sums of incr_k^T Sigma^-1 incr_k, through Sigma = L L^T.
 
-    With incr = increments(points) this is tr(Sigma^-1 R Sigma_T^-1 R^T), the
-    squared Mahalanobis norm of vec(R) under Sigma_T kron Sigma. BLAS trsm, not
-    solve_triangular: OpenBLAS threads LAPACK trtrs at every size, which on
-    small documents doubles CPU time for no gain in wall time.
+    incr stacks the increment rows of one or more documents, shape (n, d);
+    starts gives each document's first row. Without starts the rows are one
+    document and a float comes back, else an array of one sum per document,
+    each bit-identical to that document's own call. With incr =
+    increments(points) a sum is tr(Sigma^-1 R Sigma_T^-1 R^T), the squared
+    Mahalanobis norm of vec(R) under Sigma_T kron Sigma. All documents share
+    one BLAS trsm, not solve_triangular: OpenBLAS threads LAPACK trtrs at
+    every size, which on small documents doubles CPU time for no gain in wall
+    time.
     """
     incr = np.asarray(incr, dtype=float)
     if incr.shape[-1] != spatial.dim:
         raise DimensionMismatchError(f"increments of d={incr.shape[-1]} vs sigma dim {spatial.dim}")
     z = dtrsm(1.0, spatial.sigma.chol, incr.T, lower=1)
-    return float(np.vdot(z, z))
+    # one vdot per document, not a reduceat over column norms: it sums in the
+    # order a lone document's solve does, so batching changes no bit
+    bounds = [0, z.shape[1]] if starts is None else [*starts, z.shape[1]]
+    sums = [np.vdot(z[:, a:b], z[:, a:b]) for a, b in zip(bounds, bounds[1:])]
+    return float(sums[0]) if starts is None else np.array(sums)
 
 
 def sample_bridge(d, T, spatial: SpatialCovariance, s0, sT, seed, *,

@@ -313,14 +313,14 @@ def cmd_relative(args) -> int:
     if args.truth == "a-more-coherent":
         relation = lambda a, b: 1  # noqa: E731
     else:
-        labels = {}
-        for rec in records_a + records_b:
-            if rec.label is None:
-                raise ValidationError(
-                    f"record {rec.trajectory.id!r} has no label; --truth labels needs labeled sets"
-                )
-            labels[rec.trajectory.id] = rec.label
-        relation = label_relation(labels, args.label_order.split(","))
+        labels = []
+        for path, records in ((args.set_a, records_a), (args.set_b, records_b)):
+            unlabeled = [r.trajectory.id for r in records if r.label is None]
+            if unlabeled:
+                raise ValidationError(f"{path}: record {unlabeled[0]!r} has no label; "
+                                      "--truth labels needs labeled sets")
+            labels.append({r.trajectory.id: r.label for r in records})
+        relation = label_relation(labels[0], args.label_order.split(","), labels[1])
     acc = relative_accuracy(set_a, set_b, relation, model.spatial, use_pvalue=args.use_pvalue)
     print(f"relative accuracy: {acc:.4f} over {len(set_a)}x{len(set_b)} cross pairs "
           f"(truth={args.truth}, use_pvalue={args.use_pvalue}, seed={args.seed})")

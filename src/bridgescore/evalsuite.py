@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bridge import LatentTrajectory, SpatialCovariance
+from .bridge import LatentTrajectory, SpatialCovariance, increments, quadratic_form
 from .errors import (
     DegenerateInputError,
     DegenerateLabelsError,
@@ -24,8 +24,8 @@ from .errors import (
     NoNontrivialPermutationError,
     ValidationError,
 )
-from .numerics import spearman_rho
-from .score import bbscore
+from .numerics import chi_square_sf, spearman_rho
+from .score import score_statistics
 
 
 def stable_seed(base_seed: int, *parts) -> int:
@@ -69,8 +69,41 @@ def _nonidentity_permutation(rng: np.random.Generator, n: int) -> np.ndarray:
     identity = np.arange(n)
     while True:
         perm = rng.permutation(n)
-        if np.any(perm != identity):
+        if (perm != identity).any():
             return perm
+
+
+def _shuffle_orders(n: int, spec: ShuffleSpec, rng: np.random.Generator, name: str) -> np.ndarray:
+    """spec.copies shuffled orders of the indices 0..n-1, shape (copies, n).
+
+    Global blocks: a uniform non-identity permutation of the consecutive
+    blocks of block_size indices (final short block kept), needing n >=
+    2 * block_size. Local windows: num_windows disjoint windows of
+    window_size consecutive indices, placed uniformly over all disjoint
+    placements, each permuted by a uniform non-identity permutation. name
+    labels the errors.
+    """
+    if spec.kind == "global_block":
+        if n < 2 * spec.block_size:
+            raise NoNontrivialPermutationError(
+                f"trajectory {name!r}: {n} points cannot form two blocks of {spec.block_size}"
+            )
+        block = np.arange(n) // spec.block_size
+        perms = np.array([_nonidentity_permutation(rng, block[-1] + 1) for _ in range(spec.copies)])
+        # a stable sort of the indices by their block's new position keeps blocks intact
+        return np.argsort(np.argsort(perms, axis=1)[:, block], axis=1, kind="stable")
+    w, size = spec.num_windows, spec.window_size
+    slots = n - w * size + w
+    if slots < w:
+        raise InfeasibleWindowsError(
+            f"trajectory {name!r}: cannot place {w} disjoint windows of {size} in {n} points"
+        )
+    orders = np.tile(np.arange(n), (spec.copies, 1))
+    offsets = np.arange(w) * (size - 1)
+    for order in orders:
+        for s in np.sort(rng.choice(slots, size=w, replace=False)) + offsets:
+            order[s:s + size] = order[s:s + size][_nonidentity_permutation(rng, size)]
+    return orders
 
 
 def global_shuffle(traj: LatentTrajectory, block_size: int, seed, *,
@@ -80,22 +113,12 @@ def global_shuffle(traj: LatentTrajectory, block_size: int, seed, *,
     The block permutation is uniform over non-identity permutations.
     Requires T+1 >= 2 * block_size.
     """
-    if block_size < 1:
-        raise ValidationError(f"block_size must be >= 1, got {block_size}")
-    n = traj.T + 1
-    if n < 2 * block_size:
-        raise NoNontrivialPermutationError(
-            f"trajectory {traj.id!r}: {n} points cannot form two blocks of {block_size}"
-        )
-    rng = np.random.default_rng(seed)
-    starts = range(0, n, block_size)
-    blocks = [traj.points[i:i + block_size] for i in starts]
-    perm = _nonidentity_permutation(rng, len(blocks))
-    points = np.concatenate([blocks[i] for i in perm])
+    spec = ShuffleSpec(kind="global_block", block_size=block_size, copies=1)
+    order = _shuffle_orders(traj.T + 1, spec, np.random.default_rng(seed), traj.id)[0]
     return LatentTrajectory(
         id=new_id or f"{traj.id}#global-b{block_size}",
         domain=traj.domain,
-        points=points,
+        points=traj.points[order],
     )
 
 
@@ -107,28 +130,31 @@ def local_shuffle(traj: LatentTrajectory, w: int, window_size: int, seed, *,
     window receives a uniform non-identity internal permutation. Points
     outside the windows are untouched.
     """
-    if window_size < 2:
-        raise ValidationError(f"window_size must be >= 2, got {window_size}")
-    if w < 1:
-        raise ValidationError(f"number of windows must be >= 1, got {w}")
-    n = traj.T + 1
-    slots = n - w * window_size + w
-    if slots < w:
-        raise InfeasibleWindowsError(
-            f"trajectory {traj.id!r}: cannot place {w} disjoint windows of {window_size} in {n} points"
-        )
-    rng = np.random.default_rng(seed)
-    picks = np.sort(rng.choice(slots, size=w, replace=False))
-    starts = picks + np.arange(w) * (window_size - 1)
-    points = traj.points.copy()
-    for s in starts:
-        perm = _nonidentity_permutation(rng, window_size)
-        points[s:s + window_size] = points[s:s + window_size][perm]
+    spec = ShuffleSpec(kind="local_window", num_windows=w, window_size=window_size, copies=1)
+    order = _shuffle_orders(traj.T + 1, spec, np.random.default_rng(seed), traj.id)[0]
     return LatentTrajectory(
         id=new_id or f"{traj.id}#local-w{w}",
         domain=traj.domain,
-        points=points,
+        points=traj.points[order],
     )
+
+
+def _distinct_copies(traj: LatentTrajectory, spec: ShuffleSpec) -> tuple[list[int], np.ndarray]:
+    """The copy numbers and stacked (k, T+1, d) points of the distinct shuffled copies.
+
+    A copy equal, point for point, to the original or to an earlier copy is
+    dropped. The copies index the validated original, so they need no checks.
+    """
+    orders = _shuffle_orders(traj.T + 1, spec, np.random.default_rng(spec.seed), traj.id)
+    stacked = traj.points[orders]
+    seen = {traj.points.tobytes()}
+    kept = []
+    for i, points in enumerate(stacked):
+        key = points.tobytes()
+        if key not in seen:
+            seen.add(key)
+            kept.append(i)
+    return kept, stacked[kept]
 
 
 def make_shuffle_set(traj: LatentTrajectory, spec: ShuffleSpec) -> list[LatentTrajectory]:
@@ -137,25 +163,19 @@ def make_shuffle_set(traj: LatentTrajectory, spec: ShuffleSpec) -> list[LatentTr
     Duplicates (exact point-sequence equality) are discarded, so short
     sequences can yield fewer copies than requested. Deterministic per seed.
     """
-    rng = np.random.default_rng(spec.seed)
-    seen = {traj.points.tobytes()}
-    out: list[LatentTrajectory] = []
-    for i in range(spec.copies):
-        if spec.kind == "global_block":
-            copy = global_shuffle(traj, spec.block_size, rng, new_id=f"{traj.id}#g{spec.block_size}-{i}")
-        else:
-            copy = local_shuffle(traj, spec.num_windows, spec.window_size, rng,
-                                 new_id=f"{traj.id}#l{spec.num_windows}-{i}")
-        key = copy.points.tobytes()
-        if key not in seen:
-            seen.add(key)
-            out.append(copy)
-    return out
+    kept, stacked = _distinct_copies(traj, spec)
+    tag = f"g{spec.block_size}" if spec.kind == "global_block" else f"l{spec.num_windows}"
+    return [LatentTrajectory(id=f"{traj.id}#{tag}-{i}", domain=traj.domain, points=points)
+            for i, points in zip(kept, stacked)]
 
 
-def _incoherence(report, use_pvalue: bool) -> float:
+def _incoherence(statistic, dof, use_pvalue: bool) -> np.ndarray:
     # Orient so that larger always means less coherent.
-    return -report.p_value if use_pvalue else report.bbscore
+    return -chi_square_sf(statistic, dof) if use_pvalue else statistic / dof
+
+
+def _corpus_incoherence(trajs, spatial: SpatialCovariance, use_pvalue: bool) -> np.ndarray:
+    return _incoherence(*score_statistics(trajs, spatial), use_pvalue)
 
 
 def discrimination_accuracy(originals, spec: ShuffleSpec, spatial: SpatialCovariance,
@@ -166,43 +186,45 @@ def discrimination_accuracy(originals, spec: ShuffleSpec, spatial: SpatialCovari
     strictly more coherent (lower bbscore, or higher p-value with
     use_pvalue), 0.5 on ties, else 0. Pooled over all pairs by default;
     per_document averages per-document accuracies instead. Shuffle seeds are
-    derived per document from spec.seed and the document id.
+    derived per document from spec.seed and the document id. Each document
+    and its distinct copies are scored in one kernel call.
     """
     originals = sorted(originals, key=lambda t: t.id)
     if not originals:
         raise EmptySetError("discrimination needs a nonempty corpus")
     credits = []
-    doc_means = []
     for traj in originals:
-        doc_spec = replace(spec, seed=stable_seed(spec.seed, traj.id))
-        copies = make_shuffle_set(traj, doc_spec)
-        base = _incoherence(bbscore(traj, spatial), use_pvalue)
-        doc_credits = []
-        for copy in copies:
-            other = _incoherence(bbscore(copy, spatial), use_pvalue)
-            doc_credits.append(1.0 if base < other else 0.5 if base == other else 0.0)
-        credits.extend(doc_credits)
-        if doc_credits:
-            doc_means.append(float(np.mean(doc_credits)))
+        _, copies = _distinct_copies(traj, replace(spec, seed=stable_seed(spec.seed, traj.id)))
+        if not len(copies):
+            continue
+        stacked = np.concatenate([traj.points[None], copies])
+        statistic = quadratic_form(spatial, increments(stacked).reshape(-1, traj.d),
+                                   np.arange(len(stacked)) * traj.T)
+        x = _incoherence(statistic, (traj.T - 1) * traj.d, use_pvalue)
+        credits.append(np.where(x[0] < x[1:], 1.0, np.where(x[0] == x[1:], 0.5, 0.0)))
     if not credits:
         raise EmptySetError("no shuffled copies were produced")
-    return float(np.mean(doc_means)) if per_document else float(np.mean(credits))
+    if per_document:
+        return float(np.mean([float(np.mean(c)) for c in credits]))
+    return float(np.mean(np.concatenate(credits)))
 
 
-def label_relation(labels, order):
+def label_relation(labels, order, labels_b=None):
     """Pairwise coherence relation from ordinal labels.
 
     labels maps trajectory id to label; order lists labels from least to
     most coherent. The returned relation(a, b) is +1 when a is more
-    coherent, -1 when less, 0 on equal labels.
+    coherent, -1 when less, 0 on equal labels. b's label comes from
+    labels_b when given, so two sets may share ids.
     """
+    labels_b = labels if labels_b is None else labels_b
     rank = {lab: i for i, lab in enumerate(order)}
-    missing = [lab for lab in set(labels.values()) if lab not in rank]
+    missing = [lab for lab in {*labels.values(), *labels_b.values()} if lab not in rank]
     if missing:
         raise ValidationError(f"labels {missing} not in declared order {list(order)}")
 
     def relation(a: LatentTrajectory, b: LatentTrajectory) -> int:
-        ra, rb = rank[labels[a.id]], rank[labels[b.id]]
+        ra, rb = rank[labels[a.id]], rank[labels_b[b.id]]
         return (ra > rb) - (ra < rb)
 
     return relation
@@ -220,8 +242,8 @@ def relative_accuracy(set_a, set_b, coherence_order, spatial: SpatialCovariance,
     set_b = sorted(set_b, key=lambda t: t.id)
     if not set_a or not set_b:
         raise EmptySetError("relative accuracy needs two nonempty sets")
-    scores_a = [_incoherence(bbscore(t, spatial), use_pvalue) for t in set_a]
-    scores_b = [_incoherence(bbscore(t, spatial), use_pvalue) for t in set_b]
+    scores_a = _corpus_incoherence(set_a, spatial, use_pvalue).tolist()
+    scores_b = _corpus_incoherence(set_b, spatial, use_pvalue).tolist()
     concordant = 0
     counted = 0
     for a, sa in zip(set_a, scores_a):
@@ -294,7 +316,7 @@ def threshold_classify(train: LabeledCorpus, test: LabeledCorpus,
         lengths = {traj.T for traj, _ in train.items} | {traj.T for traj, _ in test.items}
         use_pvalue = len(lengths) > 1
     rank = {lab: i for i, lab in enumerate(order)}
-    train_x = np.array([_incoherence(bbscore(t, spatial), use_pvalue) for t, _ in train.items])
+    train_x = _corpus_incoherence([t for t, _ in train.items], spatial, use_pvalue)
     train_y = np.array([rank[label] for _, label in train.items])
     boundaries = []
     for c in range(len(order) - 1):
@@ -306,10 +328,8 @@ def threshold_classify(train: LabeledCorpus, test: LabeledCorpus,
         boundaries.append(_best_boundary(low, high))
     # Predictions must be monotone in score even if per-pair optima cross.
     boundaries = np.sort(np.asarray(boundaries))[::-1]
-    predicted = []
-    for traj, _ in test.items:
-        x = _incoherence(bbscore(traj, spatial), use_pvalue)
-        predicted.append(order[int(np.sum(x < boundaries))])
+    test_x = _corpus_incoherence([t for t, _ in test.items], spatial, use_pvalue)
+    predicted = [order[int(np.sum(x < boundaries))] for x in test_x]
     true_idx = [rank[label] for _, label in test.items]
     pred_idx = [rank[label] for label in predicted]
     try:
@@ -350,8 +370,10 @@ def domain_swap_compare(corpus_a, corpus_b, sigma_a: SpatialCovariance,
             raise ValidationError("matched pairing requires identical id sets in both corpora")
     results = {}
     for tag, model in models.items():
-        scores_a = {t.id: bbscore(t, model).bbscore for t in corpus_a}
-        scores_b = {t.id: bbscore(t, model).bbscore for t in corpus_b}
+        scores_a, scores_b = (
+            dict(zip([t.id for t in corpus], _corpus_incoherence(corpus, model, False).tolist()))
+            for corpus in (corpus_a, corpus_b)
+        )
         if pairing == "matched":
             pairs = [(scores_a[i], scores_b[i]) for i in sorted(scores_a)]
         else:

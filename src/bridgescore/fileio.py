@@ -1,10 +1,10 @@
 """Line-delimited trajectory files and JSON model files.
 
 Trajectory corpora are JSONL: an optional header object on the first line,
-then one document per line. Records stream without loading the whole corpus
-into memory at once, ingestion rejects any malformed record with a
-path:line diagnostic, and writers never embed timestamps so reruns produce
-byte-identical files.
+then one document per line. A corpus is read line by line but returned
+whole, as a list held in memory. Ingestion rejects any malformed record
+with a path:line diagnostic, and writers never embed timestamps so reruns
+produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -62,7 +62,28 @@ def write_trajectories(path, records, meta: dict | None = None) -> None:
             fh.write(_dumps(row) + "\n")
 
 
-def _parse_record(path, lineno: int, row: dict) -> TrajectoryRecord:
+def _matrix(value, exact: bool = True) -> np.ndarray | None:
+    """value as a 2-d float array if it is a list of equal-length lists of JSON numbers.
+
+    Returns None otherwise. null becomes NaN, left for the caller's
+    finiteness check. numpy alone would also take true/false and numeric
+    strings as numbers: a per-element check rejects them, which exact=False
+    skips when numpy found plain numbers, for callers that know the source
+    text has no true/false literal.
+    """
+    try:
+        arr = np.asarray(value)
+        if arr.ndim != 2:
+            return None
+        if exact or arr.dtype.kind not in "fi":
+            if not all(v is None or type(v) in (int, float) for row in value for v in row):
+                return None
+        return arr.astype(float, copy=False)
+    except (ValueError, OverflowError):  # ragged or unevenly nested; an integer beyond float
+        return None
+
+
+def _parse_record(path, lineno: int, row: dict, line: str) -> TrajectoryRecord:
     where = f"{path}:{lineno}"
     for key in ("id", "domain", "points"):
         if key not in row:
@@ -77,12 +98,11 @@ def _parse_record(path, lineno: int, row: dict) -> TrajectoryRecord:
     widths = {len(p) if isinstance(p, list) else -1 for p in points}
     if len(widths) != 1 or -1 in widths or widths == {0}:
         raise ValidationError(f"{where}: 'points' must be rectangular with d >= 1")
-    try:
-        arr = np.asarray(points, dtype=float)
-    except (TypeError, ValueError):
-        arr = None
-    if arr is None or arr.ndim != 2:
-        raise ValidationError(f"{where}: 'points' must hold only numbers, not strings or lists")
+    arr = _matrix(points, exact="true" in line or "false" in line)
+    if arr is None:
+        raise ValidationError(
+            f"{where}: 'points' must hold only numbers, not strings, booleans or lists"
+        )
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{where}: 'points' contains a non-finite number")
     label = row.get("label")
@@ -111,7 +131,7 @@ def read_trajectories(path) -> tuple[list[TrajectoryRecord], dict]:
             if lineno == 1 and row.get("kind") == "trajectories":
                 header = row
                 continue
-            rec = _parse_record(path, lineno, row)
+            rec = _parse_record(path, lineno, row, line)
             if rec.trajectory.id in seen_ids:
                 raise ValidationError(
                     f"{path}:{lineno}: duplicate id {rec.trajectory.id!r} within file"
@@ -151,20 +171,32 @@ def write_sigma_model(path, model: SigmaModel) -> None:
     Path(path).write_text(_dumps(payload) + "\n", encoding="utf-8")
 
 
-def read_sigma_model(path) -> SigmaModel:
-    """Load and validate a covariance model (symmetric PD, weight >= d)."""
+def _load_json(path):
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON ({exc.msg})") from exc
+
+
+def read_sigma_model(path) -> SigmaModel:
+    """Load and validate a covariance model (symmetric PD, weight >= d)."""
+    payload = _load_json(path)
+    if not isinstance(payload, dict):
+        raise ValidationError(f"{path}: model file must hold a JSON object")
     for key in ("d", "weight", "matrix"):
         if key not in payload:
             raise ValidationError(f"{path}: model file is missing field {key!r}")
-    d = int(payload["d"])
-    matrix = np.asarray(payload["matrix"], dtype=float)
+    d, weight, epsilon = payload["d"], payload["weight"], payload.get("epsilon", 0.0)
+    for key, value in (("d", d), ("weight", weight)):
+        if type(value) is not int:
+            raise ValidationError(f"{path}: {key!r} must be an integer, got {value!r}")
+    if type(epsilon) not in (int, float):
+        raise ValidationError(f"{path}: 'epsilon' must be a number, got {epsilon!r}")
+    matrix = _matrix(payload["matrix"])
+    if matrix is None:
+        raise ValidationError(f"{path}: 'matrix' must be a list of equal-length rows of numbers")
     if matrix.shape != (d, d):
         raise ValidationError(f"{path}: matrix shape {matrix.shape} does not match d={d}")
-    weight = int(payload["weight"])
     if weight < d:
         raise ValidationError(f"{path}: weight {weight} is below dimension {d}")
     try:
@@ -175,7 +207,7 @@ def read_sigma_model(path) -> SigmaModel:
         spatial=SpatialCovariance(sigma=spd),
         weight=weight,
         domain=str(payload.get("domain", "")),
-        epsilon=float(payload.get("epsilon", 0.0)),
+        epsilon=float(epsilon),
         source_corpus_digest=str(payload.get("source_corpus_digest", "")),
         created_by=str(payload.get("created_by", "")),
     )
@@ -204,13 +236,9 @@ def write_trainer_state(path, state: TrainerState, extra: dict | None = None) ->
 
 def read_weights(path) -> np.ndarray:
     """Read encoder weights from a trainer-state file or a bare JSON matrix."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON ({exc.msg})") from exc
-    matrix = payload.get("weights") if isinstance(payload, dict) else payload
-    arr = np.asarray(matrix, dtype=float)
-    if arr.ndim != 2:
-        raise ValidationError(f"{path}: expected a 2-d weight matrix")
+    payload = _load_json(path)
+    arr = _matrix(payload.get("weights") if isinstance(payload, dict) else payload)
+    if arr is None:
+        raise ValidationError(f"{path}: expected a 2-d weight matrix of numbers")
     LinearEncoder(weights=arr)  # shape/finiteness validation
     return arr

@@ -7,11 +7,9 @@ factor once at construction, so they are freely shareable across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg import cho_solve
-from scipy.stats import rankdata
+from scipy.special import gammaincc
 
 from .errors import (
     DegenerateInputError,
@@ -95,119 +93,34 @@ def log_det_spd(m) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(spd.chol))))
 
 
-# --- chi-square survival function ------------------------------------------
-#
-# Q(k/2, x/2), the regularized upper incomplete gamma function, via the
-# standard split: series for the lower function when x < a + 1, Lentz
-# continued fraction for the upper function otherwise. Both carry the
-# prefactor x^a e^-x / Gamma(a) in the log domain; for large a the exponent
-# is rearranged through Stirling's series because the naive form loses
-# absolute precision once its terms reach ~1e6.
-
-_MAX_ITER = 10_000_000
+# --- chi-square survival function and ranks --------------------------------
 
 
-def _log_prefactor(a: float, x: float) -> float:
-    """log(x^a e^-x / Gamma(a)), accurate for large a near x ~ a."""
-    if a < 20.0:
-        return a * math.log(x) - x - math.lgamma(a)
-    w = (x - a) / a
-    if abs(w) < 0.5:
-        # log1p(w) - w summed directly to dodge cancellation
-        f = 0.0
-        term = w
-        for n in range(2, 80):
-            term *= -w
-            f += term / n
-            if abs(term) < 1e-18 * n * (abs(f) + 1e-300):
-                break
-    else:
-        f = math.log1p(w) - w
-    stirling = (
-        1.0 / (12.0 * a)
-        - 1.0 / (360.0 * a**3)
-        + 1.0 / (1260.0 * a**5)
-        - 1.0 / (1680.0 * a**7)
-        + 1.0 / (1188.0 * a**9)
-    )
-    return a * f - 0.5 * math.log(2.0 * math.pi / a) - stirling
-
-
-def _lower_series(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) for x < a + 1."""
-    term = 1.0 / a
-    total = term
-    denom = a
-    for _ in range(_MAX_ITER):
-        denom += 1.0
-        term *= x / denom
-        total += term
-        if abs(term) < abs(total) * 1e-17:
-            break
-    return total * math.exp(_log_prefactor(a, x))
-
-
-def _upper_contfrac(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) for x >= a + 1 (modified Lentz)."""
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
-    return h * math.exp(_log_prefactor(a, x))
-
-
-def chi_square_sf(x, k) -> float:
+def chi_square_sf(x, k):
     """Survival probability P(X > x) for X ~ chi-square with k degrees of freedom.
 
-    Monotone nonincreasing in x; absolute error below 1e-10 across
-    k <= 1e6, x <= 1e7.
+    Q(k/2, x/2), the regularized upper incomplete gamma function. x and k
+    broadcast; a float comes back for scalar inputs, an array otherwise.
     """
-    x = float(x)
-    if x < 0.0 or not math.isfinite(x):
-        raise ValidationError(f"chi-square statistic must be finite and >= 0, got {x}")
-    kf = float(k)
-    if kf < 1.0 or kf != int(kf):
-        raise ValidationError(f"degrees of freedom must be a positive integer, got {k!r}")
-    if x == 0.0:
-        return 1.0
-    a = 0.5 * kf
-    z = 0.5 * x
-    if z < a + 1.0:
-        return min(1.0, max(0.0, 1.0 - _lower_series(a, z)))
-    return min(1.0, max(0.0, _upper_contfrac(a, z)))
+    x = np.asarray(x, dtype=float)
+    k = np.asarray(k, dtype=float)
+    bad = x[~(np.isfinite(x) & (x >= 0.0))]
+    if bad.size:
+        raise ValidationError(f"chi-square statistic must be finite and >= 0, got {bad[0]}")
+    bad = k[~((k >= 1.0) & (k == np.floor(k)))]
+    if bad.size:
+        raise ValidationError(f"degrees of freedom must be a positive integer, got {bad[0]}")
+    p = gammaincc(0.5 * k, 0.5 * x)
+    return float(p) if p.ndim == 0 else p
 
 
-# --- rank statistics ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RankedSample:
-    """Values alongside their 1-based average ranks (ties share the group mean)."""
-
-    values: np.ndarray
-    ranks: np.ndarray
-
-    @classmethod
-    def from_values(cls, values) -> "RankedSample":
-        v = np.asarray(values, dtype=float)
-        if v.ndim != 1:
-            raise ValidationError("ranked samples must be one-dimensional")
-        return cls(values=v, ranks=rankdata(v, method="average"))
+def average_ranks(values) -> np.ndarray:
+    """1-based ranks of a one-dimensional sample; ties share their group's mean rank."""
+    v = np.asarray(values, dtype=float)
+    if v.ndim != 1:
+        raise ValidationError("ranked samples must be one-dimensional")
+    _, group, counts = np.unique(v, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[group]
 
 
 def spearman_rho(a, b) -> float:
@@ -222,8 +135,8 @@ def spearman_rho(a, b) -> float:
         raise LengthMismatchError(f"inputs have shapes {a.shape} and {b.shape}")
     if a.size < 2:
         raise DegenerateInputError("need at least two observations")
-    ra = RankedSample.from_values(a).ranks
-    rb = RankedSample.from_values(b).ranks
+    ra = average_ranks(a)
+    rb = average_ranks(b)
     da = ra - ra.mean()
     db = rb - rb.mean()
     denom = math.sqrt(float(da @ da) * float(db @ db))

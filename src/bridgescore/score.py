@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bridge import LatentTrajectory, SpatialCovariance, increments, quadratic_form, residuals
-from .errors import BridgeModelError, DegenerateVarianceError, DimensionMismatchError, ValidationError
+from .errors import DegenerateVarianceError, DimensionMismatchError, ValidationError
 from .numerics import LOG_2PI, chi_square_sf
 
 
@@ -34,40 +34,53 @@ class ScoreReport:
     heuristic_score: float | None = None
 
 
-def bbscore(traj: LatentTrajectory, spatial: SpatialCovariance) -> ScoreReport:
-    """Score one trajectory against a spatial covariance.
+_BATCH_DOCS = 64  # documents per kernel call: bounds the stacked increments' memory
 
-    bbscore = tr(Sigma^-1 (s-mu) Sigma_T^-1 (s-mu)^T) / [(T-1) d], in increment
-    form. Zero for straight-line trajectories, exactly 1 against the
-    trajectory's own single-sequence MLE, chi-square-calibrated under the truth.
+
+def score_statistics(trajs, spatial: SpatialCovariance) -> tuple[np.ndarray, np.ndarray]:
+    """Statistics tr(Sigma^-1 (s-mu) Sigma_T^-1 (s-mu)^T) and their dof (T-1) d, in input order.
+
+    Increments of _BATCH_DOCS documents at a time share one quadratic_form
+    call. Raises DimensionMismatchError naming the first trajectory whose d
+    differs from the covariance's.
     """
-    if spatial.dim != traj.d:
-        raise DimensionMismatchError(
-            f"trajectory {traj.id!r} has d={traj.d}, spatial covariance has dim {spatial.dim}"
-        )
-    dof = (traj.T - 1) * traj.d
-    statistic = quadratic_form(spatial, increments(traj.points))
-    return ScoreReport(
-        trajectory_id=traj.id,
-        bbscore=statistic / dof,
-        statistic=statistic,
-        dof=dof,
-        p_value=chi_square_sf(statistic, dof),
-    )
+    trajs = list(trajs)
+    for traj in trajs:
+        if traj.d != spatial.dim:
+            raise DimensionMismatchError(
+                f"trajectory {traj.id!r} has d={traj.d}, spatial covariance has dim {spatial.dim}"
+            )
+    statistic = np.empty(len(trajs))
+    for lo in range(0, len(trajs), _BATCH_DOCS):
+        chunk = trajs[lo:lo + _BATCH_DOCS]
+        starts = np.cumsum([0] + [t.T for t in chunk[:-1]])
+        incr = np.concatenate([increments(t.points) for t in chunk])
+        statistic[lo:lo + len(chunk)] = quadratic_form(spatial, incr, starts)
+    return statistic, np.array([(t.T - 1) * t.d for t in trajs], dtype=int)
 
 
 def bbscore_batch(trajs, spatial: SpatialCovariance) -> list[ScoreReport]:
     """Score a corpus; output order matches input order.
 
-    The first failure aborts the batch with the offending trajectory id.
+    bbscore = tr(Sigma^-1 (s-mu) Sigma_T^-1 (s-mu)^T) / [(T-1) d], in increment
+    form, with its chi-square p-value from one vectorised call.
     """
-    out = []
-    for traj in trajs:
-        try:
-            out.append(bbscore(traj, spatial))
-        except BridgeModelError as exc:
-            raise type(exc)(f"trajectory {traj.id!r}: {exc}") from exc
-    return out
+    trajs = list(trajs)
+    statistic, dof = score_statistics(trajs, spatial)
+    p_value = chi_square_sf(statistic, dof)
+    return [
+        ScoreReport(trajectory_id=t.id, bbscore=stat / k, statistic=stat, dof=k, p_value=p)
+        for t, stat, k, p in zip(trajs, statistic.tolist(), dof.tolist(), p_value.tolist())
+    ]
+
+
+def bbscore(traj: LatentTrajectory, spatial: SpatialCovariance) -> ScoreReport:
+    """Score one trajectory against a spatial covariance: bbscore_batch of one.
+
+    Zero for straight-line trajectories, exactly 1 against the trajectory's
+    own single-sequence MLE, chi-square-calibrated under the truth.
+    """
+    return bbscore_batch([traj], spatial)[0]
 
 
 def heuristic_bbscore(traj: LatentTrajectory, sigma2="mle") -> float:

@@ -26,6 +26,21 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def run_process(*argv):
+    """The CLI in a fresh interpreter, importing this checkout's package."""
+    src = str(Path(bridgescore.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *map(str, argv)], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def assert_clean_exit_1(done, where):
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert where in done.stderr
+
+
 def simulate_file(tmp_path, name="corpus.jsonl", n=30, d=2, T=20, seed=1,
                   sigma="random-spd:5", domain="sim", label=None):
     out = tmp_path / name
@@ -127,17 +142,25 @@ class TestIngestionDiagnostics:
     def test_non_numeric_coordinate_cli_exit_1(self, tmp_path, point):
         row = '{"id":"a","domain":"d","points":[[0,1],%s,[3,4]]}' % point
         path = self.write_lines(tmp_path, [row])
-        src = str(Path(bridgescore.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run(
-            [sys.executable, "-m", "bridgescore.cli", "fit", "--in", str(path),
-             "--out", str(tmp_path / "m.json")],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert done.returncode == 1
-        assert "Traceback" not in done.stderr
-        assert "bad.jsonl:1" in done.stderr
+        done = run_process("-m", "bridgescore.cli", "fit", "--in", path,
+                           "--out", tmp_path / "m.json")
+        assert_clean_exit_1(done, "bad.jsonl:1")
+
+    @pytest.mark.parametrize("point", ["[true, 1]", "[0, false]", '["1.5", 1]', '[1, "2"]'])
+    def test_boolean_or_string_coordinate(self, tmp_path, point):
+        row = '{"id":"a","domain":"d","points":[[0,1],%s,[3,4]]}' % point
+        path = self.write_lines(tmp_path, [row])
+        with pytest.raises(ValidationError, match="bad.jsonl:1"):
+            read_trajectories(path)
+        done = run_process("-m", "bridgescore.cli", "fit", "--in", path,
+                           "--out", tmp_path / "m.json")
+        assert_clean_exit_1(done, "bad.jsonl:1")
+
+    def test_true_in_a_string_keeps_numbers(self, tmp_path):
+        path = self.write_lines(
+            tmp_path, ['{"id":"true-false","domain":"d","points":[[0,1],[2,3.5],[3,4]]}'])
+        records, _ = read_trajectories(path)
+        np.testing.assert_array_equal(records[0].trajectory.points, [[0, 1], [2, 3.5], [3, 4]])
 
 
 class TestFileDigest:
@@ -359,6 +382,21 @@ class TestRelativeClassifyCompare:
         acc = float(out.split("relative accuracy:")[1].split()[0])
         assert acc > 0.8
 
+    def test_relative_labels_keyed_per_set(self, tmp_path, capsys):
+        # two simulate runs share ids; each set's labels must stay its own
+        set_a = simulate_file(tmp_path, name="a.jsonl", n=8, T=15, seed=61, label="high")
+        set_b = simulate_file(tmp_path, name="b.jsonl", n=8, T=15, seed=62, label="low")
+        fit_corpus = simulate_file(tmp_path, name="fitc.jsonl", n=30, T=15, seed=63)
+        model = tmp_path / "m.json"
+        assert run("fit", "--in", fit_corpus, "--out", model) == 0
+        capsys.readouterr()
+        accs = []
+        for truth in ("labels", "a-more-coherent"):
+            assert run("relative", "--set-a", set_a, "--set-b", set_b, "--model", model,
+                       "--truth", truth) == 0
+            accs.append(capsys.readouterr().out.split("relative accuracy:")[1].split()[0])
+        assert accs[0] == accs[1]
+
     def test_classify_command_separable(self, tmp_path, capsys):
         fit_corpus = simulate_file(tmp_path, name="fitc.jsonl", n=40, T=20, seed=52)
         model = tmp_path / "m.json"
@@ -447,3 +485,50 @@ class TestTrainCommand:
             epsilon=0.0, source_corpus_digest=""))
         with pytest.raises(ValidationError, match="weight"):
             read_sigma_model(model)
+
+
+class TestMalformedModelFiles:
+    @pytest.mark.parametrize("change", [
+        {"d": None}, {"d": 2.5}, {"d": "2"}, {"weight": None}, {"epsilon": None},
+        {"matrix": [[1.0, 0.0], [0.0]]}, {"matrix": [[1.0, 0.0], [0.0, True]]},
+        {"matrix": [[1.0, "0"], [0.0, 1.0]]},
+    ])
+    def test_bad_field_exits_1(self, tmp_path, change):
+        corpus = simulate_file(tmp_path, n=5, T=8, seed=3)
+        model = tmp_path / "m.json"
+        write_sigma_model(model, SigmaModel(
+            spatial=bridgescore.SpatialCovariance.identity(2), weight=50, domain="x",
+            epsilon=0.0, source_corpus_digest=""))
+        model.write_text(json.dumps({**json.loads(model.read_text()), **change}))
+        with pytest.raises(ValidationError, match="m.json"):
+            read_sigma_model(model)
+        done = run_process("-m", "bridgescore.cli", "score", "--in", corpus, "--model", model,
+                           "--out", tmp_path / "s.jsonl")
+        assert_clean_exit_1(done, "m.json")
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "null", '"model"', "3"])
+    def test_not_an_object_exits_1(self, tmp_path, text):
+        corpus = simulate_file(tmp_path, n=5, T=8, seed=3)
+        model = tmp_path / "m.json"
+        model.write_text(text)
+        done = run_process("-m", "bridgescore.cli", "score", "--in", corpus, "--model", model,
+                           "--out", tmp_path / "s.jsonl")
+        assert_clean_exit_1(done, "m.json")
+
+    @pytest.mark.parametrize("weights", [[[1.0, 0.0], [0.0]], {"weights": [[1.0], [0.0, 1.0]]},
+                                         [[1.0, False], [0.0, 1.0]]])
+    def test_bad_weights_exit_1(self, tmp_path, weights):
+        corpus = simulate_file(tmp_path, n=5, T=8, seed=3)
+        init = tmp_path / "w.json"
+        init.write_text(json.dumps(weights))
+        done = run_process("-m", "bridgescore.cli", "train", "--corpora", corpus, "--epochs", 1,
+                           "--init", init, "--out", tmp_path / "state.json")
+        assert_clean_exit_1(done, "w.json")
+
+
+class TestStartup:
+    def test_cli_import_leaves_scipy_stats_out(self):
+        done = run_process("-c", "import sys, bridgescore.cli; "
+                                 "print('scipy.stats' in sys.modules)")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"

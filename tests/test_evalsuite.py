@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -155,12 +156,52 @@ def sim_setup():
     return spatial, originals
 
 
+def per_copy_accuracy(originals, spec, spatial, use_pvalue, per_document):
+    """Discrimination as one bbscore call per make_shuffle_set copy."""
+    def incoherence(traj):
+        rep = bbscore(traj, spatial)
+        return -rep.p_value if use_pvalue else rep.bbscore
+
+    credits, doc_means = [], []
+    for traj in sorted(originals, key=lambda t: t.id):
+        copies = make_shuffle_set(traj, replace(spec, seed=stable_seed(spec.seed, traj.id)))
+        base = incoherence(traj)
+        doc = [1.0 if base < x else 0.5 if base == x else 0.0 for x in map(incoherence, copies)]
+        credits.extend(doc)
+        if doc:
+            doc_means.append(float(np.mean(doc)))
+    return float(np.mean(doc_means)) if per_document else float(np.mean(credits))
+
+
 class TestDiscrimination:
+    @pytest.mark.parametrize("kind", ["global_block", "local_window"])
+    @pytest.mark.parametrize("use_pvalue", [False, True])
+    @pytest.mark.parametrize("per_document", [False, True])
+    def test_batched_matches_per_copy_path(self, kind, use_pvalue, per_document):
+        rng = np.random.default_rng(2024)
+        for trial in range(3):
+            d = int(rng.integers(1, 5))
+            spatial = SpatialCovariance(sigma=SpdMatrix(random_spd(rng, d)))
+            originals = [random_trajectory(rng, d, int(T), traj_id=f"r{trial}-{i}")
+                         for i, T in enumerate(rng.integers(5, 25, size=6))]
+            a, b = rng.standard_normal((2, d))
+            originals.append(LatentTrajectory(f"r{trial}-rep", "x", [a, b, a, b, a, b, b]))
+            spec = ShuffleSpec(kind=kind, block_size=2, num_windows=2, window_size=3,
+                               copies=12, seed=trial)
+            rep_copies = make_shuffle_set(
+                originals[-1], replace(spec, seed=stable_seed(spec.seed, originals[-1].id)))
+            assert 0 < len(rep_copies) < spec.copies  # repeated points: dedupe fires
+            batched = discrimination_accuracy(originals, spec, spatial, use_pvalue=use_pvalue,
+                                              per_document=per_document)
+            assert batched == per_copy_accuracy(originals, spec, spatial, use_pvalue,
+                                                per_document)
+
     def test_tie_rule_via_injection(self, monkeypatch, sim_setup):
         spatial, originals = sim_setup
         import bridgescore.evalsuite as ev
 
-        monkeypatch.setattr(ev, "make_shuffle_set", lambda traj, spec: [traj])
+        # a "copy" equal to the original ties with it
+        monkeypatch.setattr(ev, "_distinct_copies", lambda traj, spec: ([0], traj.points[None]))
         spec = ShuffleSpec(kind="global_block", block_size=1, copies=5, seed=0)
         assert ev.discrimination_accuracy(originals, spec, spatial) == 0.5
 

@@ -8,9 +8,9 @@ from bridgescore import (
     DegenerateInputError,
     LengthMismatchError,
     NotPositiveDefiniteError,
-    RankedSample,
     SpdMatrix,
     ValidationError,
+    average_ranks,
     chi_square_sf,
     cholesky,
     log_det_spd,
@@ -168,19 +168,48 @@ class TestChiSquareSf:
             chi_square_sf(1.0, 0)
         with pytest.raises(ValidationError):
             chi_square_sf(1.0, 2.5)
+        with pytest.raises(ValidationError):
+            chi_square_sf([1.0, np.inf], 3)
+        with pytest.raises(ValidationError):
+            chi_square_sf([1.0, 2.0], [3, 0])
+
+    def test_array_matches_scalar_calls(self, rng):
+        k = rng.integers(1, 10**6, size=200)
+        x = k * rng.uniform(0.0, 2.0, size=200)
+        x[:5] = 0.0
+        values = chi_square_sf(x, k)
+        assert isinstance(values, np.ndarray) and values.shape == (200,)
+        scalar = [chi_square_sf(float(a), int(b)) for a, b in zip(x, k)]
+        np.testing.assert_array_equal(values, scalar)
+        np.testing.assert_array_equal(chi_square_sf(x[:7], 7),
+                                      [chi_square_sf(float(a), 7) for a in x[:7]])
+        assert isinstance(chi_square_sf(3.0, 3), float)
 
 
-class TestRankedSample:
+class TestAverageRanks:
     def test_rank_sum_invariant(self, rng):
         for _ in range(20):
             n = int(rng.integers(2, 40))
             values = rng.integers(0, 5, size=n).astype(float)  # many ties
-            rs = RankedSample.from_values(values)
-            assert float(rs.ranks.sum()) == pytest.approx(n * (n + 1) / 2.0, abs=1e-9)
+            ranks = average_ranks(values)
+            assert float(ranks.sum()) == pytest.approx(n * (n + 1) / 2.0, abs=1e-9)
 
     def test_tie_group_average(self):
-        rs = RankedSample.from_values([3.0, 1.0, 3.0, 2.0])
-        np.testing.assert_allclose(rs.ranks, [3.5, 1.0, 3.5, 2.0])
+        np.testing.assert_allclose(average_ranks([3.0, 1.0, 3.0, 2.0]), [3.5, 1.0, 3.5, 2.0])
+
+    def test_matches_scipy_rankdata(self, rng):
+        from scipy.stats import rankdata
+
+        for _ in range(30):
+            n = int(rng.integers(1, 60))
+            values = rng.integers(0, int(rng.integers(1, 10)), size=n) * rng.choice([0.5, -1.0])
+            np.testing.assert_array_equal(average_ranks(values), rankdata(values, method="average"))
+        values = rng.standard_normal(50)
+        np.testing.assert_array_equal(average_ranks(values), rankdata(values))
+
+    def test_rejects_two_dimensional(self):
+        with pytest.raises(ValidationError):
+            average_ranks(np.zeros((2, 2)))
 
 
 class TestSpearman:
