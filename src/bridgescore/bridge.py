@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dtrsm
 
 from .errors import (
     DimensionMismatchError,
@@ -175,6 +174,8 @@ def quadratic_form(spatial: SpatialCovariance, incr, starts=None):
     incr = np.asarray(incr, dtype=float)
     if incr.shape[-1] != spatial.dim:
         raise DimensionMismatchError(f"increments of d={incr.shape[-1]} vs sigma dim {spatial.dim}")
+    from scipy.linalg.blas import dtrsm  # deferred: simulate and fit never solve against Sigma
+
     z = dtrsm(1.0, spatial.sigma.chol, incr.T, lower=1)
     # one vdot per document, not a reduceat over column norms: it sums in the
     # order a lone document's solve does, so batching changes no bit

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,7 +56,7 @@ def write_trajectories(path, records, meta: dict | None = None) -> None:
             row = {
                 "id": traj.id,
                 "domain": traj.domain,
-                "points": [[float(v) for v in p] for p in traj.points],
+                "points": traj.points.tolist(),
             }
             if rec.label is not None:
                 row["label"] = rec.label
@@ -112,32 +113,48 @@ def _parse_record(path, lineno: int, row: dict, line: str) -> TrajectoryRecord:
     return TrajectoryRecord(trajectory=traj, label=label)
 
 
+def _unreadable(path, exc: Exception) -> ValidationError:
+    """A missing, unreadable or non-UTF-8 file as a path: diagnostic."""
+    reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+    return ValidationError(f"{path}: cannot read file ({reason})")
+
+
+def _json_value(text: str, where: str):
+    """text parsed as JSON; malformed, too deeply nested or over-long numbers are rejected."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{where}: invalid JSON ({exc.msg})") from exc
+    except (ValueError, RecursionError) as exc:  # past the int digit limit or the nesting limit
+        raise ValidationError(f"{where}: invalid JSON ({exc})") from exc
+
+
 def read_trajectories(path) -> tuple[list[TrajectoryRecord], dict]:
     """Read a corpus, enforcing all record invariants with line diagnostics."""
     records: list[TrajectoryRecord] = []
     header: dict = {}
     seen_ids: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(row, dict):
-                raise ValidationError(f"{path}:{lineno}: expected a JSON object")
-            if lineno == 1 and row.get("kind") == "trajectories":
-                header = row
-                continue
-            rec = _parse_record(path, lineno, row, line)
-            if rec.trajectory.id in seen_ids:
-                raise ValidationError(
-                    f"{path}:{lineno}: duplicate id {rec.trajectory.id!r} within file"
-                )
-            seen_ids.add(rec.trajectory.id)
-            records.append(rec)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                row = _json_value(line, f"{path}:{lineno}")
+                if not isinstance(row, dict):
+                    raise ValidationError(f"{path}:{lineno}: expected a JSON object")
+                if lineno == 1 and row.get("kind") == "trajectories":
+                    header = row
+                    continue
+                rec = _parse_record(path, lineno, row, line)
+                if rec.trajectory.id in seen_ids:
+                    raise ValidationError(
+                        f"{path}:{lineno}: duplicate id {rec.trajectory.id!r} within file"
+                    )
+                seen_ids.add(rec.trajectory.id)
+                records.append(rec)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _unreadable(path, exc) from exc
     return records, header
 
 
@@ -164,7 +181,7 @@ def write_sigma_model(path, model: SigmaModel) -> None:
         "weight": int(model.weight),
         "domain": model.domain,
         "epsilon": model.epsilon,
-        "matrix": [[float(v) for v in row] for row in model.spatial.sigma.entries],
+        "matrix": model.spatial.sigma.entries.tolist(),
         "created_by": model.created_by,
         "source_corpus_digest": model.source_corpus_digest,
     }
@@ -173,9 +190,10 @@ def write_sigma_model(path, model: SigmaModel) -> None:
 
 def _load_json(path):
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON ({exc.msg})") from exc
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _unreadable(path, exc) from exc
+    return _json_value(text, str(path))
 
 
 def read_sigma_model(path) -> SigmaModel:
@@ -190,8 +208,8 @@ def read_sigma_model(path) -> SigmaModel:
     for key, value in (("d", d), ("weight", weight)):
         if type(value) is not int:
             raise ValidationError(f"{path}: {key!r} must be an integer, got {value!r}")
-    if type(epsilon) not in (int, float):
-        raise ValidationError(f"{path}: 'epsilon' must be a number, got {epsilon!r}")
+    if type(epsilon) not in (int, float) or not abs(epsilon) <= sys.float_info.max:
+        raise ValidationError(f"{path}: 'epsilon' must be a finite number, got {epsilon!r}")
     matrix = _matrix(payload["matrix"])
     if matrix is None:
         raise ValidationError(f"{path}: 'matrix' must be a list of equal-length rows of numbers")
@@ -217,7 +235,7 @@ def write_trainer_state(path, state: TrainerState, extra: dict | None = None) ->
     payload = {
         "kind": "trainer_state",
         "created_by": TOOL_VERSION,
-        "weights": [[float(v) for v in row] for row in state.encoder.weights],
+        "weights": state.encoder.weights.tolist(),
         "epsilon": state.epsilon,
         "step_size": state.step_size,
         "batch_size": state.batch_size,
@@ -225,8 +243,7 @@ def write_trainer_state(path, state: TrainerState, extra: dict | None = None) ->
         "shrinkage": state.shrinkage,
         "seed": state.seed,
         "sigma_hat": {
-            dom: [[float(v) for v in row] for row in cov.sigma.entries]
-            for dom, cov in sorted(state.sigma_hat.items())
+            dom: cov.sigma.entries.tolist() for dom, cov in sorted(state.sigma_hat.items())
         },
         "sigma_scalar": {dom: float(v) for dom, v in sorted(state.sigma_scalar.items())},
     }
@@ -240,5 +257,8 @@ def read_weights(path) -> np.ndarray:
     arr = _matrix(payload.get("weights") if isinstance(payload, dict) else payload)
     if arr is None:
         raise ValidationError(f"{path}: expected a 2-d weight matrix of numbers")
-    LinearEncoder(weights=arr)  # shape/finiteness validation
+    try:
+        LinearEncoder(weights=arr)  # shape/finiteness validation
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
     return arr

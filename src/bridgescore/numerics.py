@@ -2,14 +2,17 @@
 
 Everything here is a pure function on immutable inputs. SpdMatrix values
 factor once at construction, so they are freely shareable across threads.
+SpdMatrix, log_det_spd and the ranks use numpy alone; scipy is imported at
+the first call that needs it (scipy.linalg in spd_solve, scipy.special in
+chi_square_sf), so commands that never solve or compute a p-value do not
+load it.
 """
 
 from __future__ import annotations
 
 import math
+
 import numpy as np
-from scipy.linalg import cho_solve
-from scipy.special import gammaincc
 
 from .errors import (
     DegenerateInputError,
@@ -44,9 +47,9 @@ def cholesky(m) -> np.ndarray:
 class SpdMatrix:
     """Symmetric positive-definite matrix with a cached Cholesky factor.
 
-    Construction validates symmetry (relative tolerance 1e-12) and positive
-    definiteness; the lower factor is computed eagerly and reused by every
-    solve and log-determinant.
+    Construction validates finiteness, symmetry (relative tolerance 1e-12)
+    and positive definiteness; the lower factor is computed eagerly and
+    reused by every solve and log-determinant.
     """
 
     __slots__ = ("entries", "chol")
@@ -55,6 +58,8 @@ class SpdMatrix:
         m = np.array(entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"expected a square matrix, got shape {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ValidationError("matrix has a non-finite entry")
         scale = np.abs(m).max() if m.size else 0.0
         if scale == 0.0:
             raise NotPositiveDefiniteError("zero matrix is not positive-definite")
@@ -84,6 +89,8 @@ def spd_solve(m, b) -> np.ndarray:
     rows = b.shape[0] if b.ndim else None
     if rows != spd.dim:
         raise ValidationError(f"right-hand side has {rows} rows, matrix has dim {spd.dim}")
+    from scipy.linalg import cho_solve  # deferred: commands that never solve start on numpy alone
+
     return cho_solve((spd.chol, True), b)
 
 
@@ -110,6 +117,8 @@ def chi_square_sf(x, k):
     bad = k[~((k >= 1.0) & (k == np.floor(k)))]
     if bad.size:
         raise ValidationError(f"degrees of freedom must be a positive integer, got {bad[0]}")
+    from scipy.special import gammaincc  # deferred: only p-value paths pay for scipy.special
+
     p = gammaincc(0.5 * k, 0.5 * x)
     return float(p) if p.ndim == 0 else p
 

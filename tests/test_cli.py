@@ -491,7 +491,9 @@ class TestMalformedModelFiles:
     @pytest.mark.parametrize("change", [
         {"d": None}, {"d": 2.5}, {"d": "2"}, {"weight": None}, {"epsilon": None},
         {"matrix": [[1.0, 0.0], [0.0]]}, {"matrix": [[1.0, 0.0], [0.0, True]]},
-        {"matrix": [[1.0, "0"], [0.0, 1.0]]},
+        {"matrix": [[1.0, "0"], [0.0, 1.0]]}, {"matrix": [[float("nan"), 0.0], [0.0, 1.0]]},
+        {"matrix": [[1.0, 0.0], [0.0, float("inf")]]}, {"epsilon": float("nan")},
+        {"epsilon": 10 ** 400},
     ])
     def test_bad_field_exits_1(self, tmp_path, change):
         corpus = simulate_file(tmp_path, n=5, T=8, seed=3)
@@ -526,9 +528,157 @@ class TestMalformedModelFiles:
         assert_clean_exit_1(done, "w.json")
 
 
+    def test_nonfinite_sigma_model_rejected_at_load(self, tmp_path):
+        model = tmp_path / "m.json"
+        model.write_text('{"kind": "sigma_model", "d": 2, "weight": 50, '
+                         '"matrix": [[NaN, 0.0], [0.0, 1.0]]}')
+        with pytest.raises(ValidationError, match="m.json: matrix is not symmetric "
+                                                  "positive-definite: .*non-finite"):
+            read_sigma_model(model)
+        done = run_process("-m", "bridgescore.cli", "simulate", "--d", 2, "--T", 8, "--n", 3,
+                           "--sigma", model, "--out", tmp_path / "c.jsonl")
+        assert_clean_exit_1(done, "m.json")
+        assert "sim-00000" not in done.stderr
+
+
+class TestUnreadableFiles:
+    """Missing and non-UTF-8 inputs exit 1 with a path: message, never a traceback."""
+
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        return simulate_file(tmp_path, n=5, T=8, seed=3)
+
+    def test_missing_model(self, tmp_path, corpus):
+        missing = tmp_path / "missing.json"
+        with pytest.raises(ValidationError, match="missing.json: cannot read file"):
+            read_sigma_model(missing)
+        done = run_process("-m", "bridgescore.cli", "score", "--in", corpus, "--model", missing,
+                           "--out", tmp_path / "s.jsonl")
+        assert_clean_exit_1(done, "missing.json")
+
+    def test_missing_init_weights(self, tmp_path, corpus):
+        done = run_process("-m", "bridgescore.cli", "train", "--corpora", corpus,
+                           "--epochs", 1, "--init", tmp_path / "missing.json",
+                           "--out", tmp_path / "state.json")
+        assert_clean_exit_1(done, "missing.json")
+
+    def test_missing_corpus(self, tmp_path):
+        missing = tmp_path / "missing.jsonl"
+        with pytest.raises(ValidationError, match="missing.jsonl: cannot read file"):
+            read_trajectories(missing)
+        done = run_process("-m", "bridgescore.cli", "fit", "--in", missing,
+                           "--out", tmp_path / "m.json")
+        assert_clean_exit_1(done, "missing.jsonl")
+
+    def test_directory_as_corpus(self, tmp_path):
+        done = run_process("-m", "bridgescore.cli", "fit", "--in", tmp_path,
+                           "--out", tmp_path / "m.json")
+        assert_clean_exit_1(done, str(tmp_path))
+
+    @pytest.mark.parametrize("name", ["utf16.jsonl", "utf16.json"])
+    def test_not_utf8(self, tmp_path, corpus, name):
+        bad = tmp_path / name
+        bad.write_bytes(b"\xff\xfe" + corpus.read_text().encode("utf-16-le"))
+        if name.endswith(".jsonl"):
+            argv = ["fit", "--in", bad, "--out", tmp_path / "m.json"]
+        else:
+            argv = ["score", "--in", corpus, "--model", bad, "--out", tmp_path / "s.jsonl"]
+        done = run_process("-m", "bridgescore.cli", *argv)
+        assert_clean_exit_1(done, name)
+
+
+class TestWriters:
+    """tolist() encoding writes the bytes of the former per-float comprehension."""
+
+    @staticmethod
+    def per_float(rows):
+        return json.dumps([[float(v) for v in row] for row in rows], separators=(",", ":"))
+
+    @pytest.fixture
+    def scaled(self):
+        rng = np.random.default_rng(17)
+        return rng.standard_normal((40, 3)) * 10.0 ** rng.integers(-30, 30, (40, 3))
+
+    def test_trajectories_bytes(self, tmp_path, scaled):
+        rng = np.random.default_rng(5)
+        records = [TrajectoryRecord(bridgescore.LatentTrajectory(
+            id=f"doc-{i}", domain="x", points=rng.standard_normal((int(rng.integers(3, 9)), 3))
+            * scaled[i]), label="lab" if i % 2 else None) for i in range(40)]
+        specials = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, 0.1, 1 / 3]
+        records.append(TrajectoryRecord(bridgescore.LatentTrajectory(
+            id="specials", domain="x", points=np.resize(specials, (7, 3)))))
+        path = tmp_path / "c.jsonl"
+        write_trajectories(path, records, meta={"seed": 1})
+        lines = path.read_text(encoding="utf-8").splitlines()[1:]
+        for rec, line in zip(records, lines, strict=True):
+            label = "" if rec.label is None else f',"label":"{rec.label}"'
+            assert line == (f'{{"domain":"x","id":"{rec.trajectory.id}"{label},'
+                            f'"points":{self.per_float(rec.trajectory.points)}}}')
+
+    def test_model_and_trainer_state_bytes(self, tmp_path, scaled):
+        from bridgescore import LinearEncoder, SpatialCovariance, TrainerState
+        from bridgescore.fileio import write_trainer_state
+
+        a = scaled[:3] @ scaled[:3].T + np.eye(3)
+        spatial = SpatialCovariance(sigma=bridgescore.SpdMatrix(0.5 * (a + a.T)))
+        model = tmp_path / "m.json"
+        write_sigma_model(model, SigmaModel(spatial=spatial, weight=9, domain="x",
+                                            epsilon=0.0, source_corpus_digest=""))
+        assert f'"matrix":{self.per_float(spatial.sigma.entries)}' in model.read_text()
+        state = TrainerState(encoder=LinearEncoder(weights=scaled[:2]),
+                             sigma_hat={"x": spatial, "y": SpatialCovariance.identity(3)},
+                             sigma_scalar={"x": 1.0, "y": 1.0})
+        out = tmp_path / "state.json"
+        write_trainer_state(out, state)
+        text = out.read_text()
+        assert f'"weights":{self.per_float(scaled[:2])}' in text
+        assert f'"x":{self.per_float(spatial.sigma.entries)}' in text
+        assert f'"y":{self.per_float(np.eye(3))}' in text
+
+
+SCIPY_LOADED = "any(m.split('.')[0] == 'scipy' for m in sys.modules)"
+
+
 class TestStartup:
+    """Each check runs in a fresh interpreter: pytest itself has loaded scipy."""
+
     def test_cli_import_leaves_scipy_stats_out(self):
         done = run_process("-c", "import sys, bridgescore.cli; "
                                  "print('scipy.stats' in sys.modules)")
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "False"
+
+    def test_cli_import_loads_no_scipy(self):
+        done = run_process("-c", f"import sys, bridgescore.cli; print({SCIPY_LOADED})")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
+
+    def test_simulate_fit_shuffle_run_on_numpy_alone(self, tmp_path):
+        corpus, model = str(tmp_path / "c.jsonl"), str(tmp_path / "m.json")
+        code = "\n".join([
+            "import sys",
+            "from bridgescore.cli import main",
+            f"assert main(['simulate', '--d', '3', '--T', '8:12', '--n', '20', "
+            f"'--sigma', 'random-spd:2', '--out', {corpus!r}]) == 0",
+            f"assert main(['fit', '--in', {corpus!r}, '--out', {model!r}]) == 0",
+            f"assert main(['shuffle', '--in', {corpus!r}, '--copies', '2', "
+            f"'--out', {str(tmp_path / 's.jsonl')!r}]) == 0",
+            f"print({SCIPY_LOADED})",
+        ])
+        done = run_process("-c", code)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
+
+    @pytest.mark.parametrize("use_pvalue", [False, True])
+    def test_discriminate_loads_scipy_special_only_for_pvalues(self, tmp_path, use_pvalue):
+        corpus = simulate_file(tmp_path, n=6, d=2, T=12, seed=5)
+        model = tmp_path / "m.json"
+        assert run("fit", "--in", corpus, "--out", model) == 0
+        argv = ["discriminate", "--in", str(corpus), "--model", str(model), "--copies", "2",
+                "--block-sizes", "1", *(["--use-pvalue"] if use_pvalue else [])]
+        done = run_process("-c", "import sys; from bridgescore.cli import main; "
+                                 f"assert main({argv!r}) == 0; "
+                                 "print('scipy.linalg' in sys.modules, "
+                                 "'scipy.special' in sys.modules)")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == f"True {use_pvalue}"

@@ -51,6 +51,11 @@ class TestSpdMatrix:
         m = np.array([[2.0, 1.0], [1.0 + 1e-14, 2.0]])
         SpdMatrix(m)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_rejected(self, bad):
+        with pytest.raises(ValidationError, match="non-finite"):
+            SpdMatrix([[bad, 0.0], [0.0, 1.0]])
+
     def test_factor_cached_and_consistent(self, rng):
         m = SpdMatrix(random_spd(rng, 5))
         err = np.linalg.norm(m.chol @ m.chol.T - m.entries) / np.linalg.norm(m.entries)
