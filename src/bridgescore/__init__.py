@@ -43,6 +43,7 @@ from .bridge import (
     quadratic_form,
     residuals,
     sample_bridge,
+    shrink_covariance,
 )
 from .score import ScoreReport, bbscore, bbscore_batch, heuristic_bbscore
 from .encoder import (

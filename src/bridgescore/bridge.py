@@ -7,9 +7,11 @@ vec(s - mu) ~ N(0, Sigma_T kron Sigma) with Sigma = W W^T.
 
 The bridge is Markov, so Sigma_T^-1 = tridiag(-1, 2, -1), log|Sigma_T| =
 -log T, and tr(Sigma^-1 R Sigma_T^-1 R^T) = sum_t dr_t^T Sigma^-1 dr_t over the
-T increments dr_t = (s_{t+1} - s_t) - (s_T - s_0)/T. The likelihood, score,
-pooled MLE and trainer all use that form: one O(T d^2) triangular solve per
-document through the spatial Cholesky factor, never a (T-1) x (T-1) matrix.
+T increments dr_t = (s_{t+1} - s_t) - (s_T - s_0)/T. The likelihood, score
+and pooled MLE all use that form: one O(T d^2) triangular solve per document
+through the spatial Cholesky factor, never a (T-1) x (T-1) matrix. The
+trainer's linear encoder reduces it further, to one increment Gram matrix
+per domain (see encoder).
 """
 
 from __future__ import annotations
@@ -252,9 +254,8 @@ def pooled_covariance(trajs) -> tuple[np.ndarray, int]:
 
     Returns (M, weight) with M = (sum_i R_i Sigma_Ti^-1 R_i^T) / weight
     = (sum_i dR_i^T dR_i) / weight, weight = sum_i (T_i - 1), symmetrized. The
-    Gram sum runs in id order, _GRAM_DOCS documents per BLAS call. Callers
-    that need a usable covariance validate PD themselves (mle_sigma) or blend
-    toward the identity first (the trainer's shrinkage).
+    Gram sum runs in id order, _GRAM_DOCS documents per BLAS call.
+    shrink_covariance turns M into a validated covariance.
     """
     trajs = sorted(trajs, key=lambda t: t.id)
     if not trajs:
@@ -274,6 +275,27 @@ def pooled_covariance(trajs) -> tuple[np.ndarray, int]:
     return 0.5 * (m + m.T), weight
 
 
+def shrink_covariance(m, epsilon: float) -> tuple[SpatialCovariance, float]:
+    """A pooled covariance M blended toward its isotropic scale, and that scale.
+
+    Returns ((1 - eps) M + eps sigma2 I, sigma2) with sigma2 = tr(M)/d; eps = 0
+    leaves M as it is. fit, mle_sigma and the trainer all estimate through
+    here. Raises ValidationError for eps outside [0, 1] and
+    SingularEstimateError when the result is not positive-definite.
+    """
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValidationError(f"epsilon must lie in [0, 1], got {epsilon}")
+    d = m.shape[0]
+    sigma2 = float(np.trace(m)) / d
+    blended = (1.0 - epsilon) * m + epsilon * sigma2 * np.eye(d)
+    try:
+        return SpatialCovariance(sigma=SpdMatrix(blended)), sigma2
+    except NotPositiveDefiniteError as exc:
+        raise SingularEstimateError(
+            f"covariance estimate of dim {d} is singular (epsilon={epsilon})"
+        ) from exc
+
+
 def mle_sigma(trajs) -> SpatialCovariance:
     """Pooled maximum-likelihood estimate of the spatial covariance.
 
@@ -286,10 +308,4 @@ def mle_sigma(trajs) -> SpatialCovariance:
         raise InsufficientDataError(
             f"pooled weight {weight} is below dimension {d}; the estimate would be singular"
         )
-    try:
-        spd = SpdMatrix(m)
-    except NotPositiveDefiniteError as exc:
-        raise SingularEstimateError(
-            f"pooled covariance estimate of dim {d} is singular"
-        ) from exc
-    return SpatialCovariance(sigma=spd)
+    return shrink_covariance(m, 0.0)[0]

@@ -15,20 +15,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bridge import (
-    SpatialCovariance,
-    mle_sigma,
-    pooled_covariance,
-    sample_bridge,
-)
+from .bridge import SpatialCovariance, pooled_covariance, sample_bridge, shrink_covariance
 from .encoder import LinearEncoder, RawSequence, TrainerState, train
-from .errors import (
-    InsufficientDataError,
-    NotPositiveDefiniteError,
-    NumericalError,
-    SingularEstimateError,
-    ValidationError,
-)
+from .errors import InsufficientDataError, NumericalError, ValidationError
 from .evalsuite import (
     LabeledCorpus,
     ShuffleSpec,
@@ -44,6 +33,7 @@ from .fileio import (
     SigmaModel,
     TrajectoryRecord,
     file_digest,
+    open_output,
     read_sigma_model,
     read_trajectories,
     read_weights,
@@ -53,34 +43,6 @@ from .fileio import (
 )
 from .numerics import SpdMatrix, log_det_spd
 from .score import bbscore_batch, heuristic_bbscore
-
-
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """Default knobs shared by the commands; flags mirror these fields."""
-
-    seed: int = 0
-    epsilon: float = 1e-7
-    use_pvalue: bool = False
-    triplet_mode: bool = False
-    copies: int = 20
-    block_sizes: tuple = (1, 2, 5, 10)
-    windows: tuple = (1, 2, 3)
-    window_size: int = 3
-    step_size: float = 1e-3
-    batch_size: int = 8
-    epochs: int = 10
-
-    def __post_init__(self):
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValidationError(f"epsilon must lie in [0, 1], got {self.epsilon}")
-        if self.copies < 1 or self.window_size < 2:
-            raise ValidationError("copies must be >= 1 and window_size >= 2")
-        if self.step_size <= 0 or self.batch_size < 1 or self.epochs < 0:
-            raise ValidationError("step_size > 0, batch_size >= 1, epochs >= 0 required")
-
-
-_DEFAULTS = RunConfig()
 
 
 def _int_list(text: str) -> list[int]:
@@ -176,12 +138,7 @@ def cmd_fit(args) -> int:
     d = m.shape[0]
     if weight < d:
         raise InsufficientDataError(f"pooled weight {weight} is below dimension {d}")
-    sigma2 = float(np.trace(m)) / d
-    blended = (1.0 - args.epsilon) * m + args.epsilon * sigma2 * np.eye(d)
-    try:
-        spatial = SpatialCovariance(sigma=SpdMatrix(blended))
-    except NotPositiveDefiniteError as exc:
-        raise SingularEstimateError(f"fitted covariance is singular: {exc}") from exc
+    spatial, sigma2 = shrink_covariance(m, args.epsilon)
     domain = args.domain if args.domain is not None else records[0].trajectory.domain
     model = SigmaModel(
         spatial=spatial,
@@ -233,7 +190,7 @@ def cmd_score(args) -> int:
     }
     if args.with_heuristic:
         header["heuristic"] = "reconstruction"
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with open_output(args.out) as fh:
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
         for rep in reports:
             row = {
@@ -349,7 +306,7 @@ def cmd_classify(args) -> int:
     print(f"classify: spearman_rho={rho:.4f} accuracy={hits / len(predicted):.4f} "
           f"n={len(predicted)} axis={args.axis} seed={args.seed}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with open_output(args.out) as fh:
             header = {"kind": "predictions", "created_by": f"bridgescore {__version__}",
                       "spearman_rho": rho, "seed": args.seed}
             fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
@@ -436,16 +393,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--endpoints", default="zero", help="'zero' or 'random[:scale]'")
     p.add_argument("--domain", default="sim")
     p.add_argument("--label", default=None)
-    p.add_argument("--seed", type=int, default=_DEFAULTS.seed)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("fit", help="fit the pooled spatial covariance")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--domain", default=None, help="only fit records in this domain")
-    p.add_argument("--epsilon", type=float, default=_DEFAULTS.epsilon)
+    p.add_argument("--epsilon", type=float, default=1e-7)
     p.add_argument("--compare-to", default=None, help="print relative error vs this model")
-    p.add_argument("--seed", type=int, default=_DEFAULTS.seed)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)
 
@@ -455,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-in-sample", action="store_true")
     p.add_argument("--with-heuristic", action="store_true",
                    help="also emit the reconstructed heuristic score")
-    p.add_argument("--seed", type=int, default=_DEFAULTS.seed)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_score)
 
@@ -464,9 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("global", "local"), default="global")
     p.add_argument("--block-size", type=int, default=1)
     p.add_argument("--windows", type=int, default=1)
-    p.add_argument("--window-size", type=int, default=_DEFAULTS.window_size)
-    p.add_argument("--copies", type=int, default=_DEFAULTS.copies)
-    p.add_argument("--seed", type=int, default=_DEFAULTS.seed)
+    p.add_argument("--window-size", type=int, default=3)
+    p.add_argument("--copies", type=int, default=20)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_shuffle)
 
@@ -474,13 +431,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--kind", choices=("global", "local"), default="global")
-    p.add_argument("--block-sizes", type=_int_list, default=list(_DEFAULTS.block_sizes))
-    p.add_argument("--windows", type=_int_list, default=list(_DEFAULTS.windows))
-    p.add_argument("--window-size", type=int, default=_DEFAULTS.window_size)
-    p.add_argument("--copies", type=int, default=_DEFAULTS.copies)
+    p.add_argument("--block-sizes", type=_int_list, default=[1, 2, 5, 10])
+    p.add_argument("--windows", type=_int_list, default=[1, 2, 3])
+    p.add_argument("--window-size", type=int, default=3)
+    p.add_argument("--copies", type=int, default=20)
     p.add_argument("--use-pvalue", action="store_true")
     p.add_argument("--per-document", action="store_true")
-    p.add_argument("--seed", type=int, default=_DEFAULTS.seed)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_discriminate)
 
     p = sub.add_parser("relative", help="relative accuracy over cross-set pairs")
@@ -491,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label-order", default="low,middle,high",
                    help="labels from least to most coherent")
     p.add_argument("--use-pvalue", action="store_true")
-    p.add_argument("--seed", type=int, default=_DEFAULTS.seed)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_relative)
 
     p = sub.add_parser("classify", help="threshold classification with Spearman correlation")
@@ -501,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label-order", default="low,middle,high")
     p.add_argument("--axis", choices=("auto", "score", "pvalue"), default="auto")
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=_DEFAULTS.seed)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("compare-domains", help="score two corpora under swapped domain models")
@@ -511,21 +468,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-b", required=True)
     p.add_argument("--model-ref", default=None)
     p.add_argument("--pairing", choices=("cross", "matched"), default="cross")
-    p.add_argument("--seed", type=int, default=_DEFAULTS.seed)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_compare_domains)
 
     p = sub.add_parser("train", help="train the linear encoder on a multi-domain corpus")
     p.add_argument("--corpora", required=True, help="trajectory file; domains come from records")
-    p.add_argument("--epochs", type=int, default=_DEFAULTS.epochs)
-    p.add_argument("--step-size", type=float, default=_DEFAULTS.step_size)
-    p.add_argument("--batch-size", type=int, default=_DEFAULTS.batch_size)
-    p.add_argument("--epsilon", type=float, default=_DEFAULTS.epsilon)
+    p.add_argument("--epochs", type=int, default=10)
+    p.add_argument("--step-size", type=float, default=1e-3)
+    p.add_argument("--batch-size", type=int, default=8)
+    p.add_argument("--epsilon", type=float, default=1e-7)
     p.add_argument("--triplet-mode", action="store_true")
     p.add_argument("--no-shrinkage", action="store_true",
                    help="update covariances with the raw MLE instead of the epsilon blend")
     p.add_argument("--d-out", type=int, default=None)
     p.add_argument("--init", default="identity", help="'identity' or a JSON weights file")
-    p.add_argument("--seed", type=int, default=_DEFAULTS.seed)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 

@@ -8,7 +8,12 @@ embeddings bypass this module entirely.
 Both losses are quadratic in the weights once the covariances are held
 fixed. Because the chord mean is built from the encoded endpoints, each
 latent bridge increment is the encoding of a raw-space increment
-(x_{t+1} - x_t) - (x_T - x_0)/T, and gradients follow in closed form.
+dM = (x_{t+1} - x_t) - (x_T - x_0)/T, and gradients follow in closed form.
+The NLL terms depend on the data only through Gram matrices
+G = sum_i dM_i^T dM_i: the pooled covariance of the encoded corpus is
+W G W^T / n and its quadratic form is <Sigma^-1 W G, W>_F. The trainer forms
+each domain's G once and never re-encodes the corpus, and it runs on numpy
+alone.
 """
 
 from __future__ import annotations
@@ -17,24 +22,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bridge import (
-    LatentTrajectory,
-    SpatialCovariance,
-    increments,
-    pooled_covariance,
-    quadratic_form,
-)
+from .bridge import LatentTrajectory, SpatialCovariance, increments, shrink_covariance
 from .errors import (
     DimensionMismatchError,
     EmptyBatchError,
     InsufficientDataError,
-    NotPositiveDefiniteError,
     SingularEstimateError,
     TrainingDivergedError,
     TripletInfeasibleError,
     ValidationError,
 )
-from .numerics import SpdMatrix, log_det_spd, spd_solve
+from .numerics import log_det_spd, spd_solve
 
 
 @dataclass(frozen=True)
@@ -191,8 +189,8 @@ def sample_triplets(batch, rng) -> list[tuple[int, int, int]]:
     return out
 
 
-def _raw_increments(encoder: LinearEncoder, batch, triplets) -> list[np.ndarray]:
-    """Raw-input increments dM_i of each sequence, shape (n_i, d_in).
+def _increment_gram(encoder: LinearEncoder, batch, triplets=None) -> np.ndarray:
+    """G = sum_i dM_i^T dM_i over the raw-input increments dM_i, in batch order.
 
     The encoder is linear, so the latent increments are dM_i W^T. A triplet
     observes its sequence at times (0, t1, t2, t3, T) only, gap-weighted.
@@ -201,22 +199,29 @@ def _raw_increments(encoder: LinearEncoder, batch, triplets) -> list[np.ndarray]
         raise ValidationError(
             f"got {len(triplets)} triplets for a batch of {len(batch)} sequences"
         )
-    pieces = []
+    gram = np.zeros((encoder.d_in, encoder.d_in))
     for seq, triplet in zip(batch, triplets or [None] * len(batch)):
         if seq.d_in != encoder.d_in:
             raise DimensionMismatchError(
                 f"sequence {seq.id!r} has d_in={seq.d_in}, encoder expects {encoder.d_in}"
             )
         if triplet is None:
-            pieces.append(increments(seq.inputs))
-            continue
-        times = [0, *(int(v) for v in triplet), seq.T]
-        if len(times) != 5 or not 0 < times[1] < times[2] < times[3] < seq.T:
-            raise ValidationError(
-                f"sequence {seq.id!r}: interior triple {triplet} invalid for T={seq.T}"
-            )
-        pieces.append(increments(seq.inputs[times], times))
-    return pieces
+            m = increments(seq.inputs)
+        else:
+            times = [0, *(int(v) for v in triplet), seq.T]
+            if len(times) != 5 or not 0 < times[1] < times[2] < times[3] < seq.T:
+                raise ValidationError(
+                    f"sequence {seq.id!r}: interior triple {triplet} invalid for T={seq.T}"
+                )
+            m = increments(seq.inputs[times], times)
+        gram += m.T @ m
+    return gram
+
+
+def _solved_gram(sigma_hat: SpatialCovariance, weights, gram) -> np.ndarray:
+    """Sigma_hat^-1 W G: its inner product with W is the summed quadratic form
+    sum_i tr(Sigma_hat^-1 W dM_i^T dM_i W^T), twice it that form's gradient."""
+    return spd_solve(sigma_hat.sigma, weights @ gram)
 
 
 def nll_batch_loss(encoder: LinearEncoder, batch, sigma_hat: SpatialCovariance,
@@ -229,17 +234,15 @@ def nll_batch_loss(encoder: LinearEncoder, batch, sigma_hat: SpatialCovariance,
     loss and gradient evaluations can share identical draws.
     """
     w = encoder.weights
-    return float(sum(quadratic_form(sigma_hat, m @ w.T)
-                     for m in _raw_increments(encoder, batch, triplets)))
+    gram = _increment_gram(encoder, batch, triplets)
+    return float(np.vdot(_solved_gram(sigma_hat, w, gram), w))
 
 
 def nll_gradient(encoder: LinearEncoder, batch, sigma_hat: SpatialCovariance,
                  triplets=None) -> np.ndarray:
     """Analytic d(nll_batch_loss)/d(weights): 2 Sigma_hat^-1 W sum_i dM_i^T dM_i."""
-    gram = np.zeros((encoder.d_in, encoder.d_in))
-    for m in _raw_increments(encoder, batch, triplets):
-        gram += m.T @ m
-    return 2.0 * spd_solve(sigma_hat.sigma, encoder.weights @ gram)
+    return 2.0 * _solved_gram(sigma_hat, encoder.weights,
+                              _increment_gram(encoder, batch, triplets))
 
 
 # --- training loop ------------------------------------------------------------
@@ -273,49 +276,58 @@ class TrainerState:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
-def update_sigma_hat(state: TrainerState, domain: str, corpus) -> SpatialCovariance:
-    """Refresh the domain covariance from the current encoder outputs.
+def _domain_stats(encoder: LinearEncoder, corpus) -> tuple[np.ndarray, int]:
+    """A domain's increment Gram matrix, summed in id order, and n = sum_i (T_i - 1)."""
+    seqs = sorted(corpus, key=lambda s: s.id)
+    return _increment_gram(encoder, seqs), sum(s.T - 1 for s in seqs)
 
-    Computes the pooled MLE of the encoded corpus, blends it with
-    epsilon * sigma2_hat * I (sigma2_hat = tr(MLE)/d), and stores both the
-    covariance and sigma2_hat on the state. With epsilon = 0 or
-    shrinkage=False this is exactly the pooled MLE.
-    """
-    if not corpus:
-        raise InsufficientDataError(f"domain {domain!r} has no sequences")
-    encoded = [encode(state.encoder, seq) for seq in corpus]
-    m, _ = pooled_covariance(encoded)
-    d = m.shape[0]
-    sigma2 = float(np.trace(m)) / d
+
+def _refresh_sigma(state: TrainerState, domain: str, gram, n: int) -> SpatialCovariance:
+    """update_sigma_hat from a domain's (G, n)."""
+    w = state.encoder.weights
+    m = w @ gram @ w.T / n
     eps = state.epsilon if state.shrinkage else 0.0
-    blended = (1.0 - eps) * m + eps * sigma2 * np.eye(d)
     try:
-        spd = SpdMatrix(blended)
-    except NotPositiveDefiniteError as exc:
-        raise SingularEstimateError(
-            f"domain {domain!r}: covariance update is singular (epsilon={eps})"
-        ) from exc
-    updated = SpatialCovariance(sigma=spd)
+        updated, sigma2 = shrink_covariance(0.5 * (m + m.T), eps)
+    except SingularEstimateError as exc:
+        raise SingularEstimateError(f"domain {domain!r}: {exc}") from exc
     state.sigma_hat[domain] = updated
     state.sigma_scalar[domain] = sigma2
     return updated
+
+
+def _objective(state: TrainerState, stats) -> float:
+    """nll_objective from each domain's (G, n)."""
+    w = state.encoder.weights
+    total = 0.0
+    for domain in sorted(stats):
+        gram, n = stats[domain]
+        sig = state.sigma_hat[domain]
+        total += n * log_det_spd(sig.sigma) + float(np.vdot(_solved_gram(sig, w, gram), w))
+    return total
+
+
+def update_sigma_hat(state: TrainerState, domain: str, corpus) -> SpatialCovariance:
+    """Refresh the domain covariance from the current encoder outputs.
+
+    Computes the pooled MLE of the encoded corpus, W G W^T / n, blends it with
+    epsilon * sigma2_hat * I (sigma2_hat = tr(MLE)/d) through
+    shrink_covariance, and stores both the covariance and sigma2_hat on the
+    state. With epsilon = 0 or shrinkage=False this is exactly the pooled MLE.
+    """
+    if not corpus:
+        raise InsufficientDataError(f"domain {domain!r} has no sequences")
+    return _refresh_sigma(state, domain, *_domain_stats(state.encoder, corpus))
 
 
 def nll_objective(state: TrainerState, corpora) -> float:
     """Full-data training objective across all domains.
 
     sum_j [ sum_i (T_i - 1) log|Sigma_hat_j|
-            + sum_i tr(Sigma_hat_j^-1 R_i Sigma_Ti^-1 R_i^T) ].
+            + sum_i tr(Sigma_hat_j^-1 R_i Sigma_Ti^-1 R_i^T) ]
+    = sum_j [ n_j log|Sigma_hat_j| + <Sigma_hat_j^-1 W G_j, W>_F ].
     """
-    total = 0.0
-    w = state.encoder.weights
-    for domain in sorted(corpora):
-        sig = state.sigma_hat[domain]
-        ld = log_det_spd(sig.sigma)
-        seqs = sorted(corpora[domain], key=lambda s: s.id)
-        for seq, m in zip(seqs, _raw_increments(state.encoder, seqs, None)):
-            total += (seq.T - 1) * ld + quadratic_form(sig, m @ w.T)
-    return float(total)
+    return _objective(state, {dom: _domain_stats(state.encoder, corpora[dom]) for dom in corpora})
 
 
 def train(state: TrainerState, corpora, epochs: int) -> tuple[TrainerState, list[float]]:
@@ -323,9 +335,10 @@ def train(state: TrainerState, corpora, epochs: int) -> tuple[TrainerState, list
 
     Per epoch and per domain, iterate batches taking fixed-step gradient
     steps on the within-batch trace loss while Sigma_hat_j stays fixed, then
-    refresh Sigma_hat_j and move to the next domain. The returned trace holds
-    the full-data objective before training and after each epoch. Fully
-    deterministic given state.seed; epochs=0 returns the state untouched.
+    refresh Sigma_hat_j and move to the next domain. Each domain's Gram
+    matrix is formed once, up front. The returned trace holds the full-data
+    objective before training and after each epoch. Fully deterministic
+    given state.seed; epochs=0 returns the state untouched.
     """
     if epochs < 0:
         raise ValidationError(f"epochs must be >= 0, got {epochs}")
@@ -336,10 +349,11 @@ def train(state: TrainerState, corpora, epochs: int) -> tuple[TrainerState, list
         return state, []
     rng = np.random.default_rng(state.seed)
     domains = sorted(corpora)
+    stats = {domain: _domain_stats(state.encoder, corpora[domain]) for domain in domains}
     for domain in domains:
         if domain not in state.sigma_hat:
-            update_sigma_hat(state, domain, corpora[domain])
-    initial = nll_objective(state, corpora)
+            _refresh_sigma(state, domain, *stats[domain])
+    initial = _objective(state, stats)
     guard = 10.0 * max(abs(initial), 1.0)
     trace = [initial]
     for _ in range(epochs):
@@ -352,8 +366,8 @@ def train(state: TrainerState, corpora, epochs: int) -> tuple[TrainerState, list
                 triplets = sample_triplets(batch, rng) if state.triplet_mode else None
                 grad = nll_gradient(state.encoder, batch, sigma, triplets)
                 state.encoder = LinearEncoder(state.encoder.weights - state.step_size * grad)
-            update_sigma_hat(state, domain, corpora[domain])
-        current = nll_objective(state, corpora)
+            _refresh_sigma(state, domain, *stats[domain])
+        current = _objective(state, stats)
         trace.append(current)
         if current > guard:
             raise TrainingDivergedError(

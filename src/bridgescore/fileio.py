@@ -39,6 +39,20 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _file_error(path, exc: Exception, action: str) -> ValidationError:
+    """A missing, unreadable, unwritable or non-UTF-8 file as a path: diagnostic."""
+    reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+    return ValidationError(f"{path}: cannot {action} file ({reason})")
+
+
+def open_output(path):
+    """path opened for writing UTF-8 text; a file that cannot be created is a path: error."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:  # a missing directory, a directory, no permission
+        raise _file_error(path, exc, "write") from exc
+
+
 @dataclass(frozen=True)
 class TrajectoryRecord:
     trajectory: LatentTrajectory
@@ -49,7 +63,7 @@ def write_trajectories(path, records, meta: dict | None = None) -> None:
     """Write a trajectory corpus with a header line carrying provenance."""
     header = {"kind": "trajectories", "created_by": TOOL_VERSION}
     header.update(meta or {})
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         fh.write(_dumps(header) + "\n")
         for rec in records:
             traj = rec.trajectory
@@ -113,12 +127,6 @@ def _parse_record(path, lineno: int, row: dict, line: str) -> TrajectoryRecord:
     return TrajectoryRecord(trajectory=traj, label=label)
 
 
-def _unreadable(path, exc: Exception) -> ValidationError:
-    """A missing, unreadable or non-UTF-8 file as a path: diagnostic."""
-    reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
-    return ValidationError(f"{path}: cannot read file ({reason})")
-
-
 def _json_value(text: str, where: str):
     """text parsed as JSON; malformed, too deeply nested or over-long numbers are rejected."""
     try:
@@ -154,7 +162,7 @@ def read_trajectories(path) -> tuple[list[TrajectoryRecord], dict]:
                 seen_ids.add(rec.trajectory.id)
                 records.append(rec)
     except (OSError, UnicodeDecodeError) as exc:
-        raise _unreadable(path, exc) from exc
+        raise _file_error(path, exc, "read") from exc
     return records, header
 
 
@@ -185,14 +193,15 @@ def write_sigma_model(path, model: SigmaModel) -> None:
         "created_by": model.created_by,
         "source_corpus_digest": model.source_corpus_digest,
     }
-    Path(path).write_text(_dumps(payload) + "\n", encoding="utf-8")
+    with open_output(path) as fh:
+        fh.write(_dumps(payload) + "\n")
 
 
 def _load_json(path):
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise _unreadable(path, exc) from exc
+        raise _file_error(path, exc, "read") from exc
     return _json_value(text, str(path))
 
 
@@ -248,7 +257,8 @@ def write_trainer_state(path, state: TrainerState, extra: dict | None = None) ->
         "sigma_scalar": {dom: float(v) for dom, v in sorted(state.sigma_scalar.items())},
     }
     payload.update(extra or {})
-    Path(path).write_text(_dumps(payload) + "\n", encoding="utf-8")
+    with open_output(path) as fh:
+        fh.write(_dumps(payload) + "\n")
 
 
 def read_weights(path) -> np.ndarray:

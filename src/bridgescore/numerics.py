@@ -2,10 +2,8 @@
 
 Everything here is a pure function on immutable inputs. SpdMatrix values
 factor once at construction, so they are freely shareable across threads.
-SpdMatrix, log_det_spd and the ranks use numpy alone; scipy is imported at
-the first call that needs it (scipy.linalg in spd_solve, scipy.special in
-chi_square_sf), so commands that never solve or compute a p-value do not
-load it.
+SpdMatrix, spd_solve, log_det_spd and the ranks use numpy alone; scipy.special
+is imported at the first chi_square_sf call, so only p-value paths load it.
 """
 
 from __future__ import annotations
@@ -83,15 +81,18 @@ def _as_spd(m) -> SpdMatrix:
 
 
 def spd_solve(m, b) -> np.ndarray:
-    """Solve m @ x = b through the cached Cholesky factor (never an inverse)."""
+    """Solve m @ x = b with numpy's LAPACK gesv (never an inverse).
+
+    An LU solve, not the cached Cholesky factor: numpy has no triangular
+    solve, and the trainer, its only caller, then runs without scipy, whose
+    import costs more than its solves do.
+    """
     spd = _as_spd(m)
     b = np.asarray(b, dtype=float)
     rows = b.shape[0] if b.ndim else None
     if rows != spd.dim:
         raise ValidationError(f"right-hand side has {rows} rows, matrix has dim {spd.dim}")
-    from scipy.linalg import cho_solve  # deferred: commands that never solve start on numpy alone
-
-    return cho_solve((spd.chol, True), b)
+    return np.linalg.solve(spd.entries, b)
 
 
 def log_det_spd(m) -> float:

@@ -18,6 +18,7 @@ from bridgescore import (
     quadratic_form,
     residuals,
     sample_bridge,
+    shrink_covariance,
 )
 from conftest import (
     dense_log_density,
@@ -394,3 +395,27 @@ class TestMleSigma:
         with pytest.raises(DimensionMismatchError):
             mle_sigma([random_trajectory(rng, 2, 5, traj_id="a"),
                        random_trajectory(rng, 3, 5, traj_id="b")])
+
+
+class TestShrinkCovariance:
+    def pooled(self, rng):
+        trajs = [random_trajectory(rng, 3, 9, traj_id=f"t{i}") for i in range(4)]
+        return pooled_covariance(trajs)[0]
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-7, 0.3, 1.0])
+    def test_blend_arithmetic(self, rng, eps):
+        # the fit command writes these bits: keep the blend's order of operations
+        m = self.pooled(rng)
+        spatial, sigma2 = shrink_covariance(m, eps)
+        assert sigma2 == float(np.trace(m)) / 3
+        np.testing.assert_array_equal(spatial.sigma.entries,
+                                      (1.0 - eps) * m + eps * sigma2 * np.eye(3))
+
+    @pytest.mark.parametrize("eps", [-0.1, 1.5, 5.0, float("nan"), float("inf")])
+    def test_epsilon_out_of_range(self, rng, eps):
+        with pytest.raises(ValidationError, match="epsilon must lie in"):
+            shrink_covariance(self.pooled(rng), eps)
+
+    def test_singular_result(self):
+        with pytest.raises(SingularEstimateError, match="singular"):
+            shrink_covariance(np.array([[1.0, 1.0], [1.0, 1.0]]), 0.0)

@@ -244,6 +244,14 @@ class TestFit:
         rc = run("fit", "--in", mixed, "--domain", "absent", "--out", model_path)
         assert rc == 1
 
+    @pytest.mark.parametrize("eps", ["1.5", "5", "-0.1", "nan"])
+    def test_epsilon_out_of_range_exit_1(self, tmp_path, capsys, eps):
+        corpus = simulate_file(tmp_path)
+        model = tmp_path / "m.json"
+        assert run("fit", "--in", corpus, "--epsilon", eps, "--out", model) == 1
+        assert "epsilon must lie in [0, 1]" in capsys.readouterr().err
+        assert not model.exists()
+
     def test_singular_corpus_exit_2(self, tmp_path, capsys):
         rows = []
         for i in range(4):
@@ -587,6 +595,32 @@ class TestUnreadableFiles:
         assert_clean_exit_1(done, name)
 
 
+class TestUnwritableOutputs:
+    """An --out that cannot be created exits 1 with a path: message, never a traceback."""
+
+    @pytest.mark.parametrize("command", ["simulate", "fit", "score", "shuffle", "classify",
+                                         "train"])
+    def test_missing_directory_exits_1(self, tmp_path, command):
+        low = simulate_file(tmp_path, name="low.jsonl", n=6, T=8, domain="a", label="low")
+        high = simulate_file(tmp_path, name="high.jsonl", n=6, T=8, domain="b", label="high")
+        corpus = tmp_path / "both.jsonl"
+        write_trajectories(corpus, read_trajectories(low)[0] + read_trajectories(high)[0])
+        model = tmp_path / "m.json"
+        assert run("fit", "--in", corpus, "--out", model) == 0
+        bad = tmp_path / "missing-dir" / "out.json"
+        argv = {
+            "simulate": ["--d", 2, "--T", 8, "--n", 3],
+            "fit": ["--in", corpus],
+            "score": ["--in", corpus, "--model", model, "--allow-in-sample"],
+            "shuffle": ["--in", corpus, "--copies", 2],
+            "classify": ["--train", corpus, "--test", corpus, "--model", model,
+                         "--label-order", "low,high"],
+            "train": ["--corpora", corpus, "--epochs", 1, "--step-size", "1e-8"],
+        }[command]
+        done = run_process("-m", "bridgescore.cli", command, *argv, "--out", bad)
+        assert_clean_exit_1(done, f"{bad}: cannot write file")
+
+
 class TestWriters:
     """tolist() encoding writes the bytes of the former per-float comprehension."""
 
@@ -666,6 +700,17 @@ class TestStartup:
             f"print({SCIPY_LOADED})",
         ])
         done = run_process("-c", code)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
+
+    def test_train_runs_on_numpy_alone(self, tmp_path):
+        corpus = simulate_file(tmp_path, n=6, d=2, T=12, seed=5)
+        argv = ["train", "--corpora", str(corpus), "--epochs", "2", "--step-size", "1e-8",
+                "--out", str(tmp_path / "state.json")]
+        done = run_process("-c", "import sys; from bridgescore.cli import main; "
+                                 f"assert main({argv!r}) == 0; "
+                                 f"assert main({argv + ['--triplet-mode']!r}) == 0; "
+                                 f"print({SCIPY_LOADED})")
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "False"
 

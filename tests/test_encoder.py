@@ -18,10 +18,13 @@ from bridgescore import (
     cl_gradient,
     cl_loss,
     encode,
+    increments,
     mle_sigma,
     nll_batch_loss,
     nll_gradient,
     nll_objective,
+    pooled_covariance,
+    quadratic_form,
     sample_bridge,
     sample_triplets,
     train,
@@ -455,3 +458,124 @@ class TestTrain:
             traces.append(tuple(trace))
         assert traces[0] == traces[1]
         assert len(traces[0]) == 3
+
+
+def dense_pooled_covariance(trajs):
+    """sum_i R_i Sigma_Ti^-1 R_i^T / sum_i (T_i - 1) with the dense temporal matrix."""
+    acc, weight = 0.0, 0
+    for traj in trajs:
+        t = np.arange(1, traj.T) / traj.T
+        r = traj.interior().T - np.outer(traj.start, 1 - t) - np.outer(traj.end, t)
+        acc = acc + r @ np.linalg.solve(temporal_matrix(traj.T), r.T)
+        weight += traj.T - 1
+    return acc / weight
+
+
+def reference_train(state, corpora, epochs):
+    """The trainer one sequence at a time: re-encode every epoch, one solve per document.
+
+    Draws from the generator in the trainer's order: a permutation per domain
+    and epoch, then the triplets of each batch.
+    """
+    rng = np.random.default_rng(state.seed)
+    w = state.encoder.weights
+    eps = state.epsilon if state.shrinkage else 0.0
+    seqs = {dom: sorted(corpora[dom], key=lambda s: s.id) for dom in sorted(corpora)}
+
+    def refresh(dom):
+        m, _ = pooled_covariance([LatentTrajectory(s.id, dom, s.inputs @ w.T) for s in seqs[dom]])
+        sigma2 = np.trace(m) / len(m)
+        return SpatialCovariance.from_matrix((1 - eps) * m + eps * sigma2 * np.eye(len(m)))
+
+    def objective():
+        total = 0.0
+        for dom, docs in seqs.items():
+            logdet = np.linalg.slogdet(sigma[dom].sigma.entries)[1]
+            for s in docs:
+                total += (s.T - 1) * logdet + quadratic_form(sigma[dom], increments(s.inputs @ w.T))
+        return total
+
+    sigma = {dom: refresh(dom) for dom in seqs}
+    trace = [objective()]
+    for _ in range(epochs):
+        for dom, docs in seqs.items():
+            order = rng.permutation(len(docs))
+            for lo in range(0, len(docs), state.batch_size):
+                batch = [docs[i] for i in order[lo:lo + state.batch_size]]
+                trips = sample_triplets(batch, rng) if state.triplet_mode else [None] * len(batch)
+                grad = np.zeros_like(w)
+                for s, trip in zip(batch, trips):
+                    times = None if trip is None else [0, *trip, s.T]
+                    dm = increments(s.inputs if trip is None else s.inputs[times], times)
+                    grad += 2.0 * np.linalg.solve(sigma[dom].sigma.entries, w @ dm.T @ dm)
+                w = w - state.step_size * grad
+            sigma[dom] = refresh(dom)
+        trace.append(objective())
+    return trace, w
+
+
+class TestGramTrainer:
+    """The Gram-matrix trainer against per-sequence and dense computations, d_out < d_in."""
+
+    @pytest.fixture
+    def setup(self):
+        corpora, _, theta_star = identifiable_corpora(13, d=4, T=10, n=12)
+        rng = np.random.default_rng(14)
+        weights = theta_star[:3] + 0.1 * rng.standard_normal((3, 4))
+        return corpora, LinearEncoder(weights)
+
+    def test_update_sigma_hat_matches_dense_pooled(self, setup):
+        corpora, enc = setup
+        state = TrainerState(encoder=enc, epsilon=0.0)
+        updated = update_sigma_hat(state, "news", corpora["news"])
+        expected = dense_pooled_covariance([encode(enc, s) for s in corpora["news"]])
+        np.testing.assert_allclose(updated.sigma.entries, expected, rtol=1e-12, atol=0)
+
+    def test_nll_objective_matches_dense_oracle(self, setup):
+        corpora, enc = setup
+        state = TrainerState(encoder=enc, epsilon=0.01)
+        expected = 0.0
+        for dom, seqs in corpora.items():
+            sig = update_sigma_hat(state, dom, seqs).sigma.entries
+            for seq in seqs:
+                traj = encode(enc, seq)
+                expected += (traj.T - 1) * np.linalg.slogdet(sig)[1] + dense_quad_form(traj, sig)
+        assert nll_objective(state, corpora) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("triplet_mode", [False, True])
+    def test_batch_loss_matches_per_sequence_kernel(self, setup, triplet_mode):
+        corpora, enc = setup
+        batch = corpora["wiki"][:5]
+        sigma = SpatialCovariance(sigma=SpdMatrix(random_spd(np.random.default_rng(15), 3)))
+        trips = sample_triplets(batch, 16) if triplet_mode else [None] * len(batch)
+        expected = 0.0
+        for seq, trip in zip(batch, trips):
+            times = None if trip is None else [0, *trip, seq.T]
+            points = encode(enc, seq).points
+            expected += quadratic_form(sigma, increments(points if trip is None
+                                                         else points[times], times))
+        loss = nll_batch_loss(enc, batch, sigma, trips if triplet_mode else None)
+        assert loss == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("triplet_mode", [False, True])
+    def test_train_matches_per_sequence_reference(self, setup, triplet_mode):
+        corpora, enc = setup
+        state = TrainerState(encoder=enc, seed=17, step_size=1e-4, batch_size=5,
+                             triplet_mode=triplet_mode)
+        want_trace, want_w = reference_train(state, corpora, 3)
+        state, trace = train(state, corpora, 3)
+        np.testing.assert_allclose(trace, want_trace, rtol=1e-12, atol=0)
+        assert trace[-1] < trace[0]
+        err = np.linalg.norm(state.encoder.weights - want_w) / np.linalg.norm(want_w)
+        assert err <= 1e-12
+
+    def test_corpus_order_changes_no_bit(self, setup):
+        corpora, enc = setup
+        runs = []
+        for step in (1, -1):
+            state = TrainerState(encoder=enc, seed=17, step_size=1e-4, batch_size=5)
+            state, trace = train(state, {dom: seqs[::step] for dom, seqs in corpora.items()}, 2)
+            runs.append((trace, state.encoder.weights, state.sigma_hat["news"].sigma.entries))
+        assert runs[0][0] == runs[1][0]
+        np.testing.assert_array_equal(runs[0][1], runs[1][1])
+        np.testing.assert_array_equal(runs[0][2], runs[1][2])

@@ -89,6 +89,21 @@ class TestSpdSolve:
         with pytest.raises(ValidationError):
             spd_solve(SpdMatrix(np.eye(2)), np.zeros((3, 1)))
 
+    def test_near_singular_agrees_with_cholesky_solve(self, rng):
+        from scipy.linalg import cho_solve
+
+        cond = 1e10
+        q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+        a = (q * np.geomspace(1.0, 1.0 / cond, 8)) @ q.T
+        m = SpdMatrix(0.5 * (a + a.T))
+        b = rng.standard_normal((8, 3))
+        x, ref = spd_solve(m, b), cho_solve((m.chol, True), b)
+        eps = np.finfo(float).eps
+        # both solves are backward stable; their forward errors are within cond * eps
+        assert np.linalg.norm(x - ref) <= 10 * cond * eps * np.linalg.norm(ref)
+        residual = np.linalg.norm(m.entries @ x - b)
+        assert residual <= 10 * eps * np.linalg.norm(m.entries) * np.linalg.norm(x)
+
 
 class TestLogDet:
     def test_identity(self):
