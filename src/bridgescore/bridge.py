@@ -8,8 +8,8 @@ vec(s - mu) ~ N(0, Sigma_T kron Sigma) with Sigma = W W^T.
 The bridge is Markov, so Sigma_T^-1 = tridiag(-1, 2, -1), log|Sigma_T| =
 -log T, and tr(Sigma^-1 R Sigma_T^-1 R^T) = sum_t dr_t^T Sigma^-1 dr_t over the
 T increments dr_t = (s_{t+1} - s_t) - (s_T - s_0)/T. The likelihood, score
-and pooled MLE all use that form: one O(T d^2) triangular solve per document
-through the spatial Cholesky factor, never a (T-1) x (T-1) matrix. The
+and pooled MLE all use that form: one O(T d^2) product per document with the
+inverse Cholesky factor of Sigma, never a (T-1) x (T-1) matrix. The
 trainer's linear encoder reduces it further, to one increment Gram matrix
 per domain (see encoder).
 """
@@ -160,30 +160,25 @@ def increments(points, times=None) -> np.ndarray:
     return steps / np.sqrt(gaps)[:, None]
 
 
-def quadratic_form(spatial: SpatialCovariance, incr, starts=None):
-    """Per-document sums of incr_k^T Sigma^-1 incr_k, through Sigma = L L^T.
+def quadratic_form(spatial: SpatialCovariance, incr):
+    """Sum of incr_k^T Sigma^-1 incr_k over one document's increment rows.
 
-    incr stacks the increment rows of one or more documents, shape (n, d);
-    starts gives each document's first row. Without starts the rows are one
-    document and a float comes back, else an array of one sum per document,
-    each bit-identical to that document's own call. With incr =
+    incr is one document's (n, d) rows, and a float comes back; or a
+    (k, n, d) stack of equal-length documents, and an array of k sums comes
+    back, each bit-identical to that document's lone call. With incr =
     increments(points) a sum is tr(Sigma^-1 R Sigma_T^-1 R^T), the squared
-    Mahalanobis norm of vec(R) under Sigma_T kron Sigma. All documents share
-    one BLAS trsm, not solve_triangular: OpenBLAS threads LAPACK trtrs at
-    every size, which on small documents doubles CPU time for no gain in wall
-    time.
+    Mahalanobis norm of vec(R) under Sigma_T kron Sigma: ||incr L^-T||_F^2
+    for Sigma = L L^T.
     """
     incr = np.asarray(incr, dtype=float)
     if incr.shape[-1] != spatial.dim:
         raise DimensionMismatchError(f"increments of d={incr.shape[-1]} vs sigma dim {spatial.dim}")
-    from scipy.linalg.blas import dtrsm  # deferred: simulate and fit never solve against Sigma
-
-    z = dtrsm(1.0, spatial.sigma.chol, incr.T, lower=1)
-    # one vdot per document, not a reduceat over column norms: it sums in the
-    # order a lone document's solve does, so batching changes no bit
-    bounds = [0, z.shape[1]] if starts is None else [*starts, z.shape[1]]
-    sums = [np.vdot(z[:, a:b], z[:, a:b]) for a, b in zip(bounds, bounds[1:])]
-    return float(sums[0]) if starts is None else np.array(sums)
+    # a stack is one GEMM per document, as a lone call makes: one GEMM over
+    # all rows would block them differently and move the last bits
+    z = incr @ spatial.sigma.inv_chol.T
+    if z.ndim == 2:
+        return float(np.vdot(z, z))
+    return np.array([np.vdot(doc, doc) for doc in z])
 
 
 def sample_bridge(d, T, spatial: SpatialCovariance, s0, sT, seed, *,

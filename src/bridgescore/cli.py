@@ -32,6 +32,7 @@ from .evalsuite import (
 from .fileio import (
     SigmaModel,
     TrajectoryRecord,
+    check_writable,
     file_digest,
     open_output,
     read_sigma_model,
@@ -210,9 +211,10 @@ def cmd_score(args) -> int:
 
 def cmd_shuffle(args) -> int:
     records, _ = _load_corpus(args.input)
+    size = args.block_size if args.kind == "global" else args.windows
     out_records = []
     for rec in records:
-        spec = _shuffle_spec(args, seed=stable_seed(args.seed, rec.trajectory.id))
+        spec = _shuffle_spec(args, size, seed=stable_seed(args.seed, rec.trajectory.id))
         for copy in make_shuffle_set(rec.trajectory, spec):
             out_records.append(TrajectoryRecord(trajectory=copy))
     meta = {"seed": args.seed, "kind_of_shuffle": args.kind, "copies": args.copies,
@@ -223,11 +225,11 @@ def cmd_shuffle(args) -> int:
     return 0
 
 
-def _shuffle_spec(args, seed: int) -> ShuffleSpec:
+def _shuffle_spec(args, size: int, seed: int) -> ShuffleSpec:
+    """Global blocks of size points, or size local windows of args.window_size."""
     if args.kind == "global":
-        return ShuffleSpec(kind="global_block", block_size=args.block_size,
-                           copies=args.copies, seed=seed)
-    return ShuffleSpec(kind="local_window", num_windows=args.windows,
+        return ShuffleSpec(kind="global_block", block_size=size, copies=args.copies, seed=seed)
+    return ShuffleSpec(kind="local_window", num_windows=size,
                        window_size=args.window_size, copies=args.copies, seed=seed)
 
 
@@ -238,25 +240,14 @@ def cmd_discriminate(args) -> int:
     originals = [r.trajectory for r in records]
     print(f"discrimination ({args.kind}, copies={args.copies}, seed={args.seed}, "
           f"use_pvalue={args.use_pvalue}, per_document={args.per_document})")
-    if args.kind == "global":
-        print(f"{'block_size':>10}  {'accuracy':>8}")
-        for bs in args.block_sizes:
-            spec = ShuffleSpec(kind="global_block", block_size=bs,
-                               copies=args.copies, seed=args.seed)
-            acc = discrimination_accuracy(originals, spec, model.spatial,
-                                          use_pvalue=args.use_pvalue,
-                                          per_document=args.per_document)
-            print(f"{bs:>10}  {acc:>8.4f}")
-    else:
-        print(f"{'windows':>10}  {'accuracy':>8}")
-        for w in args.windows:
-            spec = ShuffleSpec(kind="local_window", num_windows=w,
-                               window_size=args.window_size,
-                               copies=args.copies, seed=args.seed)
-            acc = discrimination_accuracy(originals, spec, model.spatial,
-                                          use_pvalue=args.use_pvalue,
-                                          per_document=args.per_document)
-            print(f"{w:>10}  {acc:>8.4f}")
+    header, sizes = (("block_size", args.block_sizes) if args.kind == "global"
+                     else ("windows", args.windows))
+    print(f"{header:>10}  {'accuracy':>8}")
+    for size in sizes:
+        acc = discrimination_accuracy(originals, _shuffle_spec(args, size, args.seed),
+                                      model.spatial, use_pvalue=args.use_pvalue,
+                                      per_document=args.per_document)
+        print(f"{size:>10}  {acc:>8.4f}")
     return 0
 
 
@@ -493,6 +484,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "out", None):
+            check_writable(args.out)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

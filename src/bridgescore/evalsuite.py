@@ -198,8 +198,7 @@ def discrimination_accuracy(originals, spec: ShuffleSpec, spatial: SpatialCovari
         if not len(copies):
             continue
         stacked = np.concatenate([traj.points[None], copies])
-        statistic = quadratic_form(spatial, increments(stacked).reshape(-1, traj.d),
-                                   np.arange(len(stacked)) * traj.T)
+        statistic = quadratic_form(spatial, increments(stacked))
         x = _incoherence(statistic, (traj.T - 1) * traj.d, use_pvalue)
         credits.append(np.where(x[0] < x[1:], 1.0, np.where(x[0] == x[1:], 0.5, 0.0)))
     if not credits:

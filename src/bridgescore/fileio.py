@@ -9,8 +9,10 @@ produce byte-identical files.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,6 +45,17 @@ def _file_error(path, exc: Exception, action: str) -> ValidationError:
     """A missing, unreadable, unwritable or non-UTF-8 file as a path: diagnostic."""
     reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
     return ValidationError(f"{path}: cannot {action} file ({reason})")
+
+
+def check_writable(path) -> None:
+    """open_output's path: error for a path it could not create, raised before any work."""
+    target = Path(path)
+    code = (errno.EISDIR if target.is_dir()
+            else errno.ENOENT if not target.parent.is_dir()
+            else None if os.access(target if target.exists() else target.parent, os.W_OK)
+            else errno.EACCES)
+    if code is not None:
+        raise _file_error(path, OSError(code, os.strerror(code)), "write")
 
 
 def open_output(path):

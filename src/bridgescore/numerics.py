@@ -1,9 +1,9 @@
 """Dense linear algebra and statistical primitives.
 
-Everything here is a pure function on immutable inputs. SpdMatrix values
-factor once at construction, so they are freely shareable across threads.
-SpdMatrix, spd_solve, log_det_spd and the ranks use numpy alone; scipy.special
-is imported at the first chi_square_sf call, so only p-value paths load it.
+Everything here is a pure function on immutable inputs. An SpdMatrix factors
+at construction and forms its inverse factor, which every solve uses, at first
+use; filling it is idempotent, so SpdMatrix values are freely shareable across
+threads. Only chi_square_sf needs more than numpy, and imports it at first call.
 """
 
 from __future__ import annotations
@@ -43,14 +43,15 @@ def cholesky(m) -> np.ndarray:
 
 
 class SpdMatrix:
-    """Symmetric positive-definite matrix with a cached Cholesky factor.
+    """Symmetric positive-definite matrix with its Cholesky factor L.
 
     Construction validates finiteness, symmetry (relative tolerance 1e-12)
-    and positive definiteness; the lower factor is computed eagerly and
-    reused by every solve and log-determinant.
+    and positive definiteness, and computes L for the log-determinant and
+    for sampling. inv_chol = L^-1, which every solve uses, is formed at first
+    use, so commands that never solve (simulate, fit) never pay for it.
     """
 
-    __slots__ = ("entries", "chol")
+    __slots__ = ("entries", "chol", "_inv_chol")
 
     def __init__(self, entries):
         m = np.array(entries, dtype=float)
@@ -67,6 +68,16 @@ class SpdMatrix:
         self.chol = cholesky(m)
         m.setflags(write=False)
         self.chol.setflags(write=False)
+        self._inv_chol = None
+
+    @property
+    def inv_chol(self) -> np.ndarray:
+        """L^-1, read-only, so that m^-1 = L^-T L^-1. Concurrent first uses compute it twice."""
+        if self._inv_chol is None:
+            inv = np.linalg.inv(self.chol)
+            inv.setflags(write=False)
+            self._inv_chol = inv
+        return self._inv_chol
 
     @property
     def dim(self) -> int:
@@ -81,18 +92,13 @@ def _as_spd(m) -> SpdMatrix:
 
 
 def spd_solve(m, b) -> np.ndarray:
-    """Solve m @ x = b with numpy's LAPACK gesv (never an inverse).
-
-    An LU solve, not the cached Cholesky factor: numpy has no triangular
-    solve, and the trainer, its only caller, then runs without scipy, whose
-    import costs more than its solves do.
-    """
+    """Solve m @ x = b as x = L^-T (L^-1 b), through m's inverse Cholesky factor."""
     spd = _as_spd(m)
     b = np.asarray(b, dtype=float)
     rows = b.shape[0] if b.ndim else None
     if rows != spd.dim:
         raise ValidationError(f"right-hand side has {rows} rows, matrix has dim {spd.dim}")
-    return np.linalg.solve(spd.entries, b)
+    return spd.inv_chol.T @ (spd.inv_chol @ b)
 
 
 def log_det_spd(m) -> float:

@@ -34,15 +34,12 @@ class ScoreReport:
     heuristic_score: float | None = None
 
 
-_BATCH_DOCS = 64  # documents per kernel call: bounds the stacked increments' memory
-
-
 def score_statistics(trajs, spatial: SpatialCovariance) -> tuple[np.ndarray, np.ndarray]:
     """Statistics tr(Sigma^-1 (s-mu) Sigma_T^-1 (s-mu)^T) and their dof (T-1) d, in input order.
 
-    Increments of _BATCH_DOCS documents at a time share one quadratic_form
-    call. Raises DimensionMismatchError naming the first trajectory whose d
-    differs from the covariance's.
+    One quadratic_form per document, so a statistic does not depend on its
+    neighbours or the corpus order. Raises DimensionMismatchError naming the
+    first trajectory whose d differs from the covariance's.
     """
     trajs = list(trajs)
     for traj in trajs:
@@ -50,12 +47,7 @@ def score_statistics(trajs, spatial: SpatialCovariance) -> tuple[np.ndarray, np.
             raise DimensionMismatchError(
                 f"trajectory {traj.id!r} has d={traj.d}, spatial covariance has dim {spatial.dim}"
             )
-    statistic = np.empty(len(trajs))
-    for lo in range(0, len(trajs), _BATCH_DOCS):
-        chunk = trajs[lo:lo + _BATCH_DOCS]
-        starts = np.cumsum([0] + [t.T for t in chunk[:-1]])
-        incr = np.concatenate([increments(t.points) for t in chunk])
-        statistic[lo:lo + len(chunk)] = quadratic_form(spatial, incr, starts)
+    statistic = np.array([quadratic_form(spatial, increments(t.points)) for t in trajs])
     return statistic, np.array([(t.T - 1) * t.d for t in trajs], dtype=int)
 
 

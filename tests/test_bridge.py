@@ -125,6 +125,15 @@ class TestIncrementKernel:
         with pytest.raises(DimensionMismatchError):
             quadratic_form(SpatialCovariance.identity(3), np.ones((4, 2)))
 
+    @pytest.mark.parametrize("d", [64, 256])
+    def test_stack_matches_lone_calls(self, rng, d):
+        # one product per document: a GEMM over all rows would move last bits
+        spatial = random_spatial(rng, d)
+        for T in (2, 3, 9, 30):
+            points = rng.standard_normal((21, T + 1, d))
+            lone = [quadratic_form(spatial, increments(p)) for p in points]
+            np.testing.assert_array_equal(quadratic_form(spatial, increments(points)), lone)
+
     def test_pooled_corpus_order_invariant(self, rng):
         trajs = [random_trajectory(rng, 4, T, traj_id=f"p{i}")
                  for i, T in enumerate((3, 9, 2, 33, 12))]

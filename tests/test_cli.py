@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import bridgescore
-from bridgescore import ValidationError
+from bridgescore import ValidationError, bbscore_batch
 from bridgescore.cli import main
 from bridgescore.fileio import (
     SigmaModel,
@@ -450,6 +450,69 @@ class TestRelativeClassifyCompare:
         assert "sigma_a" in out and "sigma_b" in out
 
 
+class TestDuplicateIdsAcrossFiles:
+    """Two files may reuse each other's ids; each command keys records per file."""
+
+    @staticmethod
+    def scores(path, model):
+        trajs = [r.trajectory for r in read_trajectories(path)[0]]
+        reports = bbscore_batch(trajs, read_sigma_model(model).spatial)
+        return {r.trajectory_id: r.bbscore for r in reports}
+
+    def test_relative_labels(self, tmp_path, capsys):
+        a = simulate_file(tmp_path, name="a.jsonl", n=8, T=15, seed=61)
+        b = simulate_file(tmp_path, name="b.jsonl", n=8, T=15, seed=62)
+        model = tmp_path / "m.json"
+        assert run("fit", "--in", simulate_file(tmp_path, name="f.jsonl", seed=63),
+                   "--out", model) == 0
+        order = ["low", "middle", "high"]
+        labels = {}
+        for path, shift in ((a, 0), (b, 1)):  # the same id carries a different label per file
+            records = read_trajectories(path)[0]
+            labels[path] = {r.trajectory.id: order[(i + shift) % 3]
+                            for i, r in enumerate(records)}
+            write_trajectories(path, [TrajectoryRecord(r.trajectory, labels[path][r.trajectory.id])
+                                      for r in records])
+        assert labels[a].keys() == labels[b].keys()
+        scores_a, scores_b = self.scores(a, model), self.scores(b, model)
+        hits = pairs = 0
+        for ia, sa in scores_a.items():
+            for ib, sb in scores_b.items():
+                truth = order.index(labels[a][ia]) - order.index(labels[b][ib])
+                if truth:
+                    pairs += 1
+                    hits += (sa < sb) if truth > 0 else (sa > sb)
+        capsys.readouterr()
+        assert run("relative", "--set-a", a, "--set-b", b, "--model", model,
+                   "--truth", "labels") == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"relative accuracy: {hits / pairs:.4f} over 8x8 cross pairs")
+
+    @pytest.mark.parametrize("pairing", ["cross", "matched"])
+    def test_compare_domains(self, tmp_path, capsys, pairing):
+        a = simulate_file(tmp_path, name="a.jsonl", n=9, T=12, seed=71, sigma="random-spd:1")
+        b = simulate_file(tmp_path, name="b.jsonl", n=9, T=12, seed=72, sigma="random-spd:9")
+        model_a, model_b = tmp_path / "ma.json", tmp_path / "mb.json"
+        assert run("fit", "--in", simulate_file(tmp_path, name="fa.jsonl", seed=73,
+                                                sigma="random-spd:1"), "--out", model_a) == 0
+        assert run("fit", "--in", simulate_file(tmp_path, name="fb.jsonl", seed=74,
+                                                sigma="random-spd:9"), "--out", model_b) == 0
+        capsys.readouterr()
+        assert run("compare-domains", "--corpus-a", a, "--corpus-b", b, "--model-a", model_a,
+                   "--model-b", model_b, "--pairing", pairing) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert len(rows) == 2
+        for row, tag, model in zip(rows, ("sigma_a", "sigma_b"), (model_a, model_b)):
+            scores_a, scores_b = self.scores(a, model), self.scores(b, model)
+            assert scores_a.keys() == scores_b.keys()
+            if pairing == "matched":
+                pairs = [(scores_a[i], scores_b[i]) for i in scores_a]
+            else:
+                pairs = [(sa, sb) for sa in scores_a.values() for sb in scores_b.values()]
+            frac = sum(1.0 if sa < sb else 0.5 if sa == sb else 0.0 for sa, sb in pairs)
+            assert row.split() == [tag, f"{frac / len(pairs):.4f}"]
+
+
 class TestTrainCommand:
     def test_train_writes_state_deterministically(self, tmp_path, capsys):
         corpus = simulate_file(tmp_path, n=16, T=12, seed=71)
@@ -620,6 +683,27 @@ class TestUnwritableOutputs:
         done = run_process("-m", "bridgescore.cli", command, *argv, "--out", bad)
         assert_clean_exit_1(done, f"{bad}: cannot write file")
 
+    def test_train_fails_before_training(self, tmp_path):
+        # two million epochs take minutes; the bad path must end the run at once
+        corpus = simulate_file(tmp_path, n=6, d=2, T=12, seed=5)
+        bad = tmp_path / "missing-dir" / "s.json"
+        done = run_process("-m", "bridgescore.cli", "train", "--corpora", corpus,
+                           "--epochs", 2_000_000, "--step-size", "1e-8", "--out", bad)
+        assert_clean_exit_1(done, f"{bad}: cannot write file (No such file or directory)")
+        assert done.stdout == ""
+        assert not bad.parent.exists()
+
+    @pytest.mark.parametrize("name, reason", [("out-dir", "Is a directory"),
+                                              ("file/out.json", "No such file or directory")])
+    def test_unwritable_path_reasons(self, tmp_path, capsys, name, reason):
+        (tmp_path / "out-dir").mkdir()
+        (tmp_path / "file").write_text("")
+        bad = tmp_path / name
+        assert run("simulate", "--d", 2, "--T", 4, "--n", 1, "--out", bad) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{bad}: cannot write file ({reason})" in captured.err
+
 
 class TestWriters:
     """tolist() encoding writes the bytes of the former per-float comprehension."""
@@ -714,6 +798,32 @@ class TestStartup:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "False"
 
+    def test_scoring_loads_scipy_special_only_for_pvalues(self, tmp_path):
+        low = simulate_file(tmp_path, name="low.jsonl", n=6, T=12, domain="a", label="low")
+        high = simulate_file(tmp_path, name="high.jsonl", n=6, T=12, seed=2, domain="b",
+                             label="high")
+        labeled = tmp_path / "both.jsonl"
+        write_trajectories(labeled, read_trajectories(low)[0] + read_trajectories(high)[0])
+        model = tmp_path / "m.json"
+        assert run("fit", "--in", labeled, "--out", model) == 0
+        numpy_only = [
+            ["relative", "--set-a", low, "--set-b", high, "--model", model],
+            ["compare-domains", "--corpus-a", low, "--corpus-b", high,
+             "--model-a", model, "--model-b", model],
+            ["classify", "--train", labeled, "--test", labeled, "--model", model,
+             "--label-order", "low,high", "--axis", "score"],
+        ]
+        score = ["score", "--in", low, "--model", model, "--out", tmp_path / "s.jsonl"]
+        lines = ["import sys", "from bridgescore.cli import main"]
+        lines += [f"assert main({list(map(str, argv))!r}) == 0" for argv in numpy_only]
+        lines += [f"print({SCIPY_LOADED})", f"assert main({list(map(str, score))!r}) == 0",
+                  "print('scipy.special' in sys.modules, 'scipy.linalg' in sys.modules)"]
+        done = run_process("-c", "\n".join(lines))
+        assert done.returncode == 0, done.stderr
+        *_, loaded, scored, loaded_after_score = done.stdout.splitlines()
+        assert (loaded, loaded_after_score) == ("False", "True False")
+        assert scored.startswith("score: 6 documents")
+
     @pytest.mark.parametrize("use_pvalue", [False, True])
     def test_discriminate_loads_scipy_special_only_for_pvalues(self, tmp_path, use_pvalue):
         corpus = simulate_file(tmp_path, n=6, d=2, T=12, seed=5)
@@ -726,4 +836,4 @@ class TestStartup:
                                  "print('scipy.linalg' in sys.modules, "
                                  "'scipy.special' in sys.modules)")
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == f"True {use_pvalue}"
+        assert done.stdout.splitlines()[-1] == f"False {use_pvalue}"

@@ -63,6 +63,14 @@ class TestSpdMatrix:
         assert m.dim == 5
 
 
+    def test_inverse_factor_formed_at_first_use(self, rng):
+        m = SpdMatrix(random_spd(rng, 6))
+        assert m._inv_chol is None
+        inv = m.inv_chol
+        assert m.inv_chol is inv and not inv.flags.writeable
+        np.testing.assert_allclose(inv @ m.chol, np.eye(6), atol=1e-13)
+
+
 class TestSpdSolve:
     def test_identity(self, rng):
         b = rng.standard_normal((2, 3))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import kstest
+from scipy.stats import chi2, kstest
 
 from bridgescore import (
     DegenerateVarianceError,
@@ -16,12 +16,21 @@ from bridgescore import (
     bridge_mean,
     chi_square_sf,
     heuristic_bbscore,
+    increments,
     log_likelihood,
     mle_sigma,
+    quadratic_form,
     residuals,
     sample_bridge,
 )
-from conftest import random_spatial, random_spd, random_trajectory, temporal_matrix
+from bridgescore.score import score_statistics
+from conftest import (
+    dense_quad_form,
+    random_spatial,
+    random_spd,
+    random_trajectory,
+    temporal_matrix,
+)
 
 
 def simulate(spatial, d, T, n, seed0, prefix="s"):
@@ -102,6 +111,29 @@ class TestBBScoreBatch:
         backward = {r.trajectory_id: r for r in bbscore_batch(trajs[::-1], spatial)}
         assert forward == backward
 
+    @pytest.mark.parametrize("d", [64, 256])
+    def test_statistics_are_lone_calls_in_either_order(self, rng, d):
+        spatial = random_spatial(rng, d)
+        trajs = [random_trajectory(rng, d, int(T), traj_id=f"w{i:02d}")
+                 for i, T in enumerate(rng.integers(2, 60, size=70))]
+        lone = [quadratic_form(spatial, increments(t.points)) for t in trajs]
+        forward, _ = score_statistics(trajs, spatial)
+        backward, _ = score_statistics(trajs[::-1], spatial)
+        np.testing.assert_array_equal(forward, lone)
+        np.testing.assert_array_equal(backward[::-1], lone)
+
+    def test_near_singular_sigma(self, rng):
+        d = 4
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        a = (q * np.geomspace(1.0, 1e-10, d)) @ q.T
+        sigma = 0.5 * (a + a.T)
+        spatial = SpatialCovariance(sigma=SpdMatrix(sigma))
+        trajs = [sample_bridge(d, T, spatial, rng.standard_normal(d), rng.standard_normal(d),
+                               seed=T, id=f"c{T}") for T in (2, 7, 15)]
+        for t, rep in zip(trajs, bbscore_batch(trajs, spatial)):
+            assert rep.statistic == pytest.approx(dense_quad_form(t, sigma), rel=1e-6)
+            assert rep.bbscore == rep.statistic / rep.dof
+
     def test_failure_names_trajectory(self, rng):
         good = random_trajectory(rng, 2, 5, traj_id="fine")
         bad = random_trajectory(rng, 3, 5, traj_id="wrong-dim")
@@ -127,6 +159,21 @@ class TestCalibration:
         assert abs(float(stats.var()) - 200.0) <= 40.0
         pvals = [r.p_value for r in reports]
         assert kstest(pvals, "uniform").pvalue > 0.01
+
+    def test_million_dof_document(self):
+        # a random walk from s_0 is a Brownian bridge given both endpoints
+        T, d = 10001, 100
+        rng = np.random.default_rng(43)
+        spatial = random_spatial(rng, d)
+        steps = rng.standard_normal((T, d)) @ spatial.sigma.chol.T
+        points = np.vstack([np.zeros(d), np.cumsum(steps, axis=0)])
+        rep = bbscore(LatentTrajectory("long", "x", points), spatial)
+        assert rep.dof == (T - 1) * d == 1_000_000
+        incr = increments(points)
+        direct = float(np.sum(incr * np.linalg.solve(spatial.sigma.entries, incr.T).T))
+        assert rep.statistic == pytest.approx(direct, rel=1e-10)
+        assert rep.p_value == pytest.approx(chi2.sf(rep.statistic, rep.dof), rel=1e-9)
+        assert 1e-3 < rep.p_value < 1 - 1e-3
 
     def test_length_comparability(self):
         rng = np.random.default_rng(42)
