@@ -21,6 +21,7 @@ from .errors import InsufficientDataError, NumericalError, ValidationError
 from .evalsuite import (
     LabeledCorpus,
     ShuffleSpec,
+    check_shuffles,
     discrimination_accuracy,
     domain_swap_compare,
     label_relation,
@@ -238,14 +239,17 @@ def cmd_discriminate(args) -> int:
     model = read_sigma_model(args.model)
     _check_model_dim(model, records, args.input, args.model)
     originals = [r.trajectory for r in records]
-    print(f"discrimination ({args.kind}, copies={args.copies}, seed={args.seed}, "
-          f"use_pvalue={args.use_pvalue}, per_document={args.per_document})")
     header, sizes = (("block_size", args.block_sizes) if args.kind == "global"
                      else ("windows", args.windows))
+    specs = [_shuffle_spec(args, size, args.seed) for size in sizes]
+    for spec in specs:  # a size some document is too short for fails before any output
+        check_shuffles(originals, spec)
+    print(f"discrimination ({args.kind}, copies={args.copies}, seed={args.seed}, "
+          f"use_pvalue={args.use_pvalue}, per_document={args.per_document})")
     print(f"{header:>10}  {'accuracy':>8}")
-    for size in sizes:
-        acc = discrimination_accuracy(originals, _shuffle_spec(args, size, args.seed),
-                                      model.spatial, use_pvalue=args.use_pvalue,
+    for size, spec in zip(sizes, specs):
+        acc = discrimination_accuracy(originals, spec, model.spatial,
+                                      use_pvalue=args.use_pvalue,
                                       per_document=args.per_document)
         print(f"{size:>10}  {acc:>8.4f}")
     return 0

@@ -73,6 +73,26 @@ def _nonidentity_permutation(rng: np.random.Generator, n: int) -> np.ndarray:
             return perm
 
 
+def _check_shuffle(n: int, spec: ShuffleSpec, name: str) -> None:
+    """Raise when spec cannot shuffle n points: under two blocks, or no room for the windows."""
+    if spec.kind == "global_block":
+        if n < 2 * spec.block_size:
+            raise NoNontrivialPermutationError(
+                f"trajectory {name!r}: {n} points cannot form two blocks of {spec.block_size}"
+            )
+    elif n - spec.num_windows * (spec.window_size - 1) < spec.num_windows:
+        raise InfeasibleWindowsError(
+            f"trajectory {name!r}: cannot place {spec.num_windows} disjoint windows of "
+            f"{spec.window_size} in {n} points"
+        )
+
+
+def check_shuffles(trajs, spec: ShuffleSpec) -> None:
+    """Raise the error discrimination_accuracy would raise for a trajectory too short for spec."""
+    for traj in sorted(trajs, key=lambda t: t.id):
+        _check_shuffle(traj.T + 1, spec, traj.id)
+
+
 def _shuffle_orders(n: int, spec: ShuffleSpec, rng: np.random.Generator, name: str) -> np.ndarray:
     """spec.copies shuffled orders of the indices 0..n-1, shape (copies, n).
 
@@ -83,21 +103,14 @@ def _shuffle_orders(n: int, spec: ShuffleSpec, rng: np.random.Generator, name: s
     placements, each permuted by a uniform non-identity permutation. name
     labels the errors.
     """
+    _check_shuffle(n, spec, name)
     if spec.kind == "global_block":
-        if n < 2 * spec.block_size:
-            raise NoNontrivialPermutationError(
-                f"trajectory {name!r}: {n} points cannot form two blocks of {spec.block_size}"
-            )
         block = np.arange(n) // spec.block_size
         perms = np.array([_nonidentity_permutation(rng, block[-1] + 1) for _ in range(spec.copies)])
         # a stable sort of the indices by their block's new position keeps blocks intact
         return np.argsort(np.argsort(perms, axis=1)[:, block], axis=1, kind="stable")
     w, size = spec.num_windows, spec.window_size
     slots = n - w * size + w
-    if slots < w:
-        raise InfeasibleWindowsError(
-            f"trajectory {name!r}: cannot place {w} disjoint windows of {size} in {n} points"
-        )
     orders = np.tile(np.arange(n), (spec.copies, 1))
     offsets = np.arange(w) * (size - 1)
     for order in orders:

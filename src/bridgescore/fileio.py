@@ -1,18 +1,27 @@
 """Line-delimited trajectory files and JSON model files.
 
 Trajectory corpora are JSONL: an optional header object on the first line,
-then one document per line. A corpus is read line by line but returned
-whole, as a list held in memory. Ingestion rejects any malformed record
-with a path:line diagnostic, and writers never embed timestamps so reruns
-produce byte-identical files.
+then one document per line. A corpus is returned whole, as a list held in
+memory. On Linux a corpus file is read in contiguous spans of lines, one
+per CPU this process may run on but none under SPAN_FLOOR bytes (4 MiB):
+this process parses the first span, and a forked child each other one. A
+child opens the file itself, parses and validates its span and pickles
+its records back through a pipe. Records and errors are the same for any
+number of spans, and a child that fails costs time, not output: its span
+is redone here. Corpora are written line by line by this process alone.
+Ingestion rejects any malformed record with a path:line diagnostic, and
+writers never embed timestamps so reruns produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import errno
+import functools
 import hashlib
 import json
 import os
+import pickle
+import signal
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -90,6 +99,68 @@ def write_trajectories(path, records, meta: dict | None = None) -> None:
             fh.write(_dumps(row) + "\n")
 
 
+# Corpus text per span below which a process costs more than it saves.
+SPAN_FLOOR = 4 << 20
+
+
+def _span_count(nbytes: int) -> int:
+    """How many spans nbytes of corpus text is cut into, each read by its own process.
+
+    One per CPU this process may run on, but none under SPAN_FLOOR bytes.
+    Only Linux forks: Windows has no fork, and macOS makes it unsafe once
+    system libraries have started threads.
+    """
+    if sys.platform != "linux":
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), nbytes // SPAN_FLOOR))
+
+
+class _Child:
+    """A forked process that runs send(pipe) and whose bytes this process reads from .pipe.
+
+    The child leaves through os._exit whatever happens, so it never returns
+    into the caller, runs its cleanup or flushes buffers it inherited. It
+    exits 0 only when send returned and the pipe closed. A fork that fails
+    leaves a child that sent nothing and is not ok(), so the caller redoes
+    its work, as for a child that dies. The work, JSON, numpy conversions
+    that call no BLAS routine, and pickling, takes no lock that a BLAS
+    thread of this process could hold at the fork; spawn would cost a fresh
+    interpreter and numpy import per child.
+    """
+
+    def __init__(self, send):
+        r, w = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:  # no process to spare
+            self.pid = None
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(r)
+                with open(w, "wb") as pipe:
+                    send(pipe)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(w)
+        self.pipe = open(r, "rb")
+
+    def ok(self) -> bool:
+        """Reap the child, once its bytes are read; True when it sent them all."""
+        pid, self.pid = self.pid, None
+        self.pipe.close()
+        return pid is not None and os.waitpid(pid, 0)[1] == 0
+
+    def stop(self) -> None:
+        """Kill and reap the child if ok() has not reaped it."""
+        self.pipe.close()
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
 def _matrix(value, exact: bool = True) -> np.ndarray | None:
     """value as a 2-d float array if it is a list of equal-length lists of JSON numbers.
 
@@ -150,32 +221,115 @@ def _json_value(text: str, where: str):
         raise ValidationError(f"{where}: invalid JSON ({exc})") from exc
 
 
+def _cut(fh, size: int, n: int) -> list[tuple[int, int | None]]:
+    """At most n contiguous (start, end) byte spans of fh's size bytes, each ending after a newline.
+
+    The last span's end is None: it runs to the end of the file. fh is left
+    at its start, and is not moved for one span, so that a pipe can be read.
+    """
+    starts = [0]
+    for k in range(1, n):
+        fh.seek(max(0, k * size // n - 1))
+        fh.readline()
+        if starts[-1] < fh.tell() < size:
+            starts.append(fh.tell())
+    if n > 1:
+        fh.seek(0)
+    return list(zip(starts, [*starts[1:], None]))
+
+
+def _read_span(fh, path, span: tuple[int, int | None]):
+    """One span of fh parsed: (header, [(line, record)], error, lines read).
+
+    Lines are numbered from the span's start and split as universal newlines
+    split them. Parsing stops at the first error, given as (line, message
+    after its 'path:line' prefix), or None, so that the caller can number
+    it from the start of the file.
+    """
+    start, end = span
+    if start:
+        fh.seek(start)
+    header, rows, lineno, pos = {}, [], 0, start
+    for raw in fh:
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return header, rows, (lineno + 1, f": cannot read file ({exc})"), lineno + 1
+        for line in text.replace("\r\n", "\n").split("\r") if "\r" in text else (text,):
+            lineno += 1
+            line = line.strip()
+            if not line:
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                row = _json_value(line, where)
+                if not isinstance(row, dict):
+                    raise ValidationError(f"{where}: expected a JSON object")
+                if start == 0 and lineno == 1 and row.get("kind") == "trajectories":
+                    header = row
+                    continue
+                rows.append((lineno, _parse_record(path, lineno, row, line)))
+            except ValidationError as exc:
+                return header, rows, (lineno, str(exc)[len(where):]), lineno
+        pos += len(raw)
+        if pos == end:
+            break
+    return header, rows, None, lineno
+
+
+def _send_span(path, span, pipe) -> None:
+    """A reading child's work: its span of path, parsed and pickled."""
+    with open(path, "rb") as fh:
+        pickle.dump(_read_span(fh, path, span), pipe, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _received(child: _Child):
+    """What a reading child sent, or None when it sent nothing whole."""
+    part = None
+    try:
+        part = pickle.load(child.pipe)
+    except (EOFError, pickle.UnpicklingError):  # the child died before it sent everything
+        pass
+    return part if child.ok() else None
+
+
 def read_trajectories(path) -> tuple[list[TrajectoryRecord], dict]:
-    """Read a corpus, enforcing all record invariants with line diagnostics."""
+    """Read a corpus, enforcing all record invariants with line diagnostics.
+
+    The file is cut into spans; this process parses the first while forked
+    children parse the others. Records are merged and ids checked for
+    duplicates in line order, so the records, and the first error, are
+    those of one line-by-line read.
+    """
     records: list[TrajectoryRecord] = []
     header: dict = {}
     seen_ids: set[str] = set()
+    children = []
+    offset = 0  # lines before the span
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                row = _json_value(line, f"{path}:{lineno}")
-                if not isinstance(row, dict):
-                    raise ValidationError(f"{path}:{lineno}: expected a JSON object")
-                if lineno == 1 and row.get("kind") == "trajectories":
-                    header = row
-                    continue
-                rec = _parse_record(path, lineno, row, line)
-                if rec.trajectory.id in seen_ids:
-                    raise ValidationError(
-                        f"{path}:{lineno}: duplicate id {rec.trajectory.id!r} within file"
-                    )
-                seen_ids.add(rec.trajectory.id)
-                records.append(rec)
-    except (OSError, UnicodeDecodeError) as exc:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            first, *spans = _cut(fh, size, _span_count(size))
+            for span in spans:
+                children.append(_Child(functools.partial(_send_span, path, span)))
+            for span, child in [(first, None), *zip(spans, children)]:
+                part = _received(child) if child else None
+                head, rows, error, lines = part or _read_span(fh, path, span)
+                header = header or head
+                for lineno, rec in rows:
+                    if rec.trajectory.id in seen_ids:
+                        raise ValidationError(f"{path}:{offset + lineno}: duplicate id "
+                                              f"{rec.trajectory.id!r} within file")
+                    seen_ids.add(rec.trajectory.id)
+                    records.append(rec)
+                if error is not None:
+                    raise ValidationError(f"{path}:{offset + error[0]}{error[1]}")
+                offset += lines
+    except OSError as exc:
         raise _file_error(path, exc, "read") from exc
+    finally:
+        for child in children:
+            child.stop()
     return records, header
 
 

@@ -264,6 +264,33 @@ class TestFit:
         assert "numerical error:" in capsys.readouterr().err
 
 
+    def test_near_singular_mle_fits_and_scores(self, tmp_path):
+        # a pooled MLE with condition number near 1e10 (epsilon 0 keeps it unblended)
+        # fits, and the model scores held-out documents with finite results
+        d = 3
+        q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((d, d)))
+        sigma = q @ np.diag([1.0, 1e-5, 1e-10]) @ q.T
+        spatial = bridgescore.SpatialCovariance(bridgescore.SpdMatrix(0.5 * (sigma + sigma.T)))
+        gen = tmp_path / "gen.json"
+        write_sigma_model(gen, SigmaModel(spatial=spatial, weight=100, domain="x", epsilon=0.0,
+                                          source_corpus_digest=""))
+        fit_corpus = simulate_file(tmp_path, name="fit.jsonl", n=20, d=d, T=30, seed=1, sigma=gen)
+        held_out = simulate_file(tmp_path, name="held.jsonl", n=20, d=d, T=30, seed=2, sigma=gen)
+        model = tmp_path / "m.json"
+        done = run_process("-m", "bridgescore.cli", "fit", "--in", fit_corpus, "--epsilon", 0,
+                           "--out", model)
+        assert done.returncode == 0 and "Traceback" not in done.stderr
+        assert 1e9 < np.linalg.cond(read_sigma_model(model).spatial.sigma.entries) < 1e11
+        scores = tmp_path / "s.jsonl"
+        done = run_process("-m", "bridgescore.cli", "score", "--in", held_out, "--model", model,
+                           "--out", scores)
+        assert done.returncode == 0 and "Traceback" not in done.stderr
+        rows = [json.loads(line) for line in scores.read_text().splitlines()[1:]]
+        values = np.array([[r["bbscore"], r["statistic"], r["p_value"]] for r in rows])
+        assert len(rows) == 20 and np.all(np.isfinite(values))
+        assert 0.5 < values[:, 0].mean() < 1.5
+
+
 def trajectory_from(points, traj_id, domain="d"):
     from bridgescore import LatentTrajectory
 
@@ -371,6 +398,24 @@ class TestShuffleAndDiscriminate:
                    "--windows", "1,2", "--copies", 5, "--seed", 3) == 0
         out = capsys.readouterr().out
         assert "windows" in out
+
+    @pytest.mark.parametrize("kind, sizes, error", [
+        ("global", ["--block-sizes", "1,2,5,10"], "points cannot form two blocks of 10"),
+        ("local", ["--windows", "1,2,5"], "cannot place 5 disjoint windows of 3"),
+    ])
+    def test_size_too_large_fails_before_output(self, tmp_path, kind, sizes, error):
+        # sizes too large for the shortest documents come last, after sizes that fit all
+        corpus = simulate_file(tmp_path, n=30, T="10:40", seed=1)
+        model = tmp_path / "m.json"
+        assert run("fit", "--in", corpus, "--out", model) == 0
+        records, _ = read_trajectories(corpus)
+        short = min((r.trajectory for r in records if r.trajectory.T + 1 < 20),
+                    key=lambda t: t.id)
+        done = run_process("-m", "bridgescore.cli", "discriminate", "--in", corpus,
+                           "--model", model, "--kind", kind, *sizes, "--copies", 2)
+        assert_clean_exit_1(done, f"error: trajectory {short.id!r}: ")
+        assert error in done.stderr
+        assert done.stdout == ""
 
 
 class TestRelativeClassifyCompare:

@@ -3,17 +3,19 @@
 Inputs are arbitrary bytes, arbitrary JSON values, and valid corpus records,
 model files and weight matrices with one field or one matrix entry replaced
 by an arbitrary value, so that the checks past the JSON parse are reached
-too. Every diagnostic names the file. Runs are derandomized, so the suite
+too. Every diagnostic names the file, and a corpus read in two spans gives
+the records or the error of a read in one. Runs are derandomized, so the suite
 draws the same examples every time.
 """
 
 import json
+import os
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bridgescore import ValidationError
+from bridgescore import ValidationError, fileio
 from bridgescore.fileio import read_sigma_model, read_trajectories, read_weights
 
 FUZZ = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -104,7 +106,21 @@ def test_arbitrary_json_value(input_file, value):
     only_validation_errors(input_file, json.dumps(value).encode())
 
 
+def corpus_outcome(path, spans):
+    """The records and header read from path in the given number of spans, or the error."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fileio, "SPAN_FLOOR", 1)
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(spans)))
+        try:
+            records, header = read_trajectories(path)
+        except ValidationError as exc:
+            return str(exc)
+    return header, [(r.trajectory.id, r.trajectory.domain, r.label, r.trajectory.points.shape,
+                     r.trajectory.points.tobytes()) for r in records]
+
+
 @FUZZ
 @given(rows=st.lists(records(), min_size=1, max_size=3))
 def test_corpus_lines(input_file, rows):
     only_validation_errors(input_file, "\n".join(map(json.dumps, rows)).encode())
+    assert corpus_outcome(input_file, 2) == corpus_outcome(input_file, 1)

@@ -1,0 +1,241 @@
+"""Corpora read in spans: the same records and errors for any span count.
+
+A span floor of one byte and a patched CPU set fix how many spans a corpus
+is cut into, so that two and three spans, and the forked children they
+start, run on small files and on a host with any number of CPUs.
+"""
+
+import json
+import os
+import pickle
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+import bridgescore.fileio as fileio
+from bridgescore import SpatialCovariance, SpdMatrix, ValidationError
+from bridgescore.bridge import increments, quadratic_form
+from bridgescore.fileio import read_trajectories, write_trajectories
+
+pytestmark = pytest.mark.skipif(sys.platform != "linux", reason="only Linux forks span readers")
+
+HEADER = {"kind": "trajectories", "created_by": "bridgescore test", "seed": 4}
+
+
+def rows(n=9, ids="doc-{}"):
+    """n corpus rows of about equal length, with two domains and some labels."""
+    rng = np.random.default_rng(3)
+    out = []
+    for i in range(n):
+        row = {"id": ids.format(i), "domain": "ab"[i % 2],
+               "points": rng.standard_normal((5, 3)).tolist()}
+        if i % 3:
+            row["label"] = ["low", "high"][i % 2]
+        out.append(row)
+    return out
+
+
+def lines(rows_):
+    return [json.dumps(row, ensure_ascii=False) for row in rows_]
+
+
+def summary(records):
+    return [(r.trajectory.id, r.trajectory.domain, r.label, r.trajectory.points.shape,
+             r.trajectory.points.tobytes()) for r in records]
+
+
+def expected(rows_):
+    return [(r["id"], r["domain"], r.get("label"), (5, 3), np.array(r["points"]).tobytes())
+            for r in rows_]
+
+
+@pytest.fixture
+def children(monkeypatch):
+    """The span children started, in fork order; .sent is whether one sent its span whole."""
+    started = []
+
+    class Counted(fileio._Child):
+        sent = None
+
+        def __init__(self, send):
+            started.append(self)
+            super().__init__(send)
+
+        def ok(self):
+            self.sent = super().ok()
+            return self.sent
+
+    monkeypatch.setattr(fileio, "_Child", Counted)
+    return started
+
+
+def at(n, call, *args):
+    """call(*args) on a host with n CPUs and a one-byte span floor: n spans from n bytes."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fileio, "SPAN_FLOOR", 1)
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        return call(*args)
+
+
+def outcome(path, n):
+    """What reading path at n spans gives: its records and header, or the error message."""
+    try:
+        records, header = at(n, read_trajectories, path)
+    except ValidationError as exc:
+        return str(exc)
+    assert all(not r.trajectory.points.flags.writeable for r in records)
+    return summary(records), header
+
+
+HEADER_LINE = json.dumps(HEADER)
+CORPORA = {
+    "header": ("\n".join([HEADER_LINE, *lines(rows())]) + "\n", rows(), HEADER),
+    "no header, no final newline": ("\n".join(lines(rows())), rows(), {}),
+    "blank lines": ("\n".join([HEADER_LINE, "", *lines(rows())[:4], "  ", "",
+                              *lines(rows())[4:], "", ""]), rows(), HEADER),
+    "CRLF": ("\r\n".join([HEADER_LINE, *lines(rows())]) + "\r\n", rows(), HEADER),
+    "CR": ("\r".join([HEADER_LINE, *lines(rows())]) + "\r", rows(), HEADER),
+    "non-ASCII ids": ("\n".join(lines(rows(ids="文書-{}-ü"))), rows(ids="文書-{}-ü"), {}),
+}
+
+
+def corpus_file(path):
+    path.write_bytes(CORPORA["header"][0].encode())
+    return path
+
+
+@pytest.mark.parametrize("name", CORPORA)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_records_do_not_depend_on_span_count(tmp_path, children, name, n):
+    text, rows_, header = CORPORA[name]
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(text.encode())
+    assert outcome(path, n) == (expected(rows_), header)
+    assert len(children) == (n - 1 if "\n" in text else 0)  # spans end on a newline
+    assert all(child.sent for child in children)
+
+
+def corrupt(edits: dict[int, bytes]) -> bytes:
+    """Nine rows, no header, with the given 1-based lines replaced."""
+    out = [line.encode() for line in lines(rows())]
+    for lineno, line in edits.items():
+        out[lineno - 1] = line
+    return b"\n".join(out) + b"\n"
+
+
+NINTH = lines(rows())[8].encode()
+ERRORS = {
+    "bad lines in the first and last spans": (
+        corrupt({2: b'{"id": "x"}', 9: b"[1, 2]"}), "2: record is missing field 'domain'"),
+    "bad line in the last span": (corrupt({9: b"[1, 2]"}), "9: expected a JSON object"),
+    "duplicate id across spans": (
+        corrupt({9: NINTH.replace(b'"doc-8"', b'"doc-0"')}),
+        "9: duplicate id 'doc-0' within file"),
+    "duplicate id before a bad line": (
+        corrupt({8: NINTH.replace(b'"doc-8"', b'"doc-0"'), 9: b"{"}),
+        "8: duplicate id 'doc-0' within file"),
+    "non-UTF-8 byte in the last span": (
+        corrupt({9: NINTH.replace(b'"doc-8"', b'"doc-\xff"')}),
+        "9: cannot read file ('utf-8' codec can't decode byte 0xff in position 12: "
+        "invalid start byte)"),
+}
+
+
+@pytest.mark.parametrize("name", ERRORS)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_errors_do_not_depend_on_span_count(tmp_path, children, name, n):
+    data, message = ERRORS[name]
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(data)
+    assert outcome(path, n) == f"{path}:{message}"
+
+
+@pytest.mark.parametrize("partial", [False, True])
+def test_failed_reading_child_costs_no_output(tmp_path, monkeypatch, children, partial):
+    path = corpus_file(tmp_path / "c.jsonl")
+    want = outcome(path, 1)
+
+    def fail(path, span, pipe):
+        if partial:  # a pickle cut short, as from a child killed while it sends
+            with open(path, "rb") as fh:
+                data = pickle.dumps(fileio._read_span(fh, path, span))
+            pipe.write(data[:len(data) // 2])
+            pipe.flush()
+        os._exit(1)
+
+    monkeypatch.setattr(fileio, "_send_span", fail)
+    assert outcome(path, 3) == want
+    assert [child.sent for child in children] == [False, False]
+
+
+def test_forks_after_blas_threads_started(tmp_path, monkeypatch, children):
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((256, 256))
+    spatial = SpatialCovariance(SpdMatrix(a @ a.T / 256 + np.eye(256)))
+    incr = increments(rng.standard_normal((4, 30, 256)))
+    assert np.isfinite(quadratic_form(spatial, incr)).all()
+    path = corpus_file(tmp_path / "c.jsonl")
+    assert outcome(path, 3) == outcome(path, 1)
+    assert [child.sent for child in children] == [True, True]
+
+
+def test_reads_a_pipe(tmp_path, children):
+    # a pipe's size is 0, so it is one span, read without a seek
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(CORPORA["header"][0],),
+                              daemon=True)
+    writer.start()
+    try:
+        assert outcome(fifo, 3) == (expected(rows()), HEADER)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert children == []
+
+
+def test_writes_a_pipe(tmp_path, children):
+    # the writer never seeks, so a pipe takes a corpus however many CPUs there are
+    records = read_trajectories(corpus_file(tmp_path / "c.jsonl"))[0]
+    one, fifo = tmp_path / "one.jsonl", tmp_path / "fifo"
+    write_trajectories(one, records, {"seed": 4})
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        at(3, write_trajectories, fifo, records, {"seed": 4})
+    finally:
+        reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert got == [one.read_bytes()]
+    assert children == []
+
+
+class TestSpanCount:
+    def test_bounded_by_cpus_and_floor(self):
+        cpus = len(os.sched_getaffinity(0))
+        for nbytes in [0, 1, fileio.SPAN_FLOOR - 1, fileio.SPAN_FLOOR, 3 * fileio.SPAN_FLOOR,
+                       10 ** 15]:
+            n = fileio._span_count(nbytes)
+            assert 1 <= n <= cpus
+            assert n == 1 or nbytes // n >= fileio.SPAN_FLOOR
+
+    def test_one_per_cpu_above_the_floor(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        floor = fileio.SPAN_FLOOR
+        assert [fileio._span_count(k * floor) for k in [0, 1, 2, 3, 8, 100]] == [1, 1, 2, 3, 8, 8]
+        assert fileio._span_count(3 * floor - 1) == 2
+
+    def test_one_span_on_one_cpu(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert fileio._span_count(10 ** 15) == 1
+
+    def test_one_span_off_linux(self, tmp_path, monkeypatch, children):
+        monkeypatch.setattr(sys, "platform", "darwin")
+        assert fileio._span_count(10 ** 15) == 1
+        path = corpus_file(tmp_path / "c.jsonl")
+        assert outcome(path, 3)[0] == expected(rows())
+        assert children == []
