@@ -63,6 +63,7 @@ from .encoder import (
 from .evalsuite import (
     LabeledCorpus,
     ShuffleSpec,
+    discrimination_accuracies,
     discrimination_accuracy,
     domain_swap_compare,
     global_shuffle,

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
+import os
 import sys
 
 import numpy as np
@@ -21,8 +23,7 @@ from .errors import InsufficientDataError, NumericalError, ValidationError
 from .evalsuite import (
     LabeledCorpus,
     ShuffleSpec,
-    check_shuffles,
-    discrimination_accuracy,
+    discrimination_accuracies,
     domain_swap_compare,
     label_relation,
     make_shuffle_set,
@@ -54,11 +55,21 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _load_corpus(path):
-    records, header = read_trajectories(path)
+def _load_corpus(path, digest=None):
+    """path's records and header; digest, a hashlib hash, is fed its bytes when given."""
+    records, header = read_trajectories(path, digest)
     if not records:
         raise ValidationError(f"{path}: corpus contains no records")
     return records, header
+
+
+def _log(out):
+    """Where a command's own lines go: stdout, or stderr when out is stdout itself."""
+    try:
+        same = os.path.samestat(os.fstat(1), os.stat(out))
+    except OSError:  # stdout closed, or out not written yet
+        same = False
+    return sys.stderr if same else sys.stdout
 
 
 def _check_model_dim(model: SigmaModel, records, path, model_path) -> None:
@@ -125,12 +136,14 @@ def cmd_simulate(args) -> int:
                  "endpoints": args.endpoints, "domain": args.domain},
     }
     write_trajectories(args.out, records, meta=meta)
-    print(f"simulate: wrote {len(records)} trajectories to {args.out} (seed={args.seed})")
+    print(f"simulate: wrote {len(records)} trajectories to {args.out} (seed={args.seed})",
+          file=_log(args.out))
     return 0
 
 
 def cmd_fit(args) -> int:
-    records, _ = _load_corpus(args.input)
+    digest = hashlib.sha256()
+    records, _ = _load_corpus(args.input, digest)
     if args.domain is not None:
         records = [r for r in records if r.trajectory.domain == args.domain]
         if not records:
@@ -147,13 +160,14 @@ def cmd_fit(args) -> int:
         weight=weight,
         domain=domain,
         epsilon=args.epsilon,
-        source_corpus_digest=file_digest(args.input),
+        source_corpus_digest=digest.hexdigest(),
     )
     write_sigma_model(args.out, model)
+    log = _log(args.out)
     print(
         f"fit: d={d} weight={weight} logdet={log_det_spd(spatial.sigma):.6f} "
         f"trace={float(np.trace(spatial.sigma.entries)):.6f} sigma2={sigma2:.6f} "
-        f"epsilon={args.epsilon} seed={args.seed} -> {args.out}"
+        f"epsilon={args.epsilon} seed={args.seed} -> {args.out}", file=log
     )
     if args.compare_to:
         ref = read_sigma_model(args.compare_to)
@@ -161,15 +175,16 @@ def cmd_fit(args) -> int:
             raise ValidationError(f"--compare-to model has d={ref.d}, fitted d={d}")
         err = np.linalg.norm(spatial.sigma.entries - ref.spatial.sigma.entries)
         rel = err / np.linalg.norm(ref.spatial.sigma.entries)
-        print(f"fit: relative Frobenius error vs {args.compare_to}: {rel:.6f}")
+        print(f"fit: relative Frobenius error vs {args.compare_to}: {rel:.6f}", file=log)
     return 0
 
 
 def cmd_score(args) -> int:
-    records, _ = _load_corpus(args.input)
+    sha = hashlib.sha256()
+    records, _ = _load_corpus(args.input, sha)
     model = read_sigma_model(args.model)
     _check_model_dim(model, records, args.input, args.model)
-    digest = file_digest(args.input)
+    digest = sha.hexdigest()
     if digest == model.source_corpus_digest and not args.allow_in_sample:
         raise ValidationError(
             f"{args.input} is the corpus the model was fitted on; "
@@ -206,12 +221,14 @@ def cmd_score(args) -> int:
                 row["heuristic_score"] = rep.heuristic_score
             fh.write(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n")
     mean_score = float(np.mean([r.bbscore for r in reports]))
-    print(f"score: {len(reports)} documents, mean bbscore {mean_score:.4f} -> {args.out}")
+    print(f"score: {len(reports)} documents, mean bbscore {mean_score:.4f} -> {args.out}",
+          file=_log(args.out))
     return 0
 
 
 def cmd_shuffle(args) -> int:
-    records, _ = _load_corpus(args.input)
+    digest = hashlib.sha256()
+    records, _ = _load_corpus(args.input, digest)
     size = args.block_size if args.kind == "global" else args.windows
     out_records = []
     for rec in records:
@@ -219,10 +236,10 @@ def cmd_shuffle(args) -> int:
         for copy in make_shuffle_set(rec.trajectory, spec):
             out_records.append(TrajectoryRecord(trajectory=copy))
     meta = {"seed": args.seed, "kind_of_shuffle": args.kind, "copies": args.copies,
-            "source_corpus_digest": file_digest(args.input)}
+            "source_corpus_digest": digest.hexdigest()}
     write_trajectories(args.out, out_records, meta=meta)
     print(f"shuffle: wrote {len(out_records)} copies of {len(records)} originals to {args.out} "
-          f"(seed={args.seed})")
+          f"(seed={args.seed})", file=_log(args.out))
     return 0
 
 
@@ -242,15 +259,14 @@ def cmd_discriminate(args) -> int:
     header, sizes = (("block_size", args.block_sizes) if args.kind == "global"
                      else ("windows", args.windows))
     specs = [_shuffle_spec(args, size, args.seed) for size in sizes]
-    for spec in specs:  # a size some document is too short for fails before any output
-        check_shuffles(originals, spec)
+    # every size is scored, and a size some document is too short for fails, before any output
+    accuracies = discrimination_accuracies(originals, specs, model.spatial,
+                                           use_pvalue=args.use_pvalue,
+                                           per_document=args.per_document)
     print(f"discrimination ({args.kind}, copies={args.copies}, seed={args.seed}, "
           f"use_pvalue={args.use_pvalue}, per_document={args.per_document})")
     print(f"{header:>10}  {'accuracy':>8}")
-    for size, spec in zip(sizes, specs):
-        acc = discrimination_accuracy(originals, spec, model.spatial,
-                                      use_pvalue=args.use_pvalue,
-                                      per_document=args.per_document)
+    for size, acc in zip(sizes, accuracies):
         print(f"{size:>10}  {acc:>8.4f}")
     return 0
 
@@ -334,7 +350,8 @@ def cmd_compare_domains(args) -> int:
 
 
 def cmd_train(args) -> int:
-    records, _ = _load_corpus(args.corpora)
+    digest = hashlib.sha256()
+    records, _ = _load_corpus(args.corpora, digest)
     corpora: dict[str, list[RawSequence]] = {}
     for rec in records:
         traj = rec.trajectory
@@ -360,14 +377,15 @@ def cmd_train(args) -> int:
         seed=args.seed,
     )
     state, trace = train(state, corpora, args.epochs)
+    log = _log(args.out)
     if trace:
-        print(f"train: initial nll={trace[0]:.6f}")
+        print(f"train: initial nll={trace[0]:.6f}", file=log)
         for epoch, value in enumerate(trace[1:], start=1):
-            print(f"train: epoch {epoch}: nll={value:.6f}")
+            print(f"train: epoch {epoch}: nll={value:.6f}", file=log)
     write_trainer_state(args.out, state, extra={"seed": args.seed, "epochs": args.epochs,
                                                 "nll_trace": trace,
-                                                "source_corpus_digest": file_digest(args.corpora)})
-    print(f"train: wrote state to {args.out} (seed={args.seed})")
+                                                "source_corpus_digest": digest.hexdigest()})
+    print(f"train: wrote state to {args.out} (seed={args.seed})", file=log)
     return 0
 
 

@@ -4,7 +4,9 @@ Shuffles permute latent vectors directly (one vector per sentence), so the
 same machinery runs on simulated and ingested embedding trajectories alike.
 All randomized operations are deterministic given their seed; per-document
 randomness derives from a stable hash of the document id, so results never
-depend on corpus order.
+depend on corpus order. Discrimination scores every shuffle size of one
+call in one pass, split over forked processes by document (forks), with
+the same result for any number of processes.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import forks
 from .bridge import LatentTrajectory, SpatialCovariance, increments, quadratic_form
 from .errors import (
     DegenerateInputError,
@@ -65,14 +68,6 @@ class ShuffleSpec:
             raise ValidationError(f"copies must be >= 1, got {self.copies}")
 
 
-def _nonidentity_permutation(rng: np.random.Generator, n: int) -> np.ndarray:
-    identity = np.arange(n)
-    while True:
-        perm = rng.permutation(n)
-        if (perm != identity).any():
-            return perm
-
-
 def _check_shuffle(n: int, spec: ShuffleSpec, name: str) -> None:
     """Raise when spec cannot shuffle n points: under two blocks, or no room for the windows."""
     if spec.kind == "global_block":
@@ -87,12 +82,6 @@ def _check_shuffle(n: int, spec: ShuffleSpec, name: str) -> None:
         )
 
 
-def check_shuffles(trajs, spec: ShuffleSpec) -> None:
-    """Raise the error discrimination_accuracy would raise for a trajectory too short for spec."""
-    for traj in sorted(trajs, key=lambda t: t.id):
-        _check_shuffle(traj.T + 1, spec, traj.id)
-
-
 def _shuffle_orders(n: int, spec: ShuffleSpec, rng: np.random.Generator, name: str) -> np.ndarray:
     """spec.copies shuffled orders of the indices 0..n-1, shape (copies, n).
 
@@ -105,17 +94,30 @@ def _shuffle_orders(n: int, spec: ShuffleSpec, rng: np.random.Generator, name: s
     """
     _check_shuffle(n, spec, name)
     if spec.kind == "global_block":
+        # a permutation is drawn again while it is the identity: permuted rows
+        # take the stream of one permutation call each, so a batch of the
+        # copies still needed draws what a call per copy would
         block = np.arange(n) // spec.block_size
-        perms = np.array([_nonidentity_permutation(rng, block[-1] + 1) for _ in range(spec.copies)])
+        identity = np.arange(block[-1] + 1)
+        perms = np.empty((0, identity.size), dtype=identity.dtype)
+        while len(perms) < spec.copies:
+            drawn = rng.permuted(np.tile(identity, (spec.copies - len(perms), 1)), axis=1)
+            perms = np.concatenate([perms, drawn[(drawn != identity).any(axis=1)]])
         # a stable sort of the indices by their block's new position keeps blocks intact
         return np.argsort(np.argsort(perms, axis=1)[:, block], axis=1, kind="stable")
     w, size = spec.num_windows, spec.window_size
     slots = n - w * size + w
     orders = np.tile(np.arange(n), (spec.copies, 1))
-    offsets = np.arange(w) * (size - 1)
+    identity, item = orders[0].tobytes(), orders.itemsize
     for order in orders:
-        for s in np.sort(rng.choice(slots, size=w, replace=False)) + offsets:
-            order[s:s + size] = order[s:s + size][_nonidentity_permutation(rng, size)]
+        for k, s in enumerate(sorted(rng.choice(slots, size=w, replace=False).tolist())):
+            s += k * (size - 1)
+            # the windows are disjoint, so this one is still s..s+size-1, and
+            # shuffling it in place draws what rng.permutation(size) draws
+            window = order[s:s + size]
+            rng.shuffle(window)
+            while window.tobytes() == identity[s * item:(s + size) * item]:
+                rng.shuffle(window)
     return orders
 
 
@@ -159,15 +161,19 @@ def _distinct_copies(traj: LatentTrajectory, spec: ShuffleSpec) -> tuple[list[in
     dropped. The copies index the validated original, so they need no checks.
     """
     orders = _shuffle_orders(traj.T + 1, spec, np.random.default_rng(spec.seed), traj.id)
-    stacked = traj.points[orders]
-    seen = {traj.points.tobytes()}
+    # two copies are equal exactly when they pick byte-equal points at every
+    # position, so they are compared as orders over classes of such points
+    points = np.ascontiguousarray(traj.points)
+    _, rows = np.unique(points.view(np.dtype((np.void, points[0].nbytes)))[:, 0],
+                        return_inverse=True)
+    seen = {rows.tobytes()}
     kept = []
-    for i, points in enumerate(stacked):
-        key = points.tobytes()
+    for i, key in enumerate(rows[orders]):
+        key = key.tobytes()
         if key not in seen:
             seen.add(key)
             kept.append(i)
-    return kept, stacked[kept]
+    return kept, traj.points[orders[kept]]
 
 
 def make_shuffle_set(traj: LatentTrajectory, spec: ShuffleSpec) -> list[LatentTrajectory]:
@@ -202,23 +208,68 @@ def discrimination_accuracy(originals, spec: ShuffleSpec, spatial: SpatialCovari
     derived per document from spec.seed and the document id. Each document
     and its distinct copies are scored in one kernel call.
     """
+    return discrimination_accuracies(originals, [spec], spatial, use_pvalue, per_document)[0]
+
+
+# Shuffled copies a process scores at least, for its fork to pay for itself.
+FORK_FLOOR = 2000
+
+
+def discrimination_accuracies(originals, specs, spatial: SpatialCovariance,
+                              use_pvalue: bool = False, per_document: bool = False) -> list[float]:
+    """discrimination_accuracy of the originals under each of specs, in order.
+
+    On Linux the id-sorted originals are cut into contiguous chunks, one per
+    CPU this process may run on but none with under FORK_FLOOR shuffled
+    copies to score: this process scores the first chunk, and a forked child
+    each other one (forks.forked). Shuffles are seeded per document and the
+    chunks' credits are merged in id order, so every mean sums as one
+    process sums it. Every spec is checked against every original first.
+    """
     originals = sorted(originals, key=lambda t: t.id)
     if not originals:
         raise EmptySetError("discrimination needs a nonempty corpus")
-    credits = []
-    for traj in originals:
-        _, copies = _distinct_copies(traj, replace(spec, seed=stable_seed(spec.seed, traj.id)))
-        if not len(copies):
-            continue
-        stacked = np.concatenate([traj.points[None], copies])
-        statistic = quadratic_form(spatial, increments(stacked))
-        x = _incoherence(statistic, (traj.T - 1) * traj.d, use_pvalue)
-        credits.append(np.where(x[0] < x[1:], 1.0, np.where(x[0] == x[1:], 0.5, 0.0)))
-    if not credits:
-        raise EmptySetError("no shuffled copies were produced")
-    if per_document:
-        return float(np.mean([float(np.mean(c)) for c in credits]))
-    return float(np.mean(np.concatenate(credits)))
+    for spec in specs:
+        for traj in originals:
+            _check_shuffle(traj.T + 1, spec, traj.id)
+    spatial.sigma.inv_chol  # formed here once, not in each child
+    if use_pvalue:
+        chi_square_sf(1.0, 1)  # imports scipy.special here once, not in each child
+    n = min(len(originals),
+            forks.process_count(len(originals) * sum(spec.copies for spec in specs), FORK_FLOOR))
+    chunks = [originals[k * len(originals) // n:(k + 1) * len(originals) // n]
+              for k in range(n)]
+    credits = [[] for _ in specs]
+    with forks.forked(chunks, lambda chunk: _credits(chunk, specs, spatial, use_pvalue)) as parts:
+        for part in parts:
+            for spec_credits, got in zip(credits, part):
+                spec_credits.extend(got)
+    accuracies = []
+    for spec_credits in credits:
+        if not spec_credits:
+            raise EmptySetError("no shuffled copies were produced")
+        if per_document:
+            accuracies.append(float(np.mean([float(np.mean(c)) for c in spec_credits])))
+        else:
+            accuracies.append(float(np.mean(np.concatenate(spec_credits))))
+    return accuracies
+
+
+def _credits(originals, specs, spatial: SpatialCovariance, use_pvalue: bool) -> list:
+    """Per spec, the credit array of each original with a distinct shuffled copy, in order."""
+    out = []
+    for spec in specs:
+        credits = []
+        for traj in originals:
+            _, copies = _distinct_copies(traj, replace(spec, seed=stable_seed(spec.seed, traj.id)))
+            if not len(copies):
+                continue
+            stacked = np.concatenate([traj.points[None], copies])
+            statistic = quadratic_form(spatial, increments(stacked))
+            x = _incoherence(statistic, (traj.T - 1) * traj.d, use_pvalue)
+            credits.append(np.where(x[0] < x[1:], 1.0, np.where(x[0] == x[1:], 0.5, 0.0)))
+        out.append(credits)
+    return out
 
 
 def label_relation(labels, order, labels_b=None):

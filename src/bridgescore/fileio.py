@@ -4,13 +4,14 @@ Trajectory corpora are JSONL: an optional header object on the first line,
 then one document per line. A corpus is returned whole, as a list held in
 memory. On Linux a corpus file is read in contiguous spans of lines, one
 per CPU this process may run on but none under SPAN_FLOOR bytes (4 MiB):
-this process parses the first span, and a forked child each other one. A
-child opens the file itself, parses and validates its span and pickles
-its records back through a pipe. Records and errors are the same for any
-number of spans, and a child that fails costs time, not output: its span
-is redone here. Corpora are written line by line by this process alone.
-Ingestion rejects any malformed record with a path:line diagnostic, and
-writers never embed timestamps so reruns produce byte-identical files.
+this process parses the first span, and a forked child (forks) each other
+one. A child opens the file itself, parses and validates its span and
+pickles its records back through a pipe. Records and errors are the same
+for any number of spans, and a child that fails costs time, not output:
+its span is redone here. Corpora are written line by line by this
+process alone. Ingestion rejects any malformed record with a path:line
+diagnostic, and writers never embed timestamps so reruns produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -21,14 +22,13 @@ import hashlib
 import json
 import os
 import pickle
-import signal
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, forks
 from .bridge import LatentTrajectory, SpatialCovariance
 from .encoder import LinearEncoder, TrainerState
 from .errors import NotPositiveDefiniteError, ValidationError
@@ -37,13 +37,17 @@ from .numerics import SpdMatrix
 TOOL_VERSION = f"bridgescore {__version__}"
 
 
+def _feed(fh, digest):
+    """digest fed the rest of fh, read in 1 MiB chunks."""
+    while chunk := fh.read(1 << 20):
+        digest.update(chunk)
+    return digest
+
+
 def file_digest(path) -> str:
-    """SHA-256 hex digest of a file's bytes, read in 1 MiB chunks."""
-    digest = hashlib.sha256()
+    """SHA-256 hex digest of a file's bytes."""
     with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 20):
-            digest.update(chunk)
-    return digest.hexdigest()
+        return _feed(fh, hashlib.sha256()).hexdigest()
 
 
 def _dumps(obj) -> str:
@@ -101,64 +105,6 @@ def write_trajectories(path, records, meta: dict | None = None) -> None:
 
 # Corpus text per span below which a process costs more than it saves.
 SPAN_FLOOR = 4 << 20
-
-
-def _span_count(nbytes: int) -> int:
-    """How many spans nbytes of corpus text is cut into, each read by its own process.
-
-    One per CPU this process may run on, but none under SPAN_FLOOR bytes.
-    Only Linux forks: Windows has no fork, and macOS makes it unsafe once
-    system libraries have started threads.
-    """
-    if sys.platform != "linux":
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), nbytes // SPAN_FLOOR))
-
-
-class _Child:
-    """A forked process that runs send(pipe) and whose bytes this process reads from .pipe.
-
-    The child leaves through os._exit whatever happens, so it never returns
-    into the caller, runs its cleanup or flushes buffers it inherited. It
-    exits 0 only when send returned and the pipe closed. A fork that fails
-    leaves a child that sent nothing and is not ok(), so the caller redoes
-    its work, as for a child that dies. The work, JSON, numpy conversions
-    that call no BLAS routine, and pickling, takes no lock that a BLAS
-    thread of this process could hold at the fork; spawn would cost a fresh
-    interpreter and numpy import per child.
-    """
-
-    def __init__(self, send):
-        r, w = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:  # no process to spare
-            self.pid = None
-        if self.pid == 0:
-            status = 1
-            try:
-                os.close(r)
-                with open(w, "wb") as pipe:
-                    send(pipe)
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(w)
-        self.pipe = open(r, "rb")
-
-    def ok(self) -> bool:
-        """Reap the child, once its bytes are read; True when it sent them all."""
-        pid, self.pid = self.pid, None
-        self.pipe.close()
-        return pid is not None and os.waitpid(pid, 0)[1] == 0
-
-    def stop(self) -> None:
-        """Kill and reap the child if ok() has not reaped it."""
-        self.pipe.close()
-        if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
 
 
 def _matrix(value, exact: bool = True) -> np.ndarray | None:
@@ -238,19 +184,22 @@ def _cut(fh, size: int, n: int) -> list[tuple[int, int | None]]:
     return list(zip(starts, [*starts[1:], None]))
 
 
-def _read_span(fh, path, span: tuple[int, int | None]):
+def _read_span(fh, path, span: tuple[int, int | None], digest=None):
     """One span of fh parsed: (header, [(line, record)], error, lines read).
 
     Lines are numbered from the span's start and split as universal newlines
     split them. Parsing stops at the first error, given as (line, message
     after its 'path:line' prefix), or None, so that the caller can number
-    it from the start of the file.
+    it from the start of the file. digest, a hashlib hash, is fed the bytes
+    read, when given.
     """
     start, end = span
     if start:
         fh.seek(start)
     header, rows, lineno, pos = {}, [], 0, start
     for raw in fh:
+        if digest is not None:
+            digest.update(raw)
         try:
             text = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -283,53 +232,43 @@ def _send_span(path, span, pipe) -> None:
         pickle.dump(_read_span(fh, path, span), pipe, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def _received(child: _Child):
-    """What a reading child sent, or None when it sent nothing whole."""
-    part = None
-    try:
-        part = pickle.load(child.pipe)
-    except (EOFError, pickle.UnpicklingError):  # the child died before it sent everything
-        pass
-    return part if child.ok() else None
-
-
-def read_trajectories(path) -> tuple[list[TrajectoryRecord], dict]:
+def read_trajectories(path, digest=None) -> tuple[list[TrajectoryRecord], dict]:
     """Read a corpus, enforcing all record invariants with line diagnostics.
 
     The file is cut into spans; this process parses the first while forked
     children parse the others. Records are merged and ids checked for
     duplicates in line order, so the records, and the first error, are
-    those of one line-by-line read.
+    those of one line-by-line read. digest, a hashlib hash, is fed every
+    byte of the file when given: as they are parsed when the file is one
+    span, as a pipe is, which cannot be read twice; else read again.
     """
     records: list[TrajectoryRecord] = []
     header: dict = {}
     seen_ids: set[str] = set()
-    children = []
     offset = 0  # lines before the span
     try:
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
-            first, *spans = _cut(fh, size, _span_count(size))
-            for span in spans:
-                children.append(_Child(functools.partial(_send_span, path, span)))
-            for span, child in [(first, None), *zip(spans, children)]:
-                part = _received(child) if child else None
-                head, rows, error, lines = part or _read_span(fh, path, span)
-                header = header or head
-                for lineno, rec in rows:
-                    if rec.trajectory.id in seen_ids:
-                        raise ValidationError(f"{path}:{offset + lineno}: duplicate id "
-                                              f"{rec.trajectory.id!r} within file")
-                    seen_ids.add(rec.trajectory.id)
-                    records.append(rec)
-                if error is not None:
-                    raise ValidationError(f"{path}:{offset + error[0]}{error[1]}")
-                offset += lines
+            spans = _cut(fh, size, forks.process_count(size, SPAN_FLOOR))
+            whole = digest if len(spans) == 1 else None
+            with forks.forked(spans, lambda span: _read_span(fh, path, span, whole),
+                              functools.partial(_send_span, path)) as parts:
+                for head, rows, error, lines in parts:
+                    header = header or head
+                    for lineno, rec in rows:
+                        if rec.trajectory.id in seen_ids:
+                            raise ValidationError(f"{path}:{offset + lineno}: duplicate id "
+                                                  f"{rec.trajectory.id!r} within file")
+                        seen_ids.add(rec.trajectory.id)
+                        records.append(rec)
+                    if error is not None:
+                        raise ValidationError(f"{path}:{offset + error[0]}{error[1]}")
+                    offset += lines
+            if digest is not None and whole is None:
+                fh.seek(0)
+                _feed(fh, digest)
     except OSError as exc:
         raise _file_error(path, exc, "read") from exc
-    finally:
-        for child in children:
-            child.stop()
     return records, header
 
 

@@ -1,0 +1,119 @@
+"""Work split over forked processes, one per CPU this process may run on.
+
+The corpus reader and discrimination share this: the caller cuts its work
+into contiguous parts, computes the first part itself and forks a child per
+other part, which pickles its result back through a pipe. Results come back
+in part order, so they are those of one process doing every part in turn,
+and a child that fails costs time, not output: its part is redone here.
+Only Linux forks; elsewhere, and on one CPU, there is one part.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import os
+import pickle
+import signal
+import sys
+
+
+def process_count(work: int, floor: int) -> int:
+    """How many processes share work units: one per CPU this process may run on, none under floor.
+
+    Only Linux forks: Windows has no fork, and macOS makes it unsafe once
+    system libraries have started threads.
+    """
+    if sys.platform != "linux":
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), work // floor))
+
+
+class Child:
+    """A forked process that runs send(pipe) and whose bytes this process reads from .pipe.
+
+    The child leaves through os._exit whatever happens, so it never returns
+    into the caller, runs its cleanup or flushes buffers it inherited. It
+    exits 0 only when send returned and the pipe closed. A fork that fails
+    leaves a child that sent nothing and is not ok(), so the caller redoes
+    its work, as for a child that dies. The child may call BLAS: numpy's
+    OpenBLAS stops its thread pool before a fork, and the child starts its
+    own at its first threaded call. What the children only read, such as an
+    inverse Cholesky factor or an imported scipy module, is best made before
+    the fork, so that each child does not make it again. Spawn would cost a
+    fresh interpreter and numpy import per child.
+    """
+
+    def __init__(self, send):
+        r, w = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:  # no process to spare
+            self.pid = None
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(r)
+                with open(w, "wb") as pipe:
+                    send(pipe)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(w)
+        self.pipe = open(r, "rb")
+
+    def ok(self) -> bool:
+        """Reap the child, once its bytes are read; True when it sent them all."""
+        pid, self.pid = self.pid, None
+        self.pipe.close()
+        return pid is not None and os.waitpid(pid, 0)[1] == 0
+
+    def stop(self) -> None:
+        """Kill and reap the child if ok() has not reaped it."""
+        self.pipe.close()
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
+def _send(work, part, pipe) -> None:
+    pickle.dump(work(part), pipe, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _received(child: Child):
+    """(what a child sent,), or None when it sent nothing whole."""
+    got = None
+    try:
+        got = (pickle.load(child.pipe),)
+    except (EOFError, pickle.UnpicklingError):  # the child died before it sent everything
+        pass
+    return got if child.ok() else None
+
+
+@contextlib.contextmanager
+def forked(parts, work, send=None):
+    """An iterator of work(part) for each of parts, in order, computed in parallel.
+
+    This process computes the first part, and a child forked on entry each
+    other one: the child runs send(part, pipe), by default pickling
+    work(part) into the pipe, and this process unpickles it. A part whose
+    child dies, or could not be forked, is redone here with work(part).
+    Children still running on exit are killed.
+    """
+    parts = list(parts)
+    send = send or (lambda part, pipe: _send(work, part, pipe))
+    children = []
+
+    def results():
+        yield work(parts[0])
+        for part, child in zip(parts[1:], children):
+            got = _received(child)
+            yield got[0] if got else work(part)
+
+    try:
+        for part in parts[1:]:
+            children.append(Child(lambda pipe, part=part: send(part, pipe)))
+        yield results()
+    finally:
+        for child in children:
+            child.stop()

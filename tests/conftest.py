@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+import bridgescore.forks as forks
 from bridgescore import LatentTrajectory, SpatialCovariance, SpdMatrix
 
 
@@ -79,3 +80,23 @@ def brute_force_det(m):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def children(monkeypatch):
+    """The forked children started, in fork order; .sent is whether one sent its part whole."""
+    started = []
+
+    class Counted(forks.Child):
+        sent = None
+
+        def __init__(self, send):
+            started.append(self)
+            super().__init__(send)
+
+        def ok(self):
+            self.sent = super().ok()
+            return self.sent
+
+    monkeypatch.setattr(forks, "Child", Counted)
+    return started

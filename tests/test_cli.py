@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -26,13 +27,17 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def cli_env():
+    """The environment of a fresh interpreter that imports this checkout's package."""
+    src = str(Path(bridgescore.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def run_process(*argv):
     """The CLI in a fresh interpreter, importing this checkout's package."""
-    src = str(Path(bridgescore.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, *map(str, argv)], capture_output=True, text=True,
-                          env=env, timeout=120)
+                          env=cli_env(), timeout=120)
 
 
 def assert_clean_exit_1(done, where):
@@ -170,6 +175,45 @@ class TestFileDigest:
         path = tmp_path / "blob.bin"
         path.write_bytes(data)
         assert file_digest(path) == hashlib.sha256(data).hexdigest()
+
+
+CLI = [sys.executable, "-m", "bridgescore.cli"]
+
+
+class TestPipes:
+    """Corpora written to stdout and read from stdin, through real pipes."""
+
+    def test_corpus_on_stdout_pipes_into_fit(self, tmp_path):
+        argv = ["simulate", "--d", "3", "--T", "8:12", "--n", "20", "--seed", "4"]
+        simulate = subprocess.Popen([*CLI, *argv, "--out", "/dev/stdout"], env=cli_env(),
+                                    stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        tee = tmp_path / "piped.jsonl"
+        fit_argv = [*CLI, "fit", "--in", "/dev/stdin", "--out", str(tmp_path / "m.json")]
+        script = f"tee {shlex.quote(str(tee))} | {shlex.join(fit_argv)}"
+        fit = subprocess.run(["sh", "-c", script], stdin=simulate.stdout, capture_output=True,
+                             text=True, env=cli_env(), timeout=120)
+        simulate.stdout.close()
+        _, err = simulate.communicate(timeout=120)
+        assert simulate.returncode == 0, err
+        assert fit.returncode == 0, fit.stderr
+        assert err.decode().startswith("simulate: wrote 20 trajectories to /dev/stdout")
+        assert run(*argv, "--out", tmp_path / "c.jsonl") == 0
+        assert tee.read_bytes() == (tmp_path / "c.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("command", ["fit", "shuffle", "train"])
+    def test_piped_corpus_digest_is_its_bytes(self, tmp_path, command):
+        corpus = simulate_file(tmp_path, n=8, T=10)
+        digests = []
+        for source, data in ((corpus, None), ("/dev/stdin", corpus.read_bytes())):
+            out = tmp_path / f"out-{len(digests)}.json"
+            flag = "--corpora" if command == "train" else "--in"
+            argv = [command, flag, str(source), "--out", str(out)]
+            argv += ["--epochs", "1", "--step-size", "1e-8"] if command == "train" else []
+            done = subprocess.run([*CLI, *argv], input=data, capture_output=True,
+                                  env=cli_env(), timeout=120)
+            assert done.returncode == 0, done.stderr
+            digests.append(json.loads(out.read_text().splitlines()[0])["source_corpus_digest"])
+        assert digests == [hashlib.sha256(corpus.read_bytes()).hexdigest()] * 2
 
 
 class TestFit:

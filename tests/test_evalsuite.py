@@ -28,6 +28,7 @@ from bridgescore import (
     stable_seed,
     threshold_classify,
 )
+import bridgescore.evalsuite as ev
 from conftest import random_spd, random_trajectory
 
 
@@ -108,6 +109,51 @@ class TestLocalShuffle:
         assert not np.array_equal(out.points, t.points)
 
 
+def plain_orders(n, spec, rng):
+    """_shuffle_orders as a plain loop: one numpy call per copy, window and redraw."""
+    def nonidentity(k):
+        perm = rng.permutation(k)
+        while (perm == np.arange(k)).all():
+            perm = rng.permutation(k)
+        return perm
+
+    orders = []
+    for _ in range(spec.copies):
+        if spec.kind == "global_block":
+            blocks = [np.arange(i, min(i + spec.block_size, n))
+                      for i in range(0, n, spec.block_size)]
+            orders.append(np.concatenate([blocks[j] for j in nonidentity(len(blocks))]))
+            continue
+        w, size = spec.num_windows, spec.window_size
+        order = np.arange(n)
+        starts = np.sort(rng.choice(n - w * size + w, size=w, replace=False))
+        for s in starts + np.arange(w) * (size - 1):
+            order[s:s + size] = order[s:s + size][nonidentity(size)]
+        orders.append(order)
+    return np.array(orders)
+
+
+class TestShuffleOrders:
+    # two blocks and windows of 2-4 points draw the identity often, so redraws are frequent
+    SPECS = [(n, ShuffleSpec(kind="global_block", block_size=b, copies=20))
+             for n, b in [(2, 1), (3, 1), (4, 2), (5, 2), (6, 3), (7, 2), (9, 1), (21, 1)]]
+    SPECS += [(n, ShuffleSpec(kind="local_window", num_windows=w, window_size=size, copies=20))
+              for n, w, size in [(2, 1, 2), (3, 1, 3), (4, 1, 4), (4, 2, 2), (6, 2, 3),
+                                 (8, 2, 4), (9, 3, 3), (30, 3, 2)]]
+
+    @pytest.mark.parametrize("n,spec", SPECS,
+                             ids=[f"{s.kind}-n{n}-b{s.block_size}-w{s.num_windows}x{s.window_size}"
+                                  for n, s in SPECS])
+    def test_match_plain_loop(self, n, spec):
+        for seed in range(25):
+            want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = plain_orders(n, spec, want_rng)
+            got = ev._shuffle_orders(n, spec, got_rng, "doc")
+            np.testing.assert_array_equal(got, want)
+            # the same draws: the stream is left where the plain loop leaves it
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 class TestMakeShuffleSet:
     def test_forced_single_copy(self):
         t = LatentTrajectory("a", "x", [[0.0], [1.0], [2.0], [3.0]])
@@ -127,6 +173,25 @@ class TestMakeShuffleSet:
         t = LatentTrajectory("a", "x", np.ones((6, 2)))  # any permutation == original
         spec = ShuffleSpec(kind="global_block", block_size=1, copies=20, seed=3)
         assert make_shuffle_set(t, spec) == []
+
+    @pytest.mark.parametrize("kind", ["global_block", "local_window"])
+    def test_distinct_copies_compare_bytes(self, kind):
+        # equal blocks and equal neighbours make copies equal to the original or
+        # to each other under other orders; -0.0 and 0.0 differ in their bytes
+        a, b, c, zero, negzero = [1.0, -2.0], [0.5, 3.0], [2.0, 2.0], [0.0, 1.0], [-0.0, 1.0]
+        t = LatentTrajectory("rep", "x", [a, b, a, b, c, zero, c, negzero, a, a])
+        for seed in range(20):
+            spec = ShuffleSpec(kind=kind, block_size=2, num_windows=2, window_size=2,
+                               copies=12, seed=seed)
+            stacked = t.points[ev._shuffle_orders(10, spec, np.random.default_rng(seed), "rep")]
+            seen, want = {t.points.tobytes()}, []
+            for i, points in enumerate(stacked):
+                if points.tobytes() not in seen:
+                    seen.add(points.tobytes())
+                    want.append(i)
+            kept, copies = ev._distinct_copies(t, spec)
+            assert kept == want
+            np.testing.assert_array_equal(copies, stacked[want])
 
     def test_deterministic_per_seed(self, rng):
         t = random_trajectory(rng, 2, 15)
@@ -198,7 +263,6 @@ class TestDiscrimination:
 
     def test_tie_rule_via_injection(self, monkeypatch, sim_setup):
         spatial, originals = sim_setup
-        import bridgescore.evalsuite as ev
 
         # a "copy" equal to the original ties with it
         monkeypatch.setattr(ev, "_distinct_copies", lambda traj, spec: ([0], traj.points[None]))

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import bridgescore.fileio as fileio
+import bridgescore.forks as forks
 from bridgescore import SpatialCovariance, SpdMatrix, ValidationError
 from bridgescore.bridge import increments, quadratic_form
 from bridgescore.fileio import read_trajectories, write_trajectories
@@ -49,26 +50,6 @@ def summary(records):
 def expected(rows_):
     return [(r["id"], r["domain"], r.get("label"), (5, 3), np.array(r["points"]).tobytes())
             for r in rows_]
-
-
-@pytest.fixture
-def children(monkeypatch):
-    """The span children started, in fork order; .sent is whether one sent its span whole."""
-    started = []
-
-    class Counted(fileio._Child):
-        sent = None
-
-        def __init__(self, send):
-            started.append(self)
-            super().__init__(send)
-
-        def ok(self):
-            self.sent = super().ok()
-            return self.sent
-
-    monkeypatch.setattr(fileio, "_Child", Counted)
-    return started
 
 
 def at(n, call, *args):
@@ -214,28 +195,32 @@ def test_writes_a_pipe(tmp_path, children):
     assert children == []
 
 
+def span_count(nbytes):
+    return forks.process_count(nbytes, fileio.SPAN_FLOOR)
+
+
 class TestSpanCount:
     def test_bounded_by_cpus_and_floor(self):
         cpus = len(os.sched_getaffinity(0))
         for nbytes in [0, 1, fileio.SPAN_FLOOR - 1, fileio.SPAN_FLOOR, 3 * fileio.SPAN_FLOOR,
                        10 ** 15]:
-            n = fileio._span_count(nbytes)
+            n = span_count(nbytes)
             assert 1 <= n <= cpus
             assert n == 1 or nbytes // n >= fileio.SPAN_FLOOR
 
     def test_one_per_cpu_above_the_floor(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
         floor = fileio.SPAN_FLOOR
-        assert [fileio._span_count(k * floor) for k in [0, 1, 2, 3, 8, 100]] == [1, 1, 2, 3, 8, 8]
-        assert fileio._span_count(3 * floor - 1) == 2
+        assert [span_count(k * floor) for k in [0, 1, 2, 3, 8, 100]] == [1, 1, 2, 3, 8, 8]
+        assert span_count(3 * floor - 1) == 2
 
     def test_one_span_on_one_cpu(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert fileio._span_count(10 ** 15) == 1
+        assert span_count(10 ** 15) == 1
 
     def test_one_span_off_linux(self, tmp_path, monkeypatch, children):
         monkeypatch.setattr(sys, "platform", "darwin")
-        assert fileio._span_count(10 ** 15) == 1
+        assert span_count(10 ** 15) == 1
         path = corpus_file(tmp_path / "c.jsonl")
         assert outcome(path, 3)[0] == expected(rows())
         assert children == []
