@@ -86,11 +86,25 @@ def _random_spd(d: int, seed: int) -> np.ndarray:
     return a @ a.T / d + 0.5 * np.eye(d)
 
 
+def _spec_number(text: str, kind, least, arg: str, spec: str):
+    """text, a field of the value spec of option arg, as a finite kind (int or float) >= least."""
+    try:
+        value = kind(text)
+    except ValueError:
+        value = None
+    if value is None or not least <= value < float("inf"):
+        raise ValidationError(f"{arg} {spec!r}: expected "
+                              f"{'an integer' if kind is int else 'a finite number'} >= {least}, "
+                              f"got {text!r}")
+    return value
+
+
 def _parse_sigma_spec(spec: str, d: int) -> SpatialCovariance:
     if spec == "identity":
         return SpatialCovariance.identity(d)
     if spec.startswith("random-spd:"):
-        return SpatialCovariance(sigma=SpdMatrix(_random_spd(d, int(spec.split(":", 1)[1]))))
+        seed = _spec_number(spec.split(":", 1)[1], int, 0, "--sigma", spec)
+        return SpatialCovariance(sigma=SpdMatrix(_random_spd(d, seed)))
     model = read_sigma_model(spec)
     if model.d != d:
         raise ValidationError(f"sigma model {spec} has d={model.d}, requested d={d}")
@@ -98,25 +112,31 @@ def _parse_sigma_spec(spec: str, d: int) -> SpatialCovariance:
 
 
 def _parse_length_spec(spec: str) -> tuple[int, int]:
-    if ":" in spec:
-        lo, hi = spec.split(":", 1)
-        lo, hi = int(lo), int(hi)
-    else:
-        lo = hi = int(spec)
-    if lo < 2 or hi < lo:
-        raise ValidationError(f"invalid length spec {spec!r}; need 2 <= min <= max")
+    lo, sep, hi = spec.partition(":")
+    lo = _spec_number(lo, int, 2, "--T", spec)
+    hi = _spec_number(hi, int, lo, "--T", spec) if sep else lo
     return lo, hi
 
 
+def _parse_endpoint_scale(spec: str) -> float:
+    """The scale of random endpoints; 0 for zero endpoints."""
+    if spec == "zero":
+        return 0.0
+    if spec == "random":
+        return 1.0
+    if not spec.startswith("random:"):
+        raise ValidationError(f"--endpoints {spec!r}: expected 'zero' or 'random[:scale]'")
+    return _spec_number(spec.split(":", 1)[1], float, 0, "--endpoints", spec)
+
+
 def cmd_simulate(args) -> int:
-    spatial = _parse_sigma_spec(args.sigma, args.d)
+    if args.d < 1:
+        raise ValidationError(f"--d {args.d}: expected an integer >= 1")
+    if args.n < 0:
+        raise ValidationError(f"--n {args.n}: expected an integer >= 0")
     t_lo, t_hi = _parse_length_spec(args.T)
-    if args.endpoints != "zero" and not args.endpoints.startswith("random"):
-        raise ValidationError(f"endpoints must be 'zero' or 'random[:scale]', got {args.endpoints!r}")
-    scale = 0.0
-    if args.endpoints.startswith("random"):
-        parts = args.endpoints.split(":", 1)
-        scale = float(parts[1]) if len(parts) == 2 else 1.0
+    scale = _parse_endpoint_scale(args.endpoints)
+    spatial = _parse_sigma_spec(args.sigma, args.d)
     records = []
     for i in range(args.n):
         doc_id = f"{args.domain}-{i:05d}"

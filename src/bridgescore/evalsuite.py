@@ -235,10 +235,8 @@ def discrimination_accuracies(originals, specs, spatial: SpatialCovariance,
     spatial.sigma.inv_chol  # formed here once, not in each child
     if use_pvalue:
         chi_square_sf(1.0, 1)  # imports scipy.special here once, not in each child
-    n = min(len(originals),
-            forks.process_count(len(originals) * sum(spec.copies for spec in specs), FORK_FLOOR))
-    chunks = [originals[k * len(originals) // n:(k + 1) * len(originals) // n]
-              for k in range(n)]
+    n = forks.process_count(len(originals) * sum(spec.copies for spec in specs), FORK_FLOOR)
+    chunks = [originals[part] for part in forks.cut([1] * len(originals), n)]
     credits = [[] for _ in specs]
     with forks.forked(chunks, lambda chunk: _credits(chunk, specs, spatial, use_pvalue)) as parts:
         for part in parts:

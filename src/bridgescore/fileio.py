@@ -2,16 +2,22 @@
 
 Trajectory corpora are JSONL: an optional header object on the first line,
 then one document per line. A corpus is returned whole, as a list held in
-memory. On Linux a corpus file is read in contiguous spans of lines, one
-per CPU this process may run on but none under SPAN_FLOOR bytes (4 MiB):
-this process parses the first span, and a forked child (forks) each other
-one. A child opens the file itself, parses and validates its span and
-pickles its records back through a pipe. Records and errors are the same
-for any number of spans, and a child that fails costs time, not output:
-its span is redone here. Corpora are written line by line by this
-process alone. Ingestion rejects any malformed record with a path:line
-diagnostic, and writers never embed timestamps so reruns produce
-byte-identical files.
+memory. On Linux a corpus is read and written in contiguous parts, one per
+CPU this process may run on, through forked children (forks):
+
+- Reading cuts the file into byte spans of lines, none under SPAN_FLOOR
+  bytes (4 MiB). This process parses the first span; a child opens the
+  file itself, parses and validates its span and pickles its records back.
+- Writing cuts the records into runs of about equal coordinate count, none
+  under WRITE_FLOOR coordinates (50k). This process formats the first run;
+  a child formats its run and pickles the lines back. Only this process
+  writes: the header, then each run's lines in order. Nothing seeks, so
+  the output may be a pipe.
+
+Records, errors and written bytes are the same for any number of parts,
+and a child that fails costs time, not output: its part is redone here.
+Ingestion rejects any malformed record with a path:line diagnostic, and
+writers never embed timestamps so reruns produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -85,22 +91,42 @@ class TrajectoryRecord:
     label: str | None = None
 
 
+# Coordinates per part below which a forked writer costs more than it saves.
+WRITE_FLOOR = 50_000
+
+
+def _lines(records) -> list[str]:
+    """records as corpus lines, each ending in a newline."""
+    out = []
+    for rec in records:
+        traj = rec.trajectory
+        row = {"id": traj.id, "domain": traj.domain, "points": traj.points.tolist()}
+        if rec.label is not None:
+            row["label"] = rec.label
+        out.append(_dumps(row) + "\n")
+    return out
+
+
 def write_trajectories(path, records, meta: dict | None = None) -> None:
-    """Write a trajectory corpus with a header line carrying provenance."""
+    """Write a trajectory corpus with a header line carrying provenance.
+
+    The records are cut into contiguous parts of about equal coordinate
+    count (forks.cut); this process formats the first while forked children
+    format the others, and writes the header and then every part's lines in
+    part order, dropping each part before it takes the next. Only this
+    process writes, and never seeks, so path may be a pipe.
+    """
     header = {"kind": "trajectories", "created_by": TOOL_VERSION}
     header.update(meta or {})
+    records = list(records)
+    sizes = [rec.trajectory.points.size for rec in records]
+    parts = forks.cut(sizes, forks.process_count(sum(sizes), WRITE_FLOOR))
     with open_output(path) as fh:
         fh.write(_dumps(header) + "\n")
-        for rec in records:
-            traj = rec.trajectory
-            row = {
-                "id": traj.id,
-                "domain": traj.domain,
-                "points": traj.points.tolist(),
-            }
-            if rec.label is not None:
-                row["label"] = rec.label
-            fh.write(_dumps(row) + "\n")
+        with forks.forked(parts, lambda part: _lines(records[part])) as texts:
+            for lines in texts:
+                fh.writelines(lines)
+                del lines
 
 
 # Corpus text per span below which a process costs more than it saves.

@@ -1,7 +1,8 @@
 """Work split over forked processes, one per CPU this process may run on.
 
-The corpus reader and discrimination share this: the caller cuts its work
-into contiguous parts, computes the first part itself and forks a child per
+The corpus reader, the corpus writer and discrimination share this: the
+caller cuts its work into contiguous parts (the writer and discrimination
+by weight, with cut), computes the first part itself and forks a child per
 other part, which pickles its result back through a pipe. Results come back
 in part order, so they are those of one process doing every part in turn,
 and a child that fails costs time, not output: its part is redone here.
@@ -10,7 +11,9 @@ Only Linux forks; elsewhere, and on one CPU, there is one part.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
+import itertools
 import os
 import pickle
 import signal
@@ -26,6 +29,23 @@ def process_count(work: int, floor: int) -> int:
     if sys.platform != "linux":
         return 1
     return max(1, min(len(os.sched_getaffinity(0)), work // floor))
+
+
+def cut(weights, n: int) -> list[slice]:
+    """At most n contiguous, nonempty slices of weights' indices, of about equal weight.
+
+    An item goes to the slice its weight's midpoint falls in when the total
+    weight is laid out in n equal lengths, so that a slice's weight is
+    within the heaviest item of total / n, and n or more equal weights make
+    n slices. No weights give one empty slice, so that there is always a
+    first part.
+    """
+    running = list(itertools.accumulate(weights))
+    total = running[-1] if running else 0
+    mids = [n * (2 * r - w) for r, w in zip(running, weights)]  # midpoints, times 2n
+    ends = [bisect.bisect_left(mids, 2 * k * total) for k in range(1, n)] + [len(running)]
+    parts = [slice(a, b) for a, b in zip([0, *ends], ends) if a < b]
+    return parts or [slice(0, 0)]
 
 
 class Child:
@@ -80,14 +100,14 @@ def _send(work, part, pipe) -> None:
     pickle.dump(work(part), pipe, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def _received(child: Child):
-    """(what a child sent,), or None when it sent nothing whole."""
+def _received(child: Child, work, part):
+    """What a child sent, or work(part) when it sent nothing whole."""
     got = None
     try:
         got = (pickle.load(child.pipe),)
     except (EOFError, pickle.UnpicklingError):  # the child died before it sent everything
         pass
-    return got if child.ok() else None
+    return got[0] if child.ok() and got else work(part)
 
 
 @contextlib.contextmanager
@@ -98,7 +118,8 @@ def forked(parts, work, send=None):
     other one: the child runs send(part, pipe), by default pickling
     work(part) into the pipe, and this process unpickles it. A part whose
     child dies, or could not be forked, is redone here with work(part).
-    Children still running on exit are killed.
+    Children still running on exit are killed. Nothing here holds a result
+    once it is yielded, so a caller that drops each one holds one at a time.
     """
     parts = list(parts)
     send = send or (lambda part, pipe: _send(work, part, pipe))
@@ -107,8 +128,7 @@ def forked(parts, work, send=None):
     def results():
         yield work(parts[0])
         for part, child in zip(parts[1:], children):
-            got = _received(child)
-            yield got[0] if got else work(part)
+            yield _received(child, work, part)  # held by the caller alone once yielded
 
     try:
         for part in parts[1:]:

@@ -88,6 +88,30 @@ class TestSimulate:
             assert a.trajectory.id == b.trajectory.id
             assert np.array_equal(a.trajectory.points, b.trajectory.points)
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--T", "5:x", "--T '5:x': expected an integer >= 5, got 'x'"),
+        ("--T", "9:5", "--T '9:5': expected an integer >= 9, got '5'"),
+        ("--T", "10:", "--T '10:': expected an integer >= 10, got ''"),
+        ("--T", "1", "--T '1': expected an integer >= 2, got '1'"),
+        ("--endpoints", "random:abc", "--endpoints 'random:abc': expected a finite number >= 0"),
+        ("--endpoints", "random:nan", "--endpoints 'random:nan': expected a finite number >= 0"),
+        ("--endpoints", "random:-1", "--endpoints 'random:-1': expected a finite number >= 0"),
+        ("--endpoints", "random:inf", "--endpoints 'random:inf': expected a finite number >= 0"),
+        ("--endpoints", "randomly", "--endpoints 'randomly': expected 'zero' or 'random[:scale]'"),
+        ("--sigma", "random-spd:x", "--sigma 'random-spd:x': expected an integer >= 0"),
+        ("--sigma", "random-spd:-3", "--sigma 'random-spd:-3': expected an integer >= 0"),
+        ("--d", "0", "--d 0: expected an integer >= 1"),
+        ("--n", "-1", "--n -1: expected an integer >= 0"),
+    ])
+    def test_bad_spec_exits_1_before_any_output(self, tmp_path, option, value, message):
+        args = {"--d": "2", "--T": "8", "--n": "3", option: value}
+        out = tmp_path / "c.jsonl"
+        done = run_process("-m", "bridgescore.cli", "simulate",
+                           *[v for pair in args.items() for v in pair], "--out", out)
+        assert_clean_exit_1(done, f"error: {message}")
+        assert len(done.stderr.splitlines()) == 1 and "Warning" not in done.stderr
+        assert not out.exists()
+
 
 class TestIngestionDiagnostics:
     def write_lines(self, tmp_path, lines):
