@@ -67,7 +67,6 @@ from .evalsuite import (
     discrimination_accuracy,
     domain_swap_compare,
     global_shuffle,
-    label_relation,
     local_shuffle,
     make_shuffle_set,
     relative_accuracy,

@@ -25,6 +25,7 @@ from .errors import (
     DimensionMismatchError,
     InsufficientDataError,
     NotPositiveDefiniteError,
+    NumericalError,
     SingularEstimateError,
     ValidationError,
 )
@@ -250,7 +251,8 @@ def pooled_covariance(trajs) -> tuple[np.ndarray, int]:
     Returns (M, weight) with M = (sum_i R_i Sigma_Ti^-1 R_i^T) / weight
     = (sum_i dR_i^T dR_i) / weight, weight = sum_i (T_i - 1), symmetrized. The
     Gram sum runs in id order, _GRAM_DOCS documents per BLAS call.
-    shrink_covariance turns M into a validated covariance.
+    shrink_covariance turns M into a validated covariance. Raises
+    NumericalError, naming the document, when the sum overflows float64.
     """
     trajs = sorted(trajs, key=lambda t: t.id)
     if not trajs:
@@ -262,12 +264,23 @@ def pooled_covariance(trajs) -> tuple[np.ndarray, int]:
                 f"trajectory {t.id!r} has d={t.d}, expected {d} like the rest of the corpus"
             )
     acc = np.zeros((d, d))
-    for lo in range(0, len(trajs), _GRAM_DOCS):
-        incr = np.concatenate([increments(t.points) for t in trajs[lo:lo + _GRAM_DOCS]])
-        acc += incr.T @ incr
     weight = sum(t.T - 1 for t in trajs)
-    m = acc / weight
-    return 0.5 * (m + m.T), weight
+    with np.errstate(over="ignore", invalid="ignore"):  # checked once, on the result
+        for lo in range(0, len(trajs), _GRAM_DOCS):
+            incr = np.concatenate([increments(t.points) for t in trajs[lo:lo + _GRAM_DOCS]])
+            acc += incr.T @ incr
+        m = acc / weight
+        m = 0.5 * (m + m.T)
+        if np.isfinite(m).all():
+            return m, weight
+        # name the document at which the id-ordered sum, one at a time, first overflows
+        acc[:] = 0.0
+        for bad in trajs:
+            incr = increments(bad.points)
+            acc += incr.T @ incr
+            if not np.isfinite(acc / weight + acc.T / weight).all():
+                break
+    raise NumericalError(f"trajectory {bad.id!r}: its increments overflow float64")
 
 
 def shrink_covariance(m, epsilon: float) -> tuple[SpatialCovariance, float]:

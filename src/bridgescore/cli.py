@@ -25,7 +25,6 @@ from .evalsuite import (
     ShuffleSpec,
     discrimination_accuracies,
     domain_swap_compare,
-    label_relation,
     make_shuffle_set,
     relative_accuracy,
     stable_seed,
@@ -72,12 +71,12 @@ def _log(out):
     return sys.stderr if same else sys.stdout
 
 
-def _check_model_dim(model: SigmaModel, records, path, model_path) -> None:
-    d = records[0].trajectory.d
-    if model.d != d:
-        raise ValidationError(
-            f"dimension mismatch: corpus {path} has d={d}, model {model_path} has d={model.d}"
-        )
+def _check_model_dim(model: SigmaModel, trajs, path, model_path) -> None:
+    """Raise, naming both files, unless every trajectory of the corpus at path has the model's d."""
+    for traj in trajs:
+        if traj.d != model.d:
+            raise ValidationError(f"dimension mismatch: corpus {path} has d={traj.d}, "
+                                  f"model {model_path} has d={model.d}")
 
 
 def _random_spd(d: int, seed: int) -> np.ndarray:
@@ -203,14 +202,15 @@ def cmd_score(args) -> int:
     sha = hashlib.sha256()
     records, _ = _load_corpus(args.input, sha)
     model = read_sigma_model(args.model)
-    _check_model_dim(model, records, args.input, args.model)
+    trajs = [r.trajectory for r in records]
+    _check_model_dim(model, trajs, args.input, args.model)
     digest = sha.hexdigest()
     if digest == model.source_corpus_digest and not args.allow_in_sample:
         raise ValidationError(
             f"{args.input} is the corpus the model was fitted on; "
             "pass --allow-in-sample to score it anyway (biases bbscore toward 1)"
         )
-    reports = bbscore_batch([r.trajectory for r in records], model.spatial)
+    reports = bbscore_batch(trajs, model.spatial)
     if args.with_heuristic:
         reports = [
             dataclasses.replace(rep, heuristic_score=heuristic_bbscore(rec.trajectory))
@@ -274,8 +274,8 @@ def _shuffle_spec(args, size: int, seed: int) -> ShuffleSpec:
 def cmd_discriminate(args) -> int:
     records, _ = _load_corpus(args.input)
     model = read_sigma_model(args.model)
-    _check_model_dim(model, records, args.input, args.model)
     originals = [r.trajectory for r in records]
+    _check_model_dim(model, originals, args.input, args.model)
     header, sizes = (("block_size", args.block_sizes) if args.kind == "global"
                      else ("windows", args.windows))
     specs = [_shuffle_spec(args, size, args.seed) for size in sizes]
@@ -292,37 +292,35 @@ def cmd_discriminate(args) -> int:
 
 
 def cmd_relative(args) -> int:
-    records_a, _ = _load_corpus(args.set_a)
-    records_b, _ = _load_corpus(args.set_b)
-    model = read_sigma_model(args.model)
-    _check_model_dim(model, records_a, args.set_a, args.model)
-    set_a = [r.trajectory for r in records_a]
-    set_b = [r.trajectory for r in records_b]
-    if args.truth == "a-more-coherent":
-        relation = lambda a, b: 1  # noqa: E731
+    paths = (args.set_a, args.set_b)
+    if args.truth == "labels":
+        corpora = [_labeled_corpus(path, args.label_order.split(",")) for path in paths]
+        sets = [[traj for traj, _ in corpus.items] for corpus in corpora]
+        ranks = [corpus.ranks for corpus in corpora]
     else:
-        labels = []
-        for path, records in ((args.set_a, records_a), (args.set_b, records_b)):
-            unlabeled = [r.trajectory.id for r in records if r.label is None]
-            if unlabeled:
-                raise ValidationError(f"{path}: record {unlabeled[0]!r} has no label; "
-                                      "--truth labels needs labeled sets")
-            labels.append({r.trajectory.id: r.label for r in records})
-        relation = label_relation(labels[0], args.label_order.split(","), labels[1])
-    acc = relative_accuracy(set_a, set_b, relation, model.spatial, use_pvalue=args.use_pvalue)
-    print(f"relative accuracy: {acc:.4f} over {len(set_a)}x{len(set_b)} cross pairs "
+        sets = [[r.trajectory for r in _load_corpus(path)[0]] for path in paths]
+        ranks = [np.ones(len(sets[0])), np.zeros(len(sets[1]))]
+    model = read_sigma_model(args.model)
+    for path, trajs in zip(paths, sets):
+        _check_model_dim(model, trajs, path, args.model)
+    acc = relative_accuracy(*sets, *ranks, model.spatial, use_pvalue=args.use_pvalue)
+    print(f"relative accuracy: {acc:.4f} over {len(sets[0])}x{len(sets[1])} cross pairs "
           f"(truth={args.truth}, use_pvalue={args.use_pvalue}, seed={args.seed})")
     return 0
 
 
 def _labeled_corpus(path, order) -> LabeledCorpus:
+    """The corpus at path with its labels, checked against order; errors name path."""
     records, _ = _load_corpus(path)
     items = []
     for rec in records:
         if rec.label is None:
             raise ValidationError(f"{path}: record {rec.trajectory.id!r} has no label")
         items.append((rec.trajectory, rec.label))
-    return LabeledCorpus(items=tuple(items), label_order=tuple(order))
+    try:
+        return LabeledCorpus(items=tuple(items), label_order=tuple(order))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def cmd_classify(args) -> int:
@@ -330,6 +328,8 @@ def cmd_classify(args) -> int:
     train_corpus = _labeled_corpus(args.train, order)
     test_corpus = _labeled_corpus(args.test, order)
     model = read_sigma_model(args.model)
+    for path, corpus in ((args.train, train_corpus), (args.test, test_corpus)):
+        _check_model_dim(model, [traj for traj, _ in corpus.items], path, args.model)
     use_pvalue = {"auto": None, "score": False, "pvalue": True}[args.axis]
     predicted, rho = threshold_classify(train_corpus, test_corpus, model.spatial,
                                         use_pvalue=use_pvalue)
@@ -348,19 +348,14 @@ def cmd_classify(args) -> int:
 
 
 def cmd_compare_domains(args) -> int:
-    records_a, _ = _load_corpus(args.corpus_a)
-    records_b, _ = _load_corpus(args.corpus_b)
-    sigma_a = read_sigma_model(args.model_a)
-    sigma_b = read_sigma_model(args.model_b)
-    sigma_ref = read_sigma_model(args.model_ref) if args.model_ref else None
-    results = domain_swap_compare(
-        [r.trajectory for r in records_a],
-        [r.trajectory for r in records_b],
-        sigma_a.spatial,
-        sigma_b.spatial,
-        sigma_ref.spatial if sigma_ref else None,
-        pairing=args.pairing,
-    )
+    paths = (args.corpus_a, args.corpus_b)
+    corpora = [[r.trajectory for r in _load_corpus(path)[0]] for path in paths]
+    model_paths = [p for p in (args.model_a, args.model_b, args.model_ref) if p]
+    models = [read_sigma_model(p) for p in model_paths]
+    for model_path, model in zip(model_paths, models):
+        for path, trajs in zip(paths, corpora):
+            _check_model_dim(model, trajs, path, model_path)
+    results = domain_swap_compare(*corpora, *(m.spatial for m in models), pairing=args.pairing)
     print(f"domain comparison (pairing={args.pairing}, seed={args.seed})")
     print(f"{'model':>10}  {'frac A more coherent':>22}")
     for tag in ("sigma_a", "sigma_b", "sigma_ref"):

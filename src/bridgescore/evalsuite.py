@@ -6,7 +6,10 @@ All randomized operations are deterministic given their seed; per-document
 randomness derives from a stable hash of the document id, so results never
 depend on corpus order. Discrimination scores every shuffle size of one
 call in one pass, split over forked processes by document (forks), with
-the same result for any number of processes.
+the same result for any number of processes. Relative accuracy, domain
+comparison and classification thresholds count pairs exactly by sorting
+and sorted search, never one pair at a time; ordinal labels reach them as
+LabeledCorpus.ranks, one coherence rank per document.
 """
 
 from __future__ import annotations
@@ -270,51 +273,34 @@ def _credits(originals, specs, spatial: SpatialCovariance, use_pvalue: bool) -> 
     return out
 
 
-def label_relation(labels, order, labels_b=None):
-    """Pairwise coherence relation from ordinal labels.
-
-    labels maps trajectory id to label; order lists labels from least to
-    most coherent. The returned relation(a, b) is +1 when a is more
-    coherent, -1 when less, 0 on equal labels. b's label comes from
-    labels_b when given, so two sets may share ids.
-    """
-    labels_b = labels if labels_b is None else labels_b
-    rank = {lab: i for i, lab in enumerate(order)}
-    missing = [lab for lab in {*labels.values(), *labels_b.values()} if lab not in rank]
-    if missing:
-        raise ValidationError(f"labels {missing} not in declared order {list(order)}")
-
-    def relation(a: LatentTrajectory, b: LatentTrajectory) -> int:
-        ra, rb = rank[labels[a.id]], rank[labels_b[b.id]]
-        return (ra > rb) - (ra < rb)
-
-    return relation
+def _pairs_below(x, y) -> int:
+    """The number of pairs (i, j) with x[i] < y[j], counted exactly by sorting y."""
+    return int(x.size * y.size - np.searchsorted(np.sort(y), x, side="right").sum())
 
 
-def relative_accuracy(set_a, set_b, coherence_order, spatial: SpatialCovariance,
+def relative_accuracy(set_a, set_b, rank_a, rank_b, spatial: SpatialCovariance,
                       use_pvalue: bool = False) -> float:
     """Fraction of cross pairs whose score ordering matches the ground truth.
 
-    coherence_order(a, b) returns +1 / -1 / 0 for a more / less / equally
-    coherent than b; 0 pairs drop out of the denominator. Lower score means
-    more coherent; pairs with tied scores never count as concordant.
+    rank_a and rank_b hold one coherence rank per document of set_a and
+    set_b, in set order; a higher rank means more coherent, and pairs of
+    equal rank drop out of the denominator. Lower score means more
+    coherent; pairs with tied scores never count as concordant. The pairs
+    are counted by sorting, once per distinct rank of set_b.
     """
-    set_a = sorted(set_a, key=lambda t: t.id)
-    set_b = sorted(set_b, key=lambda t: t.id)
-    if not set_a or not set_b:
+    if not len(set_a) or not len(set_b):
         raise EmptySetError("relative accuracy needs two nonempty sets")
-    scores_a = _corpus_incoherence(set_a, spatial, use_pvalue).tolist()
-    scores_b = _corpus_incoherence(set_b, spatial, use_pvalue).tolist()
-    concordant = 0
-    counted = 0
-    for a, sa in zip(set_a, scores_a):
-        for b, sb in zip(set_b, scores_b):
-            truth = coherence_order(a, b)
-            if truth == 0:
-                continue
-            counted += 1
-            if (truth > 0 and sa < sb) or (truth < 0 and sa > sb):
-                concordant += 1
+    rank_a, rank_b = np.asarray(rank_a), np.asarray(rank_b)
+    if rank_a.shape != (len(set_a),) or rank_b.shape != (len(set_b),):
+        raise ValidationError("relative accuracy needs one rank per document of each set")
+    scores_a = _corpus_incoherence(set_a, spatial, use_pvalue)
+    scores_b = _corpus_incoherence(set_b, spatial, use_pvalue)
+    concordant = counted = 0
+    for r in np.unique(rank_b):
+        sb = scores_b[rank_b == r]
+        above, below = rank_a > r, rank_a < r
+        counted += np.count_nonzero(rank_a != r) * sb.size
+        concordant += _pairs_below(scores_a[above], sb) + _pairs_below(sb, scores_a[below])
     if counted == 0:
         raise DegenerateInputError("ground truth orders no cross pair")
     return concordant / counted
@@ -322,7 +308,7 @@ def relative_accuracy(set_a, set_b, coherence_order, spatial: SpatialCovariance,
 
 @dataclass(frozen=True)
 class LabeledCorpus:
-    """Trajectories with ordinal coherence labels from a declared ordered set."""
+    """Trajectories with ordinal coherence labels from label_order, least coherent first."""
 
     items: tuple
     label_order: tuple
@@ -331,29 +317,31 @@ class LabeledCorpus:
         items = tuple(self.items)
         order = tuple(self.label_order)
         if len(set(order)) != len(order):
-            raise ValidationError("label_order contains duplicates")
-        known = set(order)
+            raise ValidationError(f"label order {list(order)} contains duplicates")
         for traj, label in items:
-            if label not in known:
+            if label not in order:
                 raise ValidationError(
                     f"trajectory {traj.id!r} has label {label!r} outside {list(order)}"
                 )
         object.__setattr__(self, "items", items)
         object.__setattr__(self, "label_order", order)
 
+    @property
+    def ranks(self) -> np.ndarray:
+        """Each item's coherence rank, its label's index in label_order, in item order."""
+        rank = {label: i for i, label in enumerate(self.label_order)}
+        return np.array([rank[label] for _, label in self.items], dtype=int)
+
 
 def _best_boundary(values_low, values_high) -> float:
-    """Threshold maximizing accuracy for 'x >= threshold means less coherent'."""
+    """The first threshold of most hits for 'x >= threshold means less coherent'."""
     both = np.concatenate([values_low, values_high])
     candidates = np.unique(both)
     midpoints = (candidates[:-1] + candidates[1:]) / 2.0
     candidates = np.concatenate([[both.min() - 1.0], midpoints, [both.max() + 1.0]])
-    best_t, best_hits = candidates[0], -1
-    for t in candidates:
-        hits = int(np.sum(values_low >= t)) + int(np.sum(values_high < t))
-        if hits > best_hits:
-            best_hits, best_t = hits, float(t)
-    return best_t
+    hits = (values_low.size - np.searchsorted(np.sort(values_low), candidates)
+            + np.searchsorted(np.sort(values_high), candidates))
+    return float(candidates[np.argmax(hits)])
 
 
 def threshold_classify(train: LabeledCorpus, test: LabeledCorpus,
@@ -376,9 +364,8 @@ def threshold_classify(train: LabeledCorpus, test: LabeledCorpus,
     if use_pvalue is None:
         lengths = {traj.T for traj, _ in train.items} | {traj.T for traj, _ in test.items}
         use_pvalue = len(lengths) > 1
-    rank = {lab: i for i, lab in enumerate(order)}
     train_x = _corpus_incoherence([t for t, _ in train.items], spatial, use_pvalue)
-    train_y = np.array([rank[label] for _, label in train.items])
+    train_y = train.ranks
     boundaries = []
     for c in range(len(order) - 1):
         low = train_x[train_y <= c]      # less coherent side: higher scores
@@ -390,11 +377,10 @@ def threshold_classify(train: LabeledCorpus, test: LabeledCorpus,
     # Predictions must be monotone in score even if per-pair optima cross.
     boundaries = np.sort(np.asarray(boundaries))[::-1]
     test_x = _corpus_incoherence([t for t, _ in test.items], spatial, use_pvalue)
-    predicted = [order[int(np.sum(x < boundaries))] for x in test_x]
-    true_idx = [rank[label] for _, label in test.items]
-    pred_idx = [rank[label] for label in predicted]
+    pred_idx = np.sum(test_x[:, None] < boundaries, axis=1)
+    predicted = [order[i] for i in pred_idx.tolist()]
     try:
-        rho = spearman_rho(pred_idx, true_idx)
+        rho = spearman_rho(pred_idx, test.ranks)
     except DegenerateInputError:
         rho = 0.0
     return predicted, rho
@@ -407,8 +393,9 @@ def domain_swap_compare(corpus_a, corpus_b, sigma_a: SpatialCovariance,
 
     For each supplied covariance, returns the fraction of (a, b) pairs with
     bbscore(a) < bbscore(b), ties counting 0.5, i.e. how often corpus A looks
-    more coherent under that model. pairing "cross" uses the full cross
-    product; "matched" pairs records with equal ids.
+    more coherent under that model. pairing "cross" counts the full cross
+    product by sorting, the ties being the pairs neither way below;
+    "matched" pairs records with equal ids.
     """
     if pairing not in ("cross", "matched"):
         raise ValidationError(f"pairing must be 'cross' or 'matched', got {pairing!r}")
@@ -424,21 +411,17 @@ def domain_swap_compare(corpus_a, corpus_b, sigma_a: SpatialCovariance,
             raise DimensionMismatchError(
                 f"{tag} has dim {model.dim}, corpora have d={corpus_a[0].d}"
             )
-    if pairing == "matched":
-        ids_a = {t.id for t in corpus_a}
-        ids_b = {t.id for t in corpus_b}
-        if ids_a != ids_b:
-            raise ValidationError("matched pairing requires identical id sets in both corpora")
+    if pairing == "matched" and [t.id for t in corpus_a] != [t.id for t in corpus_b]:
+        raise ValidationError("matched pairing requires identical id sets in both corpora")
     results = {}
     for tag, model in models.items():
-        scores_a, scores_b = (
-            dict(zip([t.id for t in corpus], _corpus_incoherence(corpus, model, False).tolist()))
-            for corpus in (corpus_a, corpus_b)
-        )
+        scores_a, scores_b = (_corpus_incoherence(c, model, False) for c in (corpus_a, corpus_b))
         if pairing == "matched":
-            pairs = [(scores_a[i], scores_b[i]) for i in sorted(scores_a)]
+            total = scores_a.size
+            below = np.count_nonzero(scores_a < scores_b)
+            above = np.count_nonzero(scores_a > scores_b)
         else:
-            pairs = [(sa, sb) for sa in scores_a.values() for sb in scores_b.values()]
-        credit = sum(1.0 if sa < sb else 0.5 if sa == sb else 0.0 for sa, sb in pairs)
-        results[tag] = credit / len(pairs)
+            total = scores_a.size * scores_b.size
+            below, above = _pairs_below(scores_a, scores_b), _pairs_below(scores_b, scores_a)
+        results[tag] = (below + 0.5 * (total - below - above)) / total
     return results

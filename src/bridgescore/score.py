@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bridge import LatentTrajectory, SpatialCovariance, increments, quadratic_form, residuals
-from .errors import DegenerateVarianceError, DimensionMismatchError, ValidationError
+from .errors import DegenerateVarianceError, DimensionMismatchError, NumericalError, ValidationError
 from .numerics import LOG_2PI, chi_square_sf
 
 
@@ -39,7 +39,8 @@ def score_statistics(trajs, spatial: SpatialCovariance) -> tuple[np.ndarray, np.
 
     One quadratic_form per document, so a statistic does not depend on its
     neighbours or the corpus order. Raises DimensionMismatchError naming the
-    first trajectory whose d differs from the covariance's.
+    first trajectory whose d differs from the covariance's, and
+    NumericalError naming the first whose statistic overflows float64.
     """
     trajs = list(trajs)
     for traj in trajs:
@@ -47,7 +48,12 @@ def score_statistics(trajs, spatial: SpatialCovariance) -> tuple[np.ndarray, np.
             raise DimensionMismatchError(
                 f"trajectory {traj.id!r} has d={traj.d}, spatial covariance has dim {spatial.dim}"
             )
-    statistic = np.array([quadratic_form(spatial, increments(t.points)) for t in trajs])
+    with np.errstate(over="ignore", invalid="ignore"):  # checked once, on the statistics
+        statistic = np.array([quadratic_form(spatial, increments(t.points)) for t in trajs])
+    finite = np.isfinite(statistic)
+    if not finite.all():
+        bad = trajs[int(np.argmin(finite))]
+        raise NumericalError(f"trajectory {bad.id!r}: its statistic overflows float64")
     return statistic, np.array([(t.T - 1) * t.d for t in trajs], dtype=int)
 
 

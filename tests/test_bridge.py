@@ -5,6 +5,7 @@ from bridgescore import (
     DimensionMismatchError,
     InsufficientDataError,
     LatentTrajectory,
+    NumericalError,
     SingularEstimateError,
     SpatialCovariance,
     SpdMatrix,
@@ -20,6 +21,7 @@ from bridgescore import (
     sample_bridge,
     shrink_covariance,
 )
+from bridgescore.score import score_statistics
 from conftest import (
     dense_log_density,
     dense_quad_form,
@@ -141,6 +143,16 @@ class TestIncrementKernel:
         m_rev, w_rev = pooled_covariance(trajs[::-1])
         np.testing.assert_array_equal(m, m_rev)
         assert w == w_rev
+
+    def test_overflow_names_first_document(self, rng):
+        # finite coordinates whose increments overflow: a NumericalError, not a RuntimeWarning
+        huge = LatentTrajectory("p2", "x", [[1e308, 0.0], [-1e308, 1.0], [0.0, 0.0]])
+        trajs = [random_trajectory(rng, 2, 4, traj_id=f"p{i}") for i in (1, 3)] + [huge]
+        with pytest.raises(NumericalError, match="trajectory 'p2': its increments overflow"):
+            pooled_covariance(trajs)
+        spatial = SpatialCovariance.identity(2)
+        with pytest.raises(NumericalError, match="trajectory 'p2': its statistic overflows"):
+            score_statistics(trajs, spatial)
 
 
 class TestBridgeMean:

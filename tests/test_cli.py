@@ -771,6 +771,112 @@ class TestUnreadableFiles:
         assert_clean_exit_1(done, name)
 
 
+class TestCorpusModelDimensions:
+    """Every corpus is checked against every model it is scored with, naming its file."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        d3 = simulate_file(tmp_path, name="d3.jsonl", n=6, d=3, T=8, seed=3, label="low")
+        d2 = simulate_file(tmp_path, name="d2.jsonl", n=6, d=2, T=8, seed=4, label="high")
+        model3, model2 = tmp_path / "m3.json", tmp_path / "m2.json"
+        assert run("fit", "--in", simulate_file(tmp_path, name="f3.jsonl", d=3, seed=5),
+                   "--out", model3) == 0
+        assert run("fit", "--in", simulate_file(tmp_path, name="f2.jsonl", d=2, seed=6),
+                   "--out", model2) == 0
+        return d3, d2, model3, model2
+
+    def check(self, argv, corpus, model):
+        done = run_process("-m", "bridgescore.cli", *argv)
+        assert_clean_exit_1(done, f"corpus {corpus} has d=")
+        assert f"model {model} has d=" in done.stderr
+
+    @pytest.mark.parametrize("truth", ["labels", "a-more-coherent"])
+    def test_relative_set_b(self, files, truth):
+        d3, d2, model3, _ = files
+        self.check(["relative", "--set-a", d3, "--set-b", d2, "--model", model3,
+                    "--truth", truth, "--label-order", "low,high"], d2, model3)
+
+    @pytest.mark.parametrize("wrong", ["train", "test"])
+    def test_classify(self, files, wrong):
+        d3, d2, model3, _ = files
+        train, test = (d2, d3) if wrong == "train" else (d3, d2)
+        self.check(["classify", "--train", train, "--test", test, "--model", model3,
+                    "--label-order", "low,high"], d2, model3)
+
+    def test_compare_domains_corpus_b(self, files):
+        d3, d2, model3, _ = files
+        self.check(["compare-domains", "--corpus-a", d3, "--corpus-b", d2,
+                    "--model-a", model3, "--model-b", model3], d2, model3)
+
+    def test_compare_domains_reference_model(self, files):
+        d3, _, model3, model2 = files
+        self.check(["compare-domains", "--corpus-a", d3, "--corpus-b", d3, "--model-a", model3,
+                    "--model-b", model3, "--model-ref", model2], d3, model2)
+
+
+class TestLabelErrors:
+    """relative --truth labels and classify share one label check, which names the file."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        low = simulate_file(tmp_path, name="low.jsonl", n=6, T=8, seed=3, label="low")
+        high = simulate_file(tmp_path, name="high.jsonl", n=6, T=8, seed=4, label="high")
+        model = tmp_path / "m.json"
+        assert run("fit", "--in", simulate_file(tmp_path, name="f.jsonl", seed=5),
+                   "--out", model) == 0
+        return low, high, model
+
+    @pytest.mark.parametrize("command", ["relative", "classify"])
+    def test_duplicate_label_order(self, files, command):
+        low, high, model = files
+        argv = (["relative", "--set-a", high, "--set-b", low, "--truth", "labels"]
+                if command == "relative" else ["classify", "--train", high, "--test", low])
+        done = run_process("-m", "bridgescore.cli", *argv, "--model", model,
+                           "--label-order", "low,high,low")
+        assert_clean_exit_1(done, "label order ['low', 'high', 'low'] contains duplicates")
+
+    @pytest.mark.parametrize("command", ["relative", "classify"])
+    def test_label_outside_order_names_file(self, files, command):
+        low, high, model = files
+        argv = (["relative", "--set-a", low, "--set-b", high, "--truth", "labels"]
+                if command == "relative" else ["classify", "--train", low, "--test", high])
+        done = run_process("-m", "bridgescore.cli", *argv, "--model", model,
+                           "--label-order", "low,middle")
+        assert_clean_exit_1(done, f"{high}: trajectory 'sim-00000' has label 'high' outside")
+
+
+class TestOverflowingCoordinates:
+    """Finite coordinates whose increments overflow exit 2, naming the document, unwarned."""
+
+    @pytest.fixture
+    def huge(self, tmp_path):
+        out = tmp_path / "huge.jsonl"
+        assert run("simulate", "--d", 2, "--T", 5, "--n", 3, "--endpoints", "random:1e308",
+                   "--out", out) == 0
+        return out
+
+    @staticmethod
+    def assert_numerical_exit_2(done):
+        assert done.returncode == 2
+        assert done.stderr.startswith("numerical error: trajectory 'sim-00000': its ")
+        assert "Warning" not in done.stderr and "Traceback" not in done.stderr
+
+    def test_fit(self, tmp_path, huge):
+        done = run_process("-m", "bridgescore.cli", "fit", "--in", huge,
+                           "--out", tmp_path / "m.json")
+        self.assert_numerical_exit_2(done)
+        assert "increments overflow float64" in done.stderr
+
+    def test_score(self, tmp_path, huge):
+        model = tmp_path / "m.json"
+        assert run("fit", "--in", simulate_file(tmp_path, name="f.jsonl", seed=5),
+                   "--out", model) == 0
+        done = run_process("-m", "bridgescore.cli", "score", "--in", huge, "--model", model,
+                           "--out", tmp_path / "s.jsonl")
+        self.assert_numerical_exit_2(done)
+        assert "statistic overflows float64" in done.stderr
+
+
 class TestUnwritableOutputs:
     """An --out that cannot be created exits 1 with a path: message, never a traceback."""
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -19,7 +20,6 @@ from bridgescore import (
     discrimination_accuracy,
     domain_swap_compare,
     global_shuffle,
-    label_relation,
     local_shuffle,
     make_shuffle_set,
     mle_sigma,
@@ -334,7 +334,7 @@ class TestRelativeAccuracy:
             spec = ShuffleSpec(kind="global_block", block_size=1, copies=3,
                                seed=stable_seed(5, t.id))
             set_b.extend(make_shuffle_set(t, spec))
-        acc = relative_accuracy(set_a, set_b, lambda a, b: 1, spatial)
+        acc = relative_accuracy(set_a, set_b, np.ones(len(set_a)), np.zeros(len(set_b)), spatial)
         scores_a = {t.id: bbscore(t, spatial).bbscore for t in set_a}
         scores_b = {t.id: bbscore(t, spatial).bbscore for t in set_b}
         wins = sum(1 for sa in scores_a.values() for sb in scores_b.values() if sa < sb)
@@ -343,18 +343,15 @@ class TestRelativeAccuracy:
     def test_self_generated_truth_scores_one(self, sim_setup):
         spatial, originals = sim_setup
         set_a, set_b = originals[:5], originals[5:10]
-        scores = {t.id: bbscore(t, spatial).bbscore for t in originals[:10]}
-
-        def truth(a, b):
-            return (scores[b.id] > scores[a.id]) - (scores[b.id] < scores[a.id])
-
-        assert relative_accuracy(set_a, set_b, truth, spatial) == 1.0
+        # the truth ranks more coherent documents, of lower bbscore, higher
+        rank_a, rank_b = ([-bbscore(t, spatial).bbscore for t in s] for s in (set_a, set_b))
+        assert relative_accuracy(set_a, set_b, rank_a, rank_b, spatial) == 1.0
 
     def test_complement_under_reversed_truth(self, sim_setup):
         spatial, originals = sim_setup
         set_a, set_b = originals[:5], originals[5:10]
-        forward = relative_accuracy(set_a, set_b, lambda a, b: 1, spatial)
-        backward = relative_accuracy(set_a, set_b, lambda a, b: -1, spatial)
+        forward = relative_accuracy(set_a, set_b, [1] * 5, [0] * 5, spatial)
+        backward = relative_accuracy(set_a, set_b, [0] * 5, [1] * 5, spatial)
         assert forward + backward == pytest.approx(1.0)
 
     def test_heavily_shuffled_set_loses(self, sim_setup):
@@ -365,12 +362,13 @@ class TestRelativeAccuracy:
             spec = ShuffleSpec(kind="global_block", block_size=1, copies=3,
                                seed=stable_seed(21, t.id))
             set_b.extend(make_shuffle_set(t, spec))
-        assert relative_accuracy(set_a, set_b, lambda a, b: 1, spatial) > 0.85
+        assert relative_accuracy(set_a, set_b, np.ones(len(set_a)), np.zeros(len(set_b)),
+                                 spatial) > 0.85
 
     def test_empty_sets(self, sim_setup):
         spatial, originals = sim_setup
         with pytest.raises(EmptySetError):
-            relative_accuracy([], originals, lambda a, b: 1, spatial)
+            relative_accuracy([], originals, [], np.zeros(len(originals)), spatial)
 
 
 def scored_corpus_by_class(spatial, d, T, counts, seed0, scales):
@@ -451,15 +449,15 @@ class TestThresholdClassify:
         with pytest.raises(DegenerateLabelsError):
             threshold_classify(corpus, corpus, spatial)
 
-    def test_label_relation_helper(self, sim_setup):
+    def test_labeled_corpus_ranks(self, sim_setup):
         _, originals = sim_setup
-        labels = {originals[0].id: "low", originals[1].id: "high"}
-        rel = label_relation(labels, ("low", "middle", "high"))
-        assert rel(originals[1], originals[0]) == 1
-        assert rel(originals[0], originals[1]) == -1
-        assert rel(originals[0], originals[0]) == 0
-        with pytest.raises(ValidationError):
-            label_relation({"x": "unknown"}, ("low", "high"))
+        items = ((originals[0], "low"), (originals[1], "high"), (originals[2], "low"))
+        corpus = LabeledCorpus(items=items, label_order=("low", "middle", "high"))
+        assert corpus.ranks.tolist() == [0, 2, 0]
+        with pytest.raises(ValidationError, match="'unknown' outside"):
+            LabeledCorpus(items=((originals[0], "unknown"),), label_order=("low", "high"))
+        with pytest.raises(ValidationError, match="duplicates"):
+            LabeledCorpus(items=items, label_order=("low", "high", "low"))
 
 
 class TestDomainSwap:
@@ -501,3 +499,123 @@ class TestDomainSwap:
         result = domain_swap_compare(originals[:4], renamed, spatial, spatial,
                                      pairing="matched")
         assert 0.0 <= result["sigma_a"] <= 1.0
+
+
+def tied_corpus(rng, pool, n, prefix):
+    """n documents drawn from a small pool of point arrays, so many scores tie exactly."""
+    picks = rng.integers(len(pool), size=n)
+    return [LatentTrajectory(f"{prefix}-{i:05d}", "x", pool[k]) for i, k in enumerate(picks)]
+
+
+def loop_relative(scores_a, scores_b, rank_a, rank_b):
+    """relative_accuracy's count, one pair at a time."""
+    concordant = counted = 0
+    for sa, ra in zip(scores_a, rank_a):
+        for sb, rb in zip(scores_b, rank_b):
+            if ra != rb:
+                counted += 1
+                concordant += (ra > rb and sa < sb) or (ra < rb and sa > sb)
+    return concordant / counted
+
+
+def loop_credit(pairs):
+    """domain_swap_compare's fraction, one pair at a time."""
+    return sum(1.0 if sa < sb else 0.5 if sa == sb else 0.0 for sa, sb in pairs) / len(pairs)
+
+
+def loop_boundary(values_low, values_high):
+    """_best_boundary, one candidate at a time: the first with the most hits."""
+    both = np.concatenate([values_low, values_high])
+    candidates = np.unique(both)
+    midpoints = (candidates[:-1] + candidates[1:]) / 2.0
+    candidates = np.concatenate([[both.min() - 1.0], midpoints, [both.max() + 1.0]])
+    best_t, best_hits = candidates[0], -1
+    for t in candidates:
+        hits = int(np.sum(values_low >= t)) + int(np.sum(values_high < t))
+        if hits > best_hits:
+            best_hits, best_t = hits, float(t)
+    return best_t
+
+
+class TestPairCountsMatchLoops:
+    """The sorted counts equal plain double loops exactly, on inputs with heavy ties."""
+
+    @pytest.fixture
+    def tied_sets(self, sim_setup):
+        spatial, originals = sim_setup
+        rng = np.random.default_rng(31)
+        pool = [t.points for t in originals[:6]]
+        set_a, set_b = tied_corpus(rng, pool, 150, "a"), tied_corpus(rng, pool, 120, "b")
+        return spatial, set_a, set_b, rng
+
+    @pytest.mark.parametrize("use_pvalue", [False, True])
+    @pytest.mark.parametrize("ranks", ["three-labels", "real", "b-constant"])
+    def test_relative_accuracy(self, tied_sets, ranks, use_pvalue):
+        spatial, set_a, set_b, rng = tied_sets
+        if ranks == "three-labels":
+            rank_a, rank_b = rng.integers(3, size=len(set_a)), rng.integers(3, size=len(set_b))
+        elif ranks == "real":
+            values = np.array([-0.5, 0.25, 0.3, 2.0])
+            rank_a, rank_b = rng.choice(values, len(set_a)), rng.choice(values, len(set_b))
+        else:
+            rank_a, rank_b = rng.integers(3, size=len(set_a)), np.ones(len(set_b), dtype=int)
+        scores_a, scores_b = (ev._corpus_incoherence(s, spatial, use_pvalue).tolist()
+                              for s in (set_a, set_b))
+        assert len(set(scores_a)) < 10  # heavy ties
+        expected = loop_relative(scores_a, scores_b, rank_a.tolist(), rank_b.tolist())
+        got = relative_accuracy(set_a, set_b, rank_a, rank_b, spatial, use_pvalue=use_pvalue)
+        assert got == expected
+
+    def test_domain_swap_cross(self, tied_sets):
+        spatial, set_a, set_b, _ = tied_sets
+        other = SpatialCovariance(sigma=SpdMatrix(2.0 * spatial.sigma.entries))
+        got = domain_swap_compare(set_a, set_b, spatial, other)
+        for tag, model in (("sigma_a", spatial), ("sigma_b", other)):
+            scores_a, scores_b = (ev._corpus_incoherence(s, model, False).tolist()
+                                  for s in (set_a, set_b))
+            assert got[tag] == loop_credit([(sa, sb) for sa in scores_a for sb in scores_b])
+
+    def test_domain_swap_matched(self, tied_sets):
+        spatial, set_a, _, rng = tied_sets
+        pool = [t.points for t in set_a[:6]]
+        set_b = [LatentTrajectory(t.id, "y", pool[k])
+                 for t, k in zip(set_a, rng.integers(len(pool), size=len(set_a)))]
+        set_b = set_b[::-1]  # pairing is by id, not by position
+        got = domain_swap_compare(set_a, set_b, spatial, spatial, pairing="matched")
+        scores_a = dict(zip([t.id for t in set_a],
+                            ev._corpus_incoherence(set_a, spatial, False).tolist()))
+        scores_b = dict(zip([t.id for t in set_b],
+                            ev._corpus_incoherence(set_b, spatial, False).tolist()))
+        expected = loop_credit([(scores_a[i], scores_b[i]) for i in sorted(scores_a)])
+        assert got["sigma_a"] == got["sigma_b"] == expected
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_best_boundary(self, seed):
+        rng = np.random.default_rng(seed)
+        low = rng.integers(0, 8, size=rng.integers(1, 60)) / 4.0
+        high = rng.integers(0, 6, size=rng.integers(1, 60)) / 4.0
+        assert ev._best_boundary(low, high) == loop_boundary(low, high)
+        assert ev._best_boundary(high, low) == loop_boundary(high, low)
+
+    def test_pairs_below(self):
+        rng = np.random.default_rng(3)
+        x, y = rng.integers(0, 5, size=40) / 2.0, rng.integers(0, 5, size=30) / 2.0
+        assert ev._pairs_below(x, y) == sum(1 for a in x for b in y if a < b)
+        assert ev._pairs_below(x[:0], y) == ev._pairs_below(x, y[:0]) == 0
+
+
+def test_pair_counts_stay_small_at_2000_by_2000(sim_setup):
+    """Neither relative_accuracy nor cross domain_swap_compare holds the 4M pairs in memory."""
+    spatial, originals = sim_setup
+    rng = np.random.default_rng(5)
+    pool = [t.points for t in originals[:20]]
+    set_a, set_b = tied_corpus(rng, pool, 2000, "a"), tied_corpus(rng, pool, 2000, "b")
+    rank_a, rank_b = rng.integers(3, size=2000), rng.integers(3, size=2000)
+    tracemalloc.start()
+    try:
+        relative_accuracy(set_a, set_b, rank_a, rank_b, spatial)
+        domain_swap_compare(set_a, set_b, spatial, spatial)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
