@@ -10,13 +10,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import json
 import os
 import sys
 
 import numpy as np
 
-from . import __version__
 from .bridge import SpatialCovariance, pooled_covariance, sample_bridge, shrink_covariance
 from .encoder import LinearEncoder, RawSequence, TrainerState, train
 from .errors import InsufficientDataError, NumericalError, ValidationError
@@ -31,8 +29,10 @@ from .evalsuite import (
     threshold_classify,
 )
 from .fileio import (
+    TOOL_VERSION,
     SigmaModel,
     TrajectoryRecord,
+    _dumps,
     check_writable,
     file_digest,
     open_output,
@@ -218,7 +218,7 @@ def cmd_score(args) -> int:
         ]
     header = {
         "kind": "scores",
-        "created_by": f"bridgescore {__version__}",
+        "created_by": TOOL_VERSION,
         "model": args.model,
         "model_digest": file_digest(args.model),
         "corpus_digest": digest,
@@ -228,7 +228,7 @@ def cmd_score(args) -> int:
     if args.with_heuristic:
         header["heuristic"] = "reconstruction"
     with open_output(args.out) as fh:
-        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
+        fh.write(_dumps(header) + "\n")
         for rep in reports:
             row = {
                 "id": rep.trajectory_id,
@@ -239,7 +239,7 @@ def cmd_score(args) -> int:
             }
             if rep.heuristic_score is not None:
                 row["heuristic_score"] = rep.heuristic_score
-            fh.write(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n")
+            fh.write(_dumps(row) + "\n")
     mean_score = float(np.mean([r.bbscore for r in reports]))
     print(f"score: {len(reports)} documents, mean bbscore {mean_score:.4f} -> {args.out}",
           file=_log(args.out))
@@ -338,12 +338,11 @@ def cmd_classify(args) -> int:
           f"n={len(predicted)} axis={args.axis} seed={args.seed}")
     if args.out:
         with open_output(args.out) as fh:
-            header = {"kind": "predictions", "created_by": f"bridgescore {__version__}",
+            header = {"kind": "predictions", "created_by": TOOL_VERSION,
                       "spearman_rho": rho, "seed": args.seed}
-            fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
+            fh.write(_dumps(header) + "\n")
             for (traj, truth), pred in zip(test_corpus.items, predicted):
-                fh.write(json.dumps({"id": traj.id, "label": truth, "predicted": pred},
-                                    sort_keys=True, separators=(",", ":")) + "\n")
+                fh.write(_dumps({"id": traj.id, "label": truth, "predicted": pred}) + "\n")
     return 0
 
 
@@ -409,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bridgescore",
         description="Brownian-bridge sequence modeling, covariance fitting, and coherence scoring",
     )
-    parser.add_argument("--version", action="version", version=f"bridgescore {__version__}")
+    parser.add_argument("--version", action="version", version=TOOL_VERSION)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="write simulated bridge trajectories")

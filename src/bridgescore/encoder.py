@@ -27,6 +27,7 @@ from .errors import (
     DimensionMismatchError,
     EmptyBatchError,
     InsufficientDataError,
+    NumericalError,
     SingularEstimateError,
     TrainingDivergedError,
     TripletInfeasibleError,
@@ -277,9 +278,22 @@ class TrainerState:
 
 
 def _domain_stats(encoder: LinearEncoder, corpus) -> tuple[np.ndarray, int]:
-    """A domain's increment Gram matrix, summed in id order, and n = sum_i (T_i - 1)."""
+    """A domain's increment Gram matrix, summed in id order, and n = sum_i (T_i - 1).
+
+    Raises NumericalError naming the sequence at which the id-ordered sum
+    first overflows float64.
+    """
     seqs = sorted(corpus, key=lambda s: s.id)
-    return _increment_gram(encoder, seqs), sum(s.T - 1 for s in seqs)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked once, on the sum
+        gram = _increment_gram(encoder, seqs)
+        if np.isfinite(gram).all():
+            return gram, sum(s.T - 1 for s in seqs)
+        gram[:] = 0.0
+        for bad in seqs:
+            gram += _increment_gram(encoder, [bad])
+            if not np.isfinite(gram).all():
+                break
+    raise NumericalError(f"sequence {bad.id!r}: its increments overflow float64")
 
 
 def _refresh_sigma(state: TrainerState, domain: str, gram, n: int) -> SpatialCovariance:

@@ -28,6 +28,7 @@ from .errors import (
     EmptySetError,
     InfeasibleWindowsError,
     NoNontrivialPermutationError,
+    NumericalError,
     ValidationError,
 )
 from .numerics import chi_square_sf, spearman_rho
@@ -257,7 +258,11 @@ def discrimination_accuracies(originals, specs, spatial: SpatialCovariance,
 
 
 def _credits(originals, specs, spatial: SpatialCovariance, use_pvalue: bool) -> list:
-    """Per spec, the credit array of each original with a distinct shuffled copy, in order."""
+    """Per spec, the credit array of each original with a distinct shuffled copy, in order.
+
+    Raises NumericalError naming the first original whose statistic, or one
+    of whose copies' statistics, overflows float64.
+    """
     out = []
     for spec in specs:
         credits = []
@@ -266,7 +271,12 @@ def _credits(originals, specs, spatial: SpatialCovariance, use_pvalue: bool) -> 
             if not len(copies):
                 continue
             stacked = np.concatenate([traj.points[None], copies])
-            statistic = quadratic_form(spatial, increments(stacked))
+            with np.errstate(over="ignore", invalid="ignore"):  # checked once, on the statistics
+                statistic = quadratic_form(spatial, increments(stacked))
+            if not np.isfinite(statistic).all():
+                raise NumericalError(
+                    f"trajectory {traj.id!r}: its statistic or a shuffled copy's overflows float64"
+                )
             x = _incoherence(statistic, (traj.T - 1) * traj.d, use_pvalue)
             credits.append(np.where(x[0] < x[1:], 1.0, np.where(x[0] == x[1:], 0.5, 0.0)))
         out.append(credits)

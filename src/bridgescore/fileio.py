@@ -18,6 +18,13 @@ Records, errors and written bytes are the same for any number of parts,
 and a child that fails costs time, not output: its part is redone here.
 Ingestion rejects any malformed record with a path:line diagnostic, and
 writers never embed timestamps so reruns produce byte-identical files.
+
+Corpus lines are parsed with orjson. The standard json module parses any
+line that orjson rejects, that could nest deeper than _DEEPEST, or that is
+not a plain valid record (_plain_record), and words its diagnostic, so
+records and errors are those of a read by json alone. json also writes every file and reads model and trainer-state files:
+orjson would read integers past 64 bits as floats, and write float exponents
+without their '+'.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from . import __version__, forks
 from .bridge import LatentTrajectory, SpatialCovariance
@@ -183,6 +191,47 @@ def _parse_record(path, lineno: int, row: dict, line: str) -> TrajectoryRecord:
     return TrajectoryRecord(trajectory=traj, label=label)
 
 
+# The fields a record reads: a line with any other key, such as a header, is left to json.
+_FIELDS = frozenset(("id", "domain", "points", "label"))
+
+# Nesting depth past which orjson is not asked to parse a line. orjson recurses
+# on the C stack, some 60 bytes a level, with no depth limit of its own: a line
+# nested about 150k deep overflows an 8 MiB stack, where json raises
+# RecursionError near Python's recursion limit.
+_DEEPEST = 10_000
+
+
+def _shallow(raw: bytes) -> bool:
+    """True when raw holds at most _DEEPEST '[' and '{' bytes, so nests no deeper."""
+    if len(raw) <= _DEEPEST:
+        return True
+    # '[' | 0x20 is '{', and no other byte ORs to it
+    return np.count_nonzero(np.frombuffer(raw, np.uint8) | 0x20 == ord("{")) <= _DEEPEST
+
+
+def _plain_record(path, lineno: int, line: str) -> TrajectoryRecord | None:
+    """line as a record parsed by orjson, or None when json must decide the line.
+
+    json decides a line that orjson rejects (NaN, Infinity, numbers past
+    float range, lone surrogate escapes), a row with a key beyond _FIELDS,
+    and an invalid record, and words any diagnostic, so that orjson's
+    nesting limit never decides one. A record accepted here is the one
+    json's value gives: both round decimals to the same float, and an
+    integer past 64 bits, which orjson reads as a float, becomes that float
+    in points.
+    """
+    try:
+        row = orjson.loads(line)
+    except orjson.JSONDecodeError:
+        return None
+    if type(row) is not dict or not row.keys() <= _FIELDS:
+        return None
+    try:
+        return _parse_record(path, lineno, row, line)
+    except ValidationError:
+        return None
+
+
 def _json_value(text: str, where: str):
     """text parsed as JSON; malformed, too deeply nested or over-long numbers are rejected."""
     try:
@@ -230,10 +279,15 @@ def _read_span(fh, path, span: tuple[int, int | None], digest=None):
             text = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             return header, rows, (lineno + 1, f": cannot read file ({exc})"), lineno + 1
+        shallow = _shallow(raw)
         for line in text.replace("\r\n", "\n").split("\r") if "\r" in text else (text,):
             lineno += 1
             line = line.strip()
             if not line:
+                continue
+            rec = _plain_record(path, lineno, line) if shallow else None
+            if rec is not None:
+                rows.append((lineno, rec))
                 continue
             where = f"{path}:{lineno}"
             try:

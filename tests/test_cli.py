@@ -185,6 +185,16 @@ class TestIngestionDiagnostics:
                            "--out", tmp_path / "m.json")
         assert_clean_exit_1(done, "bad.jsonl:1")
 
+    @pytest.mark.parametrize("depth", [1000, 1024, 200_000])
+    def test_deep_nesting_cli_exit_1(self, tmp_path, depth):
+        # orjson accepts 1024 levels, and overflows the C stack some 150k levels deep
+        nested = "[" * depth + "]" * depth
+        path = self.write_lines(tmp_path, ['{"id":"a","domain":"d","points":[[0],[1],[2]],'
+                                           f'"x":{nested}}}'])
+        done = run_process("-m", "bridgescore.cli", "fit", "--in", path,
+                           "--out", tmp_path / "m.json")
+        assert_clean_exit_1(done, "bad.jsonl:1: invalid JSON (maximum recursion depth exceeded")
+
     def test_true_in_a_string_keeps_numbers(self, tmp_path):
         path = self.write_lines(
             tmp_path, ['{"id":"true-false","domain":"d","points":[[0,1],[2,3.5],[3,4]]}'])
@@ -428,6 +438,28 @@ class TestScore:
         lines = out.read_text().strip().splitlines()
         assert json.loads(lines[0])["heuristic"] == "reconstruction"
         assert "heuristic_score" in json.loads(lines[1])
+
+
+def test_score_and_predictions_are_compact_sorted_json(tmp_path):
+    # the bytes json.dumps(sort_keys=True, separators=(",", ":")) writes, line by line,
+    # with the tool version in each header
+    low = simulate_file(tmp_path, name="low.jsonl", n=6, T=12, domain="a", label="low")
+    high = simulate_file(tmp_path, name="high.jsonl", n=6, T=12, seed=2, domain="b", label="high")
+    labeled = tmp_path / "both.jsonl"
+    write_trajectories(labeled, read_trajectories(low)[0] + read_trajectories(high)[0])
+    model = tmp_path / "m.json"
+    assert run("fit", "--in", labeled, "--out", model) == 0
+    scores, preds = tmp_path / "s.jsonl", tmp_path / "p.jsonl"
+    assert run("score", "--in", low, "--model", model, "--out", scores, "--with-heuristic") == 0
+    assert run("classify", "--train", labeled, "--test", labeled, "--model", model,
+               "--label-order", "low,high", "--out", preds) == 0
+    for path, rows in ((scores, 7), (preds, 13)):
+        lines = path.read_text().splitlines(keepends=True)
+        assert len(lines) == rows
+        assert json.loads(lines[0])["created_by"] == f"bridgescore {bridgescore.__version__}"
+        compact = [json.dumps(json.loads(line), sort_keys=True, separators=(",", ":")) + "\n"
+                   for line in lines]
+        assert lines == compact
 
 
 class TestShuffleAndDiscriminate:
@@ -856,9 +888,9 @@ class TestOverflowingCoordinates:
         return out
 
     @staticmethod
-    def assert_numerical_exit_2(done):
+    def assert_numerical_exit_2(done, noun="trajectory"):
         assert done.returncode == 2
-        assert done.stderr.startswith("numerical error: trajectory 'sim-00000': its ")
+        assert done.stderr.startswith(f"numerical error: {noun} 'sim-00000': its ")
         assert "Warning" not in done.stderr and "Traceback" not in done.stderr
 
     def test_fit(self, tmp_path, huge):
@@ -875,6 +907,25 @@ class TestOverflowingCoordinates:
                            "--out", tmp_path / "s.jsonl")
         self.assert_numerical_exit_2(done)
         assert "statistic overflows float64" in done.stderr
+
+    @pytest.mark.parametrize("argv", [["--block-sizes", 1], ["--block-sizes", 1, "--use-pvalue"],
+                                      ["--kind", "local", "--windows", 1, "--window-size", 3]])
+    def test_discriminate(self, tmp_path, huge, argv):
+        model = tmp_path / "m.json"
+        assert run("fit", "--in", simulate_file(tmp_path, name="f.jsonl", seed=5),
+                   "--out", model) == 0
+        done = run_process("-m", "bridgescore.cli", "discriminate", "--in", huge,
+                           "--model", model, *argv)
+        self.assert_numerical_exit_2(done)
+        assert "statistic or a shuffled copy's overflows float64" in done.stderr
+        assert done.stdout == ""
+
+    def test_train(self, tmp_path, huge):
+        done = run_process("-m", "bridgescore.cli", "train", "--corpora", huge, "--epochs", 1,
+                           "--out", tmp_path / "state.json")
+        self.assert_numerical_exit_2(done, noun="sequence")
+        assert "increments overflow float64" in done.stderr
+        assert not (tmp_path / "state.json").exists()
 
 
 class TestUnwritableOutputs:

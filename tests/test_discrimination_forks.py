@@ -19,7 +19,7 @@ import pytest
 import bridgescore
 import bridgescore.evalsuite as ev
 import bridgescore.forks as forks
-from bridgescore import LatentTrajectory, ShuffleSpec, discrimination_accuracies
+from bridgescore import LatentTrajectory, NumericalError, ShuffleSpec, discrimination_accuracies
 from conftest import random_spatial, random_trajectory
 
 pytestmark = pytest.mark.skipif(sys.platform != "linux", reason="only Linux forks")
@@ -82,6 +82,18 @@ def test_failed_child_costs_no_output(corpus, monkeypatch, children, partial):
     monkeypatch.setattr(forks, "_send", fail)
     assert at(3, discrimination_accuracies, originals, SPECS["global"], spatial) == want
     assert [child.sent for child in children] == [False, False]
+
+
+def test_overflow_in_a_child_is_raised_here(corpus, children):
+    # the overflowing document is last in id order, so a child scores it, fails, and its
+    # part is redone here, where the NumericalError names it
+    spatial, originals = corpus
+    points = np.arange(24.0).reshape(8, 3)
+    points[0, 0], points[1, 0] = 1e308, -1e308
+    huge = LatentTrajectory("doc-zz", "x", points)
+    with pytest.raises(NumericalError, match="trajectory 'doc-zz': its statistic or a shuffled"):
+        at(2, discrimination_accuracies, [huge, *originals], SPECS["global"], spatial)
+    assert [child.sent for child in children] == [False]
 
 
 def test_one_process_off_linux(corpus, monkeypatch, children):

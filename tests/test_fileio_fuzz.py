@@ -4,13 +4,17 @@ Inputs are arbitrary bytes, arbitrary JSON values, and valid corpus records,
 model files and weight matrices with one field or one matrix entry replaced
 by an arbitrary value, so that the checks past the JSON parse are reached
 too. Every diagnostic names the file, and a corpus read in two spans gives
-the records or the error of a read in one. Runs are derandomized, so the suite
-draws the same examples every time.
+the records or the error of a read in one. The corpus reader parses lines
+with orjson and leaves the rest to json: for any line it gives the records,
+to the bit, or the error of a read by json alone. Runs are derandomized, so
+the suite draws the same examples every time.
 """
 
 import json
 import os
+import struct
 
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -106,17 +110,27 @@ def test_arbitrary_json_value(input_file, value):
     only_validation_errors(input_file, json.dumps(value).encode())
 
 
-def corpus_outcome(path, spans):
-    """The records and header read from path in the given number of spans, or the error."""
+def refuse(text):
+    raise orjson.JSONDecodeError("refused", text, 0)
+
+
+def corpus_outcome(path, spans, json_only=False):
+    """The records and header read from path in the given number of spans, or the error.
+
+    json_only reads every line with json alone, as orjson rejecting each would.
+    """
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fileio, "SPAN_FLOOR", 1)
         mp.setattr(os, "sched_getaffinity", lambda pid: set(range(spans)))
+        if json_only:
+            mp.setattr(orjson, "loads", refuse)
         try:
             records, header = read_trajectories(path)
         except ValidationError as exc:
             return str(exc)
-    return header, [(r.trajectory.id, r.trajectory.domain, r.label, r.trajectory.points.shape,
-                     r.trajectory.points.tobytes()) for r in records]
+    return repr(header), [(r.trajectory.id, r.trajectory.domain, r.label,
+                           r.trajectory.points.shape, r.trajectory.points.tobytes())
+                          for r in records]
 
 
 @FUZZ
@@ -124,3 +138,84 @@ def corpus_outcome(path, spans):
 def test_corpus_lines(input_file, rows):
     only_validation_errors(input_file, "\n".join(map(json.dumps, rows)).encode())
     assert corpus_outcome(input_file, 2) == corpus_outcome(input_file, 1)
+
+
+def same_as_json_alone(path, data: bytes):
+    path.write_bytes(data)
+    assert corpus_outcome(path, 1) == corpus_outcome(path, 1, json_only=True)
+
+
+def nested(depth: int) -> str:
+    return "[" * depth + "]" * depth
+
+
+RECORD = '{"id":"a","domain":"d","points":%s}'
+HEADER = '{"kind":"trajectories","created_by":"x","seed":%s}'
+
+
+@FUZZ
+@given(rows=st.lists(records(), min_size=1, max_size=3))
+@example(rows=[RECORD % "[[NaN],[1],[2]]"])
+@example(rows=[RECORD % "[[Infinity],[1],[2]]"])
+@example(rows=[RECORD % "[[1e400],[1],[2]]"])
+@example(rows=[RECORD % "[[1e-400],[-0.0],[2]]"])
+@example(rows=[RECORD % f"[[{2 ** 64}],[{-2 ** 63 - 1}],[{2 ** 63}]]"])
+@example(rows=[RECORD % f"[[{2 ** 64}, 0.5],[1, 2],[3, 4]]"])
+@example(rows=[RECORD % f"[[{10 ** 400}],[1],[2]]"])
+@example(rows=[RECORD % "[[true],[1],[2]]"])
+@example(rows=['{"id":"\\ud800","domain":"d","points":[[0],[1],[2]]}'])
+@example(rows=['{"id":"a","id":"b","domain":"d","points":[[0],[1],[2]],"points":[[5],[6],[7]]}'])
+@example(rows=["\ufeff" + RECORD % "[[0],[1],[2]]"])
+@example(rows=['{"id":"\x01","domain":"d","points":[[0],[1],[2]]}'])
+@example(rows=[HEADER % 2 ** 64, RECORD % "[[0],[1],[2]]"])
+@example(rows=[RECORD % "[[0],[1],[2]]", HEADER % 1])
+@example(rows=[RECORD % ("[[%s]]" % "],[".join(map(str, range(12_000))))])
+def test_corpus_lines_read_as_json_reads_them(input_file, rows):
+    lines = [row if isinstance(row, str) else json.dumps(row) for row in rows]
+    same_as_json_alone(input_file, "\n".join(lines).encode())
+
+
+@pytest.mark.parametrize("depth", [990, 1000, 1010, 1024, 1025, 1030])
+@pytest.mark.parametrize("where", ["points", "extra", "label"])
+def test_deep_nesting_read_as_json_reads_it(input_file, depth, where):
+    # json stops near Python's recursion limit, where orjson parses on: json decides.
+    # Not under hypothesis, which raises the recursion limit.
+    if where == "points":
+        line = RECORD % nested(depth)
+    else:
+        line = '{"id":"a","domain":"d","points":[[0],[1],[2]],"%s":%s}' % (where, nested(depth))
+    same_as_json_alone(input_file, line.encode())
+    try:
+        read_trajectories(input_file)
+    except ValidationError as exc:
+        assert str(exc).startswith(f"{input_file}:1: ")
+    else:
+        assert where == "extra"  # accepted only as json accepts it
+
+
+def bits_to_float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+random_bit_floats = st.integers(0, 2 ** 64 - 1).map(bits_to_float).filter(
+    lambda x: x == x and abs(x) != float("inf")).map(repr)
+long_decimals = st.builds("{}{}.{}e{}".format, st.sampled_from(["", "-"]),
+                          st.integers(0, 10 ** 40 - 1),
+                          st.text("0123456789", min_size=1, max_size=40),
+                          st.integers(-340, 300))
+
+
+@FUZZ
+@given(numbers=st.lists(random_bit_floats | long_decimals, min_size=3, max_size=40))
+@example(numbers=["5e-324", "2.4703282292062327e-324", "2.4703282292062328e-324",
+                  "1.7976931348623157e308", "1.7976931348623158e308", "9007199254740993",
+                  "0.30000000000000004", "2.2250738585072011e-308"])
+def test_floats_parse_to_the_bits_json_gives(input_file, numbers):
+    for text in numbers:
+        try:
+            fast = orjson.loads(text)
+        except orjson.JSONDecodeError:  # past float range: json's inf is rejected as non-finite
+            assert abs(json.loads(text)) == float("inf")
+            continue
+        assert struct.pack("<d", fast) == struct.pack("<d", float(json.loads(text)))
+    same_as_json_alone(input_file, (RECORD % "[[%s]]" % "],[".join(numbers)).encode())
