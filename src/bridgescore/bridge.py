@@ -113,12 +113,6 @@ class SpatialCovariance:
         return cls(sigma=SpdMatrix(sigma))
 
     @classmethod
-    def from_factor(cls, w) -> "SpatialCovariance":
-        w = np.asarray(w, dtype=float)
-        sigma = w @ w.T
-        return cls(sigma=SpdMatrix(0.5 * (sigma + sigma.T)), w=w)
-
-    @classmethod
     def identity(cls, d: int) -> "SpatialCovariance":
         return cls(sigma=SpdMatrix(np.eye(d)))
 

@@ -142,8 +142,11 @@ def cmd_simulate(args) -> int:
         rng = np.random.default_rng(stable_seed(args.seed, doc_id))
         T = int(rng.integers(t_lo, t_hi + 1)) if t_hi > t_lo else t_lo
         if scale > 0.0:
-            s0 = scale * rng.standard_normal(args.d)
-            sT = scale * rng.standard_normal(args.d)
+            with np.errstate(over="ignore"):  # checked once, on both endpoints
+                s0 = scale * rng.standard_normal(args.d)
+                sT = scale * rng.standard_normal(args.d)
+            if not (np.isfinite(s0).all() and np.isfinite(sT).all()):
+                raise NumericalError(f"trajectory {doc_id!r}: its endpoints overflow float64")
         else:
             s0 = np.zeros(args.d)
             sT = np.zeros(args.d)

@@ -297,9 +297,17 @@ def _domain_stats(encoder: LinearEncoder, corpus) -> tuple[np.ndarray, int]:
 
 
 def _refresh_sigma(state: TrainerState, domain: str, gram, n: int) -> SpatialCovariance:
-    """update_sigma_hat from a domain's (G, n)."""
+    """update_sigma_hat from a domain's (G, n).
+
+    Raises NumericalError naming the domain when W G W^T / n, or its trace,
+    overflows float64.
+    """
     w = state.encoder.weights
-    m = w @ gram @ w.T / n
+    with np.errstate(over="ignore", invalid="ignore"):  # checked once, on m and its trace
+        m = w @ gram @ w.T / n
+        finite = np.isfinite(m).all() and np.isfinite(np.trace(m))
+    if not finite:
+        raise NumericalError(f"domain {domain!r}: its encoded covariance overflows float64")
     eps = state.epsilon if state.shrinkage else 0.0
     try:
         updated, sigma2 = shrink_covariance(0.5 * (m + m.T), eps)

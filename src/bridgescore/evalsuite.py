@@ -4,18 +4,24 @@ Shuffles permute latent vectors directly (one vector per sentence), so the
 same machinery runs on simulated and ingested embedding trajectories alike.
 All randomized operations are deterministic given their seed; per-document
 randomness derives from a stable hash of the document id, so results never
-depend on corpus order. Discrimination scores every shuffle size of one
-call in one pass, split over forked processes by document (forks), with
-the same result for any number of processes. Relative accuracy, domain
-comparison and classification thresholds count pairs exactly by sorting
-and sorted search, never one pair at a time; ordinal labels reach them as
-LabeledCorpus.ranks, one coherence rank per document.
+depend on corpus order. Discrimination takes each document once for every
+shuffle size of one call: its classes of byte-equal points are found once,
+and it and all its distinct copies are scored in one kernel call. The
+documents are split over forked processes (forks), with the same result
+for any number of processes. Local windows are drawn by reading PCG64's
+32-bit stream in Python, as numpy's choice and permutation would draw
+them, at a fraction of the cost of a numpy call per window. Relative
+accuracy, domain comparison and classification thresholds count pairs
+exactly by sorting and sorted search, never one pair at a time; ordinal
+labels reach them as LabeledCorpus.ranks, one coherence rank per document.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import chain
+from operator import length_hint
 
 import numpy as np
 
@@ -95,34 +101,122 @@ def _shuffle_orders(n: int, spec: ShuffleSpec, rng: np.random.Generator, name: s
     window_size consecutive indices, placed uniformly over all disjoint
     placements, each permuted by a uniform non-identity permutation. name
     labels the errors.
+
+    Either kind draws what one numpy call per copy and window draws, and
+    leaves rng where those calls leave it: per copy, global blocks draw
+    rng.permutation(blocks), again while it is the identity; local windows
+    draw sorted(rng.choice(slots, num_windows, replace=False)), then per
+    window rng.permutation(window_size), again while it is the identity.
     """
     _check_shuffle(n, spec, name)
-    if spec.kind == "global_block":
-        # a permutation is drawn again while it is the identity: permuted rows
-        # take the stream of one permutation call each, so a batch of the
-        # copies still needed draws what a call per copy would
-        block = np.arange(n) // spec.block_size
-        identity = np.arange(block[-1] + 1)
-        perms = np.empty((0, identity.size), dtype=identity.dtype)
-        while len(perms) < spec.copies:
-            drawn = rng.permuted(np.tile(identity, (spec.copies - len(perms), 1)), axis=1)
-            perms = np.concatenate([perms, drawn[(drawn != identity).any(axis=1)]])
-        # a stable sort of the indices by their block's new position keeps blocks intact
-        return np.argsort(np.argsort(perms, axis=1)[:, block], axis=1, kind="stable")
-    w, size = spec.num_windows, spec.window_size
+    if spec.kind == "local_window":
+        return _window_orders(n, spec, rng)
+    # a permutation is drawn again while it is the identity: permuted rows
+    # take the stream of one permutation call each, so a batch of the
+    # copies still needed draws what a call per copy would
+    block = np.arange(n) // spec.block_size
+    identity = np.arange(block[-1] + 1)
+    perms = np.empty((0, identity.size), dtype=identity.dtype)
+    while len(perms) < spec.copies:
+        drawn = rng.permuted(np.tile(identity, (spec.copies - len(perms), 1)), axis=1)
+        perms = np.concatenate([perms, drawn[(drawn != identity).any(axis=1)]])
+    # a stable sort of the indices by their block's new position keeps blocks intact
+    return np.argsort(np.argsort(perms, axis=1)[:, block], axis=1, kind="stable")
+
+
+_LOW = 0xFFFFFFFF
+
+
+def _window_orders(n: int, spec: ShuffleSpec, rng: np.random.Generator) -> np.ndarray:
+    """_shuffle_orders of local windows, read from rng's 32-bit stream in Python.
+
+    A numpy call costs far more than its few draws, so they are reproduced on
+    PCG64's 32-bit halves (random_raw, low half first, as next_uint32 hands
+    them out), for slots = n - num_windows * (window_size - 1) < 2**32:
+    - choice(slots, w, replace=False): Floyd's sampling, one Lemire bounded
+      draw on 0..j per j in slots-w..slots-1 (a j of 0 draws nothing), then
+      the Lemire shuffle of the w picks; past 10000 slots and over slots // 50
+      picks, the Lemire shuffle of the last w of 0..slots-1 instead;
+    - permutation(size): shuffle's Fisher-Yates, one masked-rejection draw
+      on 0..i per i in size-1..1.
+    The raws drawn beyond the last half read are rewound, and the buffered
+    half restored, so rng ends in the state numpy's calls leave.
+    """
+    bits = rng.bit_generator
+    if not isinstance(bits, np.random.PCG64):
+        raise ValidationError(f"local windows draw from a PCG64 stream, not {type(bits).__name__}")
+    state = bits.state
+    w, size, copies = spec.num_windows, spec.window_size, spec.copies
+    batches = []  # each refill's halves, and the iterator that reads them
+
+    def refills():
+        halves = [state["uinteger"]] if state["has_uint32"] else []
+        k = copies * w * size + 8  # for windows of 3, more than a call reads on average
+        while True:
+            raw = bits.random_raw(k)
+            pairs = np.empty((k, 2), dtype=np.uint64)
+            pairs[:, 0], pairs[:, 1] = raw & _LOW, raw >> 32
+            halves += pairs.ravel().tolist()
+            batches.append((halves, iter(halves)))
+            yield batches[-1][1]
+            halves = []
+
+    half = chain.from_iterable(refills()).__next__
+
+    def bounded(b):
+        # Lemire: a product whose low half is under 2**32 mod (b + 1) is drawn again
+        r = b + 1
+        low = (1 << 32) % r
+        m = half() * r
+        while m & _LOW < low:
+            m = half() * r
+        return m >> 32
+
     slots = n - w * size + w
-    orders = np.tile(np.arange(n), (spec.copies, 1))
-    identity, item = orders[0].tobytes(), orders.itemsize
-    for order in orders:
-        for k, s in enumerate(sorted(rng.choice(slots, size=w, replace=False).tolist())):
-            s += k * (size - 1)
-            # the windows are disjoint, so this one is still s..s+size-1, and
-            # shuffling it in place draws what rng.permutation(size) draws
-            window = order[s:s + size]
-            rng.shuffle(window)
-            while window.tobytes() == identity[s * item:(s + size) * item]:
-                rng.shuffle(window)
-    return orders
+    tail = slots > 10000 and w > slots // 50
+    masks = [(i, (1 << i.bit_length()) - 1) for i in range(size - 1, 0, -1)]
+    identity = list(range(size))
+    starts, perms = [], []
+    for _ in range(copies):
+        if tail:
+            swapped = {}
+            for i in range(slots - 1, max(slots - w, 1) - 1, -1):
+                j = bounded(i)
+                swapped[i], swapped[j] = swapped.get(j, j), swapped.get(i, i)
+            picks = [swapped.get(i, i) for i in range(slots - w, slots)]
+        else:
+            picks = set()
+            for j in range(slots - w, slots):
+                v = bounded(j) if j else 0
+                picks.add(j if v in picks else v)
+            for i in range(w - 1, 0, -1):
+                bounded(i)  # shuffles the picks, which are sorted anyway
+        for k, s in enumerate(sorted(picks)):
+            # the windows before this one each took size - 1 more points
+            starts.append(s + k * (size - 1))
+            perm = identity
+            while perm == identity:
+                perm = identity[:]
+                for i, mask in masks:
+                    j = half() & mask
+                    while j > i:
+                        j = half() & mask
+                    perm[i], perm[j] = perm[j], perm[i]
+            perms.append(perm)
+    # numpy drew a raw for every two halves read, keeping an odd one's high half
+    halves, unread = batches[-1]
+    left = length_hint(unread)
+    if left > 1:
+        bits.advance(2**128 - left // 2)
+    state = bits.state
+    state["has_uint32"] = left % 2
+    state["uinteger"] = halves[-left] if left % 2 else halves[-left - 1]
+    bits.state = state
+    starts = np.array(starts)
+    orders = np.tile(np.arange(n), copies)
+    at = (starts + np.repeat(np.arange(0, copies * n, n), w))[:, None] + np.arange(size)
+    orders[at] = starts[:, None] + np.array(perms)
+    return orders.reshape(copies, n)
 
 
 def global_shuffle(traj: LatentTrajectory, block_size: int, seed, *,
@@ -158,6 +252,29 @@ def local_shuffle(traj: LatentTrajectory, w: int, window_size: int, seed, *,
     )
 
 
+def _classes(points) -> np.ndarray:
+    """Each point's class of byte-equal points, as an index into the distinct points."""
+    points = np.ascontiguousarray(points)
+    return np.unique(points.view(np.dtype((np.void, points[0].nbytes)))[:, 0],
+                     return_inverse=True)[1]
+
+
+def _distinct(classes, orders) -> list[int]:
+    """The numbers of the orders whose copy equals neither the original nor an earlier copy.
+
+    Two copies are equal exactly when they pick byte-equal points at every
+    position, so they are compared as orders over classes (_classes).
+    """
+    seen = {classes.tobytes()}
+    kept = []
+    for i, key in enumerate(classes[orders]):
+        key = key.tobytes()
+        if key not in seen:
+            seen.add(key)
+            kept.append(i)
+    return kept
+
+
 def _distinct_copies(traj: LatentTrajectory, spec: ShuffleSpec) -> tuple[list[int], np.ndarray]:
     """The copy numbers and stacked (k, T+1, d) points of the distinct shuffled copies.
 
@@ -165,18 +282,7 @@ def _distinct_copies(traj: LatentTrajectory, spec: ShuffleSpec) -> tuple[list[in
     dropped. The copies index the validated original, so they need no checks.
     """
     orders = _shuffle_orders(traj.T + 1, spec, np.random.default_rng(spec.seed), traj.id)
-    # two copies are equal exactly when they pick byte-equal points at every
-    # position, so they are compared as orders over classes of such points
-    points = np.ascontiguousarray(traj.points)
-    _, rows = np.unique(points.view(np.dtype((np.void, points[0].nbytes)))[:, 0],
-                        return_inverse=True)
-    seen = {rows.tobytes()}
-    kept = []
-    for i, key in enumerate(rows[orders]):
-        key = key.tobytes()
-        if key not in seen:
-            seen.add(key)
-            kept.append(i)
+    kept = _distinct(_classes(traj.points), orders)
     return kept, traj.points[orders[kept]]
 
 
@@ -260,26 +366,35 @@ def discrimination_accuracies(originals, specs, spatial: SpatialCovariance,
 def _credits(originals, specs, spatial: SpatialCovariance, use_pvalue: bool) -> list:
     """Per spec, the credit array of each original with a distinct shuffled copy, in order.
 
-    Raises NumericalError naming the first original whose statistic, or one
-    of whose copies' statistics, overflows float64.
+    Each original is taken once: its classes of byte-equal points are found,
+    each spec's orders drawn and deduplicated, and the original and every
+    spec's distinct copies scored in one kernel call. Raises NumericalError
+    naming the first original whose statistic, or one of whose copies'
+    statistics, overflows float64.
     """
-    out = []
-    for spec in specs:
-        credits = []
-        for traj in originals:
-            _, copies = _distinct_copies(traj, replace(spec, seed=stable_seed(spec.seed, traj.id)))
-            if not len(copies):
-                continue
-            stacked = np.concatenate([traj.points[None], copies])
-            with np.errstate(over="ignore", invalid="ignore"):  # checked once, on the statistics
-                statistic = quadratic_form(spatial, increments(stacked))
-            if not np.isfinite(statistic).all():
-                raise NumericalError(
-                    f"trajectory {traj.id!r}: its statistic or a shuffled copy's overflows float64"
-                )
-            x = _incoherence(statistic, (traj.T - 1) * traj.d, use_pvalue)
-            credits.append(np.where(x[0] < x[1:], 1.0, np.where(x[0] == x[1:], 0.5, 0.0)))
-        out.append(credits)
+    out = [[] for _ in specs]
+    for traj in originals:
+        n, classes = traj.T + 1, _classes(traj.points)
+        kept = []
+        for spec in specs:
+            rng = np.random.default_rng(stable_seed(spec.seed, traj.id))
+            orders = _shuffle_orders(n, spec, rng, traj.id)
+            kept.append(orders[_distinct(classes, orders)])
+        counts = [len(k) for k in kept]
+        if not any(counts):
+            continue
+        stacked = traj.points[np.concatenate([np.arange(n)[None], *kept])]
+        with np.errstate(over="ignore", invalid="ignore"):  # checked once, on the statistics
+            statistic = quadratic_form(spatial, increments(stacked))
+        if not np.isfinite(statistic).all():
+            raise NumericalError(
+                f"trajectory {traj.id!r}: its statistic or a shuffled copy's overflows float64"
+            )
+        x = _incoherence(statistic, (traj.T - 1) * traj.d, use_pvalue)
+        credit = np.where(x[0] < x[1:], 1.0, np.where(x[0] == x[1:], 0.5, 0.0))
+        for spec_credits, part in zip(out, np.split(credit, np.cumsum(counts)[:-1])):
+            if part.size:
+                spec_credits.append(part)
     return out
 
 

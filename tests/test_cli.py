@@ -927,6 +927,27 @@ class TestOverflowingCoordinates:
         assert "increments overflow float64" in done.stderr
         assert not (tmp_path / "state.json").exists()
 
+    def test_simulate_endpoints(self, tmp_path):
+        out = tmp_path / "huge.jsonl"
+        done = run_process("-m", "bridgescore.cli", "simulate", "--d", 2, "--T", 5, "--n", 3,
+                           "--endpoints", "random:1e308", "--seed", 1, "--out", out)
+        assert done.returncode == 2
+        assert done.stderr == ("numerical error: trajectory 'sim-00002': "
+                               "its endpoints overflow float64\n")
+        assert not out.exists()
+
+    def test_train_large_weights(self, tmp_path):
+        # the increments' Gram is finite, but W G W^T overflows
+        corpus = simulate_file(tmp_path, n=3, d=2, T=5, seed=1)
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps([[1e160, 0.0], [0.0, 1e160]]))
+        done = run_process("-m", "bridgescore.cli", "train", "--corpora", corpus, "--epochs", 1,
+                           "--init", weights, "--out", tmp_path / "state.json")
+        assert done.returncode == 2
+        assert done.stderr == ("numerical error: domain 'sim': "
+                               "its encoded covariance overflows float64\n")
+        assert not (tmp_path / "state.json").exists()
+
 
 class TestUnwritableOutputs:
     """An --out that cannot be created exits 1 with a path: message, never a traceback."""

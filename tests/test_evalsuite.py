@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bridgescore import (
     DegenerateLabelsError,
@@ -153,6 +155,49 @@ class TestShuffleOrders:
             # the same draws: the stream is left where the plain loop leaves it
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
+    @staticmethod
+    def assert_same_draws(n, spec, want_rng, got_rng):
+        want = plain_orders(n, spec, want_rng)
+        np.testing.assert_array_equal(ev._shuffle_orders(n, spec, got_rng, "doc"), want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @settings(max_examples=300, deadline=None)
+    @given(windows=st.integers(1, 6), size=st.integers(2, 7), spare=st.integers(0, 40),
+           copies=st.integers(1, 8), seed=st.integers(0, 2**64 - 1))
+    def test_windows_match_plain_loop(self, windows, size, spare, copies, seed):
+        n = windows * size + spare
+        spec = ShuffleSpec(kind="local_window", num_windows=windows, window_size=size,
+                           copies=copies)
+        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        self.assert_same_draws(n, spec, want_rng, got_rng)
+
+    @pytest.mark.parametrize("n,spec", SPECS,
+                             ids=[f"{s.kind}-n{n}-b{s.block_size}-w{s.num_windows}x{s.window_size}"
+                                  for n, s in SPECS])
+    def test_buffered_half(self, n, spec):
+        # a 31-bit draw takes the low half of a raw and keeps its high half
+        for seed in range(10):
+            want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            want_rng.integers(2**31)
+            got_rng.integers(2**31)
+            assert got_rng.bit_generator.state["has_uint32"] == 1
+            self.assert_same_draws(n, spec, want_rng, got_rng)
+
+    # Floyd's sampling, and past 10000 slots and slots // 50 windows choice's
+    # shuffle of the last picks; seeds 385 and 299 redraw one Lemire product
+    @pytest.mark.parametrize("n,windows,copies,seed", [(10_200, 200, 5, 385), (10_500, 250, 2, 0),
+                                                       (20_002, 10_001, 1, 299)])
+    def test_windows_over_many_slots(self, n, windows, copies, seed):
+        spec = ShuffleSpec(kind="local_window", num_windows=windows, window_size=2,
+                           copies=copies)
+        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        self.assert_same_draws(n, spec, want_rng, got_rng)
+
+    def test_windows_need_pcg64(self):
+        spec = ShuffleSpec(kind="local_window", num_windows=1, window_size=3, copies=2)
+        with pytest.raises(ValidationError, match="PCG64 stream, not MT19937"):
+            ev._shuffle_orders(6, spec, np.random.Generator(np.random.MT19937(0)), "doc")
+
 
 class TestMakeShuffleSet:
     def test_forced_single_copy(self):
@@ -265,7 +310,8 @@ class TestDiscrimination:
         spatial, originals = sim_setup
 
         # a "copy" equal to the original ties with it
-        monkeypatch.setattr(ev, "_distinct_copies", lambda traj, spec: ([0], traj.points[None]))
+        monkeypatch.setattr(ev, "_shuffle_orders", lambda n, spec, rng, name: np.arange(n)[None])
+        monkeypatch.setattr(ev, "_distinct", lambda classes, orders: [0])
         spec = ShuffleSpec(kind="global_block", block_size=1, copies=5, seed=0)
         assert ev.discrimination_accuracy(originals, spec, spatial) == 0.5
 
