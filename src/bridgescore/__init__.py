@@ -5,20 +5,12 @@ __version__ = "0.1.0"
 from .errors import (
     BridgeModelError,
     DegenerateInputError,
-    DegenerateLabelsError,
-    DegenerateVarianceError,
     DimensionMismatchError,
-    EmptyBatchError,
     EmptySetError,
-    InfeasibleWindowsError,
     InsufficientDataError,
-    LengthMismatchError,
-    NoNontrivialPermutationError,
     NotPositiveDefiniteError,
     NumericalError,
     SingularEstimateError,
-    TrainingDivergedError,
-    TripletInfeasibleError,
     ValidationError,
 )
 from .numerics import (
@@ -31,7 +23,6 @@ from .numerics import (
     spearman_rho,
 )
 from .bridge import (
-    BridgeResiduals,
     LatentTrajectory,
     SpatialCovariance,
     bridge_mean,
@@ -48,7 +39,6 @@ from .bridge import (
 from .score import ScoreReport, bbscore, bbscore_batch, heuristic_bbscore
 from .encoder import (
     LinearEncoder,
-    RawSequence,
     TrainerState,
     cl_gradient,
     cl_loss,

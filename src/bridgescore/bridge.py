@@ -117,23 +117,15 @@ class SpatialCovariance:
         return cls(sigma=SpdMatrix(np.eye(d)))
 
 
-@dataclass(frozen=True)
-class BridgeResiduals:
-    """Deviation of the interior points from the endpoint chord, shape (d, T-1)."""
-
-    centered: np.ndarray
-    trajectory_id: str
-
-
 def bridge_mean(traj: LatentTrajectory) -> np.ndarray:
     """Chord means mu_t = s_0 + (t/T)(s_T - s_0) for t = 1..T-1, shape (d, T-1)."""
     t = np.arange(1, traj.T, dtype=float) / traj.T
     return np.outer(traj.start, 1.0 - t) + np.outer(traj.end, t)
 
 
-def residuals(traj: LatentTrajectory) -> BridgeResiduals:
-    """Interior points minus the bridge mean."""
-    return BridgeResiduals(centered=traj.interior().T - bridge_mean(traj), trajectory_id=traj.id)
+def residuals(traj: LatentTrajectory) -> np.ndarray:
+    """Interior points minus the bridge mean, shape (d, T-1)."""
+    return traj.interior().T - bridge_mean(traj)
 
 
 def increments(points, times=None) -> np.ndarray:

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .bridge import SpatialCovariance, pooled_covariance, sample_bridge, shrink_covariance
-from .encoder import LinearEncoder, RawSequence, TrainerState, train
+from .encoder import LinearEncoder, TrainerState, train
 from .errors import InsufficientDataError, NumericalError, ValidationError
 from .evalsuite import (
     LabeledCorpus,
@@ -71,12 +71,22 @@ def _log(out):
     return sys.stderr if same else sys.stdout
 
 
-def _check_model_dim(model: SigmaModel, trajs, path, model_path) -> None:
-    """Raise, naming both files, unless every trajectory of the corpus at path has the model's d."""
+def _check_dim(trajs, path, model: SigmaModel | None = None, model_path=None) -> int:
+    """The d that every trajectory of the corpus at path has: the model's, or else the first's.
+
+    Raises ValidationError naming path, and model_path when a model is given, on the first
+    trajectory whose d differs.
+    """
+    d = trajs[0].d if model is None else model.d
     for traj in trajs:
-        if traj.d != model.d:
-            raise ValidationError(f"dimension mismatch: corpus {path} has d={traj.d}, "
-                                  f"model {model_path} has d={model.d}")
+        if traj.d == d:
+            continue
+        if model is None:
+            raise ValidationError(f"{path}: trajectory {traj.id!r} has d={traj.d}, "
+                                  f"expected {d} like the rest of the corpus")
+        raise ValidationError(f"dimension mismatch: corpus {path} has d={traj.d}, "
+                              f"model {model_path} has d={d}")
+    return d
 
 
 def _random_spd(d: int, seed: int) -> np.ndarray:
@@ -171,6 +181,7 @@ def cmd_fit(args) -> int:
         if not records:
             raise InsufficientDataError(f"{args.input}: no records in domain {args.domain!r}")
     trajs = [r.trajectory for r in records]
+    _check_dim(trajs, args.input)
     m, weight = pooled_covariance(trajs)
     d = m.shape[0]
     if weight < d:
@@ -206,7 +217,7 @@ def cmd_score(args) -> int:
     records, _ = _load_corpus(args.input, sha)
     model = read_sigma_model(args.model)
     trajs = [r.trajectory for r in records]
-    _check_model_dim(model, trajs, args.input, args.model)
+    _check_dim(trajs, args.input, model, args.model)
     digest = sha.hexdigest()
     if digest == model.source_corpus_digest and not args.allow_in_sample:
         raise ValidationError(
@@ -278,7 +289,7 @@ def cmd_discriminate(args) -> int:
     records, _ = _load_corpus(args.input)
     model = read_sigma_model(args.model)
     originals = [r.trajectory for r in records]
-    _check_model_dim(model, originals, args.input, args.model)
+    _check_dim(originals, args.input, model, args.model)
     header, sizes = (("block_size", args.block_sizes) if args.kind == "global"
                      else ("windows", args.windows))
     specs = [_shuffle_spec(args, size, args.seed) for size in sizes]
@@ -305,7 +316,7 @@ def cmd_relative(args) -> int:
         ranks = [np.ones(len(sets[0])), np.zeros(len(sets[1]))]
     model = read_sigma_model(args.model)
     for path, trajs in zip(paths, sets):
-        _check_model_dim(model, trajs, path, args.model)
+        _check_dim(trajs, path, model, args.model)
     acc = relative_accuracy(*sets, *ranks, model.spatial, use_pvalue=args.use_pvalue)
     print(f"relative accuracy: {acc:.4f} over {len(sets[0])}x{len(sets[1])} cross pairs "
           f"(truth={args.truth}, use_pvalue={args.use_pvalue}, seed={args.seed})")
@@ -332,7 +343,7 @@ def cmd_classify(args) -> int:
     test_corpus = _labeled_corpus(args.test, order)
     model = read_sigma_model(args.model)
     for path, corpus in ((args.train, train_corpus), (args.test, test_corpus)):
-        _check_model_dim(model, [traj for traj, _ in corpus.items], path, args.model)
+        _check_dim([traj for traj, _ in corpus.items], path, model, args.model)
     use_pvalue = {"auto": None, "score": False, "pvalue": True}[args.axis]
     predicted, rho = threshold_classify(train_corpus, test_corpus, model.spatial,
                                         use_pvalue=use_pvalue)
@@ -356,7 +367,7 @@ def cmd_compare_domains(args) -> int:
     models = [read_sigma_model(p) for p in model_paths]
     for model_path, model in zip(model_paths, models):
         for path, trajs in zip(paths, corpora):
-            _check_model_dim(model, trajs, path, model_path)
+            _check_dim(trajs, path, model, model_path)
     results = domain_swap_compare(*corpora, *(m.spatial for m in models), pairing=args.pairing)
     print(f"domain comparison (pairing={args.pairing}, seed={args.seed})")
     print(f"{'model':>10}  {'frac A more coherent':>22}")
@@ -369,13 +380,11 @@ def cmd_compare_domains(args) -> int:
 def cmd_train(args) -> int:
     digest = hashlib.sha256()
     records, _ = _load_corpus(args.corpora, digest)
-    corpora: dict[str, list[RawSequence]] = {}
-    for rec in records:
-        traj = rec.trajectory
-        corpora.setdefault(traj.domain, []).append(
-            RawSequence(id=traj.id, domain=traj.domain, inputs=traj.points)
-        )
-    d_in = records[0].trajectory.d
+    trajs = [rec.trajectory for rec in records]
+    d_in = _check_dim(trajs, args.corpora)
+    corpora = {}
+    for traj in trajs:
+        corpora.setdefault(traj.domain, []).append(traj)
     if args.init == "identity":
         weights = np.eye(args.d_out if args.d_out else d_in, d_in)
     else:

@@ -2,8 +2,8 @@
 
 The encoder is a plain linear map applied pointwise, which keeps every
 gradient analytic and finite-difference checkable while preserving the module
-boundary (raw sequences in, latent trajectories out). Ingested neural
-embeddings bypass this module entirely.
+boundary: a LatentTrajectory of raw input vectors in, its encoding out.
+Ingested neural embeddings bypass this module entirely.
 
 Both losses are quadratic in the weights once the covariances are held
 fixed. Because the chord mean is built from the encoded endpoints, each
@@ -25,45 +25,12 @@ import numpy as np
 from .bridge import LatentTrajectory, SpatialCovariance, increments, shrink_covariance
 from .errors import (
     DimensionMismatchError,
-    EmptyBatchError,
     InsufficientDataError,
     NumericalError,
     SingularEstimateError,
-    TrainingDivergedError,
-    TripletInfeasibleError,
     ValidationError,
 )
 from .numerics import log_det_spd, spd_solve
-
-
-@dataclass(frozen=True)
-class RawSequence:
-    """An unencoded document: T+1 ordered vectors in the raw input space."""
-
-    id: str
-    domain: str
-    inputs: np.ndarray  # (T+1, d_in)
-
-    def __post_init__(self):
-        x = np.array(self.inputs, dtype=float)
-        if x.ndim != 2 or x.shape[1] < 1:
-            raise ValidationError(f"sequence {self.id!r}: inputs must form a (T+1, d_in) matrix")
-        if x.shape[0] < 3:
-            raise ValidationError(
-                f"sequence {self.id!r}: needs at least 3 points (T >= 2), got {x.shape[0]}"
-            )
-        if not np.all(np.isfinite(x)):
-            raise ValidationError(f"sequence {self.id!r}: non-finite coordinate")
-        x.setflags(write=False)
-        object.__setattr__(self, "inputs", x)
-
-    @property
-    def T(self) -> int:
-        return self.inputs.shape[0] - 1
-
-    @property
-    def d_in(self) -> int:
-        return self.inputs.shape[1]
 
 
 @dataclass(frozen=True)
@@ -94,19 +61,23 @@ class LinearEncoder:
         return cls(weights=np.eye(d))
 
 
-def encode(encoder: LinearEncoder, raw: RawSequence) -> LatentTrajectory:
-    """Apply the encoder pointwise; id, domain, and length carry over."""
-    if raw.d_in != encoder.d_in:
+def _check_dim(encoder: LinearEncoder, traj: LatentTrajectory) -> None:
+    if traj.d != encoder.d_in:
         raise DimensionMismatchError(
-            f"sequence {raw.id!r} has d_in={raw.d_in}, encoder expects {encoder.d_in}"
+            f"sequence {traj.id!r} has d_in={traj.d}, encoder expects {encoder.d_in}"
         )
-    return LatentTrajectory(id=raw.id, domain=raw.domain, points=raw.inputs @ encoder.weights.T)
+
+
+def encode(encoder: LinearEncoder, traj: LatentTrajectory) -> LatentTrajectory:
+    """Apply the encoder pointwise; id, domain, and length carry over."""
+    _check_dim(encoder, traj)
+    return LatentTrajectory(id=traj.id, domain=traj.domain, points=traj.points @ encoder.weights.T)
 
 
 # --- contrastive objective ---------------------------------------------------
 
 
-def _check_triplet(seq: RawSequence, triplet) -> tuple[int, int, int]:
+def _check_triplet(seq: LatentTrajectory, triplet) -> tuple[int, int, int]:
     i, j, k = (int(v) for v in triplet)
     if not (0 <= i < j < k <= seq.T):
         raise ValidationError(
@@ -127,14 +98,11 @@ def _cl_terms(encoder: LinearEncoder, batch):
     anchors = np.empty((n, encoder.d_in))
     inv_var = np.empty(n)
     for a, (seq, triplet) in enumerate(batch):
-        if seq.d_in != encoder.d_in:
-            raise DimensionMismatchError(
-                f"sequence {seq.id!r} has d_in={seq.d_in}, encoder expects {encoder.d_in}"
-            )
+        _check_dim(encoder, seq)
         i, j, k = _check_triplet(seq, triplet)
         alpha = (j - i) / (k - i)
-        mids[a] = seq.inputs[j]
-        anchors[a] = (1.0 - alpha) * seq.inputs[i] + alpha * seq.inputs[k]
+        mids[a] = seq.points[j]
+        anchors[a] = (1.0 - alpha) * seq.points[i] + alpha * seq.points[k]
         inv_var[a] = (k - i) / ((j - i) * (k - j))
     contrasts = mids[None, :, :] - anchors[:, None, :]        # (anchor, mid, d_in)
     encoded = contrasts @ encoder.weights.T                   # (anchor, mid, d_out)
@@ -145,13 +113,13 @@ def _cl_terms(encoder: LinearEncoder, batch):
 def cl_loss(encoder: LinearEncoder, batch) -> float:
     """Contrastive loss with in-batch negatives.
 
-    batch is a list of (RawSequence, (start, mid, end)) index triplets. Each
-    anchor's positive is its own middle point; the denominator substitutes
-    every batch member's middle into the anchor's bridge. A single-element
-    batch therefore scores 0.
+    batch is a list of (LatentTrajectory, (start, mid, end)) index
+    triplets. Each anchor's positive is its own middle point; the
+    denominator substitutes every batch member's middle into the anchor's
+    bridge. A single-element batch therefore scores 0.
     """
     if not batch:
-        raise EmptyBatchError("contrastive loss needs at least one triplet")
+        raise ValidationError("contrastive loss needs at least one triplet")
     _, _, logits, _ = _cl_terms(encoder, batch)
     row_max = logits.max(axis=1, keepdims=True)
     lse = row_max[:, 0] + np.log(np.sum(np.exp(logits - row_max), axis=1))
@@ -161,7 +129,7 @@ def cl_loss(encoder: LinearEncoder, batch) -> float:
 def cl_gradient(encoder: LinearEncoder, batch) -> np.ndarray:
     """Analytic d(cl_loss)/d(weights), shape (d_out, d_in)."""
     if not batch:
-        raise EmptyBatchError("contrastive loss needs at least one triplet")
+        raise ValidationError("contrastive loss needs at least one triplet")
     contrasts, encoded, logits, inv_var = _cl_terms(encoder, batch)
     row_max = logits.max(axis=1, keepdims=True)
     expd = np.exp(logits - row_max)
@@ -182,7 +150,7 @@ def sample_triplets(batch, rng) -> list[tuple[int, int, int]]:
     out = []
     for seq in batch:
         if seq.T < 4:
-            raise TripletInfeasibleError(
+            raise ValidationError(
                 f"sequence {seq.id!r} has T={seq.T} < 4; no interior triple exists"
             )
         picks = rng.choice(np.arange(1, seq.T), size=3, replace=False)
@@ -202,19 +170,19 @@ def _increment_gram(encoder: LinearEncoder, batch, triplets=None) -> np.ndarray:
         )
     gram = np.zeros((encoder.d_in, encoder.d_in))
     for seq, triplet in zip(batch, triplets or [None] * len(batch)):
-        if seq.d_in != encoder.d_in:
-            raise DimensionMismatchError(
-                f"sequence {seq.id!r} has d_in={seq.d_in}, encoder expects {encoder.d_in}"
-            )
+        _check_dim(encoder, seq)
         if triplet is None:
-            m = increments(seq.inputs)
+            m = increments(seq.points)
         else:
             times = [0, *(int(v) for v in triplet), seq.T]
             if len(times) != 5 or not 0 < times[1] < times[2] < times[3] < seq.T:
                 raise ValidationError(
                     f"sequence {seq.id!r}: interior triple {triplet} invalid for T={seq.T}"
                 )
-            m = increments(seq.inputs[times], times)
+            m = increments(seq.points[times], times)
+        # one small GEMM per sequence: routing these sums through pooled_covariance's
+        # 32-document GEMMs woke OpenBLAS's thread pool, whose spinning threads raised
+        # train-d64 cmd_cpu_s by about 18% on 2 vCPUs (and moved state.json's last bits)
         gram += m.T @ m
     return gram
 
@@ -392,7 +360,7 @@ def train(state: TrainerState, corpora, epochs: int) -> tuple[TrainerState, list
         current = _objective(state, stats)
         trace.append(current)
         if current > guard:
-            raise TrainingDivergedError(
+            raise NumericalError(
                 f"objective {current:.6g} exceeded 10x its initial magnitude {initial:.6g}"
             )
     return state, trace

@@ -23,10 +23,6 @@ class DimensionMismatchError(ValidationError):
     """Operands carry incompatible dimensions."""
 
 
-class LengthMismatchError(ValidationError):
-    """Paired sequences have different lengths."""
-
-
 class DegenerateInputError(ValidationError):
     """Input has no usable variation (e.g. all values tied)."""
 
@@ -35,28 +31,8 @@ class InsufficientDataError(ValidationError):
     """Too little pooled data to estimate the requested quantity."""
 
 
-class EmptyBatchError(ValidationError):
-    """A training batch contains no elements."""
-
-
-class TripletInfeasibleError(ValidationError):
-    """A sequence is too short to draw a strictly increasing interior triple."""
-
-
-class NoNontrivialPermutationError(ValidationError):
-    """The requested shuffle admits no non-identity permutation."""
-
-
-class InfeasibleWindowsError(ValidationError):
-    """The requested disjoint shuffle windows do not fit in the sequence."""
-
-
 class EmptySetError(ValidationError):
     """An evaluation set is empty."""
-
-
-class DegenerateLabelsError(ValidationError):
-    """Fewer than two distinct labels in the training corpus."""
 
 
 class NotPositiveDefiniteError(NumericalError):
@@ -65,11 +41,3 @@ class NotPositiveDefiniteError(NumericalError):
 
 class SingularEstimateError(NumericalError):
     """An estimated covariance matrix is singular."""
-
-
-class DegenerateVarianceError(NumericalError):
-    """A variance estimate collapsed to zero."""
-
-
-class TrainingDivergedError(NumericalError):
-    """The training objective blew past the divergence guard."""

@@ -29,11 +29,8 @@ from . import forks
 from .bridge import LatentTrajectory, SpatialCovariance, increments, quadratic_form
 from .errors import (
     DegenerateInputError,
-    DegenerateLabelsError,
     DimensionMismatchError,
     EmptySetError,
-    InfeasibleWindowsError,
-    NoNontrivialPermutationError,
     NumericalError,
     ValidationError,
 )
@@ -82,11 +79,11 @@ def _check_shuffle(n: int, spec: ShuffleSpec, name: str) -> None:
     """Raise when spec cannot shuffle n points: under two blocks, or no room for the windows."""
     if spec.kind == "global_block":
         if n < 2 * spec.block_size:
-            raise NoNontrivialPermutationError(
+            raise ValidationError(
                 f"trajectory {name!r}: {n} points cannot form two blocks of {spec.block_size}"
             )
     elif n - spec.num_windows * (spec.window_size - 1) < spec.num_windows:
-        raise InfeasibleWindowsError(
+        raise ValidationError(
             f"trajectory {name!r}: cannot place {spec.num_windows} disjoint windows of "
             f"{spec.window_size} in {n} points"
         )
@@ -485,7 +482,7 @@ def threshold_classify(train: LabeledCorpus, test: LabeledCorpus,
     order = train.label_order
     present = {label for _, label in train.items}
     if len(present) < 2:
-        raise DegenerateLabelsError(f"training corpus has labels {sorted(present)}; need >= 2")
+        raise ValidationError(f"training corpus has labels {sorted(present)}; need >= 2")
     if use_pvalue is None:
         lengths = {traj.T for traj, _ in train.items} | {traj.T for traj, _ in test.items}
         use_pvalue = len(lengths) > 1

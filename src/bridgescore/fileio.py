@@ -22,9 +22,10 @@ writers never embed timestamps so reruns produce byte-identical files.
 Corpus lines are parsed with orjson. The standard json module parses any
 line that orjson rejects, that could nest deeper than _DEEPEST, or that is
 not a plain valid record (_plain_record), and words its diagnostic, so
-records and errors are those of a read by json alone. json also writes every file and reads model and trainer-state files:
-orjson would read integers past 64 bits as floats, and write float exponents
-without their '+'.
+records and errors are those of a read by json alone. json also writes
+every file and reads model and trainer-state files: orjson would read
+integers past 64 bits as floats, and write float exponents without their
+'+'.
 """
 
 from __future__ import annotations

@@ -12,12 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import (
-    DegenerateInputError,
-    LengthMismatchError,
-    NotPositiveDefiniteError,
-    ValidationError,
-)
+from .errors import DegenerateInputError, NotPositiveDefiniteError, ValidationError
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -148,7 +143,7 @@ def spearman_rho(a, b) -> float:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
-        raise LengthMismatchError(f"inputs have shapes {a.shape} and {b.shape}")
+        raise ValidationError(f"inputs have shapes {a.shape} and {b.shape}")
     if a.size < 2:
         raise DegenerateInputError("need at least two observations")
     ra = average_ranks(a)

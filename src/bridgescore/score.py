@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bridge import LatentTrajectory, SpatialCovariance, increments, quadratic_form, residuals
-from .errors import DegenerateVarianceError, DimensionMismatchError, NumericalError, ValidationError
+from .errors import DimensionMismatchError, NumericalError, ValidationError
 from .numerics import LOG_2PI, chi_square_sf
 
 
@@ -89,7 +89,7 @@ def heuristic_bbscore(traj: LatentTrajectory, sigma2="mle") -> float:
     sigma2_hat = [sum_t ||s_t - mu_t||^2 * T / (t(T-t))] / [(T-1) d].
     """
     T, d = traj.T, traj.d
-    r = residuals(traj).centered
+    r = residuals(traj)
     t = np.arange(1, T, dtype=float)
     v = t * (T - t) / T
     sq = np.sum(r * r, axis=0)
@@ -97,7 +97,7 @@ def heuristic_bbscore(traj: LatentTrajectory, sigma2="mle") -> float:
     if sigma2 == "mle":
         s2 = weighted / ((T - 1) * d)
         if s2 <= 0.0:
-            raise DegenerateVarianceError(
+            raise NumericalError(
                 f"trajectory {traj.id!r} lies on its chord; the variance MLE is zero"
             )
     else:

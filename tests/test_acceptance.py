@@ -35,7 +35,6 @@ from bridgescore import (
     sample_triplets,
 )
 from bridgescore.cli import main as cli_main
-from bridgescore.encoder import RawSequence
 from conftest import dense_log_density, random_spd, random_trajectory
 from test_encoder import assert_gradients_close, fd_gradient
 
@@ -144,8 +143,8 @@ def test_criterion_5_gradient_correctness():
             sigma = SpatialCovariance(sigma=SpdMatrix(random_spd(rng, d_out)))
 
             batch = [
-                RawSequence(id=f"n{trial}-{i}", domain="d",
-                            inputs=rng.standard_normal((T + 1, d_in)))
+                LatentTrajectory(id=f"n{trial}-{i}", domain="d",
+                                 points=rng.standard_normal((T + 1, d_in)))
                 for i in range(int(rng.integers(1, 5)))
             ]
             numeric = fd_gradient(
@@ -164,8 +163,8 @@ def test_criterion_5_gradient_correctness():
 
             cl_batch = []
             for i in range(int(rng.integers(2, 6))):
-                seq = RawSequence(id=f"c{trial}-{i}", domain="d",
-                                  inputs=0.7 * rng.standard_normal((T + 1, d_in)))
+                seq = LatentTrajectory(id=f"c{trial}-{i}", domain="d",
+                                       points=0.7 * rng.standard_normal((T + 1, d_in)))
                 cl_batch.append((seq, (0, int(rng.integers(1, T)), T)))
             numeric = fd_gradient(
                 lambda w: cl_loss(LinearEncoder(w), cl_batch), enc.weights

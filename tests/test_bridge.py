@@ -69,7 +69,7 @@ class TestTemporalCov:
             )
             assert np.linalg.slogdet(temporal_matrix(T))[1] == pytest.approx(-np.log(T))
             t = random_trajectory(rng, 1, T)
-            r = residuals(t).centered[0]
+            r = residuals(t)[0]
             dense = float(r @ np.linalg.solve(temporal_matrix(T), r))
             assert quadratic_form(SpatialCovariance.identity(1),
                                   increments(t.points)) == pytest.approx(dense, rel=1e-10)
@@ -84,7 +84,7 @@ class TestIncrementKernel:
 
     def test_t2(self, rng):
         t = random_trajectory(rng, 2, 2)
-        r = residuals(t).centered[:, 0]
+        r = residuals(t)[:, 0]
         np.testing.assert_allclose(increments(t.points), [r, -r], atol=1e-15)
         sigma = random_spd(rng, 2)
         value = quadratic_form(SpatialCovariance(sigma=SpdMatrix(sigma)), increments(t.points))
@@ -94,7 +94,7 @@ class TestIncrementKernel:
         trajs = [random_trajectory(rng, 3, T, traj_id=f"m{T}") for T in (2, 3, 7, 19, 40)]
         acc = np.zeros((3, 3))
         for t in trajs:
-            r = residuals(t).centered
+            r = residuals(t)
             acc += r @ np.linalg.solve(temporal_matrix(t.T), r.T)
         weight = sum(t.T - 1 for t in trajs)
         m, w = pooled_covariance(trajs)
@@ -109,7 +109,7 @@ class TestIncrementKernel:
             times = [0, *triple, T]
             gap = increments(t.points[times], times)
             cols = np.array(triple) - 1
-            r = residuals(t).centered[:, cols]
+            r = residuals(t)[:, cols]
             sub = temporal_matrix(T)[np.ix_(cols, cols)]
             dense = float(np.trace(np.linalg.solve(sigma, r) @ np.linalg.solve(sub, r.T)))
             value = quadratic_form(SpatialCovariance(sigma=SpdMatrix(sigma)), gap)
@@ -174,15 +174,15 @@ class TestResiduals:
     def test_chord_gives_zero(self):
         pts = np.linspace([0.0, 1.0], [4.0, -3.0], num=9)
         t = LatentTrajectory("a", "x", pts)
-        assert np.allclose(residuals(t).centered, 0.0)
+        assert np.allclose(residuals(t), 0.0)
 
     def test_simple_case(self):
         t = LatentTrajectory("a", "x", [[0.0], [1.0], [0.0]])
-        np.testing.assert_allclose(residuals(t).centered, [[1.0]])
+        np.testing.assert_allclose(residuals(t), [[1.0]])
 
     def test_round_trip(self, rng):
         t = random_trajectory(rng, 3, 8)
-        rebuilt = residuals(t).centered + bridge_mean(t)
+        rebuilt = residuals(t) + bridge_mean(t)
         np.testing.assert_allclose(rebuilt.T, t.interior(), atol=1e-14)
 
 
@@ -290,7 +290,7 @@ class TestLogLikelihood:
         shifted = LatentTrajectory(
             "a", "x", t.points + u + np.outer(np.arange(t.T + 1), v)
         )
-        np.testing.assert_allclose(residuals(shifted).centered, residuals(t).centered,
+        np.testing.assert_allclose(residuals(shifted), residuals(t),
                                    atol=1e-10)
         assert log_likelihood(shifted, spatial) == pytest.approx(
             log_likelihood(t, spatial), abs=1e-10

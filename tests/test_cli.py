@@ -804,7 +804,7 @@ class TestUnreadableFiles:
 
 
 class TestCorpusModelDimensions:
-    """Every corpus is checked against every model it is scored with, naming its file."""
+    """Every corpus is checked for one d and against each model it is scored with, naming it."""
 
     @pytest.fixture
     def files(self, tmp_path):
@@ -844,6 +844,18 @@ class TestCorpusModelDimensions:
         d3, _, model3, model2 = files
         self.check(["compare-domains", "--corpus-a", d3, "--corpus-b", d3, "--model-a", model3,
                     "--model-b", model3, "--model-ref", model2], d3, model2)
+
+    @pytest.mark.parametrize("command", ["fit", "train"])
+    def test_mixed_corpus_names_file(self, tmp_path, command):
+        d3 = simulate_file(tmp_path, name="d3.jsonl", n=3, d=3, T=8, seed=3)
+        d2 = simulate_file(tmp_path, name="d2.jsonl", n=3, d=2, T=8, seed=7, domain="other")
+        mixed = tmp_path / "mixed.jsonl"
+        write_trajectories(mixed, read_trajectories(d3)[0] + read_trajectories(d2)[0])
+        argv = ["fit", "--in"] if command == "fit" else ["train", "--epochs", 1, "--corpora"]
+        done = run_process("-m", "bridgescore.cli", *argv, mixed, "--out", tmp_path / "o.json")
+        assert_clean_exit_1(done, f"error: {mixed}: trajectory 'other-00000' has d=2, "
+                                  "expected 3 like the rest of the corpus")
+        assert not (tmp_path / "o.json").exists()
 
 
 class TestLabelErrors:

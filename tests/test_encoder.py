@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 
 from bridgescore import (
-    EmptyBatchError,
+    DimensionMismatchError,
     InsufficientDataError,
     LatentTrajectory,
     LinearEncoder,
-    RawSequence,
+    NumericalError,
     SpatialCovariance,
     SpdMatrix,
-    TrainingDivergedError,
     TrainerState,
-    TripletInfeasibleError,
     ValidationError,
     cl_gradient,
     cl_loss,
@@ -35,8 +33,8 @@ from conftest import dense_quad_form, random_spd, temporal_matrix
 
 
 def raw_sequence(rng, d_in, T, seq_id="r", domain="dom", scale=1.0):
-    return RawSequence(id=seq_id, domain=domain,
-                       inputs=scale * rng.standard_normal((T + 1, d_in)))
+    return LatentTrajectory(id=seq_id, domain=domain,
+                            points=scale * rng.standard_normal((T + 1, d_in)))
 
 
 def fd_gradient(loss_fn, weights, h=1e-5):
@@ -60,7 +58,7 @@ class TestEncode:
     def test_identity(self, rng):
         seq = raw_sequence(rng, 3, 5)
         out = encode(LinearEncoder.identity(3), seq)
-        np.testing.assert_array_equal(out.points, seq.inputs)
+        np.testing.assert_array_equal(out.points, seq.points)
         assert out.id == seq.id and out.domain == seq.domain
 
     def test_zero_weights(self, rng):
@@ -70,14 +68,20 @@ class TestEncode:
 
     def test_linearity(self, rng):
         seq = raw_sequence(rng, 4, 6)
-        doubled = RawSequence(id=seq.id, domain=seq.domain, inputs=2.0 * seq.inputs)
+        doubled = LatentTrajectory(id=seq.id, domain=seq.domain, points=2.0 * seq.points)
         enc = LinearEncoder(rng.standard_normal((3, 4)))
         np.testing.assert_allclose(encode(enc, doubled).points,
                                    2.0 * encode(enc, seq).points, rtol=1e-12)
 
-    def test_dimension_mismatch(self, rng):
-        with pytest.raises(Exception):
-            encode(LinearEncoder.identity(2), raw_sequence(rng, 3, 5))
+    @pytest.mark.parametrize("call", [
+        lambda enc, seq: encode(enc, seq),
+        lambda enc, seq: nll_gradient(enc, [seq], SpatialCovariance.identity(2)),
+        lambda enc, seq: cl_loss(enc, [(seq, (0, 2, 5))]),
+    ], ids=["encode", "nll_gradient", "cl_loss"])
+    def test_dimension_mismatch(self, rng, call):
+        seq = raw_sequence(rng, 3, 5, seq_id="wide")
+        with pytest.raises(DimensionMismatchError, match="sequence 'wide' has d_in=3"):
+            call(LinearEncoder.identity(2), seq)
 
 
 def cl_loss_reference(weights, batch):
@@ -86,15 +90,15 @@ def cl_loss_reference(weights, batch):
     for seq_a, (i, j, k) in batch:
         alpha = (j - i) / (k - i)
         var = (j - i) * (k - j) / (k - i)
-        start = weights @ seq_a.inputs[i]
-        end = weights @ seq_a.inputs[k]
+        start = weights @ seq_a.points[i]
+        end = weights @ seq_a.points[k]
 
         def log_score(mid_raw):
             u = weights @ mid_raw - (1.0 - alpha) * start - alpha * end
             return -float(u @ u) / (2.0 * var)
 
-        positive = log_score(seq_a.inputs[j])
-        denom = sum(math.exp(log_score(seq_m.inputs[jm]))
+        positive = log_score(seq_a.points[j])
+        denom = sum(math.exp(log_score(seq_m.points[jm]))
                     for seq_m, (_, jm, _) in batch)
         total += -(positive - math.log(denom))
     return total / len(batch)
@@ -102,7 +106,7 @@ def cl_loss_reference(weights, batch):
 
 class TestClLoss:
     def test_empty_batch(self):
-        with pytest.raises(EmptyBatchError):
+        with pytest.raises(ValidationError, match="contrastive loss needs at least one triplet"):
             cl_loss(LinearEncoder.identity(2), [])
 
     def test_single_triplet_is_zero(self, rng):
@@ -170,12 +174,12 @@ class TestNllLoss:
         # inputs on an exact chord encode to points on a chord: zero residuals
         sT = np.array([8.0, -4.0])
         inputs = np.array([t / 8 * sT for t in range(9)])
-        seq = RawSequence(id="c", domain="dom", inputs=inputs)
+        seq = LatentTrajectory(id="c", domain="dom", points=inputs)
         enc = LinearEncoder(rng.standard_normal((2, 2)))
         assert nll_batch_loss(enc, [seq], SpatialCovariance.identity(2)) == 0.0
 
     def test_hand_computed(self):
-        seq = RawSequence(id="h", domain="dom", inputs=[[0.0], [1.0], [0.0]])
+        seq = LatentTrajectory(id="h", domain="dom", points=[[0.0], [1.0], [0.0]])
         loss = nll_batch_loss(LinearEncoder.identity(1), [seq],
                               SpatialCovariance.identity(1))
         assert loss == pytest.approx(2.0, rel=1e-12)
@@ -189,12 +193,12 @@ class TestNllLoss:
         assert triplet == pytest.approx(full, rel=1e-12)
 
     def test_triplet_sampling_infeasible(self, rng):
-        with pytest.raises(TripletInfeasibleError):
+        with pytest.raises(ValidationError, match="'r' has T=3 < 4; no interior triple exists"):
             sample_triplets([raw_sequence(rng, 2, 3)], rng)
 
     def test_triplet_sampling_uniform_over_triples(self):
         rng = np.random.default_rng(3)
-        seq = RawSequence(id="u", domain="dom", inputs=np.zeros((6, 1)) + np.arange(6)[:, None])
+        seq = LatentTrajectory(id="u", domain="dom", points=np.arange(6.0)[:, None])
         counts = {}
         for _ in range(4000):
             (trip,) = sample_triplets([seq], rng)
@@ -226,7 +230,7 @@ class TestNllLoss:
                 nll_batch_loss(enc, [seq], sigma, triplets=[trip]) for trip in triples
             ])
             traj = encode(enc, seq)
-            r = residuals(traj).centered
+            r = residuals(traj)
             quad = float(np.trace(np.linalg.solve(sigma.sigma.entries, r) @ kernel @ r.T))
             assert avg == pytest.approx(quad, rel=1e-10)
             assert float(np.trace(kernel @ tc)) == pytest.approx(3.0, rel=1e-10)
@@ -239,7 +243,7 @@ class TestNllGradient:
     def test_zero_residual_zero_gradient(self, rng):
         sT = np.array([8.0, -4.0])
         inputs = np.array([t / 8 * sT for t in range(9)])
-        seq = RawSequence(id="c", domain="dom", inputs=inputs)
+        seq = LatentTrajectory(id="c", domain="dom", points=inputs)
         enc = LinearEncoder(rng.standard_normal((2, 2)))
         grad = nll_gradient(enc, [seq], SpatialCovariance.identity(2))
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
@@ -286,7 +290,7 @@ def bridge_corpus(rng, d, T, n, domain, mixing=None, seed0=0):
         traj = sample_bridge(d, T, spatial, np.zeros(d), np.zeros(d),
                              seed=seed0 + i, id=f"{domain}-{i:03d}", domain=domain)
         inputs = traj.points if mixing is None else traj.points @ mixing.T
-        seqs.append(RawSequence(id=traj.id, domain=domain, inputs=inputs))
+        seqs.append(LatentTrajectory(id=traj.id, domain=domain, points=inputs))
     return seqs, sigma
 
 
@@ -368,8 +372,8 @@ def identifiable_corpora(seed, d=3, T=20, n=60, domains=("news", "wiki")):
                                  seed=seed * 10_000 + counter, id=f"{dom}-{i:03d}",
                                  domain=dom)
             counter += 1
-            seqs.append(RawSequence(id=traj.id, domain=dom,
-                                    inputs=traj.points @ mixing.T))
+            seqs.append(LatentTrajectory(id=traj.id, domain=dom,
+                                         points=traj.points @ mixing.T))
         corpora[dom] = seqs
     return corpora, sigma, np.linalg.inv(mixing)
 
@@ -428,7 +432,7 @@ class TestTrain:
         corpora, _, theta_star = identifiable_corpora(9, domains=("solo",))
         state = TrainerState(encoder=LinearEncoder(theta_star), seed=4,
                              step_size=50.0, batch_size=4)
-        with pytest.raises(TrainingDivergedError):
+        with pytest.raises(NumericalError, match="exceeded 10x its initial magnitude"):
             train(state, corpora, 10)
 
     def test_empty_domain_rejected(self):
@@ -483,7 +487,7 @@ def reference_train(state, corpora, epochs):
     seqs = {dom: sorted(corpora[dom], key=lambda s: s.id) for dom in sorted(corpora)}
 
     def refresh(dom):
-        m, _ = pooled_covariance([LatentTrajectory(s.id, dom, s.inputs @ w.T) for s in seqs[dom]])
+        m, _ = pooled_covariance([LatentTrajectory(s.id, dom, s.points @ w.T) for s in seqs[dom]])
         sigma2 = np.trace(m) / len(m)
         return SpatialCovariance.from_matrix((1 - eps) * m + eps * sigma2 * np.eye(len(m)))
 
@@ -492,7 +496,7 @@ def reference_train(state, corpora, epochs):
         for dom, docs in seqs.items():
             logdet = np.linalg.slogdet(sigma[dom].sigma.entries)[1]
             for s in docs:
-                total += (s.T - 1) * logdet + quadratic_form(sigma[dom], increments(s.inputs @ w.T))
+                total += (s.T - 1) * logdet + quadratic_form(sigma[dom], increments(s.points @ w.T))
         return total
 
     sigma = {dom: refresh(dom) for dom in seqs}
@@ -506,7 +510,7 @@ def reference_train(state, corpora, epochs):
                 grad = np.zeros_like(w)
                 for s, trip in zip(batch, trips):
                     times = None if trip is None else [0, *trip, s.T]
-                    dm = increments(s.inputs if trip is None else s.inputs[times], times)
+                    dm = increments(s.points if trip is None else s.points[times], times)
                     grad += 2.0 * np.linalg.solve(sigma[dom].sigma.entries, w @ dm.T @ dm)
                 w = w - state.step_size * grad
             sigma[dom] = refresh(dom)

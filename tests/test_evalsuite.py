@@ -8,12 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bridgescore import (
-    DegenerateLabelsError,
     EmptySetError,
-    InfeasibleWindowsError,
     LabeledCorpus,
     LatentTrajectory,
-    NoNontrivialPermutationError,
     ShuffleSpec,
     SpatialCovariance,
     SpdMatrix,
@@ -56,9 +53,9 @@ class TestStableSeed:
 class TestGlobalShuffle:
     def test_single_block_rejected(self, rng):
         t = random_trajectory(rng, 2, 3)  # 4 points
-        with pytest.raises(NoNontrivialPermutationError):
+        with pytest.raises(ValidationError, match="4 points cannot form two blocks of 4"):
             global_shuffle(t, 4, seed=0)
-        with pytest.raises(NoNontrivialPermutationError):
+        with pytest.raises(ValidationError, match="4 points cannot form two blocks of 3"):
             global_shuffle(t, 3, seed=0)  # 4 < 2 * 3
 
     def test_two_blocks_forced_swap(self):
@@ -101,7 +98,8 @@ class TestLocalShuffle:
 
     def test_infeasible_windows(self, rng):
         t = random_trajectory(rng, 1, 4)  # 5 points
-        with pytest.raises(InfeasibleWindowsError):
+        with pytest.raises(ValidationError,
+                           match="cannot place 2 disjoint windows of 3 in 5 points"):
             local_shuffle(t, 2, 3, seed=0)
 
     def test_multiset_and_change(self, rng):
@@ -492,7 +490,8 @@ class TestThresholdClassify:
         spatial, originals = sim_setup
         items = tuple((t, "low") for t in originals[:4])
         corpus = LabeledCorpus(items=items, label_order=("low", "middle", "high"))
-        with pytest.raises(DegenerateLabelsError):
+        with pytest.raises(ValidationError,
+                           match=r"training corpus has labels \['low'\]; need >= 2"):
             threshold_classify(corpus, corpus, spatial)
 
     def test_labeled_corpus_ranks(self, sim_setup):

@@ -6,7 +6,6 @@ from scipy.integrate import quad
 
 from bridgescore import (
     DegenerateInputError,
-    LengthMismatchError,
     NotPositiveDefiniteError,
     SpdMatrix,
     ValidationError,
@@ -260,7 +259,7 @@ class TestSpearman:
             assert spearman_rho(a, np.tanh(b)) == pytest.approx(base, abs=1e-12)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(ValidationError, match=r"inputs have shapes \(2,\) and \(3,\)"):
             spearman_rho([1, 2], [1, 2, 3])
 
     def test_degenerate(self):

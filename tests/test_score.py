@@ -5,9 +5,9 @@ import pytest
 from scipy.stats import chi2, kstest
 
 from bridgescore import (
-    DegenerateVarianceError,
     DimensionMismatchError,
     LatentTrajectory,
+    NumericalError,
     SpatialCovariance,
     SpdMatrix,
     ValidationError,
@@ -42,7 +42,7 @@ def simulate(spatial, d, T, n, seed0, prefix="s"):
 
 
 def with_scaled_residuals(traj, c):
-    interior = (bridge_mean(traj) + c * residuals(traj).centered).T
+    interior = (bridge_mean(traj) + c * residuals(traj)).T
     pts = traj.points.copy()
     pts[1:-1] = interior
     return LatentTrajectory(traj.id, traj.domain, pts)
@@ -203,7 +203,7 @@ class TestHeuristic:
 
     def test_degenerate_line(self):
         pts = np.linspace([0.0], [5.0], num=6)
-        with pytest.raises(DegenerateVarianceError):
+        with pytest.raises(NumericalError, match="'a' lies on its chord; the variance MLE is zero"):
             heuristic_bbscore(LatentTrajectory("a", "x", pts), "mle")
 
     def test_invalid_sigma2(self, rng):
@@ -220,7 +220,7 @@ class TestHeuristic:
                 spatial_traj = random_spatial(rng, d)
                 t = sample_bridge(d, T, spatial_traj, np.zeros(d), np.zeros(d),
                                   seed=int(rng.integers(1 << 30)))
-                r = residuals(t).centered
+                r = residuals(t)
                 ts = np.arange(1, T, dtype=float)
                 v = ts * (T - ts) / T
                 sq = np.sum(r * r, axis=0)
