@@ -1,65 +1,36 @@
-"""Brownian-bridge sequence modeling, covariance fitting, and coherence scoring."""
+"""Brownian-bridge sequence modeling, covariance fitting, and coherence scoring.
+
+The public names load with their module on first use, so that importing the
+package imports no numpy: the CLI chooses numpy's BLAS threads before then.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .errors import (
-    BridgeModelError,
-    DegenerateInputError,
-    DimensionMismatchError,
-    EmptySetError,
-    InsufficientDataError,
-    NotPositiveDefiniteError,
-    NumericalError,
-    SingularEstimateError,
-    ValidationError,
-)
-from .numerics import (
-    SpdMatrix,
-    average_ranks,
-    chi_square_sf,
-    cholesky,
-    log_det_spd,
-    spd_solve,
-    spearman_rho,
-)
-from .bridge import (
-    LatentTrajectory,
-    SpatialCovariance,
-    bridge_mean,
-    increments,
-    log_likelihood,
-    log_likelihood_corpus,
-    mle_sigma,
-    pooled_covariance,
-    quadratic_form,
-    residuals,
-    sample_bridge,
-    shrink_covariance,
-)
-from .score import ScoreReport, bbscore, bbscore_batch, heuristic_bbscore
-from .encoder import (
-    LinearEncoder,
-    TrainerState,
-    cl_gradient,
-    cl_loss,
-    encode,
-    nll_batch_loss,
-    nll_gradient,
-    nll_objective,
-    sample_triplets,
-    train,
-    update_sigma_hat,
-)
-from .evalsuite import (
-    LabeledCorpus,
-    ShuffleSpec,
-    discrimination_accuracies,
-    discrimination_accuracy,
-    domain_swap_compare,
-    global_shuffle,
-    local_shuffle,
-    make_shuffle_set,
-    relative_accuracy,
-    stable_seed,
-    threshold_classify,
-)
+_HOME = {name: module for module, names in {
+    "errors": "BridgeModelError DegenerateInputError DimensionMismatchError EmptySetError "
+              "InsufficientDataError NotPositiveDefiniteError NumericalError "
+              "SingularEstimateError ValidationError",
+    "numerics": "SpdMatrix average_ranks chi_square_sf cholesky log_det_spd spd_solve "
+                "spearman_rho",
+    "bridge": "LatentTrajectory SpatialCovariance bridge_mean increments log_likelihood "
+              "log_likelihood_corpus mle_sigma pooled_covariance quadratic_form residuals "
+              "sample_bridge shrink_covariance",
+    "score": "ScoreReport bbscore bbscore_batch heuristic_bbscore",
+    "encoder": "LinearEncoder TrainerState cl_gradient cl_loss encode nll_batch_loss "
+               "nll_gradient nll_objective sample_triplets train update_sigma_hat",
+    "evalsuite": "LabeledCorpus ShuffleSpec discrimination_accuracies discrimination_accuracy "
+                 "domain_swap_compare global_shuffle local_shuffle make_shuffle_set "
+                 "relative_accuracy stable_seed threshold_classify",
+}.items() for name in names.split()}
+
+__all__ = [*_HOME]
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value

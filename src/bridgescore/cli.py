@@ -13,7 +13,16 @@ import hashlib
 import os
 import sys
 
-import numpy as np
+# One BLAS thread, unless the environment chooses a count: the forks give the
+# parallelism, a thread pool only spins, and LAPACK's d=256 Cholesky bytes would
+# depend on the CPU count. Once numpy is loaded the setting cannot take effect,
+# and writing it would only leak into the caller's subprocesses.
+if "numpy" not in sys.modules and not any(
+        os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                          "MKL_NUM_THREADS")):
+    os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+import numpy as np  # noqa: E402
 
 from .bridge import SpatialCovariance, pooled_covariance, sample_bridge, shrink_covariance
 from .encoder import LinearEncoder, TrainerState, train

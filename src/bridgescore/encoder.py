@@ -180,9 +180,9 @@ def _increment_gram(encoder: LinearEncoder, batch, triplets=None) -> np.ndarray:
                     f"sequence {seq.id!r}: interior triple {triplet} invalid for T={seq.T}"
                 )
             m = increments(seq.points[times], times)
-        # one small GEMM per sequence: routing these sums through pooled_covariance's
-        # 32-document GEMMs woke OpenBLAS's thread pool, whose spinning threads raised
-        # train-d64 cmd_cpu_s by about 18% on 2 vCPUs (and moved state.json's last bits)
+        # one small GEMM per sequence, in batch order, which fixes state.json's bytes;
+        # pooled_covariance's 32-document GEMMs were slower only while OpenBLAS's
+        # thread pool spun, and the CLI now runs BLAS on one thread
         gram += m.T @ m
     return gram
 

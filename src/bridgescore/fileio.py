@@ -320,20 +320,29 @@ def read_trajectories(path, digest=None) -> tuple[list[TrajectoryRecord], dict]:
     children parse the others. Records are merged and ids checked for
     duplicates in line order, so the records, and the first error, are
     those of one line-by-line read. digest, a hashlib hash, is fed every
-    byte of the file when given: as they are parsed when the file is one
-    span, as a pipe is, which cannot be read twice; else read again.
+    byte of the file once when given: the first span's as they are parsed
+    (all of them for one span, as for a pipe, which cannot be read twice),
+    then the rest while the children parse it.
     """
     records: list[TrajectoryRecord] = []
     header: dict = {}
     seen_ids: set[str] = set()
     offset = 0  # lines before the span
+
+    def parse(span):
+        if span[0] or digest is None:  # no digest, or a child's span redone here
+            return _read_span(fh, path, span)
+        got = _read_span(fh, path, span, digest)
+        if span[1] is not None and got[2] is None:
+            fh.seek(span[1])
+            _feed(fh, digest)
+        return got
+
     try:
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
             spans = _cut(fh, size, forks.process_count(size, SPAN_FLOOR))
-            whole = digest if len(spans) == 1 else None
-            with forks.forked(spans, lambda span: _read_span(fh, path, span, whole),
-                              functools.partial(_send_span, path)) as parts:
+            with forks.forked(spans, parse, functools.partial(_send_span, path)) as parts:
                 for head, rows, error, lines in parts:
                     header = header or head
                     for lineno, rec in rows:
@@ -345,9 +354,6 @@ def read_trajectories(path, digest=None) -> tuple[list[TrajectoryRecord], dict]:
                     if error is not None:
                         raise ValidationError(f"{path}:{offset + error[0]}{error[1]}")
                     offset += lines
-            if digest is not None and whole is None:
-                fh.seek(0)
-                _feed(fh, digest)
     except OSError as exc:
         raise _file_error(path, exc, "read") from exc
     return records, header

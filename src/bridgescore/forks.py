@@ -55,12 +55,14 @@ class Child:
     into the caller, runs its cleanup or flushes buffers it inherited. It
     exits 0 only when send returned and the pipe closed. A fork that fails
     leaves a child that sent nothing and is not ok(), so the caller redoes
-    its work, as for a child that dies. The child may call BLAS: numpy's
-    OpenBLAS stops its thread pool before a fork, and the child starts its
-    own at its first threaded call. What the children only read, such as an
-    inverse Cholesky factor or an imported scipy module, is best made before
-    the fork, so that each child does not make it again. Spawn would cost a
-    fresh interpreter and numpy import per child.
+    its work, as for a child that dies. The child may call BLAS. The CLI
+    runs BLAS on one thread, so it forks a process with no other threads;
+    where numpy runs OpenBLAS's thread pool, OpenBLAS stops it before a fork
+    and the child starts its own at its first threaded call. What the
+    children only read, such as an inverse Cholesky factor or an imported
+    scipy module, is best made before the fork, so that each child does not
+    make it again. Spawn would cost a fresh interpreter and numpy import per
+    child.
     """
 
     def __init__(self, send):

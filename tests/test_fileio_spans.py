@@ -5,6 +5,7 @@ is cut into, so that two and three spans, and the forked children they
 start, run on small files and on a host with any number of CPUs.
 """
 
+import hashlib
 import json
 import os
 import pickle
@@ -149,6 +150,34 @@ def test_failed_reading_child_costs_no_output(tmp_path, monkeypatch, children, p
     monkeypatch.setattr(fileio, "_send_span", fail)
     assert outcome(path, 3) == want
     assert [child.sent for child in children] == [False, False]
+
+
+class Counted:
+    """A sha256 that counts the bytes it is fed."""
+
+    def __init__(self):
+        self.hash, self.fed = hashlib.sha256(), 0
+
+    def update(self, data):
+        self.hash.update(data)
+        self.fed += len(data)
+
+
+@pytest.mark.parametrize("name", CORPORA)
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("fail", [False, True])
+def test_digest_hashes_each_byte_once(tmp_path, monkeypatch, children, name, n, fail):
+    data = CORPORA[name][0].encode()
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(data)
+    if fail:  # every child dies, so its span is parsed again here
+        monkeypatch.setattr(fileio, "_send_span", lambda path, span, pipe: os._exit(1))
+    digest = Counted()
+    records, header = at(n, read_trajectories, path, digest)
+    assert (summary(records), header) == (expected(CORPORA[name][1]), CORPORA[name][2])
+    assert digest.hash.hexdigest() == hashlib.sha256(data).hexdigest()
+    assert digest.fed == len(data)
+    assert len(children) == (n - 1 if b"\n" in data else 0)
 
 
 def test_forks_after_blas_threads_started(tmp_path, monkeypatch, children):
