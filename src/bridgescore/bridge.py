@@ -10,8 +10,8 @@ The bridge is Markov, so Sigma_T^-1 = tridiag(-1, 2, -1), log|Sigma_T| =
 T increments dr_t = (s_{t+1} - s_t) - (s_T - s_0)/T. The likelihood, score
 and pooled MLE all use that form: one O(T d^2) product per document with the
 inverse Cholesky factor of Sigma, never a (T-1) x (T-1) matrix. The
-trainer's linear encoder reduces it further, to one increment Gram matrix
-per domain (see encoder).
+trainer's linear encoder reduces it further, to each domain's pooled
+increment covariance (see encoder).
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .errors import (
 )
 from .numerics import LOG_2PI, SpdMatrix, log_det_spd
 
-_FACTOR_RTOL = 1e-10
 _GRAM_DOCS = 32  # documents per pooled Gram update: a BLAS call of useful size
 
 
@@ -81,32 +80,15 @@ class LatentTrajectory:
 class SpatialCovariance:
     """Spatial covariance Sigma = W W^T coupling latent dimensions at each time.
 
-    The mixing factor w is optional; when absent the Cholesky factor of sigma
-    stands in (any factor with W W^T = Sigma produces the same law).
+    Any factor with W W^T = Sigma produces the same law; sample_bridge mixes
+    with the Cholesky factor of sigma.
     """
 
     sigma: SpdMatrix
-    w: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.w is not None:
-            w = np.array(self.w, dtype=float)
-            if w.shape != (self.sigma.dim, self.sigma.dim):
-                raise ValidationError(
-                    f"mixing factor shape {w.shape} does not match sigma dim {self.sigma.dim}"
-                )
-            resid = np.linalg.norm(w @ w.T - self.sigma.entries)
-            if resid > _FACTOR_RTOL * np.linalg.norm(self.sigma.entries):
-                raise ValidationError("w @ w.T does not reproduce sigma within 1e-10")
-            w.setflags(write=False)
-            object.__setattr__(self, "w", w)
 
     @property
     def dim(self) -> int:
         return self.sigma.dim
-
-    def mixing(self) -> np.ndarray:
-        return self.w if self.w is not None else self.sigma.chol
 
     @classmethod
     def from_matrix(cls, sigma) -> "SpatialCovariance":
@@ -192,7 +174,7 @@ def sample_bridge(d, T, spatial: SpatialCovariance, s0, sT, seed, *,
     t = np.arange(1, T, dtype=float)
     L = np.linalg.cholesky(np.minimum.outer(t, t) * (T - np.maximum.outer(t, t)) / T)
     Z = rng.standard_normal((d, T - 1))
-    deviation = spatial.mixing() @ Z @ L.T
+    deviation = spatial.sigma.chol @ Z @ L.T
     t /= T
     chord = np.outer(s0, 1.0 - t) + np.outer(sT, t)
     points = np.empty((T + 1, d))

@@ -295,12 +295,14 @@ def _shuffle_spec(args, size: int, seed: int) -> ShuffleSpec:
 
 
 def cmd_discriminate(args) -> int:
+    option, header, sizes = (("--block-sizes", "block_size", args.block_sizes)
+                             if args.kind == "global" else ("--windows", "windows", args.windows))
+    if not sizes:
+        raise ValidationError(f"{option} names no size")
     records, _ = _load_corpus(args.input)
     model = read_sigma_model(args.model)
     originals = [r.trajectory for r in records]
     _check_dim(originals, args.input, model, args.model)
-    header, sizes = (("block_size", args.block_sizes) if args.kind == "global"
-                     else ("windows", args.windows))
     specs = [_shuffle_spec(args, size, args.seed) for size in sizes]
     # every size is scored, and a size some document is too short for fails, before any output
     accuracies = discrimination_accuracies(originals, specs, model.spatial,
@@ -387,6 +389,8 @@ def cmd_compare_domains(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.d_out is not None and args.d_out < 1:
+        raise ValidationError(f"--d-out must be >= 1, got {args.d_out}")
     digest = hashlib.sha256()
     records, _ = _load_corpus(args.corpora, digest)
     trajs = [rec.trajectory for rec in records]
@@ -395,13 +399,16 @@ def cmd_train(args) -> int:
     for traj in trajs:
         corpora.setdefault(traj.domain, []).append(traj)
     if args.init == "identity":
-        weights = np.eye(args.d_out if args.d_out else d_in, d_in)
+        weights = np.eye(d_in if args.d_out is None else args.d_out, d_in)
     else:
         weights = read_weights(args.init)
         if weights.shape[1] != d_in:
             raise ValidationError(
                 f"init weights expect d_in={weights.shape[1]}, corpus has d={d_in}"
             )
+        if args.d_out is not None and weights.shape[0] != args.d_out:
+            raise ValidationError(f"--d-out {args.d_out} differs from the row count "
+                                  f"{weights.shape[0]} of {args.init}")
     state = TrainerState(
         encoder=LinearEncoder(weights=weights),
         epsilon=args.epsilon,

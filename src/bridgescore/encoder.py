@@ -9,11 +9,13 @@ Both losses are quadratic in the weights once the covariances are held
 fixed. Because the chord mean is built from the encoded endpoints, each
 latent bridge increment is the encoding of a raw-space increment
 dM = (x_{t+1} - x_t) - (x_T - x_0)/T, and gradients follow in closed form.
-The NLL terms depend on the data only through Gram matrices
-G = sum_i dM_i^T dM_i: the pooled covariance of the encoded corpus is
-W G W^T / n and its quadratic form is <Sigma^-1 W G, W>_F. The trainer forms
-each domain's G once and never re-encodes the corpus, and it runs on numpy
-alone.
+The NLL terms depend on the data only through increment covariances. The
+trainer takes each domain's (M, n) from bridge.pooled_covariance, the
+estimator behind fit, on the raw sequences: M = sum_i dM_i^T dM_i / n, the
+pooled covariance of the encoded corpus is W M W^T, and its summed quadratic
+form is n <Sigma^-1 W M, W>_F. A batch's gradient uses the Gram matrix of its
+own increments. The trainer never re-encodes the corpus, and it runs on
+numpy alone.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bridge import LatentTrajectory, SpatialCovariance, increments, shrink_covariance
+from .bridge import (LatentTrajectory, SpatialCovariance, increments, pooled_covariance,
+                     shrink_covariance)
 from .errors import (
     DimensionMismatchError,
     InsufficientDataError,
@@ -159,7 +162,7 @@ def sample_triplets(batch, rng) -> list[tuple[int, int, int]]:
 
 
 def _increment_gram(encoder: LinearEncoder, batch, triplets=None) -> np.ndarray:
-    """G = sum_i dM_i^T dM_i over the raw-input increments dM_i, in batch order.
+    """G = sum_i dM_i^T dM_i over the raw-input increments dM_i, stacked in batch order.
 
     The encoder is linear, so the latent increments are dM_i W^T. A triplet
     observes its sequence at times (0, t1, t2, t3, T) only, gap-weighted.
@@ -168,7 +171,7 @@ def _increment_gram(encoder: LinearEncoder, batch, triplets=None) -> np.ndarray:
         raise ValidationError(
             f"got {len(triplets)} triplets for a batch of {len(batch)} sequences"
         )
-    gram = np.zeros((encoder.d_in, encoder.d_in))
+    rows = [np.empty((0, encoder.d_in))]  # an empty batch's G is zero
     for seq, triplet in zip(batch, triplets or [None] * len(batch)):
         _check_dim(encoder, seq)
         if triplet is None:
@@ -180,17 +183,9 @@ def _increment_gram(encoder: LinearEncoder, batch, triplets=None) -> np.ndarray:
                     f"sequence {seq.id!r}: interior triple {triplet} invalid for T={seq.T}"
                 )
             m = increments(seq.points[times], times)
-        # one small GEMM per sequence, in batch order, which fixes state.json's bytes;
-        # pooled_covariance's 32-document GEMMs were slower only while OpenBLAS's
-        # thread pool spun, and the CLI now runs BLAS on one thread
-        gram += m.T @ m
-    return gram
-
-
-def _solved_gram(sigma_hat: SpatialCovariance, weights, gram) -> np.ndarray:
-    """Sigma_hat^-1 W G: its inner product with W is the summed quadratic form
-    sum_i tr(Sigma_hat^-1 W dM_i^T dM_i W^T), twice it that form's gradient."""
-    return spd_solve(sigma_hat.sigma, weights @ gram)
+        rows.append(m)
+    stacked = np.concatenate(rows)
+    return stacked.T @ stacked
 
 
 def nll_batch_loss(encoder: LinearEncoder, batch, sigma_hat: SpatialCovariance,
@@ -204,14 +199,14 @@ def nll_batch_loss(encoder: LinearEncoder, batch, sigma_hat: SpatialCovariance,
     """
     w = encoder.weights
     gram = _increment_gram(encoder, batch, triplets)
-    return float(np.vdot(_solved_gram(sigma_hat, w, gram), w))
+    return float(np.vdot(spd_solve(sigma_hat.sigma, w @ gram), w))
 
 
 def nll_gradient(encoder: LinearEncoder, batch, sigma_hat: SpatialCovariance,
                  triplets=None) -> np.ndarray:
     """Analytic d(nll_batch_loss)/d(weights): 2 Sigma_hat^-1 W sum_i dM_i^T dM_i."""
-    return 2.0 * _solved_gram(sigma_hat, encoder.weights,
-                              _increment_gram(encoder, batch, triplets))
+    gram = _increment_gram(encoder, batch, triplets)
+    return 2.0 * spd_solve(sigma_hat.sigma, encoder.weights @ gram)
 
 
 # --- training loop ------------------------------------------------------------
@@ -245,40 +240,30 @@ class TrainerState:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
-def _domain_stats(encoder: LinearEncoder, corpus) -> tuple[np.ndarray, int]:
-    """A domain's increment Gram matrix, summed in id order, and n = sum_i (T_i - 1).
-
-    Raises NumericalError naming the sequence at which the id-ordered sum
-    first overflows float64.
-    """
-    seqs = sorted(corpus, key=lambda s: s.id)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked once, on the sum
-        gram = _increment_gram(encoder, seqs)
-        if np.isfinite(gram).all():
-            return gram, sum(s.T - 1 for s in seqs)
-        gram[:] = 0.0
-        for bad in seqs:
-            gram += _increment_gram(encoder, [bad])
-            if not np.isfinite(gram).all():
-                break
-    raise NumericalError(f"sequence {bad.id!r}: its increments overflow float64")
+def _pooled(encoder: LinearEncoder, domain: str, corpus) -> tuple[np.ndarray, int]:
+    """pooled_covariance's (M, n) of a domain's raw sequences, each first checked against d_in."""
+    if not corpus:
+        raise InsufficientDataError(f"domain {domain!r} has no sequences")
+    for seq in corpus:
+        _check_dim(encoder, seq)
+    return pooled_covariance(corpus)
 
 
-def _refresh_sigma(state: TrainerState, domain: str, gram, n: int) -> SpatialCovariance:
-    """update_sigma_hat from a domain's (G, n).
+def _refresh_sigma(state: TrainerState, domain: str, m) -> SpatialCovariance:
+    """update_sigma_hat from a domain's pooled raw covariance M.
 
-    Raises NumericalError naming the domain when W G W^T / n, or its trace,
+    Raises NumericalError naming the domain when W M W^T, or its trace,
     overflows float64.
     """
     w = state.encoder.weights
-    with np.errstate(over="ignore", invalid="ignore"):  # checked once, on m and its trace
-        m = w @ gram @ w.T / n
-        finite = np.isfinite(m).all() and np.isfinite(np.trace(m))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked once, on W M W^T and its trace
+        encoded = w @ m @ w.T
+        finite = np.isfinite(encoded).all() and np.isfinite(np.trace(encoded))
     if not finite:
         raise NumericalError(f"domain {domain!r}: its encoded covariance overflows float64")
     eps = state.epsilon if state.shrinkage else 0.0
     try:
-        updated, sigma2 = shrink_covariance(0.5 * (m + m.T), eps)
+        updated, sigma2 = shrink_covariance(0.5 * (encoded + encoded.T), eps)
     except SingularEstimateError as exc:
         raise SingularEstimateError(f"domain {domain!r}: {exc}") from exc
     state.sigma_hat[domain] = updated
@@ -286,28 +271,26 @@ def _refresh_sigma(state: TrainerState, domain: str, gram, n: int) -> SpatialCov
     return updated
 
 
-def _objective(state: TrainerState, stats) -> float:
-    """nll_objective from each domain's (G, n)."""
+def _objective(state: TrainerState, pooled) -> float:
+    """nll_objective from each domain's (M, n)."""
     w = state.encoder.weights
     total = 0.0
-    for domain in sorted(stats):
-        gram, n = stats[domain]
+    for domain in sorted(pooled):
+        m, n = pooled[domain]
         sig = state.sigma_hat[domain]
-        total += n * log_det_spd(sig.sigma) + float(np.vdot(_solved_gram(sig, w, gram), w))
+        total += n * (log_det_spd(sig.sigma) + float(np.vdot(spd_solve(sig.sigma, w @ m), w)))
     return total
 
 
 def update_sigma_hat(state: TrainerState, domain: str, corpus) -> SpatialCovariance:
     """Refresh the domain covariance from the current encoder outputs.
 
-    Computes the pooled MLE of the encoded corpus, W G W^T / n, blends it with
+    Computes the pooled MLE of the encoded corpus, W M W^T, blends it with
     epsilon * sigma2_hat * I (sigma2_hat = tr(MLE)/d) through
     shrink_covariance, and stores both the covariance and sigma2_hat on the
     state. With epsilon = 0 or shrinkage=False this is exactly the pooled MLE.
     """
-    if not corpus:
-        raise InsufficientDataError(f"domain {domain!r} has no sequences")
-    return _refresh_sigma(state, domain, *_domain_stats(state.encoder, corpus))
+    return _refresh_sigma(state, domain, _pooled(state.encoder, domain, corpus)[0])
 
 
 def nll_objective(state: TrainerState, corpora) -> float:
@@ -315,9 +298,9 @@ def nll_objective(state: TrainerState, corpora) -> float:
 
     sum_j [ sum_i (T_i - 1) log|Sigma_hat_j|
             + sum_i tr(Sigma_hat_j^-1 R_i Sigma_Ti^-1 R_i^T) ]
-    = sum_j [ n_j log|Sigma_hat_j| + <Sigma_hat_j^-1 W G_j, W>_F ].
+    = sum_j n_j [ log|Sigma_hat_j| + <Sigma_hat_j^-1 W M_j, W>_F ].
     """
-    return _objective(state, {dom: _domain_stats(state.encoder, corpora[dom]) for dom in corpora})
+    return _objective(state, {dom: _pooled(state.encoder, dom, corpora[dom]) for dom in corpora})
 
 
 def train(state: TrainerState, corpora, epochs: int) -> tuple[TrainerState, list[float]]:
@@ -325,8 +308,8 @@ def train(state: TrainerState, corpora, epochs: int) -> tuple[TrainerState, list
 
     Per epoch and per domain, iterate batches taking fixed-step gradient
     steps on the within-batch trace loss while Sigma_hat_j stays fixed, then
-    refresh Sigma_hat_j and move to the next domain. Each domain's Gram
-    matrix is formed once, up front. The returned trace holds the full-data
+    refresh Sigma_hat_j and move to the next domain. Each domain's pooled raw
+    covariance is formed once, up front. The returned trace holds the full-data
     objective before training and after each epoch. Fully deterministic
     given state.seed; epochs=0 returns the state untouched.
     """
@@ -339,11 +322,11 @@ def train(state: TrainerState, corpora, epochs: int) -> tuple[TrainerState, list
         return state, []
     rng = np.random.default_rng(state.seed)
     domains = sorted(corpora)
-    stats = {domain: _domain_stats(state.encoder, corpora[domain]) for domain in domains}
+    pooled = {domain: _pooled(state.encoder, domain, corpora[domain]) for domain in domains}
     for domain in domains:
         if domain not in state.sigma_hat:
-            _refresh_sigma(state, domain, *stats[domain])
-    initial = _objective(state, stats)
+            _refresh_sigma(state, domain, pooled[domain][0])
+    initial = _objective(state, pooled)
     guard = 10.0 * max(abs(initial), 1.0)
     trace = [initial]
     for _ in range(epochs):
@@ -356,8 +339,8 @@ def train(state: TrainerState, corpora, epochs: int) -> tuple[TrainerState, list
                 triplets = sample_triplets(batch, rng) if state.triplet_mode else None
                 grad = nll_gradient(state.encoder, batch, sigma, triplets)
                 state.encoder = LinearEncoder(state.encoder.weights - state.step_size * grad)
-            _refresh_sigma(state, domain, *stats[domain])
-        current = _objective(state, stats)
+            _refresh_sigma(state, domain, pooled[domain][0])
+        current = _objective(state, pooled)
         trace.append(current)
         if current > guard:
             raise NumericalError(

@@ -228,7 +228,7 @@ class TestSampleBridge:
         for T in (2, 3, 17, 60):
             t = sample_bridge(d, T, spatial, np.zeros(d), np.zeros(d), seed=T)
             z = np.random.default_rng(T).standard_normal((d, T - 1))
-            expected = spatial.mixing() @ z @ np.linalg.cholesky(temporal_matrix(T)).T
+            expected = spatial.sigma.chol @ z @ np.linalg.cholesky(temporal_matrix(T)).T
             np.testing.assert_array_equal(t.points[1:-1].T, expected)
 
     def test_dimension_mismatch(self, rng):

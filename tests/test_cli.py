@@ -517,6 +517,21 @@ class TestShuffleAndDiscriminate:
         assert error in done.stderr
         assert done.stdout == ""
 
+    @pytest.mark.parametrize("argv, option", [
+        (["--block-sizes", ""], "--block-sizes"),
+        (["--block-sizes", ","], "--block-sizes"),
+        (["--kind", "local", "--windows", ""], "--windows"),
+    ])
+    def test_empty_size_list_exits_1(self, tmp_path, argv, option):
+        corpus = simulate_file(tmp_path, n=6, T=8)
+        model = tmp_path / "m.json"
+        assert run("fit", "--in", corpus, "--out", model) == 0
+        done = run_process("-m", "bridgescore.cli", "discriminate", "--in", corpus,
+                           "--model", model, *argv, "--copies", 2)
+        assert done.returncode == 1
+        assert done.stderr == f"error: {option} names no size\n"
+        assert done.stdout == ""
+
 
 class TestRelativeClassifyCompare:
     def test_relative_command(self, tmp_path, capsys):
@@ -681,6 +696,33 @@ class TestTrainCommand:
         out = tmp_path / "state.json"
         assert run("train", "--corpora", corpus, "--epochs", 1, "--step-size", "1e-8",
                    "--init", weights, "--out", out) == 0
+
+    @pytest.mark.parametrize("d_out, init_rows, message", [
+        (-1, None, "--d-out must be >= 1, got -1"),
+        (0, None, "--d-out must be >= 1, got 0"),
+        (2, 1, "--d-out 2 differs from the row count 1 of "),
+    ])
+    def test_bad_d_out_exits_1(self, tmp_path, d_out, init_rows, message):
+        corpus = simulate_file(tmp_path, n=6, T=8)
+        argv = ["--d-out", d_out]
+        if init_rows:
+            weights = tmp_path / "w.json"
+            weights.write_text(json.dumps(np.eye(init_rows, 2).tolist()))
+            argv += ["--init", weights]
+        out = tmp_path / "state.json"
+        done = run_process("-m", "bridgescore.cli", "train", "--corpora", corpus, "--epochs", 1,
+                           "--step-size", "1e-8", *argv, "--out", out)
+        assert done.returncode == 1
+        assert done.stderr.startswith(f"error: {message}")
+        assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+        assert not out.exists()
+
+    def test_d_out_sets_the_identity_rows(self, tmp_path):
+        corpus = simulate_file(tmp_path, n=6, T=8)
+        out = tmp_path / "state.json"
+        assert run("train", "--corpora", corpus, "--epochs", 1, "--step-size", "1e-8",
+                   "--d-out", 1, "--out", out) == 0
+        assert np.shape(json.loads(out.read_text())["weights"]) == (1, 2)
 
     def test_sigma_model_file_rejects_tampering(self, tmp_path):
         corpus = simulate_file(tmp_path, n=20, T=12, seed=91)
@@ -935,7 +977,7 @@ class TestOverflowingCoordinates:
     def test_train(self, tmp_path, huge):
         done = run_process("-m", "bridgescore.cli", "train", "--corpora", huge, "--epochs", 1,
                            "--out", tmp_path / "state.json")
-        self.assert_numerical_exit_2(done, noun="sequence")
+        self.assert_numerical_exit_2(done)
         assert "increments overflow float64" in done.stderr
         assert not (tmp_path / "state.json").exists()
 

@@ -25,6 +25,7 @@ from bridgescore import (
     quadratic_form,
     sample_bridge,
     sample_triplets,
+    shrink_covariance,
     train,
     update_sigma_hat,
 )
@@ -349,6 +350,16 @@ class TestUpdateSigmaHat:
         expected = mle_sigma([encode(state.encoder, s) for s in seqs])
         np.testing.assert_allclose(updated.sigma.entries, expected.sigma.entries,
                                    rtol=1e-12)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.3])
+    def test_identity_encoder_is_fits_estimate_bit_for_bit(self, rng, eps):
+        # 40 documents: pooled_covariance sums them in more than one GEMM block
+        seqs = [raw_sequence(rng, 3, int(rng.integers(2, 12)), seq_id=f"s{k:02d}", domain="a")
+                for k in range(40)]
+        state = TrainerState(encoder=LinearEncoder.identity(3), epsilon=eps)
+        updated = update_sigma_hat(state, "a", seqs[::-1])
+        expected = shrink_covariance(pooled_covariance(seqs)[0], eps)[0]
+        np.testing.assert_array_equal(updated.sigma.entries, expected.sigma.entries)
 
 
 def identifiable_corpora(seed, d=3, T=20, n=60, domains=("news", "wiki")):
