@@ -299,7 +299,12 @@ def nll_objective(state: TrainerState, corpora) -> float:
     sum_j [ sum_i (T_i - 1) log|Sigma_hat_j|
             + sum_i tr(Sigma_hat_j^-1 R_i Sigma_Ti^-1 R_i^T) ]
     = sum_j n_j [ log|Sigma_hat_j| + <Sigma_hat_j^-1 W M_j, W>_F ].
+
+    Raises ValidationError naming a domain of corpora with no Sigma_hat_j.
     """
+    for domain in sorted(corpora):
+        if domain not in state.sigma_hat:
+            raise ValidationError(f"domain {domain!r} has no covariance in the trainer state")
     return _objective(state, {dom: _pooled(state.encoder, dom, corpora[dom]) for dom in corpora})
 
 

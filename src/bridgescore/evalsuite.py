@@ -342,8 +342,9 @@ def discrimination_accuracies(originals, specs, spatial: SpatialCovariance,
     spatial.sigma.inv_chol  # formed here once, not in each child
     if use_pvalue:
         chi_square_sf(1.0, 1)  # imports scipy.special here once, not in each child
-    n = forks.process_count(len(originals) * sum(spec.copies for spec in specs), FORK_FLOOR)
-    chunks = [originals[part] for part in forks.cut([1] * len(originals), n)]
+    count = len(originals)
+    n = min(count, forks.process_count(count * sum(spec.copies for spec in specs), FORK_FLOOR))
+    chunks = [originals[k * count // n:(k + 1) * count // n] for k in range(n)]
     credits = [[] for _ in specs]
     with forks.forked(chunks, lambda chunk: _credits(chunk, specs, spatial, use_pvalue)) as parts:
         for part in parts:

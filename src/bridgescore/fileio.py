@@ -2,30 +2,28 @@
 
 Trajectory corpora are JSONL: an optional header object on the first line,
 then one document per line. A corpus is returned whole, as a list held in
-memory. On Linux a corpus is read and written in contiguous parts, one per
-CPU this process may run on, through forked children (forks):
-
-- Reading cuts the file into byte spans of lines, none under SPAN_FLOOR
-  bytes (4 MiB). This process parses the first span; a child opens the
-  file itself, parses and validates its span and pickles its records back.
-- Writing cuts the records into runs of about equal coordinate count, none
-  under WRITE_FLOOR coordinates (50k). This process formats the first run;
-  a child formats its run and pickles the lines back. Only this process
-  writes: the header, then each run's lines in order. Nothing seeks, so
-  the output may be a pipe.
-
-Records, errors and written bytes are the same for any number of parts,
-and a child that fails costs time, not output: its part is redone here.
-Ingestion rejects any malformed record with a path:line diagnostic, and
-writers never embed timestamps so reruns produce byte-identical files.
+memory. On Linux a corpus is read in contiguous parts, one per CPU this
+process may run on, through forked children (forks): the file is cut into
+byte spans of lines, none under SPAN_FLOOR bytes (4 MiB). This process
+parses the first span; a child opens the file itself, parses and validates
+its span and pickles its records back. Records and errors are the same for
+any number of parts, and a child that fails costs time, not output: its
+part is redone here. Ingestion rejects any malformed record with a
+path:line diagnostic.
 
 Corpus lines are parsed with orjson. The standard json module parses any
 line that orjson rejects, that could nest deeper than _DEEPEST, or that is
 not a plain valid record (_plain_record), and words its diagnostic, so
-records and errors are those of a read by json alone. json also writes
-every file and reads model and trainer-state files: orjson would read
-integers past 64 bits as floats, and write float exponents without their
-'+'.
+records and errors are those of a read by json alone. json also reads model
+and trainer-state files, where orjson would read integers past 64 bits as
+floats.
+
+Every file is written in this process, with the bytes of json.dumps with
+sorted keys and compact separators. Float arrays are spelled by orjson,
+which spells 0 and every |x| in [1e-4, 1e16) as json does; each token
+with an 'e' or a '0.0000', which covers every other value, is respelled
+as repr(float(token)) (_floats). Writers embed no timestamps, so
+reruns produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -65,7 +63,41 @@ def file_digest(path) -> str:
         return _feed(fh, hashlib.sha256()).hexdigest()
 
 
+def _floats(arr: np.ndarray) -> str:
+    """arr, a float array of one or more dimensions, as json.dumps spells arr.tolist() compactly.
+
+    orjson writes 1e16, 1e-7 and 0.00005 where json writes 1e+16, 1e-07 and
+    5e-05. Each token holding an 'e' or a '0.0000' is respelled whole, from
+    the ',' or '[' before it to the ',' or ']' after it, so that a token such
+    as '10.000049', which orjson spells as json does, is rewritten as itself.
+    """
+    text = orjson.dumps(np.ascontiguousarray(arr, dtype=float),
+                        option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    starts = set()
+    for mark in ("e", "0.0000"):
+        at = text.find(mark)
+        while at >= 0:
+            start = at
+            while text[start - 1] not in ",[":
+                start -= 1
+            starts.add(start)
+            at = text.find(mark, at + 1)
+    out, pos = [], 0
+    for start in sorted(starts):
+        end = start
+        while text[end] not in ",]":
+            end += 1
+        out += [text[pos:start], repr(float(text[start:end]))]
+        pos = end
+    return "".join([*out, text[pos:]])
+
+
 def _dumps(obj) -> str:
+    """obj as json.dumps spells it with sorted keys and compact separators; arrays via _floats."""
+    if isinstance(obj, np.ndarray):
+        return _floats(obj)
+    if isinstance(obj, dict) and any(isinstance(v, (dict, np.ndarray)) for v in obj.values()):
+        return "{" + ",".join(f"{json.dumps(k)}:{_dumps(v)}" for k, v in sorted(obj.items())) + "}"
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
@@ -100,42 +132,18 @@ class TrajectoryRecord:
     label: str | None = None
 
 
-# Coordinates per part below which a forked writer costs more than it saves.
-WRITE_FLOOR = 50_000
-
-
-def _lines(records) -> list[str]:
-    """records as corpus lines, each ending in a newline."""
-    out = []
-    for rec in records:
-        traj = rec.trajectory
-        row = {"id": traj.id, "domain": traj.domain, "points": traj.points.tolist()}
-        if rec.label is not None:
-            row["label"] = rec.label
-        out.append(_dumps(row) + "\n")
-    return out
-
-
 def write_trajectories(path, records, meta: dict | None = None) -> None:
-    """Write a trajectory corpus with a header line carrying provenance.
-
-    The records are cut into contiguous parts of about equal coordinate
-    count (forks.cut); this process formats the first while forked children
-    format the others, and writes the header and then every part's lines in
-    part order, dropping each part before it takes the next. Only this
-    process writes, and never seeks, so path may be a pipe.
-    """
+    """Write a trajectory corpus: a header line carrying provenance, then one line per record."""
     header = {"kind": "trajectories", "created_by": TOOL_VERSION}
     header.update(meta or {})
-    records = list(records)
-    sizes = [rec.trajectory.points.size for rec in records]
-    parts = forks.cut(sizes, forks.process_count(sum(sizes), WRITE_FLOOR))
     with open_output(path) as fh:
         fh.write(_dumps(header) + "\n")
-        with forks.forked(parts, lambda part: _lines(records[part])) as texts:
-            for lines in texts:
-                fh.writelines(lines)
-                del lines
+        for rec in records:
+            traj = rec.trajectory
+            row = {"id": traj.id, "domain": traj.domain, "points": traj.points}
+            if rec.label is not None:
+                row["label"] = rec.label
+            fh.write(_dumps(row) + "\n")
 
 
 # Corpus text per span below which a process costs more than it saves.
@@ -382,7 +390,7 @@ def write_sigma_model(path, model: SigmaModel) -> None:
         "weight": int(model.weight),
         "domain": model.domain,
         "epsilon": model.epsilon,
-        "matrix": model.spatial.sigma.entries.tolist(),
+        "matrix": model.spatial.sigma.entries,
         "created_by": model.created_by,
         "source_corpus_digest": model.source_corpus_digest,
     }
@@ -437,7 +445,7 @@ def write_trainer_state(path, state: TrainerState, extra: dict | None = None) ->
     payload = {
         "kind": "trainer_state",
         "created_by": TOOL_VERSION,
-        "weights": state.encoder.weights.tolist(),
+        "weights": state.encoder.weights,
         "epsilon": state.epsilon,
         "step_size": state.step_size,
         "batch_size": state.batch_size,
@@ -445,7 +453,7 @@ def write_trainer_state(path, state: TrainerState, extra: dict | None = None) ->
         "shrinkage": state.shrinkage,
         "seed": state.seed,
         "sigma_hat": {
-            dom: cov.sigma.entries.tolist() for dom, cov in sorted(state.sigma_hat.items())
+            dom: cov.sigma.entries for dom, cov in sorted(state.sigma_hat.items())
         },
         "sigma_scalar": {dom: float(v) for dom, v in sorted(state.sigma_scalar.items())},
     }

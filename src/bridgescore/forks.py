@@ -1,8 +1,7 @@
 """Work split over forked processes, one per CPU this process may run on.
 
-The corpus reader, the corpus writer and discrimination share this: the
-caller cuts its work into contiguous parts (the writer and discrimination
-by weight, with cut), computes the first part itself and forks a child per
+The corpus reader and discrimination share this: the caller cuts its work
+into contiguous parts, computes the first part itself and forks a child per
 other part, which pickles its result back through a pipe. Results come back
 in part order, so they are those of one process doing every part in turn,
 and a child that fails costs time, not output: its part is redone here.
@@ -11,9 +10,7 @@ Only Linux forks; elsewhere, and on one CPU, there is one part.
 
 from __future__ import annotations
 
-import bisect
 import contextlib
-import itertools
 import os
 import pickle
 import signal
@@ -29,23 +26,6 @@ def process_count(work: int, floor: int) -> int:
     if sys.platform != "linux":
         return 1
     return max(1, min(len(os.sched_getaffinity(0)), work // floor))
-
-
-def cut(weights, n: int) -> list[slice]:
-    """At most n contiguous, nonempty slices of weights' indices, of about equal weight.
-
-    An item goes to the slice its weight's midpoint falls in when the total
-    weight is laid out in n equal lengths, so that a slice's weight is
-    within the heaviest item of total / n, and n or more equal weights make
-    n slices. No weights give one empty slice, so that there is always a
-    first part.
-    """
-    running = list(itertools.accumulate(weights))
-    total = running[-1] if running else 0
-    mids = [n * (2 * r - w) for r, w in zip(running, weights)]  # midpoints, times 2n
-    ends = [bisect.bisect_left(mids, 2 * k * total) for k in range(1, n)] + [len(running)]
-    parts = [slice(a, b) for a, b in zip([0, *ends], ends) if a < b]
-    return parts or [slice(0, 0)]
 
 
 class Child:

@@ -1051,7 +1051,7 @@ class TestUnwritableOutputs:
 
 
 class TestWriters:
-    """tolist() encoding writes the bytes of the former per-float comprehension."""
+    """Float arrays are written with the bytes json gives a per-float list of their values."""
 
     @staticmethod
     def per_float(rows):

@@ -11,6 +11,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +103,20 @@ def test_one_process_off_linux(corpus, monkeypatch, children):
     monkeypatch.setattr(sys, "platform", "darwin")
     assert at(3, discrimination_accuracies, originals, SPECS["local"], spatial) == want
     assert children == []
+
+
+class Box:
+    """A result that can be watched by weak reference."""
+
+
+def test_forked_holds_no_result_once_yielded(children):
+    previous = None
+    with forks.forked(range(4), lambda part: Box()) as results:
+        for box in results:
+            assert previous is None or previous() is None
+            previous = weakref.ref(box)
+            del box
+    assert [child.sent for child in children] == [True] * 3
 
 
 FORK_AFTER_BLAS = """

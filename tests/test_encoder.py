@@ -463,6 +463,11 @@ class TestTrain:
             expected += (traj.T - 1) * ld + dense_quad_form(traj, sig.sigma.entries)
         assert nll_objective(state, corpora) == pytest.approx(expected, rel=1e-12)
 
+    def test_nll_objective_names_a_domain_with_no_covariance(self, rng):
+        state = TrainerState(encoder=LinearEncoder.identity(2))
+        with pytest.raises(ValidationError, match="domain 'a' has no covariance"):
+            nll_objective(state, {"a": [raw_sequence(rng, 2, 5, domain="a")]})
+
     def test_triplet_mode_runs_deterministically(self):
         corpora, _, theta_star = identifiable_corpora(11, domains=("solo",), n=10)
         traces = []

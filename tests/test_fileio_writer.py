@@ -1,28 +1,24 @@
-"""Corpora written in parts: the same bytes for any part count.
+"""Files written in one process: json's bytes, on a host with any number of CPUs.
 
-A write floor of one coordinate and a patched CPU set fix how many parts the
-records are cut into, so that two and three parts, and the forked children
-that format them, run on small corpora and on a host with any number of
-CPUs. The expected bytes are built here, one json.dumps per line.
+A patched CPU set makes the host report one, two or three CPUs; the writer
+forks no child at any count. The expected bytes are built here, one
+json.dumps per line, and _floats, which spells float arrays through orjson,
+is checked against json.dumps of the same values.
 """
 
 import json
 import os
-import pickle
 import sys
 import threading
-import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import bridgescore.fileio as fileio
-import bridgescore.forks as forks
 from bridgescore import LatentTrajectory, __version__
 from bridgescore.cli import main
-from bridgescore.fileio import TrajectoryRecord, write_trajectories
-
-pytestmark = pytest.mark.skipif(sys.platform != "linux", reason="only Linux forks writers")
+from bridgescore.fileio import TrajectoryRecord, _dumps, _floats, write_trajectories
 
 META = {"seed": 4, "spec": {"d": 3}}
 
@@ -66,10 +62,9 @@ def expected(records, meta=META) -> bytes:
 
 
 def at(n, call, *args):
-    """call(*args) on a host with n CPUs and a one-coordinate write floor."""
+    """call(*args) on a host with n CPUs."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fileio, "WRITE_FLOOR", 1)
-        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
         return call(*args)
 
 
@@ -83,34 +78,18 @@ def written(path, records, n) -> bytes:
 def test_bytes_do_not_depend_on_part_count(tmp_path, children, name, n):
     records = CORPORA[name]()
     assert written(tmp_path / "c.jsonl", records, n) == expected(records)
-    assert len(children) == max(0, min(n, len(records)) - 1)
-    assert all(child.sent for child in children)
+    assert children == []
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_records_may_be_a_generator(tmp_path, children, n):
     records = labelled()
     assert written(tmp_path / "c.jsonl", (r for r in records), n) == expected(records)
-    assert len(children) == n - 1
+    assert children == []
 
 
-@pytest.mark.parametrize("partial", [False, True])
-def test_failed_writing_child_costs_no_output(tmp_path, monkeypatch, children, partial):
-    records = labelled()
-
-    def fail(work, part, pipe):
-        if partial:  # a pickle cut short, as from a child killed while it sends
-            data = pickle.dumps(work(part))
-            pipe.write(data[:len(data) // 2])
-            pipe.flush()
-        os._exit(1)
-
-    monkeypatch.setattr(forks, "_send", fail)
-    assert written(tmp_path / "c.jsonl", records, 3) == expected(records)
-    assert [child.sent for child in children] == [False, False]
-
-
-def test_writes_a_pipe_in_parts(tmp_path, children):
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes are POSIX")
+def test_writes_a_pipe(tmp_path, children):
     records = labelled()
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
@@ -123,7 +102,7 @@ def test_writes_a_pipe_in_parts(tmp_path, children):
         reader.join(timeout=10)
     assert not reader.is_alive()
     assert got == [expected(records)]
-    assert [child.sent for child in children] == [True, True]
+    assert children == []
 
 
 def test_shuffle_out_does_not_depend_on_part_count(tmp_path, children):
@@ -136,73 +115,103 @@ def test_shuffle_out_does_not_depend_on_part_count(tmp_path, children):
         assert at(n, main, argv) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
-    assert [child.sent for child in children] == [True, True]
+    assert children == []
 
 
-class TestFloor:
-    """Parts of at least WRITE_FLOOR coordinates, one per CPU."""
-
-    def points(self, coordinates):
-        return np.arange(float(coordinates)).reshape(-1, 10)
-
-    @pytest.mark.parametrize("docs, parts", [(4, 1), (7, 1), (8, 2), (12, 3), (40, 8)])
-    def test_parts_by_coordinates(self, tmp_path, monkeypatch, children, docs, parts):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-        quarter = fileio.WRITE_FLOOR // 4
-        records = [record(f"doc-{i}", self.points(quarter)) for i in range(docs)]
-        path = tmp_path / "c.jsonl"
-        write_trajectories(path, records, META)
-        assert len(children) == parts - 1
-        assert path.read_bytes() == expected(records)
-
-    def test_one_part_on_one_cpu(self, tmp_path, monkeypatch, children):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        records = [record(f"doc-{i}", self.points(fileio.WRITE_FLOOR)) for i in range(3)]
-        write_trajectories(tmp_path / "c.jsonl", records, META)
-        assert children == []
+def json_spelling(arr) -> str:
+    return json.dumps(arr.tolist(), separators=(",", ":"))
 
 
-class TestCut:
-    @pytest.mark.parametrize("count", [0, 1, 2, 5, 17, 100])
-    @pytest.mark.parametrize("n", [1, 2, 3, 8])
-    def test_equal_weights(self, count, n):
-        parts = forks.cut([1] * count, n)
-        if count == 0:
-            assert parts == [slice(0, 0)]
-        else:
-            assert len(parts) == min(n, count)
-            sizes = {s.stop - s.start for s in parts}
-            assert max(sizes) - min(sizes) <= 1
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 40])
-    def test_contiguous_nonempty_and_balanced(self, n):
-        weights = [int(w) for w in np.random.default_rng(n).integers(1, 1000, 30)]
-        parts = forks.cut(weights, n)
-        assert 1 <= len(parts) <= n
-        assert [s.start for s in parts] == [0, *[s.stop for s in parts[:-1]]]
-        assert parts[-1].stop == len(weights)
-        assert all(s.start < s.stop for s in parts)
-        for s in parts:
-            assert abs(sum(weights[s]) - sum(weights) / n) <= max(weights)
-
-    @pytest.mark.parametrize("weights, want", [
-        ([1, 100, 1], [slice(0, 1), slice(1, 2), slice(2, 3)]),
-        ([100, 1], [slice(0, 1), slice(1, 2)]),
-        ([1, 1, 100], [slice(0, 2), slice(2, 3)]),
-    ])
-    def test_heavy_items(self, weights, want):
-        assert forks.cut(weights, 3 if len(weights) == 3 else 2) == want
+def ulps(values):
+    """Each value and its neighbours one ulp either side, both signs."""
+    out = []
+    for v in values:
+        out += [v, np.nextafter(v, np.inf), np.nextafter(v, -np.inf)]
+    return np.array(out + [-v for v in out])
 
 
-class Box:
-    """A result that can be watched by weak reference."""
+EDGES = {
+    "random bit patterns": lambda rng: rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(float),
+    "log-uniform over 600 decades": lambda rng: (rng.choice([-1.0, 1.0], 200_000)
+                                                 * 10.0 ** rng.uniform(-300, 300, 200_000)),
+    "1e-4 and 1e16, one ulp either side": lambda rng: ulps([1e-4, 1e16]),
+    "zeros, the least subnormal and the float max": lambda rng: np.array(
+        [0.0, -0.0, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max]),
+    "0.0000 inside a token": lambda rng: np.array(
+        [10.000049, -10.000049, 10.0000049, 100.00001, 20.00005, 1230.00004, 0.10000049,
+         -7.00000012, 10.0000049e-3, 0.00010000049]),
+}
 
 
-def test_forked_holds_no_result_once_yielded(children):
-    previous = None
-    with forks.forked(range(4), lambda part: Box()) as results:
-        for box in results:
-            assert previous is None or previous() is None
-            previous = weakref.ref(box)
-            del box
-    assert [child.sent for child in children] == [True] * 3
+@pytest.mark.parametrize("name", EDGES)
+@pytest.mark.parametrize("shape", [(-1,), (-1, 2)])
+def test_floats_spell_as_json(name, shape):
+    values = EDGES[name](np.random.default_rng(29))
+    values = values[np.isfinite(values)]
+    arr = values[:values.size - values.size % 2].reshape(shape)
+    assert _floats(arr) == json_spelling(arr)
+
+
+@pytest.mark.parametrize("arr", [np.zeros((0, 3)), np.zeros(0), np.array([1e-7]),
+                                 np.array([[5e-05]]), np.array([[-1e16]])],
+                         ids=["0 rows", "empty", "1e-7", "5e-05", "-1e16"])
+def test_floats_of_empty_and_one_element_arrays(arr):
+    assert _floats(arr) == json_spelling(arr)
+
+
+def test_floats_of_a_non_contiguous_array():
+    arr = np.arange(24.0).reshape(4, 6)[:, ::2] * 1e-6
+    assert _floats(arr) == json_spelling(arr)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12))
+def test_floats_of_any_finite_values(values):
+    arr = np.array(values)
+    assert _floats(arr) == json_spelling(arr)
+
+
+def test_dumps_spells_arrays_in_nested_dicts_as_json():
+    rng = np.random.default_rng(5)
+    a, b = rng.standard_normal((3, 2)) * 1e-6, rng.standard_normal((2, 2)) * 1e20
+    obj = {"z": a, "é": "ü", "m": {"y": b, "x": 1.5e-7}, "n": [1, None], "k": {"q": {"p": 2}}}
+    plain = {**obj, "z": a.tolist(), "m": {"y": b.tolist(), "x": 1.5e-7}}
+    assert _dumps(obj) == json.dumps(plain, sort_keys=True, separators=(",", ":"))
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    """Every kind of file the CLI writes float arrays into, from values past orjson's range.
+
+    Scores and predictions hold no arrays; test_cli checks their spelling.
+    """
+    d = tmp_path_factory.mktemp("outputs")
+
+    def run(*argv):
+        assert main([str(d / a) if a.endswith((".json", ".jsonl")) else a for a in argv]) == 0
+
+    for endpoints, seed, domain, label, out in [("1e200", "4", "ニュース-ü", "高", "big.jsonl"),
+                                                ("1e-9", "5", "フォーラム", "low", "small.jsonl"),
+                                                ("1e100", "6", "wiki", "high", "large.jsonl")]:
+        run("simulate", "--d", "4", "--T", "8:16", "--n", "12", "--endpoints",
+            f"random:{endpoints}", "--seed", seed, "--domain", domain, "--label", label,
+            "--out", out)
+    small, large = ((d / name).read_text(encoding="utf-8").splitlines(keepends=True)
+                    for name in ("small.jsonl", "large.jsonl"))
+    (d / "both.jsonl").write_text("".join(small + large[1:]), encoding="utf-8")
+    run("fit", "--in", "both.jsonl", "--out", "model.json")
+    run("shuffle", "--in", "small.jsonl", "--copies", "3", "--seed", "5",
+        "--out", "shuffled.jsonl")
+    train = ("train", "--corpora", "both.jsonl", "--epochs", "2", "--step-size", "1e-6",
+             "--seed", "11")
+    run(*train, "--out", "state.json")
+    run(*train, "--triplet-mode", "--out", "triplet.json")
+    return d
+
+
+@pytest.mark.parametrize("name", ["big.jsonl", "small.jsonl", "large.jsonl", "model.json",
+                                  "shuffled.jsonl", "state.json", "triplet.json"])
+def test_cli_files_are_json_spelling(outputs, name):
+    lines = (outputs / name).read_text(encoding="utf-8").splitlines(keepends=True)
+    assert lines == [json.dumps(json.loads(line), sort_keys=True, separators=(",", ":")) + "\n"
+                     for line in lines]

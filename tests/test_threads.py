@@ -66,10 +66,15 @@ def test_cli_import_after_numpy_leaves_the_environment():
 
 
 def test_forking_command_gives_no_fork_warning(tmp_path):
-    # from Python 3.12 os.fork warns in a process with threads; about 66k coordinates
-    # are over the write floor, so simulate forks on two CPUs or more
-    done = python("-W", "error::DeprecationWarning", "-m", "bridgescore.cli", "simulate",
-                  "--d", 16, "--T", 40, "--n", 100, "--seed", 1, "--out", tmp_path / "c.jsonl")
+    # from Python 3.12 os.fork warns in a process with threads; 100 documents of 40 copies
+    # are twice discrimination's fork floor, so discriminate forks on two CPUs or more
+    python("-m", "bridgescore.cli", "simulate", "--d", 16, "--T", 40, "--n", 100, "--seed", 1,
+           "--out", tmp_path / "c.jsonl")
+    python("-m", "bridgescore.cli", "fit", "--in", tmp_path / "c.jsonl",
+           "--out", tmp_path / "m.json")
+    done = python("-W", "error::DeprecationWarning", "-m", "bridgescore.cli", "discriminate",
+                  "--in", tmp_path / "c.jsonl", "--model", tmp_path / "m.json",
+                  "--block-sizes", 1, "--copies", 40, "--seed", 9)
     assert "Traceback" not in done.stderr
     assert "Warning" not in done.stderr
 
