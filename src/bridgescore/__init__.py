@@ -12,17 +12,14 @@ _HOME = {name: module for module, names in {
     "errors": "BridgeModelError DegenerateInputError DimensionMismatchError EmptySetError "
               "InsufficientDataError NotPositiveDefiniteError NumericalError "
               "SingularEstimateError ValidationError",
-    "numerics": "SpdMatrix average_ranks chi_square_sf cholesky log_det_spd spd_solve "
-                "spearman_rho",
-    "bridge": "LatentTrajectory SpatialCovariance bridge_mean increments log_likelihood "
-              "log_likelihood_corpus mle_sigma pooled_covariance quadratic_form residuals "
-              "sample_bridge shrink_covariance",
+    "numerics": "SpdMatrix average_ranks chi_square_sf log_det_spd spd_solve spearman_rho",
+    "bridge": "LatentTrajectory bridge_mean increments log_likelihood mle_sigma "
+              "pooled_covariance quadratic_form residuals sample_bridge shrink_covariance",
     "score": "ScoreReport bbscore bbscore_batch heuristic_bbscore",
     "encoder": "LinearEncoder TrainerState cl_gradient cl_loss encode nll_batch_loss "
                "nll_gradient nll_objective sample_triplets train update_sigma_hat",
-    "evalsuite": "LabeledCorpus ShuffleSpec discrimination_accuracies discrimination_accuracy "
-                 "domain_swap_compare global_shuffle local_shuffle make_shuffle_set "
-                 "relative_accuracy stable_seed threshold_classify",
+    "evalsuite": "LabeledCorpus ShuffleSpec discrimination_accuracies domain_swap_compare "
+                 "make_shuffle_set relative_accuracy stable_seed threshold_classify",
 }.items() for name in names.split()}
 
 __all__ = [*_HOME]

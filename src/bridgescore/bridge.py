@@ -3,7 +3,10 @@
 A document is an ordered sequence of T+1 latent vectors with both endpoints
 treated as exactly observed. Interior points deviate from the endpoint chord
 like d correlated standard bridges mixed by a spatial factor W, so
-vec(s - mu) ~ N(0, Sigma_T kron Sigma) with Sigma = W W^T.
+vec(s - mu) ~ N(0, Sigma_T kron Sigma) with Sigma = W W^T. Sigma is a
+numerics.SpdMatrix: any factor with W W^T = Sigma gives the same law, so
+sample_bridge mixes with its Cholesky factor, and every other function uses
+Sigma only through that factor and its inverse.
 
 The bridge is Markov, so Sigma_T^-1 = tridiag(-1, 2, -1), log|Sigma_T| =
 -log T, and tr(Sigma^-1 R Sigma_T^-1 R^T) = sum_t dr_t^T Sigma^-1 dr_t over the
@@ -76,29 +79,6 @@ class LatentTrajectory:
         return self.points[1:-1]
 
 
-@dataclass(frozen=True)
-class SpatialCovariance:
-    """Spatial covariance Sigma = W W^T coupling latent dimensions at each time.
-
-    Any factor with W W^T = Sigma produces the same law; sample_bridge mixes
-    with the Cholesky factor of sigma.
-    """
-
-    sigma: SpdMatrix
-
-    @property
-    def dim(self) -> int:
-        return self.sigma.dim
-
-    @classmethod
-    def from_matrix(cls, sigma) -> "SpatialCovariance":
-        return cls(sigma=SpdMatrix(sigma))
-
-    @classmethod
-    def identity(cls, d: int) -> "SpatialCovariance":
-        return cls(sigma=SpdMatrix(np.eye(d)))
-
-
 def bridge_mean(traj: LatentTrajectory) -> np.ndarray:
     """Chord means mu_t = s_0 + (t/T)(s_T - s_0) for t = 1..T-1, shape (d, T-1)."""
     t = np.arange(1, traj.T, dtype=float) / traj.T
@@ -129,7 +109,7 @@ def increments(points, times=None) -> np.ndarray:
     return steps / np.sqrt(gaps)[:, None]
 
 
-def quadratic_form(spatial: SpatialCovariance, incr):
+def quadratic_form(spatial: SpdMatrix, incr):
     """Sum of incr_k^T Sigma^-1 incr_k over one document's increment rows.
 
     incr is one document's (n, d) rows, and a float comes back; or a
@@ -144,13 +124,13 @@ def quadratic_form(spatial: SpatialCovariance, incr):
         raise DimensionMismatchError(f"increments of d={incr.shape[-1]} vs sigma dim {spatial.dim}")
     # a stack is one GEMM per document, as a lone call makes: one GEMM over
     # all rows would block them differently and move the last bits
-    z = incr @ spatial.sigma.inv_chol.T
+    z = incr @ spatial.inv_chol.T
     if z.ndim == 2:
         return float(np.vdot(z, z))
     return np.array([np.vdot(doc, doc) for doc in z])
 
 
-def sample_bridge(d, T, spatial: SpatialCovariance, s0, sT, seed, *,
+def sample_bridge(d, T, spatial: SpdMatrix, s0, sT, seed, *,
                   id: str = "sample", domain: str = "sim") -> LatentTrajectory:
     """Draw one trajectory with endpoints exactly s0, sT.
 
@@ -174,7 +154,7 @@ def sample_bridge(d, T, spatial: SpatialCovariance, s0, sT, seed, *,
     t = np.arange(1, T, dtype=float)
     L = np.linalg.cholesky(np.minimum.outer(t, t) * (T - np.maximum.outer(t, t)) / T)
     Z = rng.standard_normal((d, T - 1))
-    deviation = spatial.sigma.chol @ Z @ L.T
+    deviation = spatial.chol @ Z @ L.T
     t /= T
     chord = np.outer(s0, 1.0 - t) + np.outer(sT, t)
     points = np.empty((T + 1, d))
@@ -184,7 +164,7 @@ def sample_bridge(d, T, spatial: SpatialCovariance, s0, sT, seed, *,
     return LatentTrajectory(id=id, domain=domain, points=points)
 
 
-def log_likelihood(traj: LatentTrajectory, spatial: SpatialCovariance) -> float:
+def log_likelihood(traj: LatentTrajectory, spatial: SpdMatrix) -> float:
     """Exact log-likelihood of one trajectory under the bridge model.
 
     -d(T-1)/2 log 2pi + d/2 log T - (T-1)/2 log|Sigma|
@@ -199,18 +179,9 @@ def log_likelihood(traj: LatentTrajectory, spatial: SpatialCovariance) -> float:
     return (
         -0.5 * d * (T - 1) * LOG_2PI
         + 0.5 * d * math.log(T)
-        - 0.5 * (T - 1) * log_det_spd(spatial.sigma)
+        - 0.5 * (T - 1) * log_det_spd(spatial)
         - 0.5 * quad
     )
-
-
-def log_likelihood_corpus(trajs, spatial: SpatialCovariance) -> float:
-    """Sum of per-trajectory log-likelihoods (independent sequences, shared Sigma).
-
-    Terms are accumulated in trajectory-id order so the result does not
-    depend on corpus ordering.
-    """
-    return float(sum(log_likelihood(t, spatial) for t in sorted(trajs, key=lambda t: t.id)))
 
 
 def pooled_covariance(trajs) -> tuple[np.ndarray, int]:
@@ -251,7 +222,7 @@ def pooled_covariance(trajs) -> tuple[np.ndarray, int]:
     raise NumericalError(f"trajectory {bad.id!r}: its increments overflow float64")
 
 
-def shrink_covariance(m, epsilon: float) -> tuple[SpatialCovariance, float]:
+def shrink_covariance(m, epsilon: float) -> tuple[SpdMatrix, float]:
     """A pooled covariance M blended toward its isotropic scale, and that scale.
 
     Returns ((1 - eps) M + eps sigma2 I, sigma2) with sigma2 = tr(M)/d; eps = 0
@@ -265,14 +236,14 @@ def shrink_covariance(m, epsilon: float) -> tuple[SpatialCovariance, float]:
     sigma2 = float(np.trace(m)) / d
     blended = (1.0 - epsilon) * m + epsilon * sigma2 * np.eye(d)
     try:
-        return SpatialCovariance(sigma=SpdMatrix(blended)), sigma2
+        return SpdMatrix(blended), sigma2
     except NotPositiveDefiniteError as exc:
         raise SingularEstimateError(
             f"covariance estimate of dim {d} is singular (epsilon={epsilon})"
         ) from exc
 
 
-def mle_sigma(trajs) -> SpatialCovariance:
+def mle_sigma(trajs) -> SpdMatrix:
     """Pooled maximum-likelihood estimate of the spatial covariance.
 
     Requires pooled weight sum(T_i - 1) >= d; raises SingularEstimateError

@@ -24,7 +24,7 @@ if "numpy" not in sys.modules and not any(
 
 import numpy as np  # noqa: E402
 
-from .bridge import SpatialCovariance, pooled_covariance, sample_bridge, shrink_covariance
+from .bridge import pooled_covariance, sample_bridge, shrink_covariance
 from .encoder import LinearEncoder, TrainerState, train
 from .errors import InsufficientDataError, NumericalError, ValidationError
 from .evalsuite import (
@@ -117,12 +117,12 @@ def _spec_number(text: str, kind, least, arg: str, spec: str):
     return value
 
 
-def _parse_sigma_spec(spec: str, d: int) -> SpatialCovariance:
+def _parse_sigma_spec(spec: str, d: int) -> SpdMatrix:
     if spec == "identity":
-        return SpatialCovariance.identity(d)
+        return SpdMatrix(np.eye(d))
     if spec.startswith("random-spd:"):
         seed = _spec_number(spec.split(":", 1)[1], int, 0, "--sigma", spec)
-        return SpatialCovariance(sigma=SpdMatrix(_random_spd(d, seed)))
+        return SpdMatrix(_random_spd(d, seed))
     model = read_sigma_model(spec)
     if model.d != d:
         raise ValidationError(f"sigma model {spec} has d={model.d}, requested d={d}")
@@ -190,9 +190,11 @@ def cmd_fit(args) -> int:
         if not records:
             raise InsufficientDataError(f"{args.input}: no records in domain {args.domain!r}")
     trajs = [r.trajectory for r in records]
-    _check_dim(trajs, args.input)
+    d = _check_dim(trajs, args.input)
+    ref = read_sigma_model(args.compare_to) if args.compare_to else None
+    if ref is not None and ref.d != d:
+        raise ValidationError(f"--compare-to model has d={ref.d}, fitted d={d}")
     m, weight = pooled_covariance(trajs)
-    d = m.shape[0]
     if weight < d:
         raise InsufficientDataError(f"pooled weight {weight} is below dimension {d}")
     spatial, sigma2 = shrink_covariance(m, args.epsilon)
@@ -207,16 +209,13 @@ def cmd_fit(args) -> int:
     write_sigma_model(args.out, model)
     log = _log(args.out)
     print(
-        f"fit: d={d} weight={weight} logdet={log_det_spd(spatial.sigma):.6f} "
-        f"trace={float(np.trace(spatial.sigma.entries)):.6f} sigma2={sigma2:.6f} "
+        f"fit: d={d} weight={weight} logdet={log_det_spd(spatial):.6f} "
+        f"trace={float(np.trace(spatial.entries)):.6f} sigma2={sigma2:.6f} "
         f"epsilon={args.epsilon} seed={args.seed} -> {args.out}", file=log
     )
-    if args.compare_to:
-        ref = read_sigma_model(args.compare_to)
-        if ref.d != d:
-            raise ValidationError(f"--compare-to model has d={ref.d}, fitted d={d}")
-        err = np.linalg.norm(spatial.sigma.entries - ref.spatial.sigma.entries)
-        rel = err / np.linalg.norm(ref.spatial.sigma.entries)
+    if ref is not None:
+        err = np.linalg.norm(spatial.entries - ref.spatial.entries)
+        rel = err / np.linalg.norm(ref.spatial.entries)
         print(f"fit: relative Frobenius error vs {args.compare_to}: {rel:.6f}", file=log)
     return 0
 

@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bridge import (LatentTrajectory, SpatialCovariance, increments, pooled_covariance,
-                     shrink_covariance)
+from .bridge import LatentTrajectory, increments, pooled_covariance, shrink_covariance
 from .errors import (
     DimensionMismatchError,
     InsufficientDataError,
@@ -33,7 +32,7 @@ from .errors import (
     SingularEstimateError,
     ValidationError,
 )
-from .numerics import log_det_spd, spd_solve
+from .numerics import SpdMatrix, log_det_spd, spd_solve
 
 
 @dataclass(frozen=True)
@@ -188,7 +187,7 @@ def _increment_gram(encoder: LinearEncoder, batch, triplets=None) -> np.ndarray:
     return stacked.T @ stacked
 
 
-def nll_batch_loss(encoder: LinearEncoder, batch, sigma_hat: SpatialCovariance,
+def nll_batch_loss(encoder: LinearEncoder, batch, sigma_hat: SpdMatrix,
                    triplets=None) -> float:
     """Within-batch trace loss sum_i tr(Sigma_hat^-1 R_i Sigma_Ti^-1 R_i^T).
 
@@ -199,14 +198,14 @@ def nll_batch_loss(encoder: LinearEncoder, batch, sigma_hat: SpatialCovariance,
     """
     w = encoder.weights
     gram = _increment_gram(encoder, batch, triplets)
-    return float(np.vdot(spd_solve(sigma_hat.sigma, w @ gram), w))
+    return float(np.vdot(spd_solve(sigma_hat, w @ gram), w))
 
 
-def nll_gradient(encoder: LinearEncoder, batch, sigma_hat: SpatialCovariance,
+def nll_gradient(encoder: LinearEncoder, batch, sigma_hat: SpdMatrix,
                  triplets=None) -> np.ndarray:
     """Analytic d(nll_batch_loss)/d(weights): 2 Sigma_hat^-1 W sum_i dM_i^T dM_i."""
     gram = _increment_gram(encoder, batch, triplets)
-    return 2.0 * spd_solve(sigma_hat.sigma, encoder.weights @ gram)
+    return 2.0 * spd_solve(sigma_hat, encoder.weights @ gram)
 
 
 # --- training loop ------------------------------------------------------------
@@ -228,14 +227,14 @@ class TrainerState:
     triplet_mode: bool = False
     shrinkage: bool = True
     seed: int = 0
-    sigma_hat: dict[str, SpatialCovariance] = field(default_factory=dict)
+    sigma_hat: dict[str, SpdMatrix] = field(default_factory=dict)
     sigma_scalar: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValidationError(f"epsilon must lie in [0, 1], got {self.epsilon}")
-        if self.step_size <= 0.0:
-            raise ValidationError(f"step_size must be positive, got {self.step_size}")
+        if not 0.0 < self.step_size < float("inf"):
+            raise ValidationError(f"step_size must be positive and finite, got {self.step_size}")
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
 
@@ -249,7 +248,7 @@ def _pooled(encoder: LinearEncoder, domain: str, corpus) -> tuple[np.ndarray, in
     return pooled_covariance(corpus)
 
 
-def _refresh_sigma(state: TrainerState, domain: str, m) -> SpatialCovariance:
+def _refresh_sigma(state: TrainerState, domain: str, m) -> SpdMatrix:
     """update_sigma_hat from a domain's pooled raw covariance M.
 
     Raises NumericalError naming the domain when W M W^T, or its trace,
@@ -278,11 +277,11 @@ def _objective(state: TrainerState, pooled) -> float:
     for domain in sorted(pooled):
         m, n = pooled[domain]
         sig = state.sigma_hat[domain]
-        total += n * (log_det_spd(sig.sigma) + float(np.vdot(spd_solve(sig.sigma, w @ m), w)))
+        total += n * (log_det_spd(sig) + float(np.vdot(spd_solve(sig, w @ m), w)))
     return total
 
 
-def update_sigma_hat(state: TrainerState, domain: str, corpus) -> SpatialCovariance:
+def update_sigma_hat(state: TrainerState, domain: str, corpus) -> SpdMatrix:
     """Refresh the domain covariance from the current encoder outputs.
 
     Computes the pooled MLE of the encoded corpus, W M W^T, blends it with
@@ -342,8 +341,12 @@ def train(state: TrainerState, corpora, epochs: int) -> tuple[TrainerState, list
             for lo in range(0, len(seqs), state.batch_size):
                 batch = [seqs[i] for i in order[lo:lo + state.batch_size]]
                 triplets = sample_triplets(batch, rng) if state.triplet_mode else None
-                grad = nll_gradient(state.encoder, batch, sigma, triplets)
-                state.encoder = LinearEncoder(state.encoder.weights - state.step_size * grad)
+                with np.errstate(over="ignore", invalid="ignore"):  # checked once, on the step
+                    grad = nll_gradient(state.encoder, batch, sigma, triplets)
+                    weights = state.encoder.weights - state.step_size * grad
+                if not np.isfinite(weights).all():
+                    raise NumericalError(f"domain {domain!r}: a gradient step overflows float64")
+                state.encoder = LinearEncoder(weights)
             _refresh_sigma(state, domain, pooled[domain][0])
         current = _objective(state, pooled)
         trace.append(current)

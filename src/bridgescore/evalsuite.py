@@ -26,7 +26,7 @@ from operator import length_hint
 import numpy as np
 
 from . import forks
-from .bridge import LatentTrajectory, SpatialCovariance, increments, quadratic_form
+from .bridge import LatentTrajectory, increments, quadratic_form
 from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -34,7 +34,7 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .numerics import chi_square_sf, spearman_rho
+from .numerics import SpdMatrix, chi_square_sf, spearman_rho
 from .score import score_statistics
 
 
@@ -216,39 +216,6 @@ def _window_orders(n: int, spec: ShuffleSpec, rng: np.random.Generator) -> np.nd
     return orders.reshape(copies, n)
 
 
-def global_shuffle(traj: LatentTrajectory, block_size: int, seed, *,
-                   new_id: str | None = None) -> LatentTrajectory:
-    """Permute consecutive blocks of block_size points (final short block kept).
-
-    The block permutation is uniform over non-identity permutations.
-    Requires T+1 >= 2 * block_size.
-    """
-    spec = ShuffleSpec(kind="global_block", block_size=block_size, copies=1)
-    order = _shuffle_orders(traj.T + 1, spec, np.random.default_rng(seed), traj.id)[0]
-    return LatentTrajectory(
-        id=new_id or f"{traj.id}#global-b{block_size}",
-        domain=traj.domain,
-        points=traj.points[order],
-    )
-
-
-def local_shuffle(traj: LatentTrajectory, w: int, window_size: int, seed, *,
-                  new_id: str | None = None) -> LatentTrajectory:
-    """Shuffle points inside w disjoint windows of window_size consecutive points.
-
-    Window placements are uniform over all disjoint placements; each selected
-    window receives a uniform non-identity internal permutation. Points
-    outside the windows are untouched.
-    """
-    spec = ShuffleSpec(kind="local_window", num_windows=w, window_size=window_size, copies=1)
-    order = _shuffle_orders(traj.T + 1, spec, np.random.default_rng(seed), traj.id)[0]
-    return LatentTrajectory(
-        id=new_id or f"{traj.id}#local-w{w}",
-        domain=traj.domain,
-        points=traj.points[order],
-    )
-
-
 def _classes(points) -> np.ndarray:
     """Each point's class of byte-equal points, as an index into the distinct points."""
     points = np.ascontiguousarray(points)
@@ -300,31 +267,25 @@ def _incoherence(statistic, dof, use_pvalue: bool) -> np.ndarray:
     return -chi_square_sf(statistic, dof) if use_pvalue else statistic / dof
 
 
-def _corpus_incoherence(trajs, spatial: SpatialCovariance, use_pvalue: bool) -> np.ndarray:
+def _corpus_incoherence(trajs, spatial: SpdMatrix, use_pvalue: bool) -> np.ndarray:
     return _incoherence(*score_statistics(trajs, spatial), use_pvalue)
-
-
-def discrimination_accuracy(originals, spec: ShuffleSpec, spatial: SpatialCovariance,
-                            use_pvalue: bool = False, per_document: bool = False) -> float:
-    """Original-vs-shuffled discrimination accuracy.
-
-    Every (original, shuffled copy) pair scores 1 when the original comes out
-    strictly more coherent (lower bbscore, or higher p-value with
-    use_pvalue), 0.5 on ties, else 0. Pooled over all pairs by default;
-    per_document averages per-document accuracies instead. Shuffle seeds are
-    derived per document from spec.seed and the document id. Each document
-    and its distinct copies are scored in one kernel call.
-    """
-    return discrimination_accuracies(originals, [spec], spatial, use_pvalue, per_document)[0]
 
 
 # Shuffled copies a process scores at least, for its fork to pay for itself.
 FORK_FLOOR = 2000
 
 
-def discrimination_accuracies(originals, specs, spatial: SpatialCovariance,
+def discrimination_accuracies(originals, specs, spatial: SpdMatrix,
                               use_pvalue: bool = False, per_document: bool = False) -> list[float]:
-    """discrimination_accuracy of the originals under each of specs, in order.
+    """Original-vs-shuffled discrimination accuracy under each of specs, in order.
+
+    Every (original, shuffled copy) pair scores 1 when the original comes out
+    strictly more coherent (lower bbscore, or higher p-value with
+    use_pvalue), 0.5 on ties, else 0. Pooled over all pairs by default;
+    per_document averages per-document accuracies instead. Shuffle seeds are
+    derived per document from each spec's seed and the document id. Each
+    document and its distinct copies under every spec are scored in one
+    kernel call.
 
     On Linux the id-sorted originals are cut into contiguous chunks, one per
     CPU this process may run on but none with under FORK_FLOOR shuffled
@@ -339,7 +300,7 @@ def discrimination_accuracies(originals, specs, spatial: SpatialCovariance,
     for spec in specs:
         for traj in originals:
             _check_shuffle(traj.T + 1, spec, traj.id)
-    spatial.sigma.inv_chol  # formed here once, not in each child
+    spatial.inv_chol  # formed here once, not in each child
     if use_pvalue:
         chi_square_sf(1.0, 1)  # imports scipy.special here once, not in each child
     count = len(originals)
@@ -361,7 +322,7 @@ def discrimination_accuracies(originals, specs, spatial: SpatialCovariance,
     return accuracies
 
 
-def _credits(originals, specs, spatial: SpatialCovariance, use_pvalue: bool) -> list:
+def _credits(originals, specs, spatial: SpdMatrix, use_pvalue: bool) -> list:
     """Per spec, the credit array of each original with a distinct shuffled copy, in order.
 
     Each original is taken once: its classes of byte-equal points are found,
@@ -401,7 +362,7 @@ def _pairs_below(x, y) -> int:
     return int(x.size * y.size - np.searchsorted(np.sort(y), x, side="right").sum())
 
 
-def relative_accuracy(set_a, set_b, rank_a, rank_b, spatial: SpatialCovariance,
+def relative_accuracy(set_a, set_b, rank_a, rank_b, spatial: SpdMatrix,
                       use_pvalue: bool = False) -> float:
     """Fraction of cross pairs whose score ordering matches the ground truth.
 
@@ -468,7 +429,7 @@ def _best_boundary(values_low, values_high) -> float:
 
 
 def threshold_classify(train: LabeledCorpus, test: LabeledCorpus,
-                       spatial: SpatialCovariance, use_pvalue: bool | None = None):
+                       spatial: SpdMatrix, use_pvalue: bool | None = None):
     """Threshold discretization of scores into ordinal classes.
 
     Thresholds between each adjacent label pair maximize training split
@@ -509,8 +470,8 @@ def threshold_classify(train: LabeledCorpus, test: LabeledCorpus,
     return predicted, rho
 
 
-def domain_swap_compare(corpus_a, corpus_b, sigma_a: SpatialCovariance,
-                        sigma_b: SpatialCovariance, sigma_ref: SpatialCovariance | None = None,
+def domain_swap_compare(corpus_a, corpus_b, sigma_a: SpdMatrix,
+                        sigma_b: SpdMatrix, sigma_ref: SpdMatrix | None = None,
                         pairing: str = "cross") -> dict:
     """Score two corpora under swapped domain models.
 

@@ -42,7 +42,7 @@ import numpy as np
 import orjson
 
 from . import __version__, forks
-from .bridge import LatentTrajectory, SpatialCovariance
+from .bridge import LatentTrajectory
 from .encoder import LinearEncoder, TrainerState
 from .errors import NotPositiveDefiniteError, ValidationError
 from .numerics import SpdMatrix
@@ -371,7 +371,7 @@ def read_trajectories(path, digest=None) -> tuple[list[TrajectoryRecord], dict]:
 class SigmaModel:
     """A fitted spatial covariance plus its provenance metadata."""
 
-    spatial: SpatialCovariance
+    spatial: SpdMatrix
     weight: int
     domain: str
     epsilon: float
@@ -390,7 +390,7 @@ def write_sigma_model(path, model: SigmaModel) -> None:
         "weight": int(model.weight),
         "domain": model.domain,
         "epsilon": model.epsilon,
-        "matrix": model.spatial.sigma.entries,
+        "matrix": model.spatial.entries,
         "created_by": model.created_by,
         "source_corpus_digest": model.source_corpus_digest,
     }
@@ -432,7 +432,7 @@ def read_sigma_model(path) -> SigmaModel:
     except (ValidationError, NotPositiveDefiniteError) as exc:
         raise ValidationError(f"{path}: matrix is not symmetric positive-definite: {exc}") from exc
     return SigmaModel(
-        spatial=SpatialCovariance(sigma=spd),
+        spatial=spd,
         weight=weight,
         domain=str(payload.get("domain", "")),
         epsilon=float(epsilon),
@@ -453,7 +453,7 @@ def write_trainer_state(path, state: TrainerState, extra: dict | None = None) ->
         "shrinkage": state.shrinkage,
         "seed": state.seed,
         "sigma_hat": {
-            dom: cov.sigma.entries for dom, cov in sorted(state.sigma_hat.items())
+            dom: cov.entries for dom, cov in sorted(state.sigma_hat.items())
         },
         "sigma_scalar": {dom: float(v) for dom, v in sorted(state.sigma_scalar.items())},
     }

@@ -1,9 +1,12 @@
 """Dense linear algebra and statistical primitives.
 
-Everything here is a pure function on immutable inputs. An SpdMatrix factors
-at construction and forms its inverse factor, which every solve uses, at first
-use; filling it is idempotent, so SpdMatrix values are freely shareable across
-threads. Only chi_square_sf needs more than numpy, and imports it at first call.
+Everything here is a pure function on immutable inputs. SpdMatrix is the
+package's covariance type: the spatial covariance Sigma of the bridge model,
+a fitted model's matrix and each trainer domain's Sigma_hat are all one. It
+factors at construction and forms its inverse factor, which every solve uses,
+at first use; filling it is idempotent, so SpdMatrix values are freely
+shareable across threads. Only chi_square_sf needs more than numpy, and
+imports it at first call.
 """
 
 from __future__ import annotations
@@ -19,31 +22,16 @@ LOG_2PI = math.log(2.0 * math.pi)
 _SYMMETRY_RTOL = 1e-12
 
 
-def cholesky(m) -> np.ndarray:
-    """Lower-triangular factor L with L @ L.T == m.
-
-    Raises NotPositiveDefiniteError when a pivot is <= 0. Regularization is
-    deliberately left to the caller: silently jittering a covariance here
-    would mask estimation bugs upstream.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {m.shape}")
-    try:
-        return np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(
-            f"matrix of dim {m.shape[0]} is not positive-definite"
-        ) from exc
-
-
 class SpdMatrix:
     """Symmetric positive-definite matrix with its Cholesky factor L.
 
     Construction validates finiteness, symmetry (relative tolerance 1e-12)
     and positive definiteness, and computes L for the log-determinant and
-    for sampling. inv_chol = L^-1, which every solve uses, is formed at first
-    use, so commands that never solve (simulate, fit) never pay for it.
+    for sampling. It raises NotPositiveDefiniteError when a pivot is <= 0:
+    regularization is left to the caller, since silently jittering a
+    covariance here would mask estimation bugs upstream. inv_chol = L^-1,
+    which every solve uses, is formed at first use, so commands that never
+    solve (simulate, fit) never pay for it.
     """
 
     __slots__ = ("entries", "chol", "_inv_chol")
@@ -59,8 +47,13 @@ class SpdMatrix:
             raise NotPositiveDefiniteError("zero matrix is not positive-definite")
         if np.abs(m - m.T).max() > _SYMMETRY_RTOL * scale:
             raise ValidationError("matrix is not symmetric within 1e-12 relative tolerance")
+        try:
+            self.chol = np.linalg.cholesky(m)
+        except np.linalg.LinAlgError as exc:
+            raise NotPositiveDefiniteError(
+                f"matrix of dim {m.shape[0]} is not positive-definite"
+            ) from exc
         self.entries = m
-        self.chol = cholesky(m)
         m.setflags(write=False)
         self.chol.setflags(write=False)
         self._inv_chol = None

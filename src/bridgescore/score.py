@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bridge import LatentTrajectory, SpatialCovariance, increments, quadratic_form, residuals
+from .bridge import LatentTrajectory, increments, quadratic_form, residuals
 from .errors import DimensionMismatchError, NumericalError, ValidationError
-from .numerics import LOG_2PI, chi_square_sf
+from .numerics import LOG_2PI, SpdMatrix, chi_square_sf
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ class ScoreReport:
     heuristic_score: float | None = None
 
 
-def score_statistics(trajs, spatial: SpatialCovariance) -> tuple[np.ndarray, np.ndarray]:
+def score_statistics(trajs, spatial: SpdMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Statistics tr(Sigma^-1 (s-mu) Sigma_T^-1 (s-mu)^T) and their dof (T-1) d, in input order.
 
     One quadratic_form per document, so a statistic does not depend on its
@@ -57,7 +57,7 @@ def score_statistics(trajs, spatial: SpatialCovariance) -> tuple[np.ndarray, np.
     return statistic, np.array([(t.T - 1) * t.d for t in trajs], dtype=int)
 
 
-def bbscore_batch(trajs, spatial: SpatialCovariance) -> list[ScoreReport]:
+def bbscore_batch(trajs, spatial: SpdMatrix) -> list[ScoreReport]:
     """Score a corpus; output order matches input order.
 
     bbscore = tr(Sigma^-1 (s-mu) Sigma_T^-1 (s-mu)^T) / [(T-1) d], in increment
@@ -72,7 +72,7 @@ def bbscore_batch(trajs, spatial: SpatialCovariance) -> list[ScoreReport]:
     ]
 
 
-def bbscore(traj: LatentTrajectory, spatial: SpatialCovariance) -> ScoreReport:
+def bbscore(traj: LatentTrajectory, spatial: SpdMatrix) -> ScoreReport:
     """Score one trajectory against a spatial covariance: bbscore_batch of one.
 
     Zero for straight-line trajectories, exactly 1 against the trajectory's

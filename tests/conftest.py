@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import bridgescore.forks as forks
-from bridgescore import LatentTrajectory, SpatialCovariance, SpdMatrix
+from bridgescore import LatentTrajectory, SpdMatrix
 
 
 def random_spd(rng, d, spread=1.0):
@@ -21,7 +21,7 @@ def random_spd(rng, d, spread=1.0):
 
 
 def random_spatial(rng, d, spread=1.0):
-    return SpatialCovariance(sigma=SpdMatrix(random_spd(rng, d, spread)))
+    return SpdMatrix(random_spd(rng, d, spread))
 
 
 def random_trajectory(rng, d, T, traj_id="t", domain="test", scale=1.0):

@@ -17,16 +17,14 @@ from bridgescore import (
     LatentTrajectory,
     LinearEncoder,
     ShuffleSpec,
-    SpatialCovariance,
     SpdMatrix,
     bbscore,
     bbscore_batch,
     cl_gradient,
     cl_loss,
-    discrimination_accuracy,
+    discrimination_accuracies,
     domain_swap_compare,
     log_likelihood,
-    log_likelihood_corpus,
     make_shuffle_set,
     mle_sigma,
     nll_batch_loss,
@@ -68,7 +66,7 @@ def test_criterion_1_density_oracle_equivalence():
                 for _ in range(100):
                     traj = random_trajectory(rng, d, T)
                     sigma = random_spd(rng, d)
-                    got = log_likelihood(traj, SpatialCovariance(sigma=SpdMatrix(sigma)))
+                    got = log_likelihood(traj, SpdMatrix(sigma))
                     want = dense_log_density(traj, sigma)
                     assert abs(got - want) <= 1e-10 * abs(want)
 
@@ -78,18 +76,18 @@ def test_criterion_2_mle_stationarity_and_recovery():
         rng = np.random.default_rng(202)
         d, T, n = 4, 50, 200
         sigma = random_spd(rng, d)
-        spatial = SpatialCovariance(sigma=SpdMatrix(sigma))
+        spatial = SpdMatrix(sigma)
 
         trajs = simulate(spatial, d, T, n, seed0=20_000)
         est = mle_sigma(trajs)
-        best = log_likelihood_corpus(trajs, est)
+        best = sum(log_likelihood(t, est) for t in trajs)
         for _ in range(8):
             e = rng.standard_normal((d, d))
             e = (e + e.T) / 2.0
             e /= np.linalg.norm(e)
             for delta in (1e-4, -1e-4):
-                perturbed = SpatialCovariance(sigma=SpdMatrix(est.sigma.entries + delta * e))
-                assert log_likelihood_corpus(trajs, perturbed) <= best + 1e-8
+                perturbed = SpdMatrix(est.entries + delta * e)
+                assert sum(log_likelihood(t, perturbed) for t in trajs) <= best + 1e-8
 
         errors = []
         seed = 40_000
@@ -98,7 +96,7 @@ def test_criterion_2_mle_stationarity_and_recovery():
             seed += n
             fit = mle_sigma(replicate)
             errors.append(
-                float(np.linalg.norm(fit.sigma.entries - sigma) / np.linalg.norm(sigma))
+                float(np.linalg.norm(fit.entries - sigma) / np.linalg.norm(sigma))
             )
         assert float(np.median(errors)) < 0.10
 
@@ -107,7 +105,7 @@ def test_criterion_3_bbscore_calibration():
     with criterion(3, "BBScore chi-square calibration", 60.0):
         rng = np.random.default_rng(303)
         d, T, n = 4, 26, 2000  # dof = (T-1) d = 100
-        spatial = SpatialCovariance(sigma=SpdMatrix(random_spd(rng, d)))
+        spatial = SpdMatrix(random_spd(rng, d))
         reports = bbscore_batch(simulate(spatial, d, T, n, seed0=60_000), spatial)
         stats = np.array([r.statistic for r in reports])
         assert abs(float(stats.mean()) - 100.0) <= 7.0
@@ -122,7 +120,7 @@ def test_criterion_4_length_comparability():
     with criterion(4, "length comparability of the score", 60.0):
         rng = np.random.default_rng(404)
         d = 4
-        spatial = SpatialCovariance(sigma=SpdMatrix(random_spd(rng, d)))
+        spatial = SpdMatrix(random_spd(rng, d))
         means = []
         for T in (10, 50, 200):
             trajs = simulate(spatial, d, T, 600, seed0=100 * T)
@@ -140,7 +138,7 @@ def test_criterion_5_gradient_correctness():
             d_out = int(rng.integers(1, 5))
             T = int(rng.integers(4, 9))
             enc = LinearEncoder(0.7 * rng.standard_normal((d_out, d_in)))
-            sigma = SpatialCovariance(sigma=SpdMatrix(random_spd(rng, d_out)))
+            sigma = SpdMatrix(random_spd(rng, d_out))
 
             batch = [
                 LatentTrajectory(id=f"n{trial}-{i}", domain="d",
@@ -177,7 +175,7 @@ def test_criterion_6_training_sanity(tmp_path):
         rng = np.random.default_rng(606)
         d, T, n = 3, 20, 60
         sigma = random_spd(rng, d)
-        spatial = SpatialCovariance(sigma=SpdMatrix(sigma))
+        spatial = SpdMatrix(sigma)
         # well-conditioned invertible mixing so weight error does not blow up
         # into covariance error (condition number <= 1.6)
         q, _ = np.linalg.qr(rng.standard_normal((d, d)))
@@ -230,15 +228,15 @@ def test_criterion_7_directional_discrimination():
     with criterion(7, "directional shuffle discrimination", 120.0):
         rng = np.random.default_rng(707)
         d, T, n = 4, 50, 100
-        spatial = SpatialCovariance(sigma=SpdMatrix(random_spd(rng, d)))
+        spatial = SpdMatrix(random_spd(rng, d))
         originals = simulate(spatial, d, T, n, seed0=90_000)
         for bs, floor in ((1, 0.90), (2, 0.75), (5, 0.75), (10, 0.75)):
             spec = ShuffleSpec(kind="global_block", block_size=bs, copies=20, seed=7)
-            acc = discrimination_accuracy(originals, spec, spatial)
+            acc = discrimination_accuracies(originals, [spec], spatial)[0]
             assert acc > floor, f"block_size={bs}: accuracy {acc:.3f} <= {floor}"
         spec = ShuffleSpec(kind="local_window", num_windows=3, window_size=3,
                            copies=20, seed=7)
-        acc = discrimination_accuracy(originals, spec, spatial)
+        acc = discrimination_accuracies(originals, [spec], spatial)[0]
         assert acc > 0.65, f"local windows: accuracy {acc:.3f} <= 0.65"
 
 
@@ -250,8 +248,8 @@ def test_criterion_8_sigma_swap_direction():
         q, _ = np.linalg.qr(rng.standard_normal((d, d)))
         rotated = q @ sig_a @ q.T
         sig_b = 0.5 * (rotated + rotated.T)
-        spatial_a = SpatialCovariance(sigma=SpdMatrix(sig_a))
-        spatial_b = SpatialCovariance(sigma=SpdMatrix(sig_b))
+        spatial_a = SpdMatrix(sig_a)
+        spatial_b = SpdMatrix(sig_b)
 
         corpus_a = simulate(spatial_a, d, T, n, seed0=1_000, prefix="a")
         corpus_b = simulate(spatial_b, d, T, n, seed0=2_000, prefix="b")

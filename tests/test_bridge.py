@@ -7,13 +7,11 @@ from bridgescore import (
     LatentTrajectory,
     NumericalError,
     SingularEstimateError,
-    SpatialCovariance,
     SpdMatrix,
     ValidationError,
     bridge_mean,
     increments,
     log_likelihood,
-    log_likelihood_corpus,
     mle_sigma,
     pooled_covariance,
     quadratic_form,
@@ -71,12 +69,12 @@ class TestTemporalCov:
             t = random_trajectory(rng, 1, T)
             r = residuals(t)[0]
             dense = float(r @ np.linalg.solve(temporal_matrix(T), r))
-            assert quadratic_form(SpatialCovariance.identity(1),
+            assert quadratic_form(SpdMatrix(np.eye(1)),
                                   increments(t.points)) == pytest.approx(dense, rel=1e-10)
 
     def test_rejects_small_t(self):
         with pytest.raises(ValidationError):
-            sample_bridge(1, 1, SpatialCovariance.identity(1), [0.0], [0.0], seed=0)
+            sample_bridge(1, 1, SpdMatrix(np.eye(1)), [0.0], [0.0], seed=0)
 
 
 class TestIncrementKernel:
@@ -87,7 +85,7 @@ class TestIncrementKernel:
         r = residuals(t)[:, 0]
         np.testing.assert_allclose(increments(t.points), [r, -r], atol=1e-15)
         sigma = random_spd(rng, 2)
-        value = quadratic_form(SpatialCovariance(sigma=SpdMatrix(sigma)), increments(t.points))
+        value = quadratic_form(SpdMatrix(sigma), increments(t.points))
         assert value == pytest.approx(dense_quad_form(t, sigma), rel=1e-12)
 
     def test_pooled_mle_mixed_lengths(self, rng):
@@ -112,7 +110,7 @@ class TestIncrementKernel:
             r = residuals(t)[:, cols]
             sub = temporal_matrix(T)[np.ix_(cols, cols)]
             dense = float(np.trace(np.linalg.solve(sigma, r) @ np.linalg.solve(sub, r.T)))
-            value = quadratic_form(SpatialCovariance(sigma=SpdMatrix(sigma)), gap)
+            value = quadratic_form(SpdMatrix(sigma), gap)
             assert value == pytest.approx(dense, rel=1e-12)
 
     def test_log_likelihood_long_documents(self, rng):
@@ -120,12 +118,12 @@ class TestIncrementKernel:
             for T in (8, 25, 60):
                 t = random_trajectory(rng, d, T)
                 sigma = random_spd(rng, d)
-                value = log_likelihood(t, SpatialCovariance(sigma=SpdMatrix(sigma)))
+                value = log_likelihood(t, SpdMatrix(sigma))
                 assert value == pytest.approx(dense_log_density(t, sigma), rel=1e-10)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            quadratic_form(SpatialCovariance.identity(3), np.ones((4, 2)))
+            quadratic_form(SpdMatrix(np.eye(3)), np.ones((4, 2)))
 
     @pytest.mark.parametrize("d", [64, 256])
     def test_stack_matches_lone_calls(self, rng, d):
@@ -150,7 +148,7 @@ class TestIncrementKernel:
         trajs = [random_trajectory(rng, 2, 4, traj_id=f"p{i}") for i in (1, 3)] + [huge]
         with pytest.raises(NumericalError, match="trajectory 'p2': its increments overflow"):
             pooled_covariance(trajs)
-        spatial = SpatialCovariance.identity(2)
+        spatial = SpdMatrix(np.eye(2))
         with pytest.raises(NumericalError, match="trajectory 'p2': its statistic overflows"):
             score_statistics(trajs, spatial)
 
@@ -203,7 +201,7 @@ class TestSampleBridge:
     def test_midpoint_variance(self):
         # Var of the standard bridge at T/2 is (T/2)(T - T/2)/T = T/4
         T, n = 16, 10_000
-        spatial = SpatialCovariance.identity(1)
+        spatial = SpdMatrix(np.eye(1))
         mid = np.array([
             sample_bridge(1, T, spatial, np.zeros(1), np.zeros(1), seed=s).points[T // 2, 0]
             for s in range(n)
@@ -211,7 +209,7 @@ class TestSampleBridge:
         assert float(mid.var()) == pytest.approx(T / 4.0, rel=0.05)
 
     def test_cross_coordinate_correlation(self):
-        spatial = SpatialCovariance(sigma=SpdMatrix([[1.0, 0.9], [0.9, 1.0]]))
+        spatial = SpdMatrix([[1.0, 0.9], [0.9, 1.0]])
         T, n = 50, 10_000
         t_idx = 20
         pts = np.array([
@@ -228,7 +226,7 @@ class TestSampleBridge:
         for T in (2, 3, 17, 60):
             t = sample_bridge(d, T, spatial, np.zeros(d), np.zeros(d), seed=T)
             z = np.random.default_rng(T).standard_normal((d, T - 1))
-            expected = spatial.sigma.chol @ z @ np.linalg.cholesky(temporal_matrix(T)).T
+            expected = spatial.chol @ z @ np.linalg.cholesky(temporal_matrix(T)).T
             np.testing.assert_array_equal(t.points[1:-1].T, expected)
 
     def test_dimension_mismatch(self, rng):
@@ -241,12 +239,12 @@ class TestSampleBridge:
 class TestLogLikelihood:
     def test_flat_unit_case(self):
         t = LatentTrajectory("a", "x", [[0.0], [0.0], [0.0]])
-        value = log_likelihood(t, SpatialCovariance.identity(1))
+        value = log_likelihood(t, SpdMatrix(np.eye(1)))
         assert value == pytest.approx(-0.5723649429247001, abs=1e-10)
 
     def test_unit_residual_case(self):
         t = LatentTrajectory("a", "x", [[0.0], [1.0], [0.0]])
-        value = log_likelihood(t, SpatialCovariance.identity(1))
+        value = log_likelihood(t, SpdMatrix(np.eye(1)))
         assert value == pytest.approx(-1.5723649429247001, abs=1e-10)
 
     def test_matches_dense_density(self, rng):
@@ -255,7 +253,7 @@ class TestLogLikelihood:
                 for _ in range(10):
                     t = random_trajectory(rng, d, T)
                     sigma = random_spd(rng, d)
-                    spatial = SpatialCovariance(sigma=SpdMatrix(sigma))
+                    spatial = SpdMatrix(sigma)
                     dense = dense_log_density(t, sigma)
                     assert log_likelihood(t, spatial) == pytest.approx(dense, rel=1e-10)
 
@@ -264,23 +262,23 @@ class TestLogLikelihood:
             for T in (2, 3, 4, 5):
                 t = random_trajectory(rng, d, T)
                 sigma = random_spd(rng, d)
-                trace = quadratic_form(SpatialCovariance(sigma=SpdMatrix(sigma)),
+                trace = quadratic_form(SpdMatrix(sigma),
                                        increments(t.points))
                 assert trace == pytest.approx(dense_quad_form(t, sigma), rel=1e-10)
 
     def test_scaling_metamorphic(self, rng):
         t = random_trajectory(rng, 3, 7)
         sigma = random_spd(rng, 3)
-        base = log_likelihood(t, SpatialCovariance(sigma=SpdMatrix(sigma)))
+        base = log_likelihood(t, SpdMatrix(sigma))
         trace = dense_quad_form(t, sigma)
         for c in (0.5, 2.0, 11.0):
-            scaled = log_likelihood(t, SpatialCovariance(sigma=SpdMatrix(c * sigma)))
+            scaled = log_likelihood(t, SpdMatrix(c * sigma))
             expected = base - (t.T - 1) * t.d / 2 * np.log(c) - 0.5 * (1 / c - 1) * trace
             assert scaled == pytest.approx(expected, rel=1e-12)
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionMismatchError):
-            log_likelihood(random_trajectory(rng, 2, 4), SpatialCovariance.identity(3))
+            log_likelihood(random_trajectory(rng, 2, 4), SpdMatrix(np.eye(3)))
 
     def test_affine_drift_invariance(self, rng):
         t = random_trajectory(rng, 2, 6)
@@ -297,41 +295,11 @@ class TestLogLikelihood:
         )
 
 
-class TestCorpusLikelihood:
-    def test_single(self, rng):
-        t = random_trajectory(rng, 2, 5)
-        spatial = random_spatial(rng, 2)
-        assert log_likelihood_corpus([t], spatial) == log_likelihood(t, spatial)
-
-    def test_duplicate_doubles(self, rng):
-        t = random_trajectory(rng, 2, 5)
-        spatial = random_spatial(rng, 2)
-        assert log_likelihood_corpus([t, t], spatial) == pytest.approx(
-            2.0 * log_likelihood(t, spatial), rel=1e-15
-        )
-
-    def test_mixed_lengths_additive(self, rng):
-        a = random_trajectory(rng, 2, 2, traj_id="a")
-        b = random_trajectory(rng, 2, 3, traj_id="b")
-        spatial = random_spatial(rng, 2)
-        total = log_likelihood_corpus([b, a], spatial)
-        assert total == pytest.approx(
-            log_likelihood(a, spatial) + log_likelihood(b, spatial), rel=1e-12
-        )
-
-    def test_order_invariant(self, rng):
-        trajs = [random_trajectory(rng, 2, 4, traj_id=f"t{i}") for i in range(6)]
-        spatial = random_spatial(rng, 2)
-        assert log_likelihood_corpus(trajs, spatial) == log_likelihood_corpus(
-            trajs[::-1], spatial
-        )
-
-
 class TestMleSigma:
     def test_hand_computed_scalar(self):
         t = LatentTrajectory("a", "x", [[0.0], [1.0], [0.0]])
         est = mle_sigma([t])
-        assert est.sigma.entries[0, 0] == pytest.approx(2.0, rel=1e-12)
+        assert est.entries[0, 0] == pytest.approx(2.0, rel=1e-12)
 
     def test_straight_lines_singular(self):
         pts = np.linspace([0.0, 0.0], [2.0, 2.0], num=5)
@@ -348,14 +316,14 @@ class TestMleSigma:
     def test_recovery_from_samples(self, rng):
         d, T, n = 4, 50, 200
         sigma = random_spd(rng, d)
-        spatial = SpatialCovariance(sigma=SpdMatrix(sigma))
+        spatial = SpdMatrix(sigma)
         trajs = [
             sample_bridge(d, T, spatial, np.zeros(d), np.zeros(d), seed=10_000 + i,
                           id=f"s{i}")
             for i in range(n)
         ]
         est = mle_sigma(trajs)
-        rel = np.linalg.norm(est.sigma.entries - sigma) / np.linalg.norm(sigma)
+        rel = np.linalg.norm(est.entries - sigma) / np.linalg.norm(sigma)
         assert rel < 0.10
 
     def test_stationarity(self, rng):
@@ -366,16 +334,14 @@ class TestMleSigma:
             for i in range(n)
         ]
         est = mle_sigma(trajs)
-        best = log_likelihood_corpus(trajs, est)
+        best = sum(log_likelihood(t, est) for t in trajs)
         for _ in range(10):
             e = rng.standard_normal((d, d))
             e = (e + e.T) / 2
             e /= np.linalg.norm(e)
             for delta in (1e-4, -1e-4):
-                perturbed = SpatialCovariance(
-                    sigma=SpdMatrix(est.sigma.entries + delta * e)
-                )
-                assert log_likelihood_corpus(trajs, perturbed) <= best + 1e-8
+                perturbed = SpdMatrix(est.entries + delta * e)
+                assert sum(log_likelihood(t, perturbed) for t in trajs) <= best + 1e-8
 
     def test_affine_drift_invariance(self, rng):
         trajs = [random_trajectory(rng, 2, 6, traj_id=f"t{i}") for i in range(5)]
@@ -386,14 +352,14 @@ class TestMleSigma:
             for t in trajs
         ]
         np.testing.assert_allclose(
-            mle_sigma(shifted).sigma.entries, mle_sigma(trajs).sigma.entries, atol=1e-10
+            mle_sigma(shifted).entries, mle_sigma(trajs).entries, atol=1e-10
         )
 
     def test_error_shrinks_with_n(self):
         d, T = 3, 12
         rng = np.random.default_rng(7)
         sigma = random_spd(rng, d)
-        spatial = SpatialCovariance(sigma=SpdMatrix(sigma))
+        spatial = SpdMatrix(sigma)
         norms = {n: [] for n in (25, 100, 400)}
         seed = 0
         for _ in range(20):
@@ -407,7 +373,7 @@ class TestMleSigma:
                     seed += 1
                 est = mle_sigma(trajs)
                 norms[n].append(
-                    np.linalg.norm(est.sigma.entries - sigma) / np.linalg.norm(sigma)
+                    np.linalg.norm(est.entries - sigma) / np.linalg.norm(sigma)
                 )
         medians = [float(np.median(norms[n])) for n in (25, 100, 400)]
         assert medians[0] > medians[1] > medians[2]
@@ -429,7 +395,7 @@ class TestShrinkCovariance:
         m = self.pooled(rng)
         spatial, sigma2 = shrink_covariance(m, eps)
         assert sigma2 == float(np.trace(m)) / 3
-        np.testing.assert_array_equal(spatial.sigma.entries,
+        np.testing.assert_array_equal(spatial.entries,
                                       (1.0 - eps) * m + eps * sigma2 * np.eye(3))
 
     @pytest.mark.parametrize("eps", [-0.1, 1.5, 5.0, float("nan"), float("inf")])

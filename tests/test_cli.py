@@ -288,16 +288,35 @@ class TestFit:
         out = capsys.readouterr().out
         assert "relative Frobenius error" in out
 
+    @pytest.mark.parametrize("ref_d", [None, 3])
+    def test_bad_compare_to_writes_no_model(self, tmp_path, ref_d):
+        # the reference model is read and checked before the fit writes anything
+        corpus = simulate_file(tmp_path)
+        ref = tmp_path / "ref.json"
+        message = f"error: {ref}: cannot read file"
+        if ref_d:
+            assert run("fit", "--in", simulate_file(tmp_path, name="c3.jsonl", d=ref_d),
+                       "--out", ref) == 0
+            message = "error: --compare-to model has d=3, fitted d=2"
+        out = tmp_path / "m.json"
+        done = run_process("-m", "bridgescore.cli", "fit", "--in", corpus, "--out", out,
+                           "--compare-to", ref)
+        assert done.returncode == 1
+        assert done.stderr.startswith(message)
+        assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+        assert done.stdout == ""
+        assert not out.exists()
+
     def test_recovers_generating_covariance(self, tmp_path, capsys):
         # simulate from a known covariance written as a model file, refit,
         # and check the printed error against that generating covariance
-        from bridgescore import SpatialCovariance, SpdMatrix
+        from bridgescore import SpdMatrix
         from conftest import random_spd
 
         rng = np.random.default_rng(17)
         star = tmp_path / "star.json"
         write_sigma_model(star, SigmaModel(
-            spatial=SpatialCovariance(sigma=SpdMatrix(random_spd(rng, 4))),
+            spatial=SpdMatrix(random_spd(rng, 4)),
             weight=4, domain="truth", epsilon=0.0, source_corpus_digest=""))
         corpus = tmp_path / "big.jsonl"
         assert run("simulate", "--d", 4, "--T", 50, "--n", 200, "--sigma", star,
@@ -348,7 +367,7 @@ class TestFit:
         d = 3
         q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((d, d)))
         sigma = q @ np.diag([1.0, 1e-5, 1e-10]) @ q.T
-        spatial = bridgescore.SpatialCovariance(bridgescore.SpdMatrix(0.5 * (sigma + sigma.T)))
+        spatial = bridgescore.SpdMatrix(0.5 * (sigma + sigma.T))
         gen = tmp_path / "gen.json"
         write_sigma_model(gen, SigmaModel(spatial=spatial, weight=100, domain="x", epsilon=0.0,
                                           source_corpus_digest=""))
@@ -358,7 +377,7 @@ class TestFit:
         done = run_process("-m", "bridgescore.cli", "fit", "--in", fit_corpus, "--epsilon", 0,
                            "--out", model)
         assert done.returncode == 0 and "Traceback" not in done.stderr
-        assert 1e9 < np.linalg.cond(read_sigma_model(model).spatial.sigma.entries) < 1e11
+        assert 1e9 < np.linalg.cond(read_sigma_model(model).spatial.entries) < 1e11
         scores = tmp_path / "s.jsonl"
         done = run_process("-m", "bridgescore.cli", "score", "--in", held_out, "--model", model,
                            "--out", scores)
@@ -717,6 +736,26 @@ class TestTrainCommand:
         assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("step", ["nan", "inf", "-inf", "0"])
+    def test_bad_step_size_exits_1(self, tmp_path, step):
+        corpus = simulate_file(tmp_path, n=6, T=8)
+        out = tmp_path / "state.json"
+        done = run_process("-m", "bridgescore.cli", "train", "--corpora", corpus, "--epochs", 1,
+                           f"--step-size={step}", "--out", out)
+        assert done.returncode == 1
+        assert done.stderr == f"error: step_size must be positive and finite, got {float(step)}\n"
+        assert not out.exists()
+
+    def test_diverging_step_exits_2(self, tmp_path):
+        # a step of 1e308 overflows the weights: a numerical failure, named, unwarned
+        corpus = simulate_file(tmp_path, n=6, T=8)
+        out = tmp_path / "state.json"
+        done = run_process("-m", "bridgescore.cli", "train", "--corpora", corpus, "--epochs", 1,
+                           "--step-size", "1e308", "--out", out)
+        assert done.returncode == 2
+        assert done.stderr == "numerical error: domain 'sim': a gradient step overflows float64\n"
+        assert not out.exists()
+
     def test_d_out_sets_the_identity_rows(self, tmp_path):
         corpus = simulate_file(tmp_path, n=6, T=8)
         out = tmp_path / "state.json"
@@ -736,10 +775,10 @@ class TestTrainCommand:
 
     def test_sigma_model_weight_floor(self, tmp_path):
         model = tmp_path / "m.json"
-        from bridgescore import SpatialCovariance
+        from bridgescore import SpdMatrix
 
         write_sigma_model(model, SigmaModel(
-            spatial=SpatialCovariance.identity(3), weight=2, domain="x",
+            spatial=SpdMatrix(np.eye(3)), weight=2, domain="x",
             epsilon=0.0, source_corpus_digest=""))
         with pytest.raises(ValidationError, match="weight"):
             read_sigma_model(model)
@@ -757,7 +796,7 @@ class TestMalformedModelFiles:
         corpus = simulate_file(tmp_path, n=5, T=8, seed=3)
         model = tmp_path / "m.json"
         write_sigma_model(model, SigmaModel(
-            spatial=bridgescore.SpatialCovariance.identity(2), weight=50, domain="x",
+            spatial=bridgescore.SpdMatrix(np.eye(2)), weight=50, domain="x",
             epsilon=0.0, source_corpus_digest=""))
         model.write_text(json.dumps({**json.loads(model.read_text()), **change}))
         with pytest.raises(ValidationError, match="m.json"):
@@ -1079,23 +1118,23 @@ class TestWriters:
                             f'"points":{self.per_float(rec.trajectory.points)}}}')
 
     def test_model_and_trainer_state_bytes(self, tmp_path, scaled):
-        from bridgescore import LinearEncoder, SpatialCovariance, TrainerState
+        from bridgescore import LinearEncoder, SpdMatrix, TrainerState
         from bridgescore.fileio import write_trainer_state
 
         a = scaled[:3] @ scaled[:3].T + np.eye(3)
-        spatial = SpatialCovariance(sigma=bridgescore.SpdMatrix(0.5 * (a + a.T)))
+        spatial = SpdMatrix(0.5 * (a + a.T))
         model = tmp_path / "m.json"
         write_sigma_model(model, SigmaModel(spatial=spatial, weight=9, domain="x",
                                             epsilon=0.0, source_corpus_digest=""))
-        assert f'"matrix":{self.per_float(spatial.sigma.entries)}' in model.read_text()
+        assert f'"matrix":{self.per_float(spatial.entries)}' in model.read_text()
         state = TrainerState(encoder=LinearEncoder(weights=scaled[:2]),
-                             sigma_hat={"x": spatial, "y": SpatialCovariance.identity(3)},
+                             sigma_hat={"x": spatial, "y": SpdMatrix(np.eye(3))},
                              sigma_scalar={"x": 1.0, "y": 1.0})
         out = tmp_path / "state.json"
         write_trainer_state(out, state)
         text = out.read_text()
         assert f'"weights":{self.per_float(scaled[:2])}' in text
-        assert f'"x":{self.per_float(spatial.sigma.entries)}' in text
+        assert f'"x":{self.per_float(spatial.entries)}' in text
         assert f'"y":{self.per_float(np.eye(3))}' in text
 
 

@@ -61,8 +61,8 @@ def test_accuracies_do_not_depend_on_process_count(corpus, children, kind, use_p
     specs = SPECS[kind]
     want = at(1, discrimination_accuracies, originals, specs, spatial, use_pvalue, per_document)
     assert children == []
-    assert want == [ev.discrimination_accuracy(originals, spec, spatial, use_pvalue, per_document)
-                    for spec in specs]
+    assert want == [ev.discrimination_accuracies(originals, [spec], spatial, use_pvalue,
+                                                 per_document)[0] for spec in specs]
     got = at(n, discrimination_accuracies, originals, specs, spatial, use_pvalue, per_document)
     assert got == want
     assert [child.sent for child in children] == [True] * (n - 1)
@@ -123,13 +123,13 @@ FORK_AFTER_BLAS = """
 import os
 import numpy as np
 import bridgescore.evalsuite as ev
-from bridgescore import (LatentTrajectory, ShuffleSpec, SpatialCovariance, SpdMatrix,
+from bridgescore import (LatentTrajectory, ShuffleSpec, SpdMatrix,
                          discrimination_accuracies)
 from bridgescore.bridge import increments, quadratic_form
 
 rng = np.random.default_rng(0)
 a = rng.standard_normal((256, 256))
-spatial = SpatialCovariance(SpdMatrix(a @ a.T / 256 + np.eye(256)))
+spatial = SpdMatrix(a @ a.T / 256 + np.eye(256))
 assert np.isfinite(quadratic_form(spatial, increments(rng.standard_normal((4, 30, 256))))).all()
 docs = [LatentTrajectory(f"d{i}", "x", rng.standard_normal((40, 256))) for i in range(6)]
 specs = [ShuffleSpec(kind="global_block", block_size=b, copies=8, seed=1) for b in (1, 4)]

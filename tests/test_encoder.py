@@ -9,7 +9,6 @@ from bridgescore import (
     LatentTrajectory,
     LinearEncoder,
     NumericalError,
-    SpatialCovariance,
     SpdMatrix,
     TrainerState,
     ValidationError,
@@ -76,7 +75,7 @@ class TestEncode:
 
     @pytest.mark.parametrize("call", [
         lambda enc, seq: encode(enc, seq),
-        lambda enc, seq: nll_gradient(enc, [seq], SpatialCovariance.identity(2)),
+        lambda enc, seq: nll_gradient(enc, [seq], SpdMatrix(np.eye(2))),
         lambda enc, seq: cl_loss(enc, [(seq, (0, 2, 5))]),
     ], ids=["encode", "nll_gradient", "cl_loss"])
     def test_dimension_mismatch(self, rng, call):
@@ -177,18 +176,18 @@ class TestNllLoss:
         inputs = np.array([t / 8 * sT for t in range(9)])
         seq = LatentTrajectory(id="c", domain="dom", points=inputs)
         enc = LinearEncoder(rng.standard_normal((2, 2)))
-        assert nll_batch_loss(enc, [seq], SpatialCovariance.identity(2)) == 0.0
+        assert nll_batch_loss(enc, [seq], SpdMatrix(np.eye(2))) == 0.0
 
     def test_hand_computed(self):
         seq = LatentTrajectory(id="h", domain="dom", points=[[0.0], [1.0], [0.0]])
         loss = nll_batch_loss(LinearEncoder.identity(1), [seq],
-                              SpatialCovariance.identity(1))
+                              SpdMatrix(np.eye(1)))
         assert loss == pytest.approx(2.0, rel=1e-12)
 
     def test_triplet_t4_covers_interior(self, rng):
         seq = raw_sequence(rng, 2, 4)
         enc = LinearEncoder(rng.standard_normal((2, 2)))
-        sigma = SpatialCovariance(sigma=SpdMatrix(random_spd(rng, 2)))
+        sigma = SpdMatrix(random_spd(rng, 2))
         full = nll_batch_loss(enc, [seq], sigma)
         triplet = nll_batch_loss(enc, [seq], sigma, triplets=[(1, 2, 3)])
         assert triplet == pytest.approx(full, rel=1e-12)
@@ -218,7 +217,7 @@ class TestNllLoss:
         for T in (4, 5):
             seq = raw_sequence(rng, 2, T)
             enc = LinearEncoder(rng.standard_normal((2, 2)))
-            sigma = SpatialCovariance(sigma=SpdMatrix(random_spd(rng, 2)))
+            sigma = SpdMatrix(random_spd(rng, 2))
             triples = list(combinations(range(1, T), 3))
             tc = temporal_matrix(T)
             kernel = np.zeros((T - 1, T - 1))
@@ -232,7 +231,7 @@ class TestNllLoss:
             ])
             traj = encode(enc, seq)
             r = residuals(traj)
-            quad = float(np.trace(np.linalg.solve(sigma.sigma.entries, r) @ kernel @ r.T))
+            quad = float(np.trace(np.linalg.solve(sigma.entries, r) @ kernel @ r.T))
             assert avg == pytest.approx(quad, rel=1e-10)
             assert float(np.trace(kernel @ tc)) == pytest.approx(3.0, rel=1e-10)
             if T == 4:
@@ -246,7 +245,7 @@ class TestNllGradient:
         inputs = np.array([t / 8 * sT for t in range(9)])
         seq = LatentTrajectory(id="c", domain="dom", points=inputs)
         enc = LinearEncoder(rng.standard_normal((2, 2)))
-        grad = nll_gradient(enc, [seq], SpatialCovariance.identity(2))
+        grad = nll_gradient(enc, [seq], SpdMatrix(np.eye(2)))
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
     def test_finite_differences_randomized(self, rng):
@@ -257,7 +256,7 @@ class TestNllGradient:
             batch = [raw_sequence(rng, d_in, T, seq_id=f"s{trial}-{i}")
                      for i in range(int(rng.integers(1, 5)))]
             enc = LinearEncoder(0.8 * rng.standard_normal((d_out, d_in)))
-            sigma = SpatialCovariance(sigma=SpdMatrix(random_spd(rng, d_out)))
+            sigma = SpdMatrix(random_spd(rng, d_out))
             numeric = fd_gradient(
                 lambda w: nll_batch_loss(LinearEncoder(w), batch, sigma), enc.weights
             )
@@ -267,7 +266,7 @@ class TestNllGradient:
         batch = [raw_sequence(rng, 3, 7, seq_id=f"s{i}") for i in range(3)]
         triplets = sample_triplets(batch, np.random.default_rng(11))
         enc = LinearEncoder(rng.standard_normal((2, 3)))
-        sigma = SpatialCovariance(sigma=SpdMatrix(random_spd(rng, 2)))
+        sigma = SpdMatrix(random_spd(rng, 2))
         numeric = fd_gradient(
             lambda w: nll_batch_loss(LinearEncoder(w), batch, sigma, triplets=triplets),
             enc.weights,
@@ -278,14 +277,14 @@ class TestNllGradient:
         batch = [raw_sequence(rng, 2, 6)]
         enc = LinearEncoder(rng.standard_normal((2, 2)))
         sigma = random_spd(rng, 2)
-        g1 = nll_gradient(enc, batch, SpatialCovariance(sigma=SpdMatrix(sigma)))
-        g3 = nll_gradient(enc, batch, SpatialCovariance(sigma=SpdMatrix(3.0 * sigma)))
+        g1 = nll_gradient(enc, batch, SpdMatrix(sigma))
+        g3 = nll_gradient(enc, batch, SpdMatrix(3.0 * sigma))
         np.testing.assert_allclose(g3, g1 / 3.0, rtol=1e-12)
 
 
 def bridge_corpus(rng, d, T, n, domain, mixing=None, seed0=0):
     sigma = random_spd(rng, d)
-    spatial = SpatialCovariance(sigma=SpdMatrix(sigma))
+    spatial = SpdMatrix(sigma)
     seqs = []
     for i in range(n):
         traj = sample_bridge(d, T, spatial, np.zeros(d), np.zeros(d),
@@ -301,7 +300,7 @@ class TestUpdateSigmaHat:
         state = TrainerState(encoder=LinearEncoder.identity(2), epsilon=0.0)
         updated = update_sigma_hat(state, "a", seqs)
         expected = mle_sigma([encode(state.encoder, s) for s in seqs])
-        np.testing.assert_allclose(updated.sigma.entries, expected.sigma.entries,
+        np.testing.assert_allclose(updated.entries, expected.entries,
                                    rtol=1e-12)
 
     def test_epsilon_one_is_isotropic(self, rng):
@@ -309,16 +308,16 @@ class TestUpdateSigmaHat:
         state = TrainerState(encoder=LinearEncoder.identity(2), epsilon=1.0)
         updated = update_sigma_hat(state, "a", seqs)
         s2 = state.sigma_scalar["a"]
-        np.testing.assert_allclose(updated.sigma.entries, s2 * np.eye(2), rtol=1e-12)
+        np.testing.assert_allclose(updated.entries, s2 * np.eye(2), rtol=1e-12)
 
     def test_epsilon_half_is_midpoint(self, rng):
         seqs, _ = bridge_corpus(rng, 2, 8, 10, "a")
         lo = TrainerState(encoder=LinearEncoder.identity(2), epsilon=0.0)
         hi = TrainerState(encoder=LinearEncoder.identity(2), epsilon=1.0)
         mid = TrainerState(encoder=LinearEncoder.identity(2), epsilon=0.5)
-        m_lo = update_sigma_hat(lo, "a", seqs).sigma.entries
-        m_hi = update_sigma_hat(hi, "a", seqs).sigma.entries
-        m_mid = update_sigma_hat(mid, "a", seqs).sigma.entries
+        m_lo = update_sigma_hat(lo, "a", seqs).entries
+        m_hi = update_sigma_hat(hi, "a", seqs).entries
+        m_mid = update_sigma_hat(mid, "a", seqs).entries
         np.testing.assert_allclose(m_mid, 0.5 * (m_lo + m_hi), rtol=1e-12)
 
     def test_scalar_is_trace_over_d(self, rng):
@@ -326,7 +325,7 @@ class TestUpdateSigmaHat:
         state = TrainerState(encoder=LinearEncoder.identity(3), epsilon=0.0)
         updated = update_sigma_hat(state, "a", seqs)
         assert state.sigma_scalar["a"] == pytest.approx(
-            float(np.trace(updated.sigma.entries)) / 3.0, rel=1e-12
+            float(np.trace(updated.entries)) / 3.0, rel=1e-12
         )
 
     def test_pd_for_all_epsilons(self, rng):
@@ -335,7 +334,7 @@ class TestUpdateSigmaHat:
             state = TrainerState(encoder=LinearEncoder(rng.standard_normal((3, 3))),
                                  epsilon=eps)
             updated = update_sigma_hat(state, "a", seqs)
-            assert np.all(np.diag(updated.sigma.chol) > 0.0)
+            assert np.all(np.diag(updated.chol) > 0.0)
 
     def test_empty_corpus(self):
         state = TrainerState(encoder=LinearEncoder.identity(2))
@@ -348,7 +347,7 @@ class TestUpdateSigmaHat:
                              shrinkage=False)
         updated = update_sigma_hat(state, "a", seqs)
         expected = mle_sigma([encode(state.encoder, s) for s in seqs])
-        np.testing.assert_allclose(updated.sigma.entries, expected.sigma.entries,
+        np.testing.assert_allclose(updated.entries, expected.entries,
                                    rtol=1e-12)
 
     @pytest.mark.parametrize("eps", [0.0, 0.3])
@@ -359,7 +358,7 @@ class TestUpdateSigmaHat:
         state = TrainerState(encoder=LinearEncoder.identity(3), epsilon=eps)
         updated = update_sigma_hat(state, "a", seqs[::-1])
         expected = shrink_covariance(pooled_covariance(seqs)[0], eps)[0]
-        np.testing.assert_array_equal(updated.sigma.entries, expected.sigma.entries)
+        np.testing.assert_array_equal(updated.entries, expected.entries)
 
 
 def identifiable_corpora(seed, d=3, T=20, n=60, domains=("news", "wiki")):
@@ -371,7 +370,7 @@ def identifiable_corpora(seed, d=3, T=20, n=60, domains=("news", "wiki")):
     """
     rng = np.random.default_rng(seed)
     sigma = random_spd(rng, d)
-    spatial = SpatialCovariance(sigma=SpdMatrix(sigma))
+    spatial = SpdMatrix(sigma)
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))
     mixing = q @ np.diag(rng.uniform(0.8, 1.25, size=d))
     corpora = {}
@@ -408,8 +407,8 @@ class TestTrain:
         assert np.array_equal(runs[0][0], runs[1][0])
         assert runs[0][2] == runs[1][2]
         for dom in runs[0][1]:
-            assert np.array_equal(runs[0][1][dom].sigma.entries,
-                                  runs[1][1][dom].sigma.entries)
+            assert np.array_equal(runs[0][1][dom].entries,
+                                  runs[1][1][dom].entries)
 
     def test_single_step_descends(self, rng):
         corpora, _, theta_star = identifiable_corpora(7, domains=("solo",))
@@ -436,7 +435,7 @@ class TestTrain:
         state, trace = train(state, corpora, 12)
         assert trace[-1] < trace[0]
         for dom, cov in state.sigma_hat.items():
-            rel = np.linalg.norm(cov.sigma.entries - sigma_true) / np.linalg.norm(sigma_true)
+            rel = np.linalg.norm(cov.entries - sigma_true) / np.linalg.norm(sigma_true)
             assert rel < 0.2, f"domain {dom} recovery error {rel}"
 
     def test_divergence_guard(self):
@@ -445,6 +444,19 @@ class TestTrain:
                              step_size=50.0, batch_size=4)
         with pytest.raises(NumericalError, match="exceeded 10x its initial magnitude"):
             train(state, corpora, 10)
+
+    @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
+    def test_step_size_must_be_positive_and_finite(self, step):
+        with pytest.raises(ValidationError, match="step_size must be positive and finite"):
+            TrainerState(encoder=LinearEncoder.identity(2), step_size=step)
+
+    def test_overflowing_step_names_the_domain(self):
+        # pytest turns a numpy RuntimeWarning into an error: the step is formed unwarned
+        corpora, _, theta_star = identifiable_corpora(9, domains=("solo",))
+        state = TrainerState(encoder=LinearEncoder(theta_star), seed=4,
+                             step_size=1e308, batch_size=4)
+        with pytest.raises(NumericalError, match="domain 'solo': a gradient step overflows"):
+            train(state, corpora, 1)
 
     def test_empty_domain_rejected(self):
         state = TrainerState(encoder=LinearEncoder.identity(2))
@@ -459,8 +471,8 @@ class TestTrain:
         expected = 0.0
         for seq in corpora["solo"]:
             traj = encode(state.encoder, seq)
-            ld = 2.0 * float(np.sum(np.log(np.diag(sig.sigma.chol))))
-            expected += (traj.T - 1) * ld + dense_quad_form(traj, sig.sigma.entries)
+            ld = 2.0 * float(np.sum(np.log(np.diag(sig.chol))))
+            expected += (traj.T - 1) * ld + dense_quad_form(traj, sig.entries)
         assert nll_objective(state, corpora) == pytest.approx(expected, rel=1e-12)
 
     def test_nll_objective_names_a_domain_with_no_covariance(self, rng):
@@ -505,12 +517,12 @@ def reference_train(state, corpora, epochs):
     def refresh(dom):
         m, _ = pooled_covariance([LatentTrajectory(s.id, dom, s.points @ w.T) for s in seqs[dom]])
         sigma2 = np.trace(m) / len(m)
-        return SpatialCovariance.from_matrix((1 - eps) * m + eps * sigma2 * np.eye(len(m)))
+        return SpdMatrix((1 - eps) * m + eps * sigma2 * np.eye(len(m)))
 
     def objective():
         total = 0.0
         for dom, docs in seqs.items():
-            logdet = np.linalg.slogdet(sigma[dom].sigma.entries)[1]
+            logdet = np.linalg.slogdet(sigma[dom].entries)[1]
             for s in docs:
                 total += (s.T - 1) * logdet + quadratic_form(sigma[dom], increments(s.points @ w.T))
         return total
@@ -527,7 +539,7 @@ def reference_train(state, corpora, epochs):
                 for s, trip in zip(batch, trips):
                     times = None if trip is None else [0, *trip, s.T]
                     dm = increments(s.points if trip is None else s.points[times], times)
-                    grad += 2.0 * np.linalg.solve(sigma[dom].sigma.entries, w @ dm.T @ dm)
+                    grad += 2.0 * np.linalg.solve(sigma[dom].entries, w @ dm.T @ dm)
                 w = w - state.step_size * grad
             sigma[dom] = refresh(dom)
         trace.append(objective())
@@ -549,14 +561,14 @@ class TestGramTrainer:
         state = TrainerState(encoder=enc, epsilon=0.0)
         updated = update_sigma_hat(state, "news", corpora["news"])
         expected = dense_pooled_covariance([encode(enc, s) for s in corpora["news"]])
-        np.testing.assert_allclose(updated.sigma.entries, expected, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(updated.entries, expected, rtol=1e-12, atol=0)
 
     def test_nll_objective_matches_dense_oracle(self, setup):
         corpora, enc = setup
         state = TrainerState(encoder=enc, epsilon=0.01)
         expected = 0.0
         for dom, seqs in corpora.items():
-            sig = update_sigma_hat(state, dom, seqs).sigma.entries
+            sig = update_sigma_hat(state, dom, seqs).entries
             for seq in seqs:
                 traj = encode(enc, seq)
                 expected += (traj.T - 1) * np.linalg.slogdet(sig)[1] + dense_quad_form(traj, sig)
@@ -566,7 +578,7 @@ class TestGramTrainer:
     def test_batch_loss_matches_per_sequence_kernel(self, setup, triplet_mode):
         corpora, enc = setup
         batch = corpora["wiki"][:5]
-        sigma = SpatialCovariance(sigma=SpdMatrix(random_spd(np.random.default_rng(15), 3)))
+        sigma = SpdMatrix(random_spd(np.random.default_rng(15), 3))
         trips = sample_triplets(batch, 16) if triplet_mode else [None] * len(batch)
         expected = 0.0
         for seq, trip in zip(batch, trips):
@@ -595,7 +607,7 @@ class TestGramTrainer:
         for step in (1, -1):
             state = TrainerState(encoder=enc, seed=17, step_size=1e-4, batch_size=5)
             state, trace = train(state, {dom: seqs[::step] for dom, seqs in corpora.items()}, 2)
-            runs.append((trace, state.encoder.weights, state.sigma_hat["news"].sigma.entries))
+            runs.append((trace, state.encoder.weights, state.sigma_hat["news"].entries))
         assert runs[0][0] == runs[1][0]
         np.testing.assert_array_equal(runs[0][1], runs[1][1])
         np.testing.assert_array_equal(runs[0][2], runs[1][2])

@@ -12,14 +12,11 @@ from bridgescore import (
     LabeledCorpus,
     LatentTrajectory,
     ShuffleSpec,
-    SpatialCovariance,
     SpdMatrix,
     ValidationError,
     bbscore,
-    discrimination_accuracy,
+    discrimination_accuracies,
     domain_swap_compare,
-    global_shuffle,
-    local_shuffle,
     make_shuffle_set,
     mle_sigma,
     relative_accuracy,
@@ -51,37 +48,46 @@ class TestStableSeed:
 
 
 class TestGlobalShuffle:
+    @staticmethod
+    def spec(block_size, seed):
+        return ShuffleSpec(kind="global_block", block_size=block_size, copies=1, seed=seed)
+
     def test_single_block_rejected(self, rng):
         t = random_trajectory(rng, 2, 3)  # 4 points
         with pytest.raises(ValidationError, match="4 points cannot form two blocks of 4"):
-            global_shuffle(t, 4, seed=0)
+            make_shuffle_set(t, self.spec(4, seed=0))
         with pytest.raises(ValidationError, match="4 points cannot form two blocks of 3"):
-            global_shuffle(t, 3, seed=0)  # 4 < 2 * 3
+            make_shuffle_set(t, self.spec(3, seed=0))  # 4 < 2 * 3
 
     def test_two_blocks_forced_swap(self):
         t = LatentTrajectory("a", "x", [[0.0], [1.0], [2.0], [3.0]])
-        out = global_shuffle(t, 2, seed=11)
+        [out] = make_shuffle_set(t, self.spec(2, seed=11))
         np.testing.assert_array_equal(out.points, [[2.0], [3.0], [0.0], [1.0]])
 
     def test_multiset_preserved(self, rng):
         t = random_trajectory(rng, 2, 9)
         for seed in range(10):
-            out = global_shuffle(t, 2, seed=seed)
+            [out] = make_shuffle_set(t, self.spec(2, seed=seed))
             assert point_multiset(out) == point_multiset(t)
             assert out.T == t.T
 
     def test_block_one_never_identity(self, rng):
         t = random_trajectory(rng, 1, 4)
         for seed in range(25):
-            out = global_shuffle(t, 1, seed=seed)
+            [out] = make_shuffle_set(t, self.spec(1, seed=seed))
             assert not np.array_equal(out.points, t.points)
 
 
 class TestLocalShuffle:
+    @staticmethod
+    def spec(w, window_size, seed):
+        return ShuffleSpec(kind="local_window", num_windows=w, window_size=window_size,
+                           copies=1, seed=seed)
+
     def test_locality(self, rng):
         t = random_trajectory(rng, 2, 3)  # 4 points, window of 3 at start 0 or 1
         for seed in range(10):
-            out = local_shuffle(t, 1, 3, seed=seed)
+            [out] = make_shuffle_set(t, self.spec(1, 3, seed=seed))
             changed = [i for i in range(4) if not np.array_equal(out.points[i], t.points[i])]
             assert changed
             assert set(changed) <= {0, 1, 2} or set(changed) <= {1, 2, 3}
@@ -89,7 +95,7 @@ class TestLocalShuffle:
 
     def test_tiling_windows(self, rng):
         t = random_trajectory(rng, 1, 5)  # 6 points, two windows of 3 tile exactly
-        out = local_shuffle(t, 2, 3, seed=4)
+        [out] = make_shuffle_set(t, self.spec(2, 3, seed=4))
         for lo in (0, 3):
             window_before = Counter(tuple(p) for p in t.points[lo:lo + 3])
             window_after = Counter(tuple(p) for p in out.points[lo:lo + 3])
@@ -100,11 +106,11 @@ class TestLocalShuffle:
         t = random_trajectory(rng, 1, 4)  # 5 points
         with pytest.raises(ValidationError,
                            match="cannot place 2 disjoint windows of 3 in 5 points"):
-            local_shuffle(t, 2, 3, seed=0)
+            make_shuffle_set(t, self.spec(2, 3, seed=0))
 
     def test_multiset_and_change(self, rng):
         t = random_trajectory(rng, 3, 12)
-        out = local_shuffle(t, 3, 3, seed=2)
+        [out] = make_shuffle_set(t, self.spec(3, 3, seed=2))
         assert point_multiset(out) == point_multiset(t)
         assert not np.array_equal(out.points, t.points)
 
@@ -259,7 +265,7 @@ class TestMakeShuffleSet:
 def sim_setup():
     rng = np.random.default_rng(77)
     d, T = 3, 30
-    spatial = SpatialCovariance(sigma=SpdMatrix(random_spd(rng, d)))
+    spatial = SpdMatrix(random_spd(rng, d))
     originals = simulate(spatial, d, T, 20, seed0=400)
     return spatial, originals
 
@@ -289,7 +295,7 @@ class TestDiscrimination:
         rng = np.random.default_rng(2024)
         for trial in range(3):
             d = int(rng.integers(1, 5))
-            spatial = SpatialCovariance(sigma=SpdMatrix(random_spd(rng, d)))
+            spatial = SpdMatrix(random_spd(rng, d))
             originals = [random_trajectory(rng, d, int(T), traj_id=f"r{trial}-{i}")
                          for i, T in enumerate(rng.integers(5, 25, size=6))]
             a, b = rng.standard_normal((2, d))
@@ -299,8 +305,9 @@ class TestDiscrimination:
             rep_copies = make_shuffle_set(
                 originals[-1], replace(spec, seed=stable_seed(spec.seed, originals[-1].id)))
             assert 0 < len(rep_copies) < spec.copies  # repeated points: dedupe fires
-            batched = discrimination_accuracy(originals, spec, spatial, use_pvalue=use_pvalue,
-                                              per_document=per_document)
+            batched = discrimination_accuracies(originals, [spec], spatial,
+                                                use_pvalue=use_pvalue,
+                                                per_document=per_document)[0]
             assert batched == per_copy_accuracy(originals, spec, spatial, use_pvalue,
                                                 per_document)
 
@@ -311,37 +318,37 @@ class TestDiscrimination:
         monkeypatch.setattr(ev, "_shuffle_orders", lambda n, spec, rng, name: np.arange(n)[None])
         monkeypatch.setattr(ev, "_distinct", lambda classes, orders: [0])
         spec = ShuffleSpec(kind="global_block", block_size=1, copies=5, seed=0)
-        assert ev.discrimination_accuracy(originals, spec, spatial) == 0.5
+        assert ev.discrimination_accuracies(originals, [spec], spatial)[0] == 0.5
 
     def test_true_sigma_detects_block_shuffles(self, sim_setup):
         spatial, originals = sim_setup
         spec = ShuffleSpec(kind="global_block", block_size=1, copies=10, seed=5)
-        assert discrimination_accuracy(originals, spec, spatial) > 0.9
+        assert discrimination_accuracies(originals, [spec], spatial)[0] > 0.9
 
     def test_identity_sigma_still_beats_chance(self, sim_setup):
         _, originals = sim_setup
         spec = ShuffleSpec(kind="global_block", block_size=1, copies=10, seed=5)
-        acc = discrimination_accuracy(originals, spec, SpatialCovariance.identity(3))
+        acc = discrimination_accuracies(originals, [spec], SpdMatrix(np.eye(3)))[0]
         assert acc > 0.5
 
     def test_local_windows_detectable(self, sim_setup):
         spatial, originals = sim_setup
         spec = ShuffleSpec(kind="local_window", num_windows=2, window_size=3,
                            copies=10, seed=5)
-        assert discrimination_accuracy(originals, spec, spatial) > 0.65
+        assert discrimination_accuracies(originals, [spec], spatial)[0] > 0.65
 
     def test_corpus_order_invariant(self, sim_setup):
         spatial, originals = sim_setup
         spec = ShuffleSpec(kind="global_block", block_size=2, copies=5, seed=5)
-        a = discrimination_accuracy(originals, spec, spatial)
-        b = discrimination_accuracy(originals[::-1], spec, spatial)
+        a = discrimination_accuracies(originals, [spec], spatial)[0]
+        b = discrimination_accuracies(originals[::-1], [spec], spatial)[0]
         assert a == b
 
     def test_pvalue_ordering_matches_at_fixed_dof(self, sim_setup):
         spatial, originals = sim_setup
         spec = ShuffleSpec(kind="global_block", block_size=2, copies=5, seed=5)
-        raw = discrimination_accuracy(originals, spec, spatial, use_pvalue=False)
-        pv = discrimination_accuracy(originals, spec, spatial, use_pvalue=True)
+        raw = discrimination_accuracies(originals, [spec], spatial, use_pvalue=False)[0]
+        pv = discrimination_accuracies(originals, [spec], spatial, use_pvalue=True)[0]
         assert raw == pv
 
     def test_rescaling_with_refit_invariant(self, sim_setup):
@@ -349,24 +356,24 @@ class TestDiscrimination:
         reference = simulate(spatial, 3, 30, 30, seed0=9000)
         fitted = mle_sigma(reference)
         spec = ShuffleSpec(kind="global_block", block_size=2, copies=5, seed=5)
-        base = discrimination_accuracy(originals, spec, fitted)
+        base = discrimination_accuracies(originals, [spec], fitted)[0]
         scaled = [LatentTrajectory(t.id, t.domain, 3.0 * t.points) for t in originals]
         refit = mle_sigma([LatentTrajectory(t.id, t.domain, 3.0 * t.points)
                            for t in reference])
-        assert discrimination_accuracy(scaled, spec, refit) == base
+        assert discrimination_accuracies(scaled, [spec], refit)[0] == base
 
     def test_per_document_flag(self, sim_setup):
         spatial, originals = sim_setup
         spec = ShuffleSpec(kind="global_block", block_size=2, copies=5, seed=5)
-        pooled = discrimination_accuracy(originals, spec, spatial)
-        per_doc = discrimination_accuracy(originals, spec, spatial, per_document=True)
+        pooled = discrimination_accuracies(originals, [spec], spatial)[0]
+        per_doc = discrimination_accuracies(originals, [spec], spatial, per_document=True)[0]
         assert 0.0 <= per_doc <= 1.0 and 0.0 <= pooled <= 1.0
 
     def test_empty_corpus(self, sim_setup):
         spatial, _ = sim_setup
         spec = ShuffleSpec(kind="global_block", block_size=1, copies=5, seed=0)
         with pytest.raises(EmptySetError):
-            discrimination_accuracy([], spec, spatial)
+            discrimination_accuracies([], [spec], spatial)
 
 
 class TestRelativeAccuracy:
@@ -443,7 +450,7 @@ class TestThresholdClassify:
 
     def test_independent_labels_near_zero_rho(self):
         rng = np.random.default_rng(8)
-        spatial = SpatialCovariance(sigma=SpdMatrix(random_spd(rng, 2)))
+        spatial = SpdMatrix(random_spd(rng, 2))
         rhos = []
         for trial in range(3):
             trajs = simulate(spatial, 2, 20, 200, seed0=6000 + 500 * trial)
@@ -519,8 +526,8 @@ class TestDomainSwap:
         # equal-determinant rotation so the difference is shape, not scale
         q, _ = np.linalg.qr(rng.standard_normal((d, d)))
         sig_b = q @ sig_a @ q.T
-        spatial_a = SpatialCovariance(sigma=SpdMatrix(sig_a))
-        spatial_b = SpatialCovariance(sigma=SpdMatrix(0.5 * (sig_b + sig_b.T)))
+        spatial_a = SpdMatrix(sig_a)
+        spatial_b = SpdMatrix(0.5 * (sig_b + sig_b.T))
         corpus_a = simulate(spatial_a, d, T, n, seed0=100, prefix="a")
         corpus_b = simulate(spatial_b, d, T, n, seed0=900, prefix="b")
         fit_a = mle_sigma(simulate(spatial_a, d, T, 60, seed0=5000, prefix="ha"))
@@ -532,7 +539,7 @@ class TestDomainSwap:
     def test_reference_model_included(self, sim_setup):
         spatial, originals = sim_setup
         result = domain_swap_compare(originals[:5], originals[5:10], spatial, spatial,
-                                     sigma_ref=SpatialCovariance.identity(3))
+                                     sigma_ref=SpdMatrix(np.eye(3)))
         assert set(result) == {"sigma_a", "sigma_b", "sigma_ref"}
 
     def test_matched_pairing_requires_aligned_ids(self, sim_setup):
@@ -613,7 +620,7 @@ class TestPairCountsMatchLoops:
 
     def test_domain_swap_cross(self, tied_sets):
         spatial, set_a, set_b, _ = tied_sets
-        other = SpatialCovariance(sigma=SpdMatrix(2.0 * spatial.sigma.entries))
+        other = SpdMatrix(2.0 * spatial.entries)
         got = domain_swap_compare(set_a, set_b, spatial, other)
         for tag, model in (("sigma_a", spatial), ("sigma_b", other)):
             scores_a, scores_b = (ev._corpus_incoherence(s, model, False).tolist()

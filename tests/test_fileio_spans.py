@@ -17,7 +17,7 @@ import pytest
 
 import bridgescore.fileio as fileio
 import bridgescore.forks as forks
-from bridgescore import SpatialCovariance, SpdMatrix, ValidationError
+from bridgescore import SpdMatrix, ValidationError
 from bridgescore.bridge import increments, quadratic_form
 from bridgescore.fileio import read_trajectories, write_trajectories
 
@@ -183,7 +183,7 @@ def test_digest_hashes_each_byte_once(tmp_path, monkeypatch, children, name, n, 
 def test_forks_after_blas_threads_started(tmp_path, monkeypatch, children):
     rng = np.random.default_rng(0)
     a = rng.standard_normal((256, 256))
-    spatial = SpatialCovariance(SpdMatrix(a @ a.T / 256 + np.eye(256)))
+    spatial = SpdMatrix(a @ a.T / 256 + np.eye(256))
     incr = increments(rng.standard_normal((4, 30, 256)))
     assert np.isfinite(quadratic_form(spatial, incr)).all()
     path = corpus_file(tmp_path / "c.jsonl")

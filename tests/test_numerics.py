@@ -11,7 +11,6 @@ from bridgescore import (
     ValidationError,
     average_ranks,
     chi_square_sf,
-    cholesky,
     log_det_spd,
     spd_solve,
     spearman_rho,
@@ -21,22 +20,23 @@ from conftest import brute_force_det, random_spd
 
 class TestCholesky:
     def test_identity(self):
-        assert np.array_equal(cholesky(np.eye(3)), np.eye(3))
+        assert np.array_equal(SpdMatrix(np.eye(3)).chol, np.eye(3))
 
     def test_two_by_two(self):
-        L = cholesky([[4.0, 2.0], [2.0, 3.0]])
+        L = SpdMatrix([[4.0, 2.0], [2.0, 3.0]]).chol
         expected = np.array([[2.0, 0.0], [1.0, math.sqrt(2.0)]])
         np.testing.assert_allclose(L, expected, rtol=1e-14)
         np.testing.assert_allclose(L @ L.T, [[4.0, 2.0], [2.0, 3.0]], rtol=1e-14)
 
     def test_indefinite_rejected(self):
-        with pytest.raises(NotPositiveDefiniteError):
-            cholesky([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(NotPositiveDefiniteError,
+                           match="matrix of dim 2 is not positive-definite"):
+            SpdMatrix([[1.0, 2.0], [2.0, 1.0]])
 
     def test_random_reconstruction(self, rng):
         for _ in range(20):
             m = random_spd(rng, int(rng.integers(1, 7)))
-            L = cholesky(m)
+            L = SpdMatrix(m).chol
             err = np.linalg.norm(L @ L.T - m) / np.linalg.norm(m)
             assert err <= 1e-10
 

@@ -8,7 +8,6 @@ from bridgescore import (
     DimensionMismatchError,
     LatentTrajectory,
     NumericalError,
-    SpatialCovariance,
     SpdMatrix,
     ValidationError,
     bbscore,
@@ -53,7 +52,7 @@ class TestBBScore:
         # chord with binary-exact fractions so the residuals are exactly zero
         sT = np.array([4.0, -8.0])
         pts = np.array([t / 4 * sT for t in range(5)])
-        rep = bbscore(LatentTrajectory("a", "x", pts), SpatialCovariance.identity(2))
+        rep = bbscore(LatentTrajectory("a", "x", pts), SpdMatrix(np.eye(2)))
         assert rep.bbscore == 0.0
         assert rep.p_value == 1.0
 
@@ -64,7 +63,7 @@ class TestBBScore:
 
     def test_hand_computed(self):
         t = LatentTrajectory("a", "x", [[0.0], [1.0], [0.0]])
-        rep = bbscore(t, SpatialCovariance.identity(1))
+        rep = bbscore(t, SpdMatrix(np.eye(1)))
         assert rep.statistic == pytest.approx(2.0, rel=1e-12)
         assert rep.dof == 1
         # frozen from the quadrature oracle for SF(2, 1)
@@ -87,12 +86,12 @@ class TestBBScore:
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionMismatchError):
-            bbscore(random_trajectory(rng, 2, 5), SpatialCovariance.identity(3))
+            bbscore(random_trajectory(rng, 2, 5), SpdMatrix(np.eye(3)))
 
 
 class TestBBScoreBatch:
     def test_empty(self):
-        assert bbscore_batch([], SpatialCovariance.identity(2)) == []
+        assert bbscore_batch([], SpdMatrix(np.eye(2))) == []
 
     def test_singleton_matches(self, rng):
         t = random_trajectory(rng, 2, 5)
@@ -127,7 +126,7 @@ class TestBBScoreBatch:
         q, _ = np.linalg.qr(rng.standard_normal((d, d)))
         a = (q * np.geomspace(1.0, 1e-10, d)) @ q.T
         sigma = 0.5 * (a + a.T)
-        spatial = SpatialCovariance(sigma=SpdMatrix(sigma))
+        spatial = SpdMatrix(sigma)
         trajs = [sample_bridge(d, T, spatial, rng.standard_normal(d), rng.standard_normal(d),
                                seed=T, id=f"c{T}") for T in (2, 7, 15)]
         for t, rep in zip(trajs, bbscore_batch(trajs, spatial)):
@@ -138,7 +137,7 @@ class TestBBScoreBatch:
         good = random_trajectory(rng, 2, 5, traj_id="fine")
         bad = random_trajectory(rng, 3, 5, traj_id="wrong-dim")
         with pytest.raises(DimensionMismatchError, match="wrong-dim"):
-            bbscore_batch([good, bad], SpatialCovariance.identity(2))
+            bbscore_batch([good, bad], SpdMatrix(np.eye(2)))
 
     def test_mean_near_one_under_truth(self, rng):
         spatial = random_spatial(rng, 4)
@@ -165,12 +164,12 @@ class TestCalibration:
         T, d = 10001, 100
         rng = np.random.default_rng(43)
         spatial = random_spatial(rng, d)
-        steps = rng.standard_normal((T, d)) @ spatial.sigma.chol.T
+        steps = rng.standard_normal((T, d)) @ spatial.chol.T
         points = np.vstack([np.zeros(d), np.cumsum(steps, axis=0)])
         rep = bbscore(LatentTrajectory("long", "x", points), spatial)
         assert rep.dof == (T - 1) * d == 1_000_000
         incr = increments(points)
-        direct = float(np.sum(incr * np.linalg.solve(spatial.sigma.entries, incr.T).T))
+        direct = float(np.sum(incr * np.linalg.solve(spatial.entries, incr.T).T))
         assert rep.statistic == pytest.approx(direct, rel=1e-10)
         assert rep.p_value == pytest.approx(chi2.sf(rep.statistic, rep.dof), rel=1e-9)
         assert 1e-3 < rep.p_value < 1 - 1e-3
@@ -227,7 +226,7 @@ class TestHeuristic:
                 sigma2 = float(np.sum(sq / v) / ((T - 1) * d))
                 heur = heuristic_bbscore(t, sigma2)
                 exact = log_likelihood(
-                    t, SpatialCovariance(sigma=SpdMatrix(sigma2 * np.eye(d)))
+                    t, SpdMatrix(sigma2 * np.eye(d))
                 )
                 tc = temporal_matrix(T)
                 trace_full = float(np.trace(r @ np.linalg.solve(tc, r.T)))

@@ -59,6 +59,22 @@ def test_package_import_loads_no_numpy():
     assert python("-c", code).stdout == "False\n"
 
 
+LAZY_NAMES = """
+import importlib, bridgescore
+for name in bridgescore.__all__:
+    home = importlib.import_module(f"bridgescore.{bridgescore._HOME[name]}")
+    assert name not in vars(bridgescore), name
+    value = getattr(bridgescore, name)
+    assert value is vars(home)[name] and value.__module__ == home.__name__, name
+print(len(bridgescore.__all__))
+"""
+
+
+def test_every_public_name_resolves_to_its_module():
+    # each name loads through the package's __getattr__, as the object its module defines
+    assert int(python("-c", LAZY_NAMES).stdout) == len(bridgescore.__all__)
+
+
 def test_cli_import_after_numpy_leaves_the_environment():
     code = ("import os, numpy; before = dict(os.environ); import bridgescore.cli; "
             "print(dict(os.environ) == before, 'OPENBLAS_NUM_THREADS' in os.environ)")
