@@ -1,8 +1,11 @@
 """Command-line interface tying the library into reproducible workflows.
 
 Every command is deterministic given its input files, flags, and --seed;
-output files embed the tool version and input digests. Exit codes: 0 on
-success, 1 on validation errors, 2 on numerical failures.
+output files embed the tool version and input digests. Commands hand rows
+to fileio's one writer, write_lines or a writer built on it, and read their
+corpora and models through one gate, _inputs. Exit codes: 0 on success, 1
+on validation errors, usage errors, failed writes and a closed stdout, 2 on
+numerical failures.
 """
 
 from __future__ import annotations
@@ -41,13 +44,12 @@ from .fileio import (
     TOOL_VERSION,
     SigmaModel,
     TrajectoryRecord,
-    _dumps,
     check_writable,
     file_digest,
-    open_output,
     read_sigma_model,
     read_trajectories,
     read_weights,
+    write_lines,
     write_sigma_model,
     write_trainer_state,
     write_trajectories,
@@ -63,12 +65,37 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _load_corpus(path, digest=None):
-    """path's records and header; digest, a hashlib hash, is fed its bytes when given."""
-    records, header = read_trajectories(path, digest)
-    if not records:
-        raise ValidationError(f"{path}: corpus contains no records")
-    return records, header
+def _inputs(paths, models=(), digest=None, order=None):
+    """The nonempty corpora at paths as trajectory lists, and the models at models of their d.
+
+    With order, labels from least to most coherent, each corpus is a
+    LabeledCorpus. Corpora are checked in turn, then models, then their d.
+    digest, a hashlib hash, is fed the corpora's bytes when given.
+    """
+    corpora, dims = [], []
+    for path in paths:
+        records, _ = read_trajectories(path, digest)
+        if not records:
+            raise ValidationError(f"{path}: corpus contains no records")
+        dims.append(records[0].trajectory.d)
+        if order is None:
+            corpora.append([r.trajectory for r in records])
+            continue
+        for rec in records:
+            if rec.label is None:
+                raise ValidationError(f"{path}: record {rec.trajectory.id!r} has no label")
+        try:
+            corpora.append(LabeledCorpus(items=tuple((r.trajectory, r.label) for r in records),
+                                         label_order=tuple(order)))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
+    loaded = [read_sigma_model(path) for path in models]
+    for model_path, model in zip(models, loaded):
+        for path, d in zip(paths, dims):
+            if d != model.d:
+                raise ValidationError(f"dimension mismatch: corpus {path} has d={d}, "
+                                      f"model {model_path} has d={model.d}")
+    return corpora, loaded
 
 
 def _log(out):
@@ -78,24 +105,6 @@ def _log(out):
     except OSError:  # stdout closed, or out not written yet
         same = False
     return sys.stderr if same else sys.stdout
-
-
-def _check_dim(trajs, path, model: SigmaModel | None = None, model_path=None) -> int:
-    """The d that every trajectory of the corpus at path has: the model's, or else the first's.
-
-    Raises ValidationError naming path, and model_path when a model is given, on the first
-    trajectory whose d differs.
-    """
-    d = trajs[0].d if model is None else model.d
-    for traj in trajs:
-        if traj.d == d:
-            continue
-        if model is None:
-            raise ValidationError(f"{path}: trajectory {traj.id!r} has d={traj.d}, "
-                                  f"expected {d} like the rest of the corpus")
-        raise ValidationError(f"dimension mismatch: corpus {path} has d={traj.d}, "
-                              f"model {model_path} has d={d}")
-    return d
 
 
 def _random_spd(d: int, seed: int) -> np.ndarray:
@@ -184,13 +193,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     digest = hashlib.sha256()
-    records, _ = _load_corpus(args.input, digest)
+    (trajs,), _ = _inputs([args.input], digest=digest)
     if args.domain is not None:
-        records = [r for r in records if r.trajectory.domain == args.domain]
-        if not records:
+        trajs = [traj for traj in trajs if traj.domain == args.domain]
+        if not trajs:
             raise InsufficientDataError(f"{args.input}: no records in domain {args.domain!r}")
-    trajs = [r.trajectory for r in records]
-    d = _check_dim(trajs, args.input)
+    d = trajs[0].d
     ref = read_sigma_model(args.compare_to) if args.compare_to else None
     if ref is not None and ref.d != d:
         raise ValidationError(f"--compare-to model has d={ref.d}, fitted d={d}")
@@ -198,15 +206,9 @@ def cmd_fit(args) -> int:
     if weight < d:
         raise InsufficientDataError(f"pooled weight {weight} is below dimension {d}")
     spatial, sigma2 = shrink_covariance(m, args.epsilon)
-    domain = args.domain if args.domain is not None else records[0].trajectory.domain
-    model = SigmaModel(
-        spatial=spatial,
-        weight=weight,
-        domain=domain,
-        epsilon=args.epsilon,
-        source_corpus_digest=digest.hexdigest(),
-    )
-    write_sigma_model(args.out, model)
+    write_sigma_model(args.out, SigmaModel(spatial=spatial, weight=weight, domain=trajs[0].domain,
+                                           epsilon=args.epsilon,
+                                           source_corpus_digest=digest.hexdigest()))
     log = _log(args.out)
     print(
         f"fit: d={d} weight={weight} logdet={log_det_spd(spatial):.6f} "
@@ -222,10 +224,7 @@ def cmd_fit(args) -> int:
 
 def cmd_score(args) -> int:
     sha = hashlib.sha256()
-    records, _ = _load_corpus(args.input, sha)
-    model = read_sigma_model(args.model)
-    trajs = [r.trajectory for r in records]
-    _check_dim(trajs, args.input, model, args.model)
+    (trajs,), (model,) = _inputs([args.input], [args.model], sha)
     digest = sha.hexdigest()
     if digest == model.source_corpus_digest and not args.allow_in_sample:
         raise ValidationError(
@@ -235,12 +234,11 @@ def cmd_score(args) -> int:
     reports = bbscore_batch(trajs, model.spatial)
     if args.with_heuristic:
         reports = [
-            dataclasses.replace(rep, heuristic_score=heuristic_bbscore(rec.trajectory))
-            for rep, rec in zip(reports, records)
+            dataclasses.replace(rep, heuristic_score=heuristic_bbscore(traj))
+            for rep, traj in zip(reports, trajs)
         ]
     header = {
         "kind": "scores",
-        "created_by": TOOL_VERSION,
         "model": args.model,
         "model_digest": file_digest(args.model),
         "corpus_digest": digest,
@@ -249,19 +247,14 @@ def cmd_score(args) -> int:
     }
     if args.with_heuristic:
         header["heuristic"] = "reconstruction"
-    with open_output(args.out) as fh:
-        fh.write(_dumps(header) + "\n")
-        for rep in reports:
-            row = {
-                "id": rep.trajectory_id,
-                "bbscore": rep.bbscore,
-                "statistic": rep.statistic,
-                "dof": rep.dof,
-                "p_value": rep.p_value,
-            }
-            if rep.heuristic_score is not None:
-                row["heuristic_score"] = rep.heuristic_score
-            fh.write(_dumps(row) + "\n")
+    write_lines(args.out, header, ({
+        "id": rep.trajectory_id,
+        "bbscore": rep.bbscore,
+        "statistic": rep.statistic,
+        "dof": rep.dof,
+        "p_value": rep.p_value,
+        **({} if rep.heuristic_score is None else {"heuristic_score": rep.heuristic_score}),
+    } for rep in reports))
     mean_score = float(np.mean([r.bbscore for r in reports]))
     print(f"score: {len(reports)} documents, mean bbscore {mean_score:.4f} -> {args.out}",
           file=_log(args.out))
@@ -270,17 +263,17 @@ def cmd_score(args) -> int:
 
 def cmd_shuffle(args) -> int:
     digest = hashlib.sha256()
-    records, _ = _load_corpus(args.input, digest)
+    (originals,), _ = _inputs([args.input], digest=digest)
     size = args.block_size if args.kind == "global" else args.windows
     out_records = []
-    for rec in records:
-        spec = _shuffle_spec(args, size, seed=stable_seed(args.seed, rec.trajectory.id))
-        for copy in make_shuffle_set(rec.trajectory, spec):
+    for traj in originals:
+        spec = _shuffle_spec(args, size, seed=stable_seed(args.seed, traj.id))
+        for copy in make_shuffle_set(traj, spec):
             out_records.append(TrajectoryRecord(trajectory=copy))
     meta = {"seed": args.seed, "kind_of_shuffle": args.kind, "copies": args.copies,
             "source_corpus_digest": digest.hexdigest()}
     write_trajectories(args.out, out_records, meta=meta)
-    print(f"shuffle: wrote {len(out_records)} copies of {len(records)} originals to {args.out} "
+    print(f"shuffle: wrote {len(out_records)} copies of {len(originals)} originals to {args.out} "
           f"(seed={args.seed})", file=_log(args.out))
     return 0
 
@@ -298,10 +291,7 @@ def cmd_discriminate(args) -> int:
                              if args.kind == "global" else ("--windows", "windows", args.windows))
     if not sizes:
         raise ValidationError(f"{option} names no size")
-    records, _ = _load_corpus(args.input)
-    model = read_sigma_model(args.model)
-    originals = [r.trajectory for r in records]
-    _check_dim(originals, args.input, model, args.model)
+    (originals,), (model,) = _inputs([args.input], [args.model])
     specs = [_shuffle_spec(args, size, args.seed) for size in sizes]
     # every size is scored, and a size some document is too short for fails, before any output
     accuracies = discrimination_accuracies(originals, specs, model.spatial,
@@ -316,44 +306,23 @@ def cmd_discriminate(args) -> int:
 
 
 def cmd_relative(args) -> int:
-    paths = (args.set_a, args.set_b)
-    if args.truth == "labels":
-        corpora = [_labeled_corpus(path, args.label_order.split(",")) for path in paths]
-        sets = [[traj for traj, _ in corpus.items] for corpus in corpora]
-        ranks = [corpus.ranks for corpus in corpora]
+    labels = args.truth == "labels"
+    sets, (model,) = _inputs([args.set_a, args.set_b], [args.model],
+                             order=args.label_order.split(",") if labels else None)
+    if labels:
+        ranks = [corpus.ranks for corpus in sets]
+        sets = [[traj for traj, _ in corpus.items] for corpus in sets]
     else:
-        sets = [[r.trajectory for r in _load_corpus(path)[0]] for path in paths]
         ranks = [np.ones(len(sets[0])), np.zeros(len(sets[1]))]
-    model = read_sigma_model(args.model)
-    for path, trajs in zip(paths, sets):
-        _check_dim(trajs, path, model, args.model)
     acc = relative_accuracy(*sets, *ranks, model.spatial, use_pvalue=args.use_pvalue)
     print(f"relative accuracy: {acc:.4f} over {len(sets[0])}x{len(sets[1])} cross pairs "
           f"(truth={args.truth}, use_pvalue={args.use_pvalue}, seed={args.seed})")
     return 0
 
 
-def _labeled_corpus(path, order) -> LabeledCorpus:
-    """The corpus at path with its labels, checked against order; errors name path."""
-    records, _ = _load_corpus(path)
-    items = []
-    for rec in records:
-        if rec.label is None:
-            raise ValidationError(f"{path}: record {rec.trajectory.id!r} has no label")
-        items.append((rec.trajectory, rec.label))
-    try:
-        return LabeledCorpus(items=tuple(items), label_order=tuple(order))
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
-
-
 def cmd_classify(args) -> int:
-    order = args.label_order.split(",")
-    train_corpus = _labeled_corpus(args.train, order)
-    test_corpus = _labeled_corpus(args.test, order)
-    model = read_sigma_model(args.model)
-    for path, corpus in ((args.train, train_corpus), (args.test, test_corpus)):
-        _check_dim([traj for traj, _ in corpus.items], path, model, args.model)
+    (train_corpus, test_corpus), (model,) = _inputs([args.train, args.test], [args.model],
+                                                    order=args.label_order.split(","))
     use_pvalue = {"auto": None, "score": False, "pvalue": True}[args.axis]
     predicted, rho = threshold_classify(train_corpus, test_corpus, model.spatial,
                                         use_pvalue=use_pvalue)
@@ -361,23 +330,15 @@ def cmd_classify(args) -> int:
     print(f"classify: spearman_rho={rho:.4f} accuracy={hits / len(predicted):.4f} "
           f"n={len(predicted)} axis={args.axis} seed={args.seed}")
     if args.out:
-        with open_output(args.out) as fh:
-            header = {"kind": "predictions", "created_by": TOOL_VERSION,
-                      "spearman_rho": rho, "seed": args.seed}
-            fh.write(_dumps(header) + "\n")
-            for (traj, truth), pred in zip(test_corpus.items, predicted):
-                fh.write(_dumps({"id": traj.id, "label": truth, "predicted": pred}) + "\n")
+        write_lines(args.out, {"kind": "predictions", "spearman_rho": rho, "seed": args.seed},
+                    ({"id": traj.id, "label": truth, "predicted": pred}
+                     for (traj, truth), pred in zip(test_corpus.items, predicted)))
     return 0
 
 
 def cmd_compare_domains(args) -> int:
-    paths = (args.corpus_a, args.corpus_b)
-    corpora = [[r.trajectory for r in _load_corpus(path)[0]] for path in paths]
-    model_paths = [p for p in (args.model_a, args.model_b, args.model_ref) if p]
-    models = [read_sigma_model(p) for p in model_paths]
-    for model_path, model in zip(model_paths, models):
-        for path, trajs in zip(paths, corpora):
-            _check_dim(trajs, path, model, model_path)
+    corpora, models = _inputs([args.corpus_a, args.corpus_b],
+                              [p for p in (args.model_a, args.model_b, args.model_ref) if p])
     results = domain_swap_compare(*corpora, *(m.spatial for m in models), pairing=args.pairing)
     print(f"domain comparison (pairing={args.pairing}, seed={args.seed})")
     print(f"{'model':>10}  {'frac A more coherent':>22}")
@@ -391,9 +352,8 @@ def cmd_train(args) -> int:
     if args.d_out is not None and args.d_out < 1:
         raise ValidationError(f"--d-out must be >= 1, got {args.d_out}")
     digest = hashlib.sha256()
-    records, _ = _load_corpus(args.corpora, digest)
-    trajs = [rec.trajectory for rec in records]
-    d_in = _check_dim(trajs, args.corpora)
+    (trajs,), _ = _inputs([args.corpora], digest=digest)
+    d_in = trajs[0].d
     corpora = {}
     for traj in trajs:
         corpora.setdefault(traj.domain, []).append(traj)
@@ -430,8 +390,19 @@ def cmd_train(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, save that a usage error exits 1: 2 is a numerical failure.
+
+    Subparsers are made of this class too.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bridgescore",
         description="Brownian-bridge sequence modeling, covariance fitting, and coherence scoring",
     )
@@ -544,18 +515,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "out", None):
-            check_writable(args.out)
-        return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        try:
+            if getattr(args, "out", None):
+                check_writable(args.out)
+            return args.func(args)
+        except ValidationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except NumericalError as exc:
+            print(f"numerical error: {exc}", file=sys.stderr)
+            return 2
+        finally:
+            if sys.stdout is not None:  # None when fd 1 was closed at start-up
+                sys.stdout.flush()
+    except BrokenPipeError as exc:  # stdout's reader has gone
+        # what stdout still buffers goes to the null device, not to a shutdown warning
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        print(f"error: stdout: cannot write ({exc.strerror})", file=sys.stderr)
         return 1
-    except NumericalError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

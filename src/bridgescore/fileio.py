@@ -8,8 +8,8 @@ byte spans of lines, none under SPAN_FLOOR bytes (4 MiB). This process
 parses the first span; a child opens the file itself, parses and validates
 its span and pickles its records back. Records and errors are the same for
 any number of parts, and a child that fails costs time, not output: its
-part is redone here. Ingestion rejects any malformed record with a
-path:line diagnostic.
+part is redone here. Ingestion rejects any malformed record, a duplicate id
+and a record whose d differs from the first's with a path:line diagnostic.
 
 Corpus lines are parsed with orjson. The standard json module parses any
 line that orjson rejects, that could nest deeper than _DEEPEST, or that is
@@ -18,22 +18,20 @@ records and errors are those of a read by json alone. json also reads model
 and trainer-state files, where orjson would read integers past 64 bits as
 floats.
 
-Every file is written in this process, with the bytes of json.dumps with
-sorted keys and compact separators. Float arrays are spelled by orjson,
-which spells 0 and every |x| in [1e-4, 1e16) as json does; each token
-with an 'e' or a '0.0000', which covers every other value, is respelled
-as repr(float(token)) (_floats). Writers embed no timestamps, so
-reruns produce byte-identical files.
+Every file is written in this process by one writer, write_lines, with
+the bytes of json.dumps with sorted keys and compact separators. Float
+arrays are spelled by orjson, which spells 0 and every |x| in [1e-4, 1e16)
+as json does; each token with an 'e' or a '0.0000', which covers every
+other value, is respelled as repr(float(token)) (_floats). Writers embed
+no timestamps, so reruns produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import errno
-import functools
 import hashlib
 import json
 import os
-import pickle
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -108,7 +106,7 @@ def _file_error(path, exc: Exception, action: str) -> ValidationError:
 
 
 def check_writable(path) -> None:
-    """open_output's path: error for a path it could not create, raised before any work."""
+    """write_lines's path: error for a path it could not create, raised before any work."""
     target = Path(path)
     code = (errno.EISDIR if target.is_dir()
             else errno.ENOENT if not target.parent.is_dir()
@@ -118,11 +116,18 @@ def check_writable(path) -> None:
         raise _file_error(path, OSError(code, os.strerror(code)), "write")
 
 
-def open_output(path):
-    """path opened for writing UTF-8 text; a file that cannot be created is a path: error."""
+def write_lines(path, header: dict, rows=()) -> None:
+    """Write header, stamped with created_by unless it has one, then each row, a line each.
+
+    Lines are written as they are spelled. Any OSError from open, write or
+    close, such as a full disk or a closed pipe, is a path: error.
+    """
     try:
-        return open(path, "w", encoding="utf-8")
-    except OSError as exc:  # a missing directory, a directory, no permission
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(_dumps({"created_by": TOOL_VERSION, **header}) + "\n")
+            for row in rows:
+                fh.write(_dumps(row) + "\n")
+    except OSError as exc:
         raise _file_error(path, exc, "write") from exc
 
 
@@ -134,16 +139,9 @@ class TrajectoryRecord:
 
 def write_trajectories(path, records, meta: dict | None = None) -> None:
     """Write a trajectory corpus: a header line carrying provenance, then one line per record."""
-    header = {"kind": "trajectories", "created_by": TOOL_VERSION}
-    header.update(meta or {})
-    with open_output(path) as fh:
-        fh.write(_dumps(header) + "\n")
-        for rec in records:
-            traj = rec.trajectory
-            row = {"id": traj.id, "domain": traj.domain, "points": traj.points}
-            if rec.label is not None:
-                row["label"] = rec.label
-            fh.write(_dumps(row) + "\n")
+    write_lines(path, {"kind": "trajectories", **(meta or {})}, (
+        {"id": rec.trajectory.id, "domain": rec.trajectory.domain, "points": rec.trajectory.points,
+         **({} if rec.label is None else {"label": rec.label})} for rec in records))
 
 
 # Corpus text per span below which a process costs more than it saves.
@@ -315,22 +313,17 @@ def _read_span(fh, path, span: tuple[int, int | None], digest=None):
     return header, rows, None, lineno
 
 
-def _send_span(path, span, pipe) -> None:
-    """A reading child's work: its span of path, parsed and pickled."""
-    with open(path, "rb") as fh:
-        pickle.dump(_read_span(fh, path, span), pipe, protocol=pickle.HIGHEST_PROTOCOL)
-
-
 def read_trajectories(path, digest=None) -> tuple[list[TrajectoryRecord], dict]:
     """Read a corpus, enforcing all record invariants with line diagnostics.
 
     The file is cut into spans; this process parses the first while forked
-    children parse the others. Records are merged and ids checked for
-    duplicates in line order, so the records, and the first error, are
-    those of one line-by-line read. digest, a hashlib hash, is fed every
-    byte of the file once when given: the first span's as they are parsed
-    (all of them for one span, as for a pipe, which cannot be read twice),
-    then the rest while the children parse it.
+    children parse the others, each through its own open file. Records are
+    merged, and ids and d checked against earlier records, in line order, so
+    the records, and the first error, are those of one line-by-line read.
+    digest, a hashlib hash, is fed every byte of the file once when given:
+    the first span's as they are parsed (all of them for one span, as for a
+    pipe, which cannot be read twice), then the rest while the children
+    parse it.
     """
     records: list[TrajectoryRecord] = []
     header: dict = {}
@@ -338,10 +331,11 @@ def read_trajectories(path, digest=None) -> tuple[list[TrajectoryRecord], dict]:
     offset = 0  # lines before the span
 
     def parse(span):
-        if span[0] or digest is None:  # no digest, or a child's span redone here
-            return _read_span(fh, path, span)
+        if span[0]:  # a child's span, or one redone here
+            with open(path, "rb") as own:
+                return _read_span(own, path, span)
         got = _read_span(fh, path, span, digest)
-        if span[1] is not None and got[2] is None:
+        if digest is not None and span[1] is not None and got[2] is None:
             fh.seek(span[1])
             _feed(fh, digest)
         return got
@@ -350,15 +344,21 @@ def read_trajectories(path, digest=None) -> tuple[list[TrajectoryRecord], dict]:
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
             spans = _cut(fh, size, forks.process_count(size, SPAN_FLOOR))
-            with forks.forked(spans, parse, functools.partial(_send_span, path)) as parts:
+            with forks.forked(spans, parse) as parts:
                 for head, rows, error, lines in parts:
                     header = header or head
                     for lineno, rec in rows:
-                        if rec.trajectory.id in seen_ids:
-                            raise ValidationError(f"{path}:{offset + lineno}: duplicate id "
-                                                  f"{rec.trajectory.id!r} within file")
-                        seen_ids.add(rec.trajectory.id)
-                        records.append(rec)
+                        traj = rec.trajectory
+                        if traj.id in seen_ids:
+                            problem = f"duplicate id {traj.id!r} within file"
+                        elif records and traj.d != records[0].trajectory.d:
+                            problem = (f"trajectory {traj.id!r} has d={traj.d}, expected "
+                                       f"{records[0].trajectory.d} like the records before it")
+                        else:
+                            seen_ids.add(traj.id)
+                            records.append(rec)
+                            continue
+                        raise ValidationError(f"{path}:{offset + lineno}: {problem}")
                     if error is not None:
                         raise ValidationError(f"{path}:{offset + error[0]}{error[1]}")
                     offset += lines
@@ -384,7 +384,7 @@ class SigmaModel:
 
 
 def write_sigma_model(path, model: SigmaModel) -> None:
-    payload = {
+    write_lines(path, {
         "kind": "sigma_model",
         "d": model.d,
         "weight": int(model.weight),
@@ -393,9 +393,7 @@ def write_sigma_model(path, model: SigmaModel) -> None:
         "matrix": model.spatial.entries,
         "created_by": model.created_by,
         "source_corpus_digest": model.source_corpus_digest,
-    }
-    with open_output(path) as fh:
-        fh.write(_dumps(payload) + "\n")
+    })
 
 
 def _load_json(path):
@@ -442,9 +440,8 @@ def read_sigma_model(path) -> SigmaModel:
 
 
 def write_trainer_state(path, state: TrainerState, extra: dict | None = None) -> None:
-    payload = {
+    write_lines(path, {
         "kind": "trainer_state",
-        "created_by": TOOL_VERSION,
         "weights": state.encoder.weights,
         "epsilon": state.epsilon,
         "step_size": state.step_size,
@@ -456,10 +453,8 @@ def write_trainer_state(path, state: TrainerState, extra: dict | None = None) ->
             dom: cov.entries for dom, cov in sorted(state.sigma_hat.items())
         },
         "sigma_scalar": {dom: float(v) for dom, v in sorted(state.sigma_scalar.items())},
-    }
-    payload.update(extra or {})
-    with open_output(path) as fh:
-        fh.write(_dumps(payload) + "\n")
+        **(extra or {}),
+    })
 
 
 def read_weights(path) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Work split over forked processes, one per CPU this process may run on.
 
-The corpus reader and discrimination share this: the caller cuts its work
-into contiguous parts, computes the first part itself and forks a child per
-other part, which pickles its result back through a pipe. Results come back
-in part order, so they are those of one process doing every part in turn,
-and a child that fails costs time, not output: its part is redone here.
-Only Linux forks; elsewhere, and on one CPU, there is one part.
+The corpus reader and discrimination share one call, forked(parts, work):
+the caller cuts its work into contiguous parts, computes the first part
+itself and forks a child per other part, which pickles work(part) back
+through a pipe. Results come back in part order, so they are those of one
+process doing every part in turn, and a child that fails costs time, not
+output: its part is redone here. Only Linux forks; elsewhere, and on one
+CPU, there is one part.
 """
 
 from __future__ import annotations
@@ -93,18 +94,17 @@ def _received(child: Child, work, part):
 
 
 @contextlib.contextmanager
-def forked(parts, work, send=None):
+def forked(parts, work):
     """An iterator of work(part) for each of parts, in order, computed in parallel.
 
     This process computes the first part, and a child forked on entry each
-    other one: the child runs send(part, pipe), by default pickling
-    work(part) into the pipe, and this process unpickles it. A part whose
+    other one, pickling work(part) into its pipe; so work must not move what
+    a child shares with this process, such as a file's offset. A part whose
     child dies, or could not be forked, is redone here with work(part).
     Children still running on exit are killed. Nothing here holds a result
     once it is yielded, so a caller that drops each one holds one at a time.
     """
     parts = list(parts)
-    send = send or (lambda part, pipe: _send(work, part, pipe))
     children = []
 
     def results():
@@ -114,7 +114,7 @@ def forked(parts, work, send=None):
 
     try:
         for part in parts[1:]:
-            children.append(Child(lambda pipe, part=part: send(part, pipe)))
+            children.append(Child(lambda pipe, part=part: _send(work, part, pipe)))
         yield results()
     finally:
         for child in children:

@@ -926,16 +926,19 @@ class TestCorpusModelDimensions:
         self.check(["compare-domains", "--corpus-a", d3, "--corpus-b", d3, "--model-a", model3,
                     "--model-b", model3, "--model-ref", model2], d3, model2)
 
-    @pytest.mark.parametrize("command", ["fit", "train"])
+    @pytest.mark.parametrize("command", ["fit", "train", "shuffle"])
     def test_mixed_corpus_names_file(self, tmp_path, command):
+        # the reader rejects the first record of another d at its line: a header, three
+        # d=3 records, then line 5
         d3 = simulate_file(tmp_path, name="d3.jsonl", n=3, d=3, T=8, seed=3)
         d2 = simulate_file(tmp_path, name="d2.jsonl", n=3, d=2, T=8, seed=7, domain="other")
         mixed = tmp_path / "mixed.jsonl"
         write_trajectories(mixed, read_trajectories(d3)[0] + read_trajectories(d2)[0])
-        argv = ["fit", "--in"] if command == "fit" else ["train", "--epochs", 1, "--corpora"]
+        argv = {"fit": ["fit", "--in"], "train": ["train", "--epochs", 1, "--corpora"],
+                "shuffle": ["shuffle", "--in"]}[command]
         done = run_process("-m", "bridgescore.cli", *argv, mixed, "--out", tmp_path / "o.json")
-        assert_clean_exit_1(done, f"error: {mixed}: trajectory 'other-00000' has d=2, "
-                                  "expected 3 like the rest of the corpus")
+        assert_clean_exit_1(done, f"error: {mixed}:5: trajectory 'other-00000' has d=2, "
+                                  "expected 3 like the records before it")
         assert not (tmp_path / "o.json").exists()
 
 
@@ -1042,20 +1045,22 @@ class TestOverflowingCoordinates:
         assert not (tmp_path / "state.json").exists()
 
 
-class TestUnwritableOutputs:
-    """An --out that cannot be created exits 1 with a path: message, never a traceback."""
+WRITERS = ["simulate", "fit", "score", "shuffle", "classify", "train"]
 
-    @pytest.mark.parametrize("command", ["simulate", "fit", "score", "shuffle", "classify",
-                                         "train"])
-    def test_missing_directory_exits_1(self, tmp_path, command):
+
+class TestUnwritableOutputs:
+    """An --out that cannot be written exits 1 with a path: message, never a traceback."""
+
+    @pytest.fixture
+    def argvs(self, tmp_path):
+        """Each writing command's arguments but --out, over a labeled two-domain corpus."""
         low = simulate_file(tmp_path, name="low.jsonl", n=6, T=8, domain="a", label="low")
         high = simulate_file(tmp_path, name="high.jsonl", n=6, T=8, domain="b", label="high")
         corpus = tmp_path / "both.jsonl"
         write_trajectories(corpus, read_trajectories(low)[0] + read_trajectories(high)[0])
         model = tmp_path / "m.json"
         assert run("fit", "--in", corpus, "--out", model) == 0
-        bad = tmp_path / "missing-dir" / "out.json"
-        argv = {
+        return {
             "simulate": ["--d", 2, "--T", 8, "--n", 3],
             "fit": ["--in", corpus],
             "score": ["--in", corpus, "--model", model, "--allow-in-sample"],
@@ -1063,9 +1068,22 @@ class TestUnwritableOutputs:
             "classify": ["--train", corpus, "--test", corpus, "--model", model,
                          "--label-order", "low,high"],
             "train": ["--corpora", corpus, "--epochs", 1, "--step-size", "1e-8"],
-        }[command]
-        done = run_process("-m", "bridgescore.cli", command, *argv, "--out", bad)
+        }
+
+    @pytest.mark.parametrize("command", WRITERS)
+    def test_missing_directory_exits_1(self, tmp_path, argvs, command):
+        bad = tmp_path / "missing-dir" / "out.json"
+        done = run_process("-m", "bridgescore.cli", command, *argvs[command], "--out", bad)
         assert_clean_exit_1(done, f"{bad}: cannot write file")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    @pytest.mark.parametrize("command", WRITERS)
+    def test_full_disk_exits_1(self, argvs, command):
+        # /dev/full opens for writing and fails every write, as a full disk does
+        done = run_process("-m", "bridgescore.cli", command, *argvs[command], "--out",
+                           "/dev/full")
+        assert done.returncode == 1
+        assert done.stderr == "error: /dev/full: cannot write file (No space left on device)\n"
 
     def test_train_fails_before_training(self, tmp_path):
         # two million epochs take minutes; the bad path must end the run at once
@@ -1087,6 +1105,73 @@ class TestUnwritableOutputs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{bad}: cannot write file ({reason})" in captured.err
+
+
+class TestClosedStdout:
+    """A stdout whose reader has gone exits 1 with one error line, never a traceback."""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    def test_corpus_on_stdout_read_in_part(self):
+        # some 2.5 MB, far past a pipe's buffer, so the writer is still writing at the close
+        simulate = subprocess.Popen([*CLI, "simulate", "--d", "16", "--T", "20:60", "--n", "200",
+                                     "--out", "/dev/stdout"], env=cli_env(),
+                                    stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert len(simulate.stdout.read(100)) == 100
+        simulate.stdout.close()
+        _, err = simulate.communicate(timeout=120)
+        assert simulate.returncode == 1
+        assert err.decode() == "error: /dev/stdout: cannot write file (Broken pipe)\n"
+
+    @pytest.mark.parametrize("command", ["discriminate", "fit"])
+    def test_output_into_a_closed_pipe(self, tmp_path, command):
+        corpus = simulate_file(tmp_path, n=8, T=10)
+        model = tmp_path / "m.json"
+        assert run("fit", "--in", corpus, "--out", model) == 0
+        argv = {"discriminate": ["--model", model, "--block-sizes", "1", "--copies", "2"],
+                "fit": ["--out", tmp_path / "again.json"]}[command]
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run([*CLI, command, "--in", *map(str, [corpus, *argv])],
+                                  stdout=write, stderr=subprocess.PIPE, text=True,
+                                  env=cli_env(), timeout=120)
+        finally:
+            os.close(write)
+        assert done.returncode == 1
+        assert done.stderr == "error: stdout: cannot write (Broken pipe)\n"
+
+    def test_no_stdout_at_start_up(self, tmp_path):
+        # with fd 1 closed before start-up, Python has no sys.stdout and print drops its text
+        corpus = simulate_file(tmp_path, n=8, T=10)
+        argv = [*CLI, "fit", "--in", str(corpus), "--out", str(tmp_path / "m.json")]
+        done = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *argv], capture_output=True,
+                              text=True, env=cli_env(), timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert (tmp_path / "m.json").exists()
+
+
+class TestUsageErrors:
+    """argparse's usage errors exit 1, as validation errors do; 2 is a numerical failure."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fit", "--in", "c.jsonl", "--out", "m.json", "--epsilon", "abc"],
+         "bridgescore fit: error: argument --epsilon: invalid float value: 'abc'\n"),
+        (["fit", "--in", "c.jsonl", "--out", "m.json", "--bogus"],
+         "bridgescore: error: unrecognized arguments: --bogus\n"),
+        (["bogus"], "bridgescore: error: argument command: invalid choice: 'bogus'"),
+    ])
+    def test_exit_1_with_usage(self, argv, message):
+        done = run_process("-m", "bridgescore.cli", *argv)
+        assert done.returncode == 1
+        assert done.stderr.startswith("usage: bridgescore")
+        assert message in done.stderr
+        assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("argv", [["--help"], ["fit", "--help"], ["--version"]])
+    def test_help_and_version_exit_0(self, argv):
+        done = run_process("-m", "bridgescore.cli", *argv)
+        assert done.returncode == 0
+        assert done.stderr == ""
 
 
 class TestWriters:

@@ -108,6 +108,7 @@ def corrupt(edits: dict[int, bytes]) -> bytes:
 
 
 NINTH = lines(rows())[8].encode()
+NARROW = json.dumps({"id": "doc-n", "domain": "a", "points": [[0.5, 1], [2, 3], [4, 5]]}).encode()
 ERRORS = {
     "bad lines in the first and last spans": (
         corrupt({2: b'{"id": "x"}', 9: b"[1, 2]"}), "2: record is missing field 'domain'"),
@@ -118,6 +119,12 @@ ERRORS = {
     "duplicate id before a bad line": (
         corrupt({8: NINTH.replace(b'"doc-8"', b'"doc-0"'), 9: b"{"}),
         "8: duplicate id 'doc-0' within file"),
+    "another d in the last span": (
+        corrupt({9: NARROW}), "9: trajectory 'doc-n' has d=2, expected 3 like the records "
+                              "before it"),
+    "another d before a duplicate id": (
+        corrupt({7: NARROW, 9: NINTH.replace(b'"doc-8"', b'"doc-0"')}),
+        "7: trajectory 'doc-n' has d=2, expected 3 like the records before it"),
     "non-UTF-8 byte in the last span": (
         corrupt({9: NINTH.replace(b'"doc-8"', b'"doc-\xff"')}),
         "9: cannot read file ('utf-8' codec can't decode byte 0xff in position 12: "
@@ -139,15 +146,14 @@ def test_failed_reading_child_costs_no_output(tmp_path, monkeypatch, children, p
     path = corpus_file(tmp_path / "c.jsonl")
     want = outcome(path, 1)
 
-    def fail(path, span, pipe):
+    def fail(work, span, pipe):
         if partial:  # a pickle cut short, as from a child killed while it sends
-            with open(path, "rb") as fh:
-                data = pickle.dumps(fileio._read_span(fh, path, span))
+            data = pickle.dumps(work(span))
             pipe.write(data[:len(data) // 2])
             pipe.flush()
         os._exit(1)
 
-    monkeypatch.setattr(fileio, "_send_span", fail)
+    monkeypatch.setattr(forks, "_send", fail)
     assert outcome(path, 3) == want
     assert [child.sent for child in children] == [False, False]
 
@@ -171,7 +177,7 @@ def test_digest_hashes_each_byte_once(tmp_path, monkeypatch, children, name, n, 
     path = tmp_path / "c.jsonl"
     path.write_bytes(data)
     if fail:  # every child dies, so its span is parsed again here
-        monkeypatch.setattr(fileio, "_send_span", lambda path, span, pipe: os._exit(1))
+        monkeypatch.setattr(forks, "_send", lambda work, span, pipe: os._exit(1))
     digest = Counted()
     records, header = at(n, read_trajectories, path, digest)
     assert (summary(records), header) == (expected(CORPORA[name][1]), CORPORA[name][2])
