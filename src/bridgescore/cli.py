@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import hashlib
 import os
 import sys
@@ -516,6 +517,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if sys.stdout is None:  # fd 1 was closed at start-up, and print would drop every line
+        print(f"error: stdout: cannot write ({os.strerror(errno.EBADF)})", file=sys.stderr)
+        return 1
     try:
         try:
             if getattr(args, "out", None):
@@ -528,8 +532,7 @@ def main(argv=None) -> int:
             print(f"numerical error: {exc}", file=sys.stderr)
             return 2
         finally:
-            if sys.stdout is not None:  # None when fd 1 was closed at start-up
-                sys.stdout.flush()
+            sys.stdout.flush()
     except BrokenPipeError as exc:  # stdout's reader has gone
         # what stdout still buffers goes to the null device, not to a shutdown warning
         devnull = os.open(os.devnull, os.O_WRONLY)

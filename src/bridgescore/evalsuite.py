@@ -21,7 +21,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from itertools import chain
-from operator import length_hint
 
 import numpy as np
 
@@ -99,11 +98,13 @@ def _shuffle_orders(n: int, spec: ShuffleSpec, rng: np.random.Generator, name: s
     placements, each permuted by a uniform non-identity permutation. name
     labels the errors.
 
-    Either kind draws what one numpy call per copy and window draws, and
-    leaves rng where those calls leave it: per copy, global blocks draw
-    rng.permutation(blocks), again while it is the identity; local windows
-    draw sorted(rng.choice(slots, num_windows, replace=False)), then per
-    window rng.permutation(window_size), again while it is the identity.
+    Either kind draws what one numpy call per copy and window draws: per
+    copy, global blocks draw rng.permutation(blocks), again while it is the
+    identity; local windows draw sorted(rng.choice(slots, num_windows,
+    replace=False)), then per window rng.permutation(window_size), again
+    while it is the identity. Global blocks leave rng where those calls
+    leave it; local windows leave it past raws drawn but never read
+    (_window_orders), so its later draws are not numpy's.
     """
     _check_shuffle(n, spec, name)
     if spec.kind == "local_window":
@@ -136,29 +137,23 @@ def _window_orders(n: int, spec: ShuffleSpec, rng: np.random.Generator) -> np.nd
       picks, the Lemire shuffle of the last w of 0..slots-1 instead;
     - permutation(size): shuffle's Fisher-Yates, one masked-rejection draw
       on 0..i per i in size-1..1.
-    The raws drawn beyond the last half read are rewound, and the buffered
-    half restored, so rng ends in the state numpy's calls leave.
+    Raws are drawn in batches, so rng ends past raws never read, not where
+    numpy's calls leave it.
     """
     bits = rng.bit_generator
     if not isinstance(bits, np.random.PCG64):
         raise ValidationError(f"local windows draw from a PCG64 stream, not {type(bits).__name__}")
     state = bits.state
     w, size, copies = spec.num_windows, spec.window_size, spec.copies
-    batches = []  # each refill's halves, and the iterator that reads them
 
     def refills():
-        halves = [state["uinteger"]] if state["has_uint32"] else []
         k = copies * w * size + 8  # for windows of 3, more than a call reads on average
-        while True:
-            raw = bits.random_raw(k)
-            pairs = np.empty((k, 2), dtype=np.uint64)
-            pairs[:, 0], pairs[:, 1] = raw & _LOW, raw >> 32
-            halves += pairs.ravel().tolist()
-            batches.append((halves, iter(halves)))
-            yield batches[-1][1]
-            halves = []
+        while True:  # each raw's low half, then its high half
+            yield bits.random_raw(k).astype("<u8").view("<u4").tolist()
 
-    half = chain.from_iterable(refills()).__next__
+    # a half that numpy buffered is read first
+    half = chain([state["uinteger"]] if state["has_uint32"] else [],
+                 chain.from_iterable(refills())).__next__
 
     def bounded(b):
         # Lemire: a product whose low half is under 2**32 mod (b + 1) is drawn again
@@ -200,15 +195,6 @@ def _window_orders(n: int, spec: ShuffleSpec, rng: np.random.Generator) -> np.nd
                         j = half() & mask
                     perm[i], perm[j] = perm[j], perm[i]
             perms.append(perm)
-    # numpy drew a raw for every two halves read, keeping an odd one's high half
-    halves, unread = batches[-1]
-    left = length_hint(unread)
-    if left > 1:
-        bits.advance(2**128 - left // 2)
-    state = bits.state
-    state["has_uint32"] = left % 2
-    state["uinteger"] = halves[-left] if left % 2 else halves[-left - 1]
-    bits.state = state
     starts = np.array(starts)
     orders = np.tile(np.arange(n), copies)
     at = (starts + np.repeat(np.arange(0, copies * n, n), w))[:, None] + np.arange(size)

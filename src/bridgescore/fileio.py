@@ -11,12 +11,15 @@ any number of parts, and a child that fails costs time, not output: its
 part is redone here. Ingestion rejects any malformed record, a duplicate id
 and a record whose d differs from the first's with a path:line diagnostic.
 
-Corpus lines are parsed with orjson. The standard json module parses any
-line that orjson rejects, that could nest deeper than _DEEPEST, or that is
-not a plain valid record (_plain_record), and words its diagnostic, so
-records and errors are those of a read by json alone. json also reads model
-and trainer-state files, where orjson would read integers past 64 bits as
-floats.
+Each corpus line is parsed once. The standard json module parses line 1,
+which may be a header holding an integer past 64 bits that orjson would
+read as a float, any line that orjson rejects (NaN, Infinity, numbers past
+float range, lone surrogate escapes) and any line that could nest deeper
+than _DEEPEST; orjson parses every other line. Where orjson parses a line,
+json's value is the same in every field a record reads, so records and
+errors are those of a read by json alone, except that a line nested past
+json's recursion limit but within _DEEPEST is judged on orjson's value.
+json also reads model and trainer-state files.
 
 Every file is written in this process by one writer, write_lines, with
 the bytes of json.dumps with sorted keys and compact separators. Float
@@ -198,9 +201,6 @@ def _parse_record(path, lineno: int, row: dict, line: str) -> TrajectoryRecord:
     return TrajectoryRecord(trajectory=traj, label=label)
 
 
-# The fields a record reads: a line with any other key, such as a header, is left to json.
-_FIELDS = frozenset(("id", "domain", "points", "label"))
-
 # Nesting depth past which orjson is not asked to parse a line. orjson recurses
 # on the C stack, some 60 bytes a level, with no depth limit of its own: a line
 # nested about 150k deep overflows an 8 MiB stack, where json raises
@@ -214,29 +214,6 @@ def _shallow(raw: bytes) -> bool:
         return True
     # '[' | 0x20 is '{', and no other byte ORs to it
     return np.count_nonzero(np.frombuffer(raw, np.uint8) | 0x20 == ord("{")) <= _DEEPEST
-
-
-def _plain_record(path, lineno: int, line: str) -> TrajectoryRecord | None:
-    """line as a record parsed by orjson, or None when json must decide the line.
-
-    json decides a line that orjson rejects (NaN, Infinity, numbers past
-    float range, lone surrogate escapes), a row with a key beyond _FIELDS,
-    and an invalid record, and words any diagnostic, so that orjson's
-    nesting limit never decides one. A record accepted here is the one
-    json's value gives: both round decimals to the same float, and an
-    integer past 64 bits, which orjson reads as a float, becomes that float
-    in points.
-    """
-    try:
-        row = orjson.loads(line)
-    except orjson.JSONDecodeError:
-        return None
-    if type(row) is not dict or not row.keys() <= _FIELDS:
-        return None
-    try:
-        return _parse_record(path, lineno, row, line)
-    except ValidationError:
-        return None
 
 
 def _json_value(text: str, where: str):
@@ -292,19 +269,20 @@ def _read_span(fh, path, span: tuple[int, int | None], digest=None):
             line = line.strip()
             if not line:
                 continue
-            rec = _plain_record(path, lineno, line) if shallow else None
-            if rec is not None:
-                rows.append((lineno, rec))
-                continue
+            first = start == 0 and lineno == 1
             where = f"{path}:{lineno}"
             try:
-                row = _json_value(line, where)
+                try:
+                    row = orjson.loads(line) if shallow and not first else _json_value(line, where)
+                except orjson.JSONDecodeError:
+                    row = _json_value(line, where)
                 if not isinstance(row, dict):
                     raise ValidationError(f"{where}: expected a JSON object")
-                if start == 0 and lineno == 1 and row.get("kind") == "trajectories":
+                if first and row.get("kind") == "trajectories":
                     header = row
                     continue
                 rows.append((lineno, _parse_record(path, lineno, row, line)))
+                del row  # frees its lists of floats before the next line is parsed
             except ValidationError as exc:
                 return header, rows, (lineno, str(exc)[len(where):]), lineno
         pos += len(raw)

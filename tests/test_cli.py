@@ -784,6 +784,27 @@ class TestTrainCommand:
             read_sigma_model(model)
 
 
+class TestTwoSteps:
+    """T = 2, a document of two endpoints and one interior point, through every command."""
+
+    def test_every_command(self, tmp_path, capsys):
+        corpus = simulate_file(tmp_path, n=12, T=2, seed=3)
+        held_out = simulate_file(tmp_path, name="held.jsonl", n=5, T=2, seed=4)
+        model, scores = tmp_path / "m.json", tmp_path / "s.jsonl"
+        assert run("fit", "--in", corpus, "--out", model) == 0
+        assert run("score", "--in", held_out, "--model", model, "--out", scores) == 0
+        rows = [json.loads(line) for line in scores.read_text().splitlines()[1:]]
+        assert len(rows) == 5 and all(row["dof"] == 2 for row in rows)
+        discriminate = ["discriminate", "--in", corpus, "--model", model]
+        assert run(*discriminate, "--block-sizes", 1) == 0
+        assert run(*discriminate, "--kind", "local", "--windows", 1, "--window-size", 3) == 0
+        train = ["train", "--corpora", corpus, "--epochs", 1, "--step-size", "1e-8"]
+        assert run(*train, "--out", tmp_path / "state.json") == 0
+        capsys.readouterr()
+        assert run(*train, "--triplet-mode", "--out", tmp_path / "triplet.json") == 1
+        assert "has T=2 < 4" in capsys.readouterr().err
+
+
 class TestMalformedModelFiles:
     @pytest.mark.parametrize("change", [
         {"d": None}, {"d": 2.5}, {"d": "2"}, {"weight": None}, {"epsilon": None},
@@ -1141,13 +1162,25 @@ class TestClosedStdout:
         assert done.stderr == "error: stdout: cannot write (Broken pipe)\n"
 
     def test_no_stdout_at_start_up(self, tmp_path):
-        # with fd 1 closed before start-up, Python has no sys.stdout and print drops its text
+        # with fd 1 closed before start-up Python has no sys.stdout, and print would drop
+        # the table: the command stops before it reads (discriminate's model is missing)
+        # or writes anything
         corpus = simulate_file(tmp_path, n=8, T=10)
-        argv = [*CLI, "fit", "--in", str(corpus), "--out", str(tmp_path / "m.json")]
-        done = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *argv], capture_output=True,
-                              text=True, env=cli_env(), timeout=120)
-        assert (done.returncode, done.stderr) == (0, "")
-        assert (tmp_path / "m.json").exists()
+        model = tmp_path / "m.json"
+        for argv in (["discriminate", "--model", model, "--block-sizes", "1", "--copies", "2"],
+                     ["fit", "--out", model]):
+            argv = [*CLI, argv[0], "--in", *map(str, [corpus, *argv[1:]])]
+            done = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *argv],
+                                  capture_output=True, text=True, env=cli_env(), timeout=120)
+            assert (done.returncode, done.stderr) == (
+                1, "error: stdout: cannot write (Bad file descriptor)\n")
+            assert not model.exists()
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_without_stdout(self, flag):
+        done = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *CLI, flag],
+                              capture_output=True, text=True, env=cli_env(), timeout=120)
+        assert done.returncode == 0
 
 
 class TestUsageErrors:

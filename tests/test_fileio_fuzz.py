@@ -4,10 +4,12 @@ Inputs are arbitrary bytes, arbitrary JSON values, and valid corpus records,
 model files and weight matrices with one field or one matrix entry replaced
 by an arbitrary value, so that the checks past the JSON parse are reached
 too. Every diagnostic names the file, and a corpus read in two spans gives
-the records or the error of a read in one. The corpus reader parses lines
-with orjson and leaves the rest to json: for any line it gives the records,
-to the bit, or the error of a read by json alone. Runs are derandomized, so
-the suite draws the same examples every time.
+the records or the error of a read in one. The corpus reader parses line 1,
+and any line orjson rejects, with json and the rest with orjson: for any line
+it gives the records, to the bit, or the error of a read by json alone, except
+that past line 1 a line nested past json's recursion limit is judged on
+orjson's value. Runs are derandomized, so the suite draws the same examples
+every time.
 """
 
 import json
@@ -168,17 +170,23 @@ HEADER = '{"kind":"trajectories","created_by":"x","seed":%s}'
 @example(rows=["\ufeff" + RECORD % "[[0],[1],[2]]"])
 @example(rows=['{"id":"\x01","domain":"d","points":[[0],[1],[2]]}'])
 @example(rows=[HEADER % 2 ** 64, RECORD % "[[0],[1],[2]]"])
+@example(rows=[HEADER % "18446744073709551616"])
+@example(rows=[RECORD % "[[0],[1],[2]]",
+               '{"id":"b","domain":"d","points":[[18446744073709551616],[1],[2]]}'])
 @example(rows=[RECORD % "[[0],[1],[2]]", HEADER % 1])
 @example(rows=[RECORD % ("[[%s]]" % "],[".join(map(str, range(12_000))))])
 def test_corpus_lines_read_as_json_reads_them(input_file, rows):
     lines = [row if isinstance(row, str) else json.dumps(row) for row in rows]
+    # as the file's first lines, of which json parses line 1, and after a header, where
+    # orjson parses every line it accepts
     same_as_json_alone(input_file, "\n".join(lines).encode())
+    same_as_json_alone(input_file, "\n".join([HEADER % 1, *lines]).encode())
 
 
 @pytest.mark.parametrize("depth", [990, 1000, 1010, 1024, 1025, 1030])
 @pytest.mark.parametrize("where", ["points", "extra", "label"])
 def test_deep_nesting_read_as_json_reads_it(input_file, depth, where):
-    # json stops near Python's recursion limit, where orjson parses on: json decides.
+    # json stops near Python's recursion limit, where orjson parses on: on line 1 json decides.
     # Not under hypothesis, which raises the recursion limit.
     if where == "points":
         line = RECORD % nested(depth)
@@ -191,6 +199,47 @@ def test_deep_nesting_read_as_json_reads_it(input_file, depth, where):
         assert str(exc).startswith(f"{input_file}:1: ")
     else:
         assert where == "extra"  # accepted only as json accepts it
+
+
+# The verdict on a record nested below json's recursion limit, where both parsers give one value
+PAST_LINE_ONE = {"points": ":2: 'points' must list at least 3 vectors",
+                 "label": ":2: 'label' must be a string when present", "extra": None}
+
+
+@pytest.mark.parametrize("depth", [10, 990, 1000, 1010, 1024, 1025, 1030, 9000])
+@pytest.mark.parametrize("where", ["points", "extra", "label"])
+def test_deep_nesting_past_line_one_reads_as_orjsons_value(input_file, depth, where):
+    # json's recursion limit decides line 1 alone: a later line within _DEEPEST is judged on
+    # orjson's value, whatever its depth
+    if where == "points":
+        line = RECORD % nested(depth)
+    else:
+        line = '{"id":"a","domain":"d","points":[[0],[1],[2]],"%s":%s}' % (where, nested(depth))
+    input_file.write_text(HEADER % 1 + "\n" + line)
+    try:
+        assert [r.trajectory.id for r in read_trajectories(input_file)[0]] == ["a"]
+        assert PAST_LINE_ONE[where] is None
+    except ValidationError as exc:
+        assert str(exc) == f"{input_file}{PAST_LINE_ONE[where]}"
+
+
+def test_each_corpus_line_is_parsed_once(input_file, monkeypatch):
+    # json parses line 1, whose header may hold an integer past 64 bits; orjson the rest
+    parsers = []
+    for module in (fileio.json, fileio.orjson):
+        def loads(text, module=module, loads=module.loads):
+            parsers.append(module.__name__)
+            return loads(text)
+        monkeypatch.setattr(module, "loads", loads)
+    header, valid = HEADER % 2 ** 64, RECORD % "[[0],[1],[2]]"
+    input_file.write_text(f"{header}\n{valid}\n")
+    seed = read_trajectories(input_file)[1]["seed"]
+    assert type(seed) is int and seed == 2 ** 64
+    input_file.write_text(f"{header}\n{valid}\n" '{"id":"b","domain":"d","points":[[0],[1]]}\n')
+    parsers.clear()
+    with pytest.raises(ValidationError, match=":3: 'points' must list at least 3 vectors"):
+        read_trajectories(input_file)
+    assert parsers == ["json", "orjson", "orjson"]
 
 
 def bits_to_float(bits: int) -> float:
