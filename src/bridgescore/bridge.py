@@ -11,10 +11,10 @@ Sigma only through that factor and its inverse.
 The bridge is Markov, so Sigma_T^-1 = tridiag(-1, 2, -1), log|Sigma_T| =
 -log T, and tr(Sigma^-1 R Sigma_T^-1 R^T) = sum_t dr_t^T Sigma^-1 dr_t over the
 T increments dr_t = (s_{t+1} - s_t) - (s_T - s_0)/T. The likelihood, score
-and pooled MLE all use that form: one O(T d^2) product per document with the
-inverse Cholesky factor of Sigma, never a (T-1) x (T-1) matrix. The
-trainer's linear encoder reduces it further, to each domain's pooled
-increment covariance (see encoder).
+and pooled MLE all use that form, one O(T d^2) product per document with the
+inverse Cholesky factor of Sigma; sample_bridge applies Sigma_T's closed-form
+Cholesky factor as a cumulative sum. Neither forms a (T-1) x (T-1) matrix.
+The trainer's linear encoder reduces the likelihood further (see encoder).
 """
 
 from __future__ import annotations
@@ -79,6 +79,14 @@ class LatentTrajectory:
         return self.points[1:-1]
 
 
+def check_dim(traj: LatentTrajectory, spatial: SpdMatrix) -> None:
+    """Raise DimensionMismatchError, naming traj, unless its d is the covariance's."""
+    if traj.d != spatial.dim:
+        raise DimensionMismatchError(
+            f"trajectory {traj.id!r} has d={traj.d}, spatial covariance has dim {spatial.dim}"
+        )
+
+
 def bridge_mean(traj: LatentTrajectory) -> np.ndarray:
     """Chord means mu_t = s_0 + (t/T)(s_T - s_0) for t = 1..T-1, shape (d, T-1)."""
     t = np.arange(1, traj.T, dtype=float) / traj.T
@@ -109,25 +117,20 @@ def increments(points, times=None) -> np.ndarray:
     return steps / np.sqrt(gaps)[:, None]
 
 
-def quadratic_form(spatial: SpdMatrix, incr):
-    """Sum of incr_k^T Sigma^-1 incr_k over one document's increment rows.
+def quadratic_form(spatial: SpdMatrix, incr) -> float:
+    """Sum of incr_k^T Sigma^-1 incr_k over one document's (n, d) increment rows.
 
-    incr is one document's (n, d) rows, and a float comes back; or a
-    (k, n, d) stack of equal-length documents, and an array of k sums comes
-    back, each bit-identical to that document's lone call. With incr =
-    increments(points) a sum is tr(Sigma^-1 R Sigma_T^-1 R^T), the squared
-    Mahalanobis norm of vec(R) under Sigma_T kron Sigma: ||incr L^-T||_F^2
-    for Sigma = L L^T.
+    With incr = increments(points) it is tr(Sigma^-1 R Sigma_T^-1 R^T) =
+    ||incr L^-T||_F^2 for Sigma = L L^T. Raises ValidationError unless incr is
+    2-D, so that a stack of documents is never summed into one float.
     """
     incr = np.asarray(incr, dtype=float)
-    if incr.shape[-1] != spatial.dim:
-        raise DimensionMismatchError(f"increments of d={incr.shape[-1]} vs sigma dim {spatial.dim}")
-    # a stack is one GEMM per document, as a lone call makes: one GEMM over
-    # all rows would block them differently and move the last bits
+    if incr.ndim != 2:
+        raise ValidationError(f"increments must be one document's (n, d) rows, got {incr.shape}")
+    if incr.shape[1] != spatial.dim:
+        raise DimensionMismatchError(f"increments of d={incr.shape[1]} vs sigma dim {spatial.dim}")
     z = incr @ spatial.inv_chol.T
-    if z.ndim == 2:
-        return float(np.vdot(z, z))
-    return np.array([np.vdot(doc, doc) for doc in z])
+    return float(np.vdot(z, z))
 
 
 def sample_bridge(d, T, spatial: SpdMatrix, s0, sT, seed, *,
@@ -135,32 +138,28 @@ def sample_bridge(d, T, spatial: SpdMatrix, s0, sT, seed, *,
     """Draw one trajectory with endpoints exactly s0, sT.
 
     Z is a d x (T-1) matrix of iid standard normals and the interior
-    deviation is W Z L^T with L the Cholesky factor of the dense temporal
-    covariance [Sigma_T]_{s,t} = min(s,t)(T - max(s,t))/T, so
-    vec(s - mu) ~ N(0, Sigma_T kron Sigma). Deterministic given seed.
+    deviation is W Z L^T, so vec(s - mu) ~ N(0, Sigma_T kron Sigma). L, the
+    Cholesky factor of [Sigma_T]_{s,t} = min(s,t)(T - max(s,t))/T, is
+    L[t, k] = (T - t) / sqrt((T - k)(T - k + 1)) for k <= t, so Z L^T is a
+    scaled cumulative sum: O(T d) work. Deterministic given seed.
     """
     d, T = int(d), int(T)
     if T < 2:
         raise ValidationError(f"a bridge needs T >= 2, got {T}")
-    s0 = np.asarray(s0, dtype=float)
-    sT = np.asarray(sT, dtype=float)
+    s0, sT = np.asarray(s0, dtype=float), np.asarray(sT, dtype=float)
     if spatial.dim != d:
         raise DimensionMismatchError(f"spatial covariance dim {spatial.dim} != d {d}")
     if s0.shape != (d,) or sT.shape != (d,):
         raise DimensionMismatchError(
             f"endpoints must be vectors of dim {d}, got {s0.shape} and {sT.shape}"
         )
-    rng = np.random.default_rng(seed)
+    Z = np.random.default_rng(seed).standard_normal((d, T - 1))
     t = np.arange(1, T, dtype=float)
-    L = np.linalg.cholesky(np.minimum.outer(t, t) * (T - np.maximum.outer(t, t)) / T)
-    Z = rng.standard_normal((d, T - 1))
-    deviation = spatial.chol @ Z @ L.T
+    left = T - t  # T - k in the column scale, T - t in the row scale
+    deviation = spatial.chol @ (left * np.cumsum(Z / np.sqrt(left * (left + 1)), axis=1))
     t /= T
     chord = np.outer(s0, 1.0 - t) + np.outer(sT, t)
-    points = np.empty((T + 1, d))
-    points[0] = s0
-    points[-1] = sT
-    points[1:-1] = (chord + deviation).T
+    points = np.vstack([s0, (chord + deviation).T, sT])
     return LatentTrajectory(id=id, domain=domain, points=points)
 
 
@@ -170,10 +169,7 @@ def log_likelihood(traj: LatentTrajectory, spatial: SpdMatrix) -> float:
     -d(T-1)/2 log 2pi + d/2 log T - (T-1)/2 log|Sigma|
     - 1/2 tr(Sigma^-1 (s-mu) Sigma_T^-1 (s-mu)^T), as log|Sigma_T| = -log T.
     """
-    if spatial.dim != traj.d:
-        raise DimensionMismatchError(
-            f"trajectory {traj.id!r} has d={traj.d}, spatial covariance has dim {spatial.dim}"
-        )
+    check_dim(traj, spatial)
     T, d = traj.T, traj.d
     quad = quadratic_form(spatial, increments(traj.points))
     return (

@@ -108,12 +108,6 @@ def _log(out):
     return sys.stderr if same else sys.stdout
 
 
-def _random_spd(d: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((d, d))
-    return a @ a.T / d + 0.5 * np.eye(d)
-
-
 def _spec_number(text: str, kind, least, arg: str, spec: str):
     """text, a field of the value spec of option arg, as a finite kind (int or float) >= least."""
     try:
@@ -132,7 +126,8 @@ def _parse_sigma_spec(spec: str, d: int) -> SpdMatrix:
         return SpdMatrix(np.eye(d))
     if spec.startswith("random-spd:"):
         seed = _spec_number(spec.split(":", 1)[1], int, 0, "--sigma", spec)
-        return SpdMatrix(_random_spd(d, seed))
+        a = np.random.default_rng(seed).standard_normal((d, d))
+        return SpdMatrix(a @ a.T / d + 0.5 * np.eye(d))
     model = read_sigma_model(spec)
     if model.d != d:
         raise ValidationError(f"sigma model {spec} has d={model.d}, requested d={d}")

@@ -326,6 +326,7 @@ def train(state: TrainerState, corpora, epochs: int) -> tuple[TrainerState, list
         return state, []
     rng = np.random.default_rng(state.seed)
     domains = sorted(corpora)
+    seqs = {domain: sorted(corpora[domain], key=lambda s: s.id) for domain in domains}
     pooled = {domain: _pooled(state.encoder, domain, corpora[domain]) for domain in domains}
     for domain in domains:
         if domain not in state.sigma_hat:
@@ -335,11 +336,10 @@ def train(state: TrainerState, corpora, epochs: int) -> tuple[TrainerState, list
     trace = [initial]
     for _ in range(epochs):
         for domain in domains:
-            seqs = sorted(corpora[domain], key=lambda s: s.id)
-            order = rng.permutation(len(seqs))
+            order = rng.permutation(len(seqs[domain]))
             sigma = state.sigma_hat[domain]
-            for lo in range(0, len(seqs), state.batch_size):
-                batch = [seqs[i] for i in order[lo:lo + state.batch_size]]
+            for lo in range(0, len(order), state.batch_size):
+                batch = [seqs[domain][i] for i in order[lo:lo + state.batch_size]]
                 triplets = sample_triplets(batch, rng) if state.triplet_mode else None
                 with np.errstate(over="ignore", invalid="ignore"):  # checked once, on the step
                     grad = nll_gradient(state.encoder, batch, sigma, triplets)

@@ -5,15 +5,16 @@ same machinery runs on simulated and ingested embedding trajectories alike.
 All randomized operations are deterministic given their seed; per-document
 randomness derives from a stable hash of the document id, so results never
 depend on corpus order. Discrimination takes each document once for every
-shuffle size of one call: its classes of byte-equal points are found once,
-and it and all its distinct copies are scored in one kernel call. The
-documents are split over forked processes (forks), with the same result
-for any number of processes. Local windows are drawn by reading PCG64's
-32-bit stream in Python, as numpy's choice and permutation would draw
-them, at a fraction of the cost of a numpy call per window. Relative
-accuracy, domain comparison and classification thresholds count pairs
-exactly by sorting and sorted search, never one pair at a time; ordinal
-labels reach them as LabeledCorpus.ranks, one coherence rank per document.
+shuffle size of one call: its classes of byte-equal points are found and
+its points whitened once, and it and its distinct copies are scored from
+those in one sum of squares. The documents are split over forked processes
+(forks), with the same result for any number of processes. Local windows
+are drawn by reading PCG64's 32-bit stream in Python, as numpy's choice and
+permutation would draw them, at a fraction of the cost of a numpy call per
+window. Relative accuracy, domain comparison and classification thresholds
+count pairs exactly by sorting and sorted search, never one pair at a time;
+ordinal labels reach them as LabeledCorpus.ranks, one coherence rank per
+document.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from itertools import chain
 import numpy as np
 
 from . import forks
-from .bridge import LatentTrajectory, increments, quadratic_form
+from .bridge import LatentTrajectory, check_dim, increments
 from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -270,19 +271,20 @@ def discrimination_accuracies(originals, specs, spatial: SpdMatrix,
     use_pvalue), 0.5 on ties, else 0. Pooled over all pairs by default;
     per_document averages per-document accuracies instead. Shuffle seeds are
     derived per document from each spec's seed and the document id. Each
-    document and its distinct copies under every spec are scored in one
-    kernel call.
+    document and its distinct copies under every spec are scored together.
 
     On Linux the id-sorted originals are cut into contiguous chunks, one per
     CPU this process may run on but none with under FORK_FLOOR shuffled
     copies to score: this process scores the first chunk, and a forked child
     each other one (forks.forked). Shuffles are seeded per document and the
     chunks' credits are merged in id order, so every mean sums as one
-    process sums it. Every spec is checked against every original first.
+    process sums it. Each original's d and every spec are checked first.
     """
     originals = sorted(originals, key=lambda t: t.id)
     if not originals:
         raise EmptySetError("discrimination needs a nonempty corpus")
+    for traj in originals:
+        check_dim(traj, spatial)
     for spec in specs:
         for traj in originals:
             _check_shuffle(traj.T + 1, spec, traj.id)
@@ -311,11 +313,13 @@ def discrimination_accuracies(originals, specs, spatial: SpdMatrix,
 def _credits(originals, specs, spatial: SpdMatrix, use_pvalue: bool) -> list:
     """Per spec, the credit array of each original with a distinct shuffled copy, in order.
 
-    Each original is taken once: its classes of byte-equal points are found,
-    each spec's orders drawn and deduplicated, and the original and every
-    spec's distinct copies scored in one kernel call. Raises NumericalError
-    naming the first original whose statistic, or one of whose copies'
-    statistics, overflows float64.
+    Each original is taken once: its classes of byte-equal points found, each
+    spec's orders drawn and deduplicated, and its points whitened once, Y =
+    (points - points[0]) L^-T for Sigma = L L^T. Increments are linear and
+    ignore a shift, so one einsum over increments(Y[orders]) scores it and
+    every copy; statistics equal in exact arithmetic tie as rounding has them.
+    Raises NumericalError naming the first original whose statistic, or a
+    copy's, overflows float64.
     """
     out = [[] for _ in specs]
     for traj in originals:
@@ -328,9 +332,11 @@ def _credits(originals, specs, spatial: SpdMatrix, use_pvalue: bool) -> list:
         counts = [len(k) for k in kept]
         if not any(counts):
             continue
-        stacked = traj.points[np.concatenate([np.arange(n)[None], *kept])]
         with np.errstate(over="ignore", invalid="ignore"):  # checked once, on the statistics
-            statistic = quadratic_form(spatial, increments(stacked))
+            # shifted first: whitening raw points that share a large offset loses precision
+            white = (traj.points - traj.points[0]) @ spatial.inv_chol.T
+            incr = increments(white[np.concatenate([np.arange(n)[None], *kept])])
+            statistic = np.einsum("knd,knd->k", incr, incr)
         if not np.isfinite(statistic).all():
             raise NumericalError(
                 f"trajectory {traj.id!r}: its statistic or a shuffled copy's overflows float64"

@@ -17,9 +17,9 @@ read as a float, any line that orjson rejects (NaN, Infinity, numbers past
 float range, lone surrogate escapes) and any line that could nest deeper
 than _DEEPEST; orjson parses every other line. Where orjson parses a line,
 json's value is the same in every field a record reads, so records and
-errors are those of a read by json alone, except that a line nested past
-json's recursion limit but within _DEEPEST is judged on orjson's value.
-json also reads model and trainer-state files.
+errors are those of a read by json alone, except that any line nested past
+json's recursion limit, which depends on the stack in use, but within
+_DEEPEST is judged on orjson's value. json reads model and trainer-state files.
 
 Every file is written in this process by one writer, write_lines, with
 the bytes of json.dumps with sorted keys and compact separators. Float
@@ -273,7 +273,13 @@ def _read_span(fh, path, span: tuple[int, int | None], digest=None):
             where = f"{path}:{lineno}"
             try:
                 try:
-                    row = orjson.loads(line) if shallow and not first else _json_value(line, where)
+                    try:
+                        row = (orjson.loads(line) if shallow and not first
+                               else _json_value(line, where))
+                    except ValidationError as exc:  # line 1 nested past json's limit
+                        if not (shallow and isinstance(exc.__cause__, RecursionError)):
+                            raise
+                        row = orjson.loads(line)  # judged as any later line is
                 except orjson.JSONDecodeError:
                     row = _json_value(line, where)
                 if not isinstance(row, dict):

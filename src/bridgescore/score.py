@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bridge import LatentTrajectory, increments, quadratic_form, residuals
-from .errors import DimensionMismatchError, NumericalError, ValidationError
+from .bridge import LatentTrajectory, check_dim, increments, quadratic_form, residuals
+from .errors import NumericalError, ValidationError
 from .numerics import LOG_2PI, SpdMatrix, chi_square_sf
 
 
@@ -44,10 +44,7 @@ def score_statistics(trajs, spatial: SpdMatrix) -> tuple[np.ndarray, np.ndarray]
     """
     trajs = list(trajs)
     for traj in trajs:
-        if traj.d != spatial.dim:
-            raise DimensionMismatchError(
-                f"trajectory {traj.id!r} has d={traj.d}, spatial covariance has dim {spatial.dim}"
-            )
+        check_dim(traj, spatial)
     with np.errstate(over="ignore", invalid="ignore"):  # checked once, on the statistics
         statistic = np.array([quadratic_form(spatial, increments(t.points)) for t in trajs])
     finite = np.isfinite(statistic)

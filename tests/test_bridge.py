@@ -125,14 +125,13 @@ class TestIncrementKernel:
         with pytest.raises(DimensionMismatchError):
             quadratic_form(SpdMatrix(np.eye(3)), np.ones((4, 2)))
 
-    @pytest.mark.parametrize("d", [64, 256])
-    def test_stack_matches_lone_calls(self, rng, d):
-        # one product per document: a GEMM over all rows would move last bits
-        spatial = random_spatial(rng, d)
-        for T in (2, 3, 9, 30):
-            points = rng.standard_normal((21, T + 1, d))
-            lone = [quadratic_form(spatial, increments(p)) for p in points]
-            np.testing.assert_array_equal(quadratic_form(spatial, increments(points)), lone)
+    def test_rejects_a_stack(self, rng):
+        # a (k, n, d) stack would be summed into one float
+        incr = increments(rng.standard_normal((4, 6, 2)))
+        with pytest.raises(ValidationError, match=r"one document's \(n, d\) rows"):
+            quadratic_form(SpdMatrix(np.eye(2)), incr)
+        with pytest.raises(ValidationError):
+            quadratic_form(SpdMatrix(np.eye(2)), np.ones(2))
 
     def test_pooled_corpus_order_invariant(self, rng):
         trajs = [random_trajectory(rng, 4, T, traj_id=f"p{i}")
@@ -220,14 +219,15 @@ class TestSampleBridge:
         assert corr == pytest.approx(0.9, abs=0.02)
 
     def test_draws_are_w_z_lt(self, rng):
-        # the dense temporal factor is built inline; draws must not move by a bit
+        # the closed-form factor's cumulative sum against the dense temporal Cholesky factor
         d = 3
         spatial = random_spatial(rng, d)
-        for T in (2, 3, 17, 60):
+        for T in (2, 3, 17, 60, 500):
             t = sample_bridge(d, T, spatial, np.zeros(d), np.zeros(d), seed=T)
             z = np.random.default_rng(T).standard_normal((d, T - 1))
             expected = spatial.chol @ z @ np.linalg.cholesky(temporal_matrix(T)).T
-            np.testing.assert_array_equal(t.points[1:-1].T, expected)
+            error = np.linalg.norm(t.points[1:-1].T - expected) / np.linalg.norm(expected)
+            assert error <= 1e-12, T
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionMismatchError):

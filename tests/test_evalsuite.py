@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bridgescore import (
+    DimensionMismatchError,
     EmptySetError,
     LabeledCorpus,
     LatentTrajectory,
@@ -17,6 +18,7 @@ from bridgescore import (
     bbscore,
     discrimination_accuracies,
     domain_swap_compare,
+    increments,
     make_shuffle_set,
     mle_sigma,
     relative_accuracy,
@@ -25,7 +27,8 @@ from bridgescore import (
     threshold_classify,
 )
 import bridgescore.evalsuite as ev
-from conftest import random_spd, random_trajectory
+from bridgescore.numerics import chi_square_sf
+from conftest import dense_quad_form, random_spd, random_trajectory
 
 
 def point_multiset(traj):
@@ -269,17 +272,27 @@ def sim_setup():
     return spatial, originals
 
 
-def per_copy_accuracy(originals, spec, spatial, use_pvalue, per_document):
-    """Discrimination as one bbscore call per make_shuffle_set copy."""
-    def incoherence(traj):
-        rep = bbscore(traj, spatial)
-        return -rep.p_value if use_pvalue else rep.bbscore
+def per_copy_accuracy(originals, spec, spatial, use_pvalue, per_document, whiten=True):
+    """Discrimination as one score per make_shuffle_set copy.
+
+    whiten scores each copy from its own points, whitened relative to the
+    original's first point as discrimination whitens them, so statistics equal
+    in exact arithmetic tie as they do there; otherwise bbscore scores each copy.
+    """
+    def incoherence(traj, origin):
+        if not whiten:
+            rep = bbscore(traj, spatial)
+            return -rep.p_value if use_pvalue else rep.bbscore
+        incr = increments((traj.points - origin) @ spatial.inv_chol.T)
+        statistic, dof = np.einsum("nd,nd->", incr, incr), (traj.T - 1) * traj.d
+        return -chi_square_sf(statistic, dof) if use_pvalue else statistic / dof
 
     credits, doc_means = [], []
     for traj in sorted(originals, key=lambda t: t.id):
         copies = make_shuffle_set(traj, replace(spec, seed=stable_seed(spec.seed, traj.id)))
-        base = incoherence(traj)
-        doc = [1.0 if base < x else 0.5 if base == x else 0.0 for x in map(incoherence, copies)]
+        base = incoherence(traj, traj.points[0])
+        doc = [1.0 if base < x else 0.5 if base == x else 0.0
+               for x in (incoherence(c, traj.points[0]) for c in copies)]
         credits.extend(doc)
         if doc:
             doc_means.append(float(np.mean(doc)))
@@ -309,6 +322,40 @@ class TestDiscrimination:
                                                 per_document=per_document)[0]
             assert batched == per_copy_accuracy(originals, spec, spatial, use_pvalue,
                                                 per_document)
+            # no repeated points, no copy tied with its original: bbscore orders them alike
+            distinct = originals[:-1]
+            batched = discrimination_accuracies(distinct, [spec], spatial, use_pvalue=use_pvalue,
+                                                per_document=per_document)[0]
+            assert batched == per_copy_accuracy(distinct, spec, spatial, use_pvalue,
+                                                per_document, whiten=False)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_statistics_match_the_dense_oracle(self, monkeypatch, rng, offset):
+        # whitened relative to the first point, a large shared offset costs no precision
+        d = 8
+        sigma = random_spd(rng, d)
+        shifted = [random_trajectory(rng, d, T, traj_id=f"o{T:02d}") for T in (3, 11, 20)]
+        shifted = [LatentTrajectory(t.id, t.domain, t.points + offset) for t in shifted]
+        # the same points without the offset, exactly: the subtraction rounds nothing
+        docs = [LatentTrajectory(t.id, t.domain, t.points - offset) for t in shifted]
+        spec = ShuffleSpec(kind="global_block", block_size=2, copies=5, seed=3)
+        seen, incoherence = [], ev._incoherence
+        monkeypatch.setattr(ev, "_incoherence",
+                            lambda statistic, *rest: seen.append(statistic) or
+                            incoherence(statistic, *rest))
+        discrimination_accuracies(shifted, [spec], SpdMatrix(sigma))
+        assert len(seen) == len(docs)
+        for doc, statistic in zip(docs, seen):
+            copies = make_shuffle_set(doc, replace(spec, seed=stable_seed(spec.seed, doc.id)))
+            dense = [dense_quad_form(c, sigma) for c in [doc, *copies]]
+            np.testing.assert_allclose(statistic, dense, rtol=1e-12, atol=0)
+
+    def test_dimension_mismatch_names_the_document(self, sim_setup):
+        spatial, originals = sim_setup
+        wide = LatentTrajectory("wide", "x", np.arange(24.0).reshape(6, 4))
+        spec = ShuffleSpec(kind="global_block", block_size=1, copies=3, seed=0)
+        with pytest.raises(DimensionMismatchError, match="trajectory 'wide' has d=4"):
+            discrimination_accuracies([*originals, wide], [spec], spatial)
 
     def test_tie_rule_via_injection(self, monkeypatch, sim_setup):
         spatial, originals = sim_setup

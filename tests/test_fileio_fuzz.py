@@ -7,14 +7,15 @@ too. Every diagnostic names the file, and a corpus read in two spans gives
 the records or the error of a read in one. The corpus reader parses line 1,
 and any line orjson rejects, with json and the rest with orjson: for any line
 it gives the records, to the bit, or the error of a read by json alone, except
-that past line 1 a line nested past json's recursion limit is judged on
-orjson's value. Runs are derandomized, so the suite draws the same examples
-every time.
+that a line nested past json's recursion limit, and within the depth that
+orjson is asked to parse, is judged on orjson's value, on line 1 as on any
+other. Runs are derandomized, so the suite draws the same examples every time.
 """
 
 import json
 import os
 import struct
+import sys
 
 import orjson
 import pytest
@@ -183,44 +184,53 @@ def test_corpus_lines_read_as_json_reads_them(input_file, rows):
     same_as_json_alone(input_file, "\n".join([HEADER % 1, *lines]).encode())
 
 
+def deep_record(depth: int, where: str) -> str:
+    if where == "points":
+        return RECORD % nested(depth)
+    return '{"id":"a","domain":"d","points":[[0],[1],[2]],"%s":%s}' % (where, nested(depth))
+
+
 @pytest.mark.parametrize("depth", [990, 1000, 1010, 1024, 1025, 1030])
 @pytest.mark.parametrize("where", ["points", "extra", "label"])
 def test_deep_nesting_read_as_json_reads_it(input_file, depth, where):
-    # json stops near Python's recursion limit, where orjson parses on: on line 1 json decides.
-    # Not under hypothesis, which raises the recursion limit.
-    if where == "points":
-        line = RECORD % nested(depth)
-    else:
-        line = '{"id":"a","domain":"d","points":[[0],[1],[2]],"%s":%s}' % (where, nested(depth))
-    same_as_json_alone(input_file, line.encode())
-    try:
-        read_trajectories(input_file)
-    except ValidationError as exc:
-        assert str(exc).startswith(f"{input_file}:1: ")
-    else:
-        assert where == "extra"  # accepted only as json accepts it
+    # on line 1 as on line 2, a deep line reads as json reads it given the stack to parse it,
+    # whatever json's recursion limit. Not under hypothesis, which raises the recursion limit.
+    line = deep_record(depth, where)
+    for lines in ([line], [HEADER % 1, line]):
+        input_file.write_text("\n".join(lines))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(10_000)
+        try:
+            expected = corpus_outcome(input_file, 1, json_only=True)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert corpus_outcome(input_file, 1) == expected
+        try:
+            read_trajectories(input_file)
+        except ValidationError as exc:
+            assert str(exc).startswith(f"{input_file}:{len(lines)}: ")
+        else:
+            assert where == "extra"  # accepted only as json accepts it
 
 
-# The verdict on a record nested below json's recursion limit, where both parsers give one value
-PAST_LINE_ONE = {"points": ":2: 'points' must list at least 3 vectors",
-                 "label": ":2: 'label' must be a string when present", "extra": None}
+# The verdict on a deep record, where both parsers give one value
+VERDICT = {"points": "'points' must list at least 3 vectors",
+           "label": "'label' must be a string when present", "extra": None}
 
 
 @pytest.mark.parametrize("depth", [10, 990, 1000, 1010, 1024, 1025, 1030, 9000])
 @pytest.mark.parametrize("where", ["points", "extra", "label"])
 def test_deep_nesting_past_line_one_reads_as_orjsons_value(input_file, depth, where):
-    # json's recursion limit decides line 1 alone: a later line within _DEEPEST is judged on
-    # orjson's value, whatever its depth
-    if where == "points":
-        line = RECORD % nested(depth)
-    else:
-        line = '{"id":"a","domain":"d","points":[[0],[1],[2]],"%s":%s}' % (where, nested(depth))
-    input_file.write_text(HEADER % 1 + "\n" + line)
-    try:
-        assert [r.trajectory.id for r in read_trajectories(input_file)[0]] == ["a"]
-        assert PAST_LINE_ONE[where] is None
-    except ValidationError as exc:
-        assert str(exc) == f"{input_file}{PAST_LINE_ONE[where]}"
+    # a line within _DEEPEST is judged on orjson's value, whatever its depth, past line 1
+    # and on line 1 alike: json's recursion limit decides no line
+    line = deep_record(depth, where)
+    for lines in ([HEADER % 1, line], [line]):
+        input_file.write_text("\n".join(lines))
+        try:
+            assert [r.trajectory.id for r in read_trajectories(input_file)[0]] == ["a"]
+            assert VERDICT[where] is None
+        except ValidationError as exc:
+            assert str(exc) == f"{input_file}:{len(lines)}: {VERDICT[where]}"
 
 
 def test_each_corpus_line_is_parsed_once(input_file, monkeypatch):
