@@ -3,9 +3,10 @@
 Every command is deterministic given its input files, flags, and --seed;
 output files embed the tool version and input digests. Commands hand rows
 to fileio's one writer, write_lines or a writer built on it, and read their
-corpora and models through one gate, _inputs. Exit codes: 0 on success, 1
-on validation errors, usage errors, failed writes and a closed stdout, 2 on
-numerical failures.
+corpora and models through one gate, _inputs. Each command imports the
+modules only it runs (encoder, evalsuite, score) when it runs, so that fit
+loads none of them. Exit codes: 0 on success, 1 on validation errors, usage
+errors, failed writes and a closed stdout, 2 on numerical failures.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import errno
 import hashlib
 import os
 import sys
+from typing import TYPE_CHECKING
 
 # One BLAS thread, unless the environment chooses a count: the forks give the
 # parallelism, a thread pool only spins, and LAPACK's d=256 Cholesky bytes would
@@ -29,18 +31,7 @@ if "numpy" not in sys.modules and not any(
 import numpy as np  # noqa: E402
 
 from .bridge import pooled_covariance, sample_bridge, shrink_covariance
-from .encoder import LinearEncoder, TrainerState, train
 from .errors import InsufficientDataError, NumericalError, ValidationError
-from .evalsuite import (
-    LabeledCorpus,
-    ShuffleSpec,
-    discrimination_accuracies,
-    domain_swap_compare,
-    make_shuffle_set,
-    relative_accuracy,
-    stable_seed,
-    threshold_classify,
-)
 from .fileio import (
     TOOL_VERSION,
     SigmaModel,
@@ -56,7 +47,9 @@ from .fileio import (
     write_trajectories,
 )
 from .numerics import SpdMatrix, log_det_spd
-from .score import bbscore_batch, heuristic_bbscore
+
+if TYPE_CHECKING:
+    from .evalsuite import ShuffleSpec
 
 
 def _int_list(text: str) -> list[int]:
@@ -82,6 +75,7 @@ def _inputs(paths, models=(), digest=None, order=None):
         if order is None:
             corpora.append([r.trajectory for r in records])
             continue
+        from .evalsuite import LabeledCorpus
         for rec in records:
             if rec.label is None:
                 raise ValidationError(f"{path}: record {rec.trajectory.id!r} has no label")
@@ -153,6 +147,7 @@ def _parse_endpoint_scale(spec: str) -> float:
 
 
 def cmd_simulate(args) -> int:
+    from .evalsuite import stable_seed
     if args.d < 1:
         raise ValidationError(f"--d {args.d}: expected an integer >= 1")
     if args.n < 0:
@@ -219,6 +214,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_score(args) -> int:
+    from .score import bbscore_batch, heuristic_bbscore
     sha = hashlib.sha256()
     (trajs,), (model,) = _inputs([args.input], [args.model], sha)
     digest = sha.hexdigest()
@@ -258,6 +254,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_shuffle(args) -> int:
+    from .evalsuite import make_shuffle_set, stable_seed
     digest = hashlib.sha256()
     (originals,), _ = _inputs([args.input], digest=digest)
     size = args.block_size if args.kind == "global" else args.windows
@@ -276,6 +273,7 @@ def cmd_shuffle(args) -> int:
 
 def _shuffle_spec(args, size: int, seed: int) -> ShuffleSpec:
     """Global blocks of size points, or size local windows of args.window_size."""
+    from .evalsuite import ShuffleSpec
     if args.kind == "global":
         return ShuffleSpec(kind="global_block", block_size=size, copies=args.copies, seed=seed)
     return ShuffleSpec(kind="local_window", num_windows=size,
@@ -283,6 +281,7 @@ def _shuffle_spec(args, size: int, seed: int) -> ShuffleSpec:
 
 
 def cmd_discriminate(args) -> int:
+    from .evalsuite import discrimination_accuracies
     option, header, sizes = (("--block-sizes", "block_size", args.block_sizes)
                              if args.kind == "global" else ("--windows", "windows", args.windows))
     if not sizes:
@@ -302,6 +301,7 @@ def cmd_discriminate(args) -> int:
 
 
 def cmd_relative(args) -> int:
+    from .evalsuite import relative_accuracy
     labels = args.truth == "labels"
     sets, (model,) = _inputs([args.set_a, args.set_b], [args.model],
                              order=args.label_order.split(",") if labels else None)
@@ -317,6 +317,7 @@ def cmd_relative(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .evalsuite import threshold_classify
     (train_corpus, test_corpus), (model,) = _inputs([args.train, args.test], [args.model],
                                                     order=args.label_order.split(","))
     use_pvalue = {"auto": None, "score": False, "pvalue": True}[args.axis]
@@ -333,6 +334,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_compare_domains(args) -> int:
+    from .evalsuite import domain_swap_compare
     corpora, models = _inputs([args.corpus_a, args.corpus_b],
                               [p for p in (args.model_a, args.model_b, args.model_ref) if p])
     results = domain_swap_compare(*corpora, *(m.spatial for m in models), pairing=args.pairing)
@@ -345,6 +347,7 @@ def cmd_compare_domains(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from .encoder import LinearEncoder, TrainerState, train
     if args.d_out is not None and args.d_out < 1:
         raise ValidationError(f"--d-out must be >= 1, got {args.d_out}")
     digest = hashlib.sha256()

@@ -11,15 +11,22 @@ any number of parts, and a child that fails costs time, not output: its
 part is redone here. Ingestion rejects any malformed record, a duplicate id
 and a record whose d differs from the first's with a path:line diagnostic.
 
-Each corpus line is parsed once. The standard json module parses line 1,
-which may be a header holding an integer past 64 bits that orjson would
-read as a float, any line that orjson rejects (NaN, Infinity, numbers past
-float range, lone surrogate escapes) and any line that could nest deeper
-than _DEEPEST; orjson parses every other line. Where orjson parses a line,
-json's value is the same in every field a record reads, so records and
-errors are those of a read by json alone, except that any line nested past
-json's recursion limit, which depends on the stack in use, but within
-_DEEPEST is judged on orjson's value. json reads model and trainer-state files.
+Each corpus line is parsed once. orjson is handed the bytes of an ordinary
+record line: one past line 1, with no '\r', starting with '{' and ending with
+'}' before its newline, and nested no deeper than _DEEPEST; orjson checks
+its UTF-8 itself. Every other line, and an ordinary line whose bytes orjson
+rejects, takes the text route: it is decoded (bytes that are not UTF-8 are a
+'cannot read file' error), split on '\r' as universal newlines split it, and
+stripped. There the standard json module parses line 1, which may be a
+header holding an integer past 64 bits that orjson would read as a float,
+any line that orjson rejected (NaN, Infinity, numbers past float range,
+lone surrogate escapes) and any line that could nest deeper than _DEEPEST;
+orjson parses every other line, and json any of those it rejects. Where
+orjson parses a line, json's value is the same in every field a record
+reads, so records and errors are those of a read by json alone, except that
+any line nested past json's recursion limit, which depends on the stack in
+use, but within _DEEPEST is judged on orjson's value. json reads model and
+trainer-state files.
 
 Every file is written in this process by one writer, write_lines, with
 the bytes of json.dumps with sorted keys and compact separators. Float
@@ -38,15 +45,18 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 import orjson
 
 from . import __version__, forks
 from .bridge import LatentTrajectory
-from .encoder import LinearEncoder, TrainerState
 from .errors import NotPositiveDefiniteError, ValidationError
 from .numerics import SpdMatrix
+
+if TYPE_CHECKING:  # the encoder loads with the commands that train
+    from .encoder import TrainerState
 
 TOOL_VERSION = f"bridgescore {__version__}"
 
@@ -71,23 +81,26 @@ def _floats(arr: np.ndarray) -> str:
     5e-05. Each token holding an 'e' or a '0.0000' is respelled whole, from
     the ',' or '[' before it to the ',' or ']' after it, so that a token such
     as '10.000049', which orjson spells as json does, is rewritten as itself.
+    Its bounds are found by str searches that stop at the nearest ',', so
+    that no character is visited in Python.
     """
     text = orjson.dumps(np.ascontiguousarray(arr, dtype=float),
                         option=orjson.OPT_SERIALIZE_NUMPY).decode()
-    starts = set()
+    tokens = {}  # start: end
     for mark in ("e", "0.0000"):
         at = text.find(mark)
         while at >= 0:
-            start = at
-            while text[start - 1] not in ",[":
-                start -= 1
-            starts.add(start)
-            at = text.find(mark, at + 1)
+            comma = text.rfind(",", 0, at)
+            start = max(comma, text.rfind("[", comma + 1, at)) + 1
+            comma = text.find(",", at)
+            if comma < 0:
+                comma = len(text)
+            end = text.find("]", at, comma)
+            end = comma if end < 0 else end
+            tokens[start] = end
+            at = text.find(mark, end)
     out, pos = [], 0
-    for start in sorted(starts):
-        end = start
-        while text[end] not in ",]":
-            end += 1
+    for start, end in sorted(tokens.items()):
         out += [text[pos:start], repr(float(text[start:end]))]
         pos = end
     return "".join([*out, text[pos:]])
@@ -172,7 +185,8 @@ def _matrix(value, exact: bool = True) -> np.ndarray | None:
         return None
 
 
-def _parse_record(path, lineno: int, row: dict, line: str) -> TrajectoryRecord:
+def _parse_record(path, lineno: int, row: dict, raw: bytes) -> TrajectoryRecord:
+    """row, parsed from raw, a line's bytes or more, as a record; a path:line error if malformed."""
     where = f"{path}:{lineno}"
     for key in ("id", "domain", "points"):
         if key not in row:
@@ -187,7 +201,9 @@ def _parse_record(path, lineno: int, row: dict, line: str) -> TrajectoryRecord:
     widths = {len(p) if isinstance(p, list) else -1 for p in points}
     if len(widths) != 1 or -1 in widths or widths == {0}:
         raise ValidationError(f"{where}: 'points' must be rectangular with d >= 1")
-    arr = _matrix(points, exact="true" in line or "false" in line)
+    # 'u' and 'f' are in no number and no key a record reads, so the full searches
+    # for true and false run only on the rare line with a string holding them
+    arr = _matrix(points, exact=b"u" in raw and b"true" in raw or b"f" in raw and b"false" in raw)
     if arr is None:
         raise ValidationError(
             f"{where}: 'points' must hold only numbers, not strings, booleans or lists"
@@ -243,6 +259,30 @@ def _cut(fh, size: int, n: int) -> list[tuple[int, int | None]]:
     return list(zip(starts, [*starts[1:], None]))
 
 
+def _text_value(line: str, where: str, first: bool, shallow: bool):
+    """A stripped text line parsed: by orjson, then json if orjson rejects it, past line 1.
+
+    json alone parses line 1 and a line that is not shallow: one that may nest
+    past _DEEPEST, or one whose bytes orjson has rejected. Line 1 nested past
+    json's recursion limit, but shallow, is judged as any later line is, on
+    orjson's value when orjson accepts it.
+    """
+    if shallow and not first:
+        try:
+            return orjson.loads(line)
+        except orjson.JSONDecodeError:
+            return _json_value(line, where)
+    try:
+        return _json_value(line, where)
+    except ValidationError as exc:
+        if not (shallow and isinstance(exc.__cause__, RecursionError)):
+            raise
+        try:
+            return orjson.loads(line)
+        except orjson.JSONDecodeError:
+            raise exc  # json's verdict, as on any later line
+
+
 def _read_span(fh, path, span: tuple[int, int | None], digest=None):
     """One span of fh parsed: (header, [(line, record)], error, lines read).
 
@@ -257,37 +297,39 @@ def _read_span(fh, path, span: tuple[int, int | None], digest=None):
         fh.seek(start)
     header, rows, lineno, pos = {}, [], 0, start
     for raw in fh:
+        values = None  # nothing parsed from raw yet
         if digest is not None:
             digest.update(raw)
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            return header, rows, (lineno + 1, f": cannot read file ({exc})"), lineno + 1
         shallow = _shallow(raw)
-        for line in text.replace("\r\n", "\n").split("\r") if "\r" in text else (text,):
+        # one line past line 1, with nothing that strip would remove but its newline
+        if (shallow and (start or lineno) and raw[:1] == b"{" and raw.endswith((b"}\n", b"}"))
+                and b"\r" not in raw):
+            try:
+                values = (orjson.loads(raw),)
+            except orjson.JSONDecodeError:
+                shallow = False  # its text is judged by json alone
+        if values is None:
+            try:
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return header, rows, (lineno + 1, f": cannot read file ({exc})"), lineno + 1
+            values = text.replace("\r\n", "\n").split("\r") if "\r" in text else (text,)
+        for row in values:  # orjson's value, or the text of each line
             lineno += 1
-            line = line.strip()
-            if not line:
-                continue
             first = start == 0 and lineno == 1
             where = f"{path}:{lineno}"
             try:
-                try:
-                    try:
-                        row = (orjson.loads(line) if shallow and not first
-                               else _json_value(line, where))
-                    except ValidationError as exc:  # line 1 nested past json's limit
-                        if not (shallow and isinstance(exc.__cause__, RecursionError)):
-                            raise
-                        row = orjson.loads(line)  # judged as any later line is
-                except orjson.JSONDecodeError:
-                    row = _json_value(line, where)
+                if isinstance(row, str):
+                    row = row.strip()
+                    if not row:
+                        continue
+                    row = _text_value(row, where, first, shallow)
                 if not isinstance(row, dict):
                     raise ValidationError(f"{where}: expected a JSON object")
                 if first and row.get("kind") == "trajectories":
                     header = row
                     continue
-                rows.append((lineno, _parse_record(path, lineno, row, line)))
+                rows.append((lineno, _parse_record(path, lineno, row, raw)))
                 del row  # frees its lists of floats before the next line is parsed
             except ValidationError as exc:
                 return header, rows, (lineno, str(exc)[len(where):]), lineno
@@ -443,6 +485,7 @@ def write_trainer_state(path, state: TrainerState, extra: dict | None = None) ->
 
 def read_weights(path) -> np.ndarray:
     """Read encoder weights from a trainer-state file or a bare JSON matrix."""
+    from .encoder import LinearEncoder
     payload = _load_json(path)
     arr = _matrix(payload.get("weights") if isinstance(payload, dict) else payload)
     if arr is None:

@@ -21,6 +21,7 @@ from bridgescore.fileio import (
     write_sigma_model,
     write_trajectories,
 )
+from bridgescore.score import score_statistics
 
 
 def run(*argv):
@@ -785,6 +786,33 @@ class TestTrainCommand:
             read_sigma_model(model)
 
 
+def scores_match_the_library(corpus, model, scores):
+    """The rows of a score file, checked against score_statistics on the corpus as read."""
+    trajs = [rec.trajectory for rec in read_trajectories(corpus)[0]]
+    statistic, dof = score_statistics(trajs, read_sigma_model(model).spatial)
+    rows = [json.loads(line) for line in scores.read_text().splitlines()[1:]]
+    assert [row["id"] for row in rows] == [traj.id for traj in trajs]
+    assert [row["dof"] for row in rows] == dof.tolist()
+    for row, stat, k in zip(rows, statistic, dof):
+        assert row["statistic"] == stat and row["bbscore"] == stat / k
+        assert 0.0 <= row["p_value"] <= 1.0
+    return rows
+
+
+class TestLongDocument:
+    def test_score_of_one_document_of_dof_near_1e6(self, tmp_path):
+        # one 20001-point line of some 25 MB, whose brackets the reader counts before
+        # orjson parses it
+        fit_corpus = simulate_file(tmp_path, name="fit.jsonl", n=10, d=64, T=200, seed=2)
+        long_doc = simulate_file(tmp_path, name="long.jsonl", n=1, d=64, T=20000, seed=3)
+        model, scores = tmp_path / "m.json", tmp_path / "s.jsonl"
+        assert run("fit", "--in", fit_corpus, "--out", model) == 0
+        assert run("score", "--in", long_doc, "--model", model, "--out", scores) == 0
+        (row,) = scores_match_the_library(long_doc, model, scores)
+        assert row["dof"] == 19999 * 64
+        assert row["bbscore"] == pytest.approx(1.0, abs=0.05)
+
+
 class TestTwoSteps:
     """T = 2, a document of two endpoints and one interior point, through every command."""
 
@@ -794,10 +822,13 @@ class TestTwoSteps:
         model, scores = tmp_path / "m.json", tmp_path / "s.jsonl"
         assert run("fit", "--in", corpus, "--out", model) == 0
         assert run("score", "--in", held_out, "--model", model, "--out", scores) == 0
-        rows = [json.loads(line) for line in scores.read_text().splitlines()[1:]]
+        rows = scores_match_the_library(held_out, model, scores)
         assert len(rows) == 5 and all(row["dof"] == 2 for row in rows)
         discriminate = ["discriminate", "--in", corpus, "--model", model]
+        capsys.readouterr()
         assert run(*discriminate, "--block-sizes", 1) == 0
+        # one interior point: every copy is its original, and no pair is told apart
+        assert capsys.readouterr().out.splitlines()[-1].split() == ["1", "0.0000"]
         assert run(*discriminate, "--kind", "local", "--windows", 1, "--window-size", 3) == 0
         train = ["train", "--corpora", corpus, "--epochs", 1, "--step-size", "1e-8"]
         assert run(*train, "--out", tmp_path / "state.json") == 0
@@ -1326,6 +1357,30 @@ class TestStartup:
         *_, loaded, scored, loaded_after_score = done.stdout.splitlines()
         assert (loaded, loaded_after_score) == ("False", "True False")
         assert scored.startswith("score: 6 documents")
+
+    @pytest.mark.parametrize("command, loaded, absent", [
+        ("fit", "fileio", ("evalsuite", "score", "encoder")),
+        ("train", "encoder", ("evalsuite", "score")),
+        ("discriminate", "evalsuite", ("encoder",)),
+    ])
+    def test_each_command_loads_only_its_modules(self, tmp_path, command, loaded, absent):
+        corpus = simulate_file(tmp_path, n=6, d=2, T=12, seed=5)
+        model = tmp_path / "m.json"
+        assert run("fit", "--in", corpus, "--out", model) == 0
+        argv = {
+            "fit": ["--in", corpus, "--out", tmp_path / "refit.json"],
+            "train": ["--corpora", corpus, "--epochs", "1", "--step-size", "1e-8",
+                      "--out", tmp_path / "state.json"],
+            "discriminate": ["--in", corpus, "--model", model, "--copies", "2",
+                             "--block-sizes", "1"],
+        }[command]
+        # -X importtime lists every module the process imports, one per stderr line
+        done = run_process("-X", "importtime", "-m", "bridgescore.cli", command, *argv)
+        assert done.returncode == 0, done.stderr
+        modules = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()
+                   if line.startswith("import time:")}
+        assert f"bridgescore.{loaded}" in modules
+        assert not modules & {f"bridgescore.{name}" for name in absent}
 
     @pytest.mark.parametrize("use_pvalue", [False, True])
     def test_discriminate_loads_scipy_special_only_for_pvalues(self, tmp_path, use_pvalue):

@@ -9,7 +9,9 @@ and any line orjson rejects, with json and the rest with orjson: for any line
 it gives the records, to the bit, or the error of a read by json alone, except
 that a line nested past json's recursion limit, and within the depth that
 orjson is asked to parse, is judged on orjson's value, on line 1 as on any
-other. Runs are derandomized, so the suite draws the same examples every time.
+other. A read by json alone replaces orjson.loads with a stub that refuses
+every line, handed as bytes or as text. Runs are derandomized, so the suite
+draws the same examples every time.
 """
 
 import json
@@ -113,8 +115,11 @@ def test_arbitrary_json_value(input_file, value):
     only_validation_errors(input_file, json.dumps(value).encode())
 
 
-def refuse(text):
-    raise orjson.JSONDecodeError("refused", text, 0)
+def refuse(doc):
+    """orjson.loads refusing every line, handed its text or its bytes."""
+    if isinstance(doc, bytes):
+        doc = doc.decode("utf-8", errors="replace")
+    raise orjson.JSONDecodeError("refused", doc, 0)
 
 
 def corpus_outcome(path, spans, json_only=False):
@@ -176,12 +181,32 @@ HEADER = '{"kind":"trajectories","created_by":"x","seed":%s}'
                '{"id":"b","domain":"d","points":[[18446744073709551616],[1],[2]]}'])
 @example(rows=[RECORD % "[[0],[1],[2]]", HEADER % 1])
 @example(rows=[RECORD % ("[[%s]]" % "],[".join(map(str, range(12_000))))])
+# lines that orjson is not handed as bytes, or rejects as bytes: a '\r' between tokens,
+# padding that strip removes, a BOM, bytes that are not UTF-8 (a lone surrogate here stands
+# for the byte it escapes), a blank line of '\x1c'
+@example(rows=['{"id":"a",\r"domain":"d","points":[[0],[1],[2]]}'])
+@example(rows=['{"id":"a","domain":"d",\r\n"points":[[0],[1],[2]]}', RECORD % "[[0],[1],[2]]"])
+@example(rows=[RECORD % "[[0],[1],[2]]" + "\r", '{"id":"b","domain":"d","points":[[0],[1]]}'])
+@example(rows=[RECORD % "[[0],[1],[2]]" + pad for pad in ("\x0c", "\x1c", "\xa0", "\u2028")])
+@example(rows=[" \t" + RECORD % "[[0],[1],[2]]", "\ufeff" + RECORD % "[[0],[1],[2]]"])
+@example(rows=['{"id":"a\udcff","domain":"d","points":[[0],[1],[2]]}'])
+@example(rows=['{"id":"a\udced\udca0\udc80","domain":"d","points":[[0],[1],[2]]}'])
+@example(rows=[RECORD % "[[0],[1],[2]]", "\x1c", '{"id":"b","domain":"d","points":[[0],[1],[2]]}'])
+# true and false in points, with an id holding 'f' and 'u' and without; a 'u' or an 'f'
+# with no literal
+@example(rows=['{"id":"fu","domain":"forum","points":[[0],[false],[2]]}'])
+@example(rows=['{"id":"a","domain":"d","points":[[0],[1],[true]]}'])
+@example(rows=['{"id":"uf","domain":"forum","points":[[0],[1],[2]],"label":"true"}'])
+@example(rows=['{"id":"a","domain":"d","points":[[0],[1],[null]]}'])
+# the last record with and without a final newline
+@example(rows=[RECORD % "[[0],[1],[2]]", '{"id":"b","domain":"d","points":[[0],[1],[2]]}\n'])
+@example(rows=[RECORD % "[[0],[1],[2]]", '{"id":"b","domain":"d","points":[[0],[1],[2]]}'])
 def test_corpus_lines_read_as_json_reads_them(input_file, rows):
     lines = [row if isinstance(row, str) else json.dumps(row) for row in rows]
     # as the file's first lines, of which json parses line 1, and after a header, where
     # orjson parses every line it accepts
-    same_as_json_alone(input_file, "\n".join(lines).encode())
-    same_as_json_alone(input_file, "\n".join([HEADER % 1, *lines]).encode())
+    for text in ("\n".join(lines), "\n".join([HEADER % 1, *lines])):
+        same_as_json_alone(input_file, text.encode("utf-8", "surrogateescape"))
 
 
 def deep_record(depth: int, where: str) -> str:
@@ -250,6 +275,27 @@ def test_each_corpus_line_is_parsed_once(input_file, monkeypatch):
     with pytest.raises(ValidationError, match=":3: 'points' must list at least 3 vectors"):
         read_trajectories(input_file)
     assert parsers == ["json", "orjson", "orjson"]
+
+
+def test_a_line_orjson_rejects_is_not_handed_to_it_again(input_file, monkeypatch):
+    # orjson refuses a NaN record's bytes, and json alone judges its text
+    parsers = []
+    for module in (fileio.json, fileio.orjson):
+        def loads(doc, module=module, loads=module.loads):
+            parsers.append((module.__name__, type(doc).__name__))
+            return loads(doc)
+        monkeypatch.setattr(module, "loads", loads)
+    valid, nan = RECORD % "[[0],[1],[2]]", RECORD.replace('"a"', '"b"') % "[[NaN],[1],[2]]"
+    input_file.write_text(f"{HEADER % 1}\n{valid}\n{nan}\r\n{nan}\n")
+    with pytest.raises(ValidationError, match=":3: 'points' contains a non-finite number"):
+        read_trajectories(input_file)
+    # the CRLF line is text, orjson's and then json's; the last line is never reached
+    assert parsers == [("json", "str"), ("orjson", "bytes"), ("orjson", "str"), ("json", "str")]
+    input_file.write_text(f"{HEADER % 1}\n{valid}\n{nan}\n")
+    parsers.clear()
+    with pytest.raises(ValidationError, match=":3: 'points' contains a non-finite number"):
+        read_trajectories(input_file)
+    assert parsers == [("json", "str"), ("orjson", "bytes"), ("orjson", "bytes"), ("json", "str")]
 
 
 def bits_to_float(bits: int) -> float:

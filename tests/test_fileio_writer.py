@@ -159,6 +159,21 @@ def test_floats_of_empty_and_one_element_arrays(arr):
     assert _floats(arr) == json_spelling(arr)
 
 
+@pytest.mark.parametrize("shape", [(-1,), (64, 64), (16, 16, 16)])
+def test_floats_of_arrays_dense_in_respelled_tokens(shape):
+    # trainer weights near the identity: nearly every token holds an 'e' or a '0.0000',
+    # next to every kind of bound, among subnormals, 1e16 and -0.0
+    rng = np.random.default_rng(31)
+    values = np.eye(64).ravel() + 1e-7 * rng.standard_normal(4096)
+    values[::97] = rng.choice([5e-324, -2.5e-320, 1e16, -1e16, 1e17, -0.0, 0.00005, -0.00001234],
+                              values[::97].size)
+    values[1::101] = rng.uniform(-1, 1, values[1::101].size) * 1e-5
+    arr = values.reshape(shape)
+    text = _floats(arr)
+    assert text == json_spelling(arr)
+    assert text.count("e") + text.count("0.0000") > 3900
+
+
 def test_floats_of_a_non_contiguous_array():
     arr = np.arange(24.0).reshape(4, 6)[:, ::2] * 1e-6
     assert _floats(arr) == json_spelling(arr)
