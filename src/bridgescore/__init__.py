@@ -12,7 +12,7 @@ _HOME = {name: module for module, names in {
     "errors": "BridgeModelError DegenerateInputError DimensionMismatchError EmptySetError "
               "InsufficientDataError NotPositiveDefiniteError NumericalError "
               "SingularEstimateError ValidationError",
-    "numerics": "SpdMatrix average_ranks chi_square_sf log_det_spd spd_solve spearman_rho",
+    "numerics": "SpdMatrix average_ranks chi_square_sf spearman_rho",
     "bridge": "LatentTrajectory bridge_mean increments log_likelihood mle_sigma "
               "pooled_covariance quadratic_form residuals sample_bridge shrink_covariance",
     "score": "ScoreReport bbscore bbscore_batch heuristic_bbscore",

@@ -32,7 +32,7 @@ from .errors import (
     SingularEstimateError,
     ValidationError,
 )
-from .numerics import LOG_2PI, SpdMatrix, log_det_spd
+from .numerics import LOG_2PI, SpdMatrix
 
 _GRAM_DOCS = 32  # documents per pooled Gram update: a BLAS call of useful size
 
@@ -129,7 +129,7 @@ def quadratic_form(spatial: SpdMatrix, incr) -> float:
         raise ValidationError(f"increments must be one document's (n, d) rows, got {incr.shape}")
     if incr.shape[1] != spatial.dim:
         raise DimensionMismatchError(f"increments of d={incr.shape[1]} vs sigma dim {spatial.dim}")
-    z = incr @ spatial.inv_chol.T
+    z = spatial.whiten(incr)
     return float(np.vdot(z, z))
 
 
@@ -175,7 +175,7 @@ def log_likelihood(traj: LatentTrajectory, spatial: SpdMatrix) -> float:
     return (
         -0.5 * d * (T - 1) * LOG_2PI
         + 0.5 * d * math.log(T)
-        - 0.5 * (T - 1) * log_det_spd(spatial)
+        - 0.5 * (T - 1) * spatial.log_det()
         - 0.5 * quad
     )
 

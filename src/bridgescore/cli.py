@@ -12,7 +12,6 @@ errors, failed writes and a closed stdout, 2 on numerical failures.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import errno
 import hashlib
 import os
@@ -46,7 +45,7 @@ from .fileio import (
     write_trainer_state,
     write_trajectories,
 )
-from .numerics import SpdMatrix, log_det_spd
+from .numerics import SpdMatrix
 
 if TYPE_CHECKING:
     from .evalsuite import ShuffleSpec
@@ -202,7 +201,7 @@ def cmd_fit(args) -> int:
                                            source_corpus_digest=digest.hexdigest()))
     log = _log(args.out)
     print(
-        f"fit: d={d} weight={weight} logdet={log_det_spd(spatial):.6f} "
+        f"fit: d={d} weight={weight} logdet={spatial.log_det():.6f} "
         f"trace={float(np.trace(spatial.entries)):.6f} sigma2={sigma2:.6f} "
         f"epsilon={args.epsilon} seed={args.seed} -> {args.out}", file=log
     )
@@ -224,11 +223,9 @@ def cmd_score(args) -> int:
             "pass --allow-in-sample to score it anyway (biases bbscore toward 1)"
         )
     reports = bbscore_batch(trajs, model.spatial)
-    if args.with_heuristic:
-        reports = [
-            dataclasses.replace(rep, heuristic_score=heuristic_bbscore(traj))
-            for rep, traj in zip(reports, trajs)
-        ]
+    # every score, and a NumericalError, before the first byte is written
+    extras = ([{"heuristic_score": heuristic_bbscore(traj)} for traj in trajs]
+              if args.with_heuristic else [{}] * len(trajs))
     header = {
         "kind": "scores",
         "model": args.model,
@@ -245,8 +242,8 @@ def cmd_score(args) -> int:
         "statistic": rep.statistic,
         "dof": rep.dof,
         "p_value": rep.p_value,
-        **({} if rep.heuristic_score is None else {"heuristic_score": rep.heuristic_score}),
-    } for rep in reports))
+        **extra,
+    } for rep, extra in zip(reports, extras)))
     mean_score = float(np.mean([r.bbscore for r in reports]))
     print(f"score: {len(reports)} documents, mean bbscore {mean_score:.4f} -> {args.out}",
           file=_log(args.out))
@@ -373,7 +370,6 @@ def cmd_train(args) -> int:
         step_size=args.step_size,
         batch_size=args.batch_size,
         triplet_mode=args.triplet_mode,
-        shrinkage=not args.no_shrinkage,
         seed=args.seed,
     )
     state, trace = train(state, corpora, args.epochs)
@@ -500,10 +496,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--step-size", type=float, default=1e-3)
     p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--epsilon", type=float, default=1e-7)
+    p.add_argument("--epsilon", type=float, default=1e-7,
+                   help="blend of each covariance update toward its isotropic scale; "
+                        "0 updates with the raw MLE")
     p.add_argument("--triplet-mode", action="store_true")
-    p.add_argument("--no-shrinkage", action="store_true",
-                   help="update covariances with the raw MLE instead of the epsilon blend")
     p.add_argument("--d-out", type=int, default=None)
     p.add_argument("--init", default="identity", help="'identity' or a JSON weights file")
     p.add_argument("--seed", type=int, default=0)

@@ -32,7 +32,7 @@ from .errors import (
     SingularEstimateError,
     ValidationError,
 )
-from .numerics import SpdMatrix, log_det_spd, spd_solve
+from .numerics import SpdMatrix
 
 
 @dataclass(frozen=True)
@@ -198,14 +198,14 @@ def nll_batch_loss(encoder: LinearEncoder, batch, sigma_hat: SpdMatrix,
     """
     w = encoder.weights
     gram = _increment_gram(encoder, batch, triplets)
-    return float(np.vdot(spd_solve(sigma_hat, w @ gram), w))
+    return float(np.vdot(sigma_hat.solve(w @ gram), w))
 
 
 def nll_gradient(encoder: LinearEncoder, batch, sigma_hat: SpdMatrix,
                  triplets=None) -> np.ndarray:
     """Analytic d(nll_batch_loss)/d(weights): 2 Sigma_hat^-1 W sum_i dM_i^T dM_i."""
     gram = _increment_gram(encoder, batch, triplets)
-    return 2.0 * spd_solve(sigma_hat, encoder.weights @ gram)
+    return 2.0 * sigma_hat.solve(encoder.weights @ gram)
 
 
 # --- training loop ------------------------------------------------------------
@@ -216,8 +216,8 @@ class TrainerState:
     """Mutable state threaded through the multi-domain training loop.
 
     epsilon blends each per-domain covariance update toward sigma2_hat * I,
-    which keeps every estimate positive-definite; shrinkage=False reproduces
-    the raw-MLE update instead.
+    which keeps every estimate positive-definite; epsilon = 0 is the raw-MLE
+    update.
     """
 
     encoder: LinearEncoder
@@ -225,7 +225,6 @@ class TrainerState:
     step_size: float = 1e-3
     batch_size: int = 8
     triplet_mode: bool = False
-    shrinkage: bool = True
     seed: int = 0
     sigma_hat: dict[str, SpdMatrix] = field(default_factory=dict)
     sigma_scalar: dict[str, float] = field(default_factory=dict)
@@ -260,9 +259,8 @@ def _refresh_sigma(state: TrainerState, domain: str, m) -> SpdMatrix:
         finite = np.isfinite(encoded).all() and np.isfinite(np.trace(encoded))
     if not finite:
         raise NumericalError(f"domain {domain!r}: its encoded covariance overflows float64")
-    eps = state.epsilon if state.shrinkage else 0.0
     try:
-        updated, sigma2 = shrink_covariance(0.5 * (encoded + encoded.T), eps)
+        updated, sigma2 = shrink_covariance(0.5 * (encoded + encoded.T), state.epsilon)
     except SingularEstimateError as exc:
         raise SingularEstimateError(f"domain {domain!r}: {exc}") from exc
     state.sigma_hat[domain] = updated
@@ -277,7 +275,7 @@ def _objective(state: TrainerState, pooled) -> float:
     for domain in sorted(pooled):
         m, n = pooled[domain]
         sig = state.sigma_hat[domain]
-        total += n * (log_det_spd(sig) + float(np.vdot(spd_solve(sig, w @ m), w)))
+        total += n * (sig.log_det() + float(np.vdot(sig.solve(w @ m), w)))
     return total
 
 
@@ -287,7 +285,7 @@ def update_sigma_hat(state: TrainerState, domain: str, corpus) -> SpdMatrix:
     Computes the pooled MLE of the encoded corpus, W M W^T, blends it with
     epsilon * sigma2_hat * I (sigma2_hat = tr(MLE)/d) through
     shrink_covariance, and stores both the covariance and sigma2_hat on the
-    state. With epsilon = 0 or shrinkage=False this is exactly the pooled MLE.
+    state. With epsilon = 0 this is exactly the pooled MLE.
     """
     return _refresh_sigma(state, domain, _pooled(state.encoder, domain, corpus)[0])
 

@@ -334,7 +334,7 @@ def _credits(originals, specs, spatial: SpdMatrix, use_pvalue: bool) -> list:
             continue
         with np.errstate(over="ignore", invalid="ignore"):  # checked once, on the statistics
             # shifted first: whitening raw points that share a large offset loses precision
-            white = (traj.points - traj.points[0]) @ spatial.inv_chol.T
+            white = spatial.whiten(traj.points - traj.points[0])
             incr = increments(white[np.concatenate([np.arange(n)[None], *kept])])
             statistic = np.einsum("knd,knd->k", incr, incr)
         if not np.isfinite(statistic).all():

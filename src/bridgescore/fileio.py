@@ -473,7 +473,6 @@ def write_trainer_state(path, state: TrainerState, extra: dict | None = None) ->
         "step_size": state.step_size,
         "batch_size": state.batch_size,
         "triplet_mode": state.triplet_mode,
-        "shrinkage": state.shrinkage,
         "seed": state.seed,
         "sigma_hat": {
             dom: cov.entries for dom, cov in sorted(state.sigma_hat.items())

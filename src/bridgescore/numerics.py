@@ -2,9 +2,10 @@
 
 Everything here is a pure function on immutable inputs. SpdMatrix is the
 package's covariance type: the spatial covariance Sigma of the bridge model,
-a fitted model's matrix and each trainer domain's Sigma_hat are all one. It
-factors at construction and forms its inverse factor, which every solve uses,
-at first use; filling it is idempotent, so SpdMatrix values are freely
+a fitted model's matrix and each trainer domain's Sigma_hat are all one, and
+its methods are the one way to apply one: solve, log_det and whiten. It
+factors at construction and forms its inverse factor, which solve and whiten
+use, at first use; filling it is idempotent, so SpdMatrix values are freely
 shareable across threads. Only chi_square_sf needs more than numpy, and
 imports it at first call.
 """
@@ -30,8 +31,8 @@ class SpdMatrix:
     for sampling. It raises NotPositiveDefiniteError when a pivot is <= 0:
     regularization is left to the caller, since silently jittering a
     covariance here would mask estimation bugs upstream. inv_chol = L^-1,
-    which every solve uses, is formed at first use, so commands that never
-    solve (simulate, fit) never pay for it.
+    which solve and whiten use, is formed at first use, so commands that
+    never solve (simulate, fit) never pay for it.
     """
 
     __slots__ = ("entries", "chol", "_inv_chol")
@@ -71,28 +72,24 @@ class SpdMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
+    def solve(self, b) -> np.ndarray:
+        """x with m @ x = b, as L^-T (L^-1 b); b's first axis must have dim rows."""
+        b = np.asarray(b, dtype=float)
+        rows = b.shape[0] if b.ndim else None
+        if rows != self.dim:
+            raise ValidationError(f"right-hand side has {rows} rows, matrix has dim {self.dim}")
+        return self.inv_chol.T @ (self.inv_chol @ b)
+
+    def log_det(self) -> float:
+        """log|m| = 2 * sum(log diag(L))."""
+        return 2.0 * float(np.sum(np.log(np.diag(self.chol))))
+
+    def whiten(self, x) -> np.ndarray:
+        """x L^-T, the rows of x in coordinates where m is I: ||x L^-T||^2 = x m^-1 x^T."""
+        return x @ self.inv_chol.T
+
     def __repr__(self) -> str:
         return f"SpdMatrix(dim={self.dim})"
-
-
-def _as_spd(m) -> SpdMatrix:
-    return m if isinstance(m, SpdMatrix) else SpdMatrix(m)
-
-
-def spd_solve(m, b) -> np.ndarray:
-    """Solve m @ x = b as x = L^-T (L^-1 b), through m's inverse Cholesky factor."""
-    spd = _as_spd(m)
-    b = np.asarray(b, dtype=float)
-    rows = b.shape[0] if b.ndim else None
-    if rows != spd.dim:
-        raise ValidationError(f"right-hand side has {rows} rows, matrix has dim {spd.dim}")
-    return spd.inv_chol.T @ (spd.inv_chol @ b)
-
-
-def log_det_spd(m) -> float:
-    """log determinant of an SPD matrix, as 2 * sum(log diag(chol))."""
-    spd = _as_spd(m)
-    return 2.0 * float(np.sum(np.log(np.diag(spd.chol))))
 
 
 # --- chi-square survival function and ranks --------------------------------

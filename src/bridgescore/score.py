@@ -31,7 +31,6 @@ class ScoreReport:
     statistic: float
     dof: int
     p_value: float
-    heuristic_score: float | None = None
 
 
 def score_statistics(trajs, spatial: SpdMatrix) -> tuple[np.ndarray, np.ndarray]:

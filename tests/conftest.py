@@ -65,7 +65,7 @@ def dense_quad_form(traj, sigma_entries):
 
 
 def brute_force_det(m):
-    """Determinant by cofactor expansion (oracle for log_det_spd)."""
+    """Determinant by cofactor expansion (oracle for SpdMatrix.log_det)."""
     m = np.asarray(m, dtype=float)
     n = m.shape[0]
     if n == 1:

@@ -388,6 +388,24 @@ class TestFit:
         values = np.array([[r["bbscore"], r["statistic"], r["p_value"]] for r in rows])
         assert len(rows) == 20 and np.all(np.isfinite(values))
         assert 0.5 < values[:, 0].mean() < 1.5
+        # discrimination whitens every copy through the same factor: finite accuracies
+        for kind, sizes in ((["--use-pvalue"], 4), (["--kind", "local"], 3)):
+            done = run_process("-m", "bridgescore.cli", "discriminate", "--in", fit_corpus,
+                               "--model", model, "--copies", 5, "--seed", 3, *kind)
+            assert done.returncode == 0 and "Traceback" not in done.stderr
+            table = [line.split() for line in done.stdout.splitlines()[2:]]
+            accuracies = np.array([float(acc) for _, acc in table])
+            assert len(table) == sizes
+            assert np.all(np.isfinite(accuracies) & (accuracies >= 0.0) & (accuracies <= 1.0))
+        # the trainer's unblended update loses definiteness once the weights move: exit 2
+        state = tmp_path / "state.json"
+        done = run_process("-m", "bridgescore.cli", "train", "--corpora", fit_corpus,
+                           "--epsilon", 0, "--step-size", 1e-6, "--out", state)
+        assert done.returncode == 2
+        assert done.stderr.splitlines() == [
+            "numerical error: domain 'sim': covariance estimate of dim 3 is singular (epsilon=0.0)"
+        ]
+        assert not state.exists()
 
 
 def trajectory_from(points, traj_id, domain="d"):
@@ -459,6 +477,21 @@ class TestScore:
         lines = out.read_text().strip().splitlines()
         assert json.loads(lines[0])["heuristic"] == "reconstruction"
         assert "heuristic_score" in json.loads(lines[1])
+
+    def test_heuristic_of_a_chord_document_exit_2_without_output(self, tmp_path, capsys):
+        # the heuristic's variance MLE is zero on the chord: every score is computed,
+        # and the error raised, before the output file is opened
+        _, _, model = self.setup_pair(tmp_path)
+        path = tmp_path / "chord.jsonl"
+        write_trajectories(path, [TrajectoryRecord(
+            trajectory_from([[0, 0], [1, 2], [2, 4], [3, 6]], "chord"))])
+        out = tmp_path / "chord-scores.jsonl"
+        assert run("score", "--in", path, "--model", model, "--out", out,
+                   "--with-heuristic") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("numerical error: ") and "lies on its chord" in err[0]
+        assert not out.exists()
 
 
 def test_score_and_predictions_are_compact_sorted_json(tmp_path):

@@ -341,15 +341,6 @@ class TestUpdateSigmaHat:
         with pytest.raises(InsufficientDataError):
             update_sigma_hat(state, "a", [])
 
-    def test_shrinkage_flag_off_uses_raw_mle(self, rng):
-        seqs, _ = bridge_corpus(rng, 2, 8, 10, "a")
-        state = TrainerState(encoder=LinearEncoder.identity(2), epsilon=0.3,
-                             shrinkage=False)
-        updated = update_sigma_hat(state, "a", seqs)
-        expected = mle_sigma([encode(state.encoder, s) for s in seqs])
-        np.testing.assert_allclose(updated.entries, expected.entries,
-                                   rtol=1e-12)
-
     @pytest.mark.parametrize("eps", [0.0, 0.3])
     def test_identity_encoder_is_fits_estimate_bit_for_bit(self, rng, eps):
         # 40 documents: pooled_covariance sums them in more than one GEMM block
@@ -511,7 +502,7 @@ def reference_train(state, corpora, epochs):
     """
     rng = np.random.default_rng(state.seed)
     w = state.encoder.weights
-    eps = state.epsilon if state.shrinkage else 0.0
+    eps = state.epsilon
     seqs = {dom: sorted(corpora[dom], key=lambda s: s.id) for dom in sorted(corpora)}
 
     def refresh(dom):

@@ -11,8 +11,6 @@ from bridgescore import (
     ValidationError,
     average_ranks,
     chi_square_sf,
-    log_det_spd,
-    spd_solve,
     spearman_rho,
 )
 from conftest import brute_force_det, random_spd
@@ -73,16 +71,16 @@ class TestSpdMatrix:
 class TestSpdSolve:
     def test_identity(self, rng):
         b = rng.standard_normal((2, 3))
-        np.testing.assert_array_equal(spd_solve(SpdMatrix(np.eye(2)), b), b)
+        np.testing.assert_array_equal(SpdMatrix(np.eye(2)).solve(b), b)
 
     def test_diagonal(self):
-        x = spd_solve(SpdMatrix([[2.0, 0.0], [0.0, 4.0]]), np.array([[2.0], [4.0]]))
+        x = SpdMatrix([[2.0, 0.0], [0.0, 4.0]]).solve(np.array([[2.0], [4.0]]))
         np.testing.assert_allclose(x, [[1.0], [1.0]], rtol=1e-14)
 
     def test_residual_bound(self, rng):
         m = random_spd(rng, 5)
         b = rng.standard_normal((5, 4))
-        x = spd_solve(SpdMatrix(m), b)
+        x = SpdMatrix(m).solve(b)
         assert np.linalg.norm(m @ x - b) / np.linalg.norm(b) <= 1e-10
 
     def test_quadratic_form_positive(self, rng):
@@ -90,11 +88,11 @@ class TestSpdSolve:
             d = int(rng.integers(1, 8))
             m = SpdMatrix(random_spd(rng, d))
             v = rng.standard_normal(d)
-            assert float(v @ spd_solve(m, v)) > 0.0
+            assert float(v @ m.solve(v)) > 0.0
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValidationError):
-            spd_solve(SpdMatrix(np.eye(2)), np.zeros((3, 1)))
+        with pytest.raises(ValidationError, match="right-hand side has 3 rows, matrix has dim 2"):
+            SpdMatrix(np.eye(2)).solve(np.zeros((3, 1)))
 
     def test_near_singular_agrees_with_cholesky_solve(self, rng):
         from scipy.linalg import cho_solve
@@ -104,7 +102,7 @@ class TestSpdSolve:
         a = (q * np.geomspace(1.0, 1.0 / cond, 8)) @ q.T
         m = SpdMatrix(0.5 * (a + a.T))
         b = rng.standard_normal((8, 3))
-        x, ref = spd_solve(m, b), cho_solve((m.chol, True), b)
+        x, ref = m.solve(b), cho_solve((m.chol, True), b)
         eps = np.finfo(float).eps
         # both solves are backward stable; their forward errors are within cond * eps
         assert np.linalg.norm(x - ref) <= 10 * cond * eps * np.linalg.norm(ref)
@@ -112,19 +110,29 @@ class TestSpdSolve:
         assert residual <= 10 * eps * np.linalg.norm(m.entries) * np.linalg.norm(x)
 
 
+class TestWhiten:
+    def test_row_norms_are_the_solves_quadratic_form(self, rng):
+        for d in (1, 3, 8):
+            m = SpdMatrix(random_spd(rng, d))
+            x = rng.standard_normal((5, d))
+            white = m.whiten(x)
+            np.testing.assert_allclose(np.sum(white * white, axis=1),
+                                       np.einsum("kd,dk->k", x, m.solve(x.T)), rtol=1e-10)
+
+
 class TestLogDet:
     def test_identity(self):
-        assert log_det_spd(SpdMatrix(np.eye(4))) == 0.0
+        assert SpdMatrix(np.eye(4)).log_det() == 0.0
 
     def test_diagonal(self):
-        assert log_det_spd(SpdMatrix([[2.0, 0.0], [0.0, 8.0]])) == pytest.approx(
+        assert SpdMatrix([[2.0, 0.0], [0.0, 8.0]]).log_det() == pytest.approx(
             math.log(16.0), abs=1e-12
         )
 
     def test_against_cofactor_expansion(self, rng):
         for _ in range(10):
             m = random_spd(rng, 4)
-            assert log_det_spd(SpdMatrix(m)) == pytest.approx(
+            assert SpdMatrix(m).log_det() == pytest.approx(
                 math.log(brute_force_det(m)), rel=1e-10
             )
 
@@ -133,8 +141,8 @@ class TestLogDet:
         for da in (1, 2, 3, 4):
             for db in (1, 2, 3):
                 a, b = random_spd(rng, da), random_spd(rng, db)
-                lhs = log_det_spd(SpdMatrix(np.kron(a, b)))
-                rhs = db * log_det_spd(SpdMatrix(a)) + da * log_det_spd(SpdMatrix(b))
+                lhs = SpdMatrix(np.kron(a, b)).log_det()
+                rhs = db * SpdMatrix(a).log_det() + da * SpdMatrix(b).log_det()
                 assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
