@@ -18,7 +18,7 @@ _HOME = {name: module for module, names in {
     "score": "ScoreReport bbscore bbscore_batch heuristic_bbscore",
     "encoder": "LinearEncoder TrainerState cl_gradient cl_loss encode nll_batch_loss "
                "nll_gradient nll_objective sample_triplets train update_sigma_hat",
-    "evalsuite": "LabeledCorpus ShuffleSpec discrimination_accuracies domain_swap_compare "
+    "evalsuite": "ShuffleSpec discrimination_accuracies domain_swap_compare "
                  "make_shuffle_set relative_accuracy stable_seed threshold_classify",
 }.items() for name in names.split()}
 

@@ -61,9 +61,10 @@ def _int_list(text: str) -> list[int]:
 def _inputs(paths, models=(), digest=None, order=None):
     """The nonempty corpora at paths as trajectory lists, and the models at models of their d.
 
-    With order, labels from least to most coherent, each corpus is a
-    LabeledCorpus. Corpora are checked in turn, then models, then their d.
-    digest, a hashlib hash, is fed the corpora's bytes when given.
+    With order, labels from least to most coherent, each corpus is a pair
+    (trajectories, ranks): each record's rank is its label's index in order.
+    Corpora are checked in turn, then models, then their d. digest, a
+    hashlib hash, is fed the corpora's bytes when given.
     """
     corpora, dims = [], []
     for path in paths:
@@ -71,18 +72,21 @@ def _inputs(paths, models=(), digest=None, order=None):
         if not records:
             raise ValidationError(f"{path}: corpus contains no records")
         dims.append(records[0].trajectory.d)
+        trajs = [r.trajectory for r in records]
         if order is None:
-            corpora.append([r.trajectory for r in records])
+            corpora.append(trajs)
             continue
-        from .evalsuite import LabeledCorpus
         for rec in records:
             if rec.label is None:
                 raise ValidationError(f"{path}: record {rec.trajectory.id!r} has no label")
-        try:
-            corpora.append(LabeledCorpus(items=tuple((r.trajectory, r.label) for r in records),
-                                         label_order=tuple(order)))
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: {exc}") from None
+        if len(set(order)) != len(order):
+            raise ValidationError(f"{path}: label order {order} contains duplicates")
+        rank = {label: i for i, label in enumerate(order)}
+        for rec in records:
+            if rec.label not in rank:
+                raise ValidationError(f"{path}: trajectory {rec.trajectory.id!r} has label "
+                                      f"{rec.label!r} outside {order}")
+        corpora.append((trajs, np.array([rank[r.label] for r in records])))
     loaded = [read_sigma_model(path) for path in models]
     for model_path, model in zip(models, loaded):
         for path, d in zip(paths, dims):
@@ -300,33 +304,34 @@ def cmd_discriminate(args) -> int:
 def cmd_relative(args) -> int:
     from .evalsuite import relative_accuracy
     labels = args.truth == "labels"
-    sets, (model,) = _inputs([args.set_a, args.set_b], [args.model],
-                             order=args.label_order.split(",") if labels else None)
+    (set_a, set_b), (model,) = _inputs([args.set_a, args.set_b], [args.model],
+                                       order=args.label_order.split(",") if labels else None)
     if labels:
-        ranks = [corpus.ranks for corpus in sets]
-        sets = [[traj for traj, _ in corpus.items] for corpus in sets]
+        (set_a, rank_a), (set_b, rank_b) = set_a, set_b
     else:
-        ranks = [np.ones(len(sets[0])), np.zeros(len(sets[1]))]
-    acc = relative_accuracy(*sets, *ranks, model.spatial, use_pvalue=args.use_pvalue)
-    print(f"relative accuracy: {acc:.4f} over {len(sets[0])}x{len(sets[1])} cross pairs "
+        rank_a, rank_b = np.ones(len(set_a)), np.zeros(len(set_b))
+    acc = relative_accuracy(set_a, set_b, rank_a, rank_b, model.spatial,
+                            use_pvalue=args.use_pvalue)
+    print(f"relative accuracy: {acc:.4f} over {len(set_a)}x{len(set_b)} cross pairs "
           f"(truth={args.truth}, use_pvalue={args.use_pvalue}, seed={args.seed})")
     return 0
 
 
 def cmd_classify(args) -> int:
     from .evalsuite import threshold_classify
-    (train_corpus, test_corpus), (model,) = _inputs([args.train, args.test], [args.model],
-                                                    order=args.label_order.split(","))
+    order = args.label_order.split(",")
+    ((train, train_ranks), (test, test_ranks)), (model,) = _inputs(
+        [args.train, args.test], [args.model], order=order)
     use_pvalue = {"auto": None, "score": False, "pvalue": True}[args.axis]
-    predicted, rho = threshold_classify(train_corpus, test_corpus, model.spatial,
+    predicted, rho = threshold_classify(train, train_ranks, test, test_ranks, model.spatial,
                                         use_pvalue=use_pvalue)
-    hits = sum(1 for (_, truth), pred in zip(test_corpus.items, predicted) if truth == pred)
+    hits = np.count_nonzero(predicted == test_ranks)
     print(f"classify: spearman_rho={rho:.4f} accuracy={hits / len(predicted):.4f} "
           f"n={len(predicted)} axis={args.axis} seed={args.seed}")
     if args.out:
         write_lines(args.out, {"kind": "predictions", "spearman_rho": rho, "seed": args.seed},
-                    ({"id": traj.id, "label": truth, "predicted": pred}
-                     for (traj, truth), pred in zip(test_corpus.items, predicted)))
+                    ({"id": traj.id, "label": order[truth], "predicted": order[pred]}
+                     for traj, truth, pred in zip(test, test_ranks.tolist(), predicted.tolist())))
     return 0
 
 

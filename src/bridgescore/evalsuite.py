@@ -13,8 +13,8 @@ are drawn by reading PCG64's 32-bit stream in Python, as numpy's choice and
 permutation would draw them, at a fraction of the cost of a numpy call per
 window. Relative accuracy, domain comparison and classification thresholds
 count pairs exactly by sorting and sorted search, never one pair at a time;
-ordinal labels reach them as LabeledCorpus.ranks, one coherence rank per
-document.
+ordinal labels reach relative accuracy and classification as one integer
+coherence rank per document, in corpus order.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from . import forks
 from .bridge import LatentTrajectory, check_dim, increments
 from .errors import (
     DegenerateInputError,
-    DimensionMismatchError,
     EmptySetError,
     NumericalError,
     ValidationError,
@@ -382,33 +381,6 @@ def relative_accuracy(set_a, set_b, rank_a, rank_b, spatial: SpdMatrix,
     return concordant / counted
 
 
-@dataclass(frozen=True)
-class LabeledCorpus:
-    """Trajectories with ordinal coherence labels from label_order, least coherent first."""
-
-    items: tuple
-    label_order: tuple
-
-    def __post_init__(self):
-        items = tuple(self.items)
-        order = tuple(self.label_order)
-        if len(set(order)) != len(order):
-            raise ValidationError(f"label order {list(order)} contains duplicates")
-        for traj, label in items:
-            if label not in order:
-                raise ValidationError(
-                    f"trajectory {traj.id!r} has label {label!r} outside {list(order)}"
-                )
-        object.__setattr__(self, "items", items)
-        object.__setattr__(self, "label_order", order)
-
-    @property
-    def ranks(self) -> np.ndarray:
-        """Each item's coherence rank, its label's index in label_order, in item order."""
-        rank = {label: i for i, label in enumerate(self.label_order)}
-        return np.array([rank[label] for _, label in self.items], dtype=int)
-
-
 def _best_boundary(values_low, values_high) -> float:
     """The first threshold of most hits for 'x >= threshold means less coherent'."""
     both = np.concatenate([values_low, values_high])
@@ -420,43 +392,42 @@ def _best_boundary(values_low, values_high) -> float:
     return float(candidates[np.argmax(hits)])
 
 
-def threshold_classify(train: LabeledCorpus, test: LabeledCorpus,
-                       spatial: SpdMatrix, use_pvalue: bool | None = None):
+def threshold_classify(train, train_ranks, test, test_ranks, spatial: SpdMatrix,
+                       use_pvalue: bool | None = None):
     """Threshold discretization of scores into ordinal classes.
 
-    Thresholds between each adjacent label pair maximize training split
-    accuracy on the score axis (p-value axis when lengths vary, or when
-    use_pvalue is set). Returns (predicted labels for test items, Spearman
-    rank correlation between predicted and true labels). When either side of
-    the correlation is constant (uninformative labels can collapse all
+    train_ranks and test_ranks hold one integer coherence rank >= 0 per
+    document of train and test, in corpus order; a higher rank means more
+    coherent. For each rank c below the top training rank, the threshold
+    between ranks <= c and > c maximizes training split accuracy on the
+    score axis (p-value axis when lengths vary, or when use_pvalue is set).
+    Returns (the predicted ranks of test, an int array; the Spearman rank
+    correlation between predicted and true ranks). When either side of the
+    correlation is constant (uninformative labels can collapse all
     predictions into one class) the correlation is reported as 0.0.
     """
-    if train.label_order != test.label_order:
-        raise ValidationError("train and test corpora declare different label orders")
-    order = train.label_order
-    present = {label for _, label in train.items}
-    if len(present) < 2:
-        raise ValidationError(f"training corpus has labels {sorted(present)}; need >= 2")
+    train_ranks, test_ranks = np.asarray(train_ranks), np.asarray(test_ranks)
+    if train_ranks.shape != (len(train),) or test_ranks.shape != (len(test),):
+        raise ValidationError("threshold classification needs one rank per document of each set")
+    for ranks in (train_ranks, test_ranks):
+        if not np.issubdtype(ranks.dtype, np.integer) or (ranks < 0).any():
+            raise ValidationError("threshold classification needs integer ranks >= 0")
+    if np.unique(train_ranks).size < 2:
+        raise ValidationError("training corpus has one label; need >= 2")
     if use_pvalue is None:
-        lengths = {traj.T for traj, _ in train.items} | {traj.T for traj, _ in test.items}
-        use_pvalue = len(lengths) > 1
-    train_x = _corpus_incoherence([t for t, _ in train.items], spatial, use_pvalue)
-    train_y = train.ranks
+        use_pvalue = len({traj.T for traj in chain(train, test)}) > 1
+    train_x = _corpus_incoherence(train, spatial, use_pvalue)
     boundaries = []
-    for c in range(len(order) - 1):
-        low = train_x[train_y <= c]      # less coherent side: higher scores
-        high = train_x[train_y > c]
-        if low.size == 0 or high.size == 0:
-            boundaries.append(np.inf if low.size == 0 else -np.inf)
-            continue
-        boundaries.append(_best_boundary(low, high))
+    for c in range(int(train_ranks.max())):
+        low = train_x[train_ranks <= c]      # less coherent side: higher scores
+        high = train_x[train_ranks > c]
+        boundaries.append(_best_boundary(low, high) if low.size else np.inf)
     # Predictions must be monotone in score even if per-pair optima cross.
     boundaries = np.sort(np.asarray(boundaries))[::-1]
-    test_x = _corpus_incoherence([t for t, _ in test.items], spatial, use_pvalue)
-    pred_idx = np.sum(test_x[:, None] < boundaries, axis=1)
-    predicted = [order[i] for i in pred_idx.tolist()]
+    test_x = _corpus_incoherence(test, spatial, use_pvalue)
+    predicted = np.sum(test_x[:, None] < boundaries, axis=1)
     try:
-        rho = spearman_rho(pred_idx, test.ranks)
+        rho = spearman_rho(predicted, test_ranks)
     except DegenerateInputError:
         rho = 0.0
     return predicted, rho
@@ -482,11 +453,6 @@ def domain_swap_compare(corpus_a, corpus_b, sigma_a: SpdMatrix,
     models = {"sigma_a": sigma_a, "sigma_b": sigma_b}
     if sigma_ref is not None:
         models["sigma_ref"] = sigma_ref
-    for tag, model in models.items():
-        if model.dim != corpus_a[0].d:
-            raise DimensionMismatchError(
-                f"{tag} has dim {model.dim}, corpora have d={corpus_a[0].d}"
-            )
     if pairing == "matched" and [t.id for t in corpus_a] != [t.id for t in corpus_b]:
         raise ValidationError("matched pairing requires identical id sets in both corpora")
     results = {}

@@ -645,6 +645,26 @@ class TestRelativeClassifyCompare:
         lines = preds.read_text().strip().splitlines()
         assert len(lines) == 37
 
+    def test_classify_ignores_training_record_order(self, tmp_path, capsys):
+        low = simulate_file(tmp_path, name="low.jsonl", n=10, T=15, seed=71,
+                            sigma="random-spd:1", domain="lo", label="low")
+        high = simulate_file(tmp_path, name="high.jsonl", n=10, T=15, seed=72,
+                             domain="hi", label="high")
+        fit_corpus = simulate_file(tmp_path, name="fitc.jsonl", n=30, T=15, seed=73)
+        model = tmp_path / "m.json"
+        assert run("fit", "--in", fit_corpus, "--out", model) == 0
+        header, *rows = low.read_text().splitlines(keepends=True)
+        rows += high.read_text().splitlines(keepends=True)[1:]
+        outputs = []
+        for name, lines in (("train.jsonl", rows), ("reversed.jsonl", rows[::-1])):
+            (tmp_path / name).write_text(header + "".join(lines))
+            preds = tmp_path / f"preds-{name}"
+            capsys.readouterr()
+            assert run("classify", "--train", tmp_path / name, "--test", low,
+                       "--model", model, "--out", preds) == 0
+            outputs.append((capsys.readouterr().out, preds.read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_compare_domains_command(self, tmp_path, capsys):
         a = simulate_file(tmp_path, name="a.jsonl", n=10, T=20, seed=61,
                           sigma="random-spd:1", domain="a")
@@ -1057,6 +1077,16 @@ class TestLabelErrors:
         done = run_process("-m", "bridgescore.cli", *argv, "--model", model,
                            "--label-order", "low,middle")
         assert_clean_exit_1(done, f"{high}: trajectory 'sim-00000' has label 'high' outside")
+
+    @pytest.mark.parametrize("command", ["relative", "classify"])
+    def test_missing_label_names_file(self, tmp_path, files, command):
+        low, _, model = files
+        unlabeled = simulate_file(tmp_path, name="none.jsonl", n=4, T=8, seed=6)
+        argv = (["relative", "--set-a", low, "--set-b", unlabeled, "--truth", "labels"]
+                if command == "relative" else ["classify", "--train", unlabeled, "--test", low])
+        done = run_process("-m", "bridgescore.cli", *argv, "--model", model)
+        assert done.returncode == 1
+        assert done.stderr == f"error: {unlabeled}: record 'sim-00000' has no label\n"
 
 
 class TestOverflowingCoordinates:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from bridgescore import (
     DimensionMismatchError,
     EmptySetError,
-    LabeledCorpus,
     LatentTrajectory,
     ShuffleSpec,
     SpdMatrix,
@@ -469,30 +468,31 @@ class TestRelativeAccuracy:
 
 
 def scored_corpus_by_class(spatial, d, T, counts, seed0, scales):
-    """Simulated corpora whose classes are separated by residual scale."""
-    items = []
-    idx = 0
-    for label, (count, scale) in zip(("low", "middle", "high"), zip(counts, scales)):
+    """Simulated documents of ranks 0, 1, 2, the ranks separated by residual scale.
+
+    Returns the documents and their integer ranks, in corpus order.
+    """
+    trajs, ranks = [], []
+    for rank, (count, scale) in enumerate(zip(counts, scales)):
         for _ in range(count):
             base = sample_bridge(d, T, spatial, np.zeros(d), np.zeros(d),
-                                 seed=seed0 + idx, id=f"c-{idx:04d}")
-            pts = base.points * scale
-            items.append((LatentTrajectory(base.id, base.domain, pts), label))
-            idx += 1
-    return items
+                                 seed=seed0 + len(trajs), id=f"c-{len(trajs):04d}")
+            trajs.append(LatentTrajectory(base.id, base.domain, base.points * scale))
+            ranks.append(rank)
+    return trajs, np.array(ranks)
 
 
 class TestThresholdClassify:
     def test_separable_classes_perfect_rho(self, sim_setup):
         spatial, _ = sim_setup
-        # scales 4 > 2 > 1 make "low"-coherence docs score far above "high"
-        items = scored_corpus_by_class(spatial, 3, 30, (15, 15, 15), 3000,
-                                       scales=(4.0, 2.0, 1.0))
-        train = LabeledCorpus(items=tuple(items[::2]), label_order=("low", "middle", "high"))
-        test = LabeledCorpus(items=tuple(items[1::2]), label_order=("low", "middle", "high"))
-        predicted, rho = threshold_classify(train, test, spatial)
+        # scales 4 > 2 > 1 make rank-0 (least coherent) docs score far above rank 2
+        trajs, ranks = scored_corpus_by_class(spatial, 3, 30, (15, 15, 15), 3000,
+                                              scales=(4.0, 2.0, 1.0))
+        predicted, rho = threshold_classify(trajs[::2], ranks[::2], trajs[1::2], ranks[1::2],
+                                            spatial)
         assert rho == pytest.approx(1.0)
-        assert [p for p in predicted] == [label for _, label in test.items]
+        assert predicted.dtype.kind == "i"
+        np.testing.assert_array_equal(predicted, ranks[1::2])
 
     def test_independent_labels_near_zero_rho(self):
         rng = np.random.default_rng(8)
@@ -500,65 +500,84 @@ class TestThresholdClassify:
         rhos = []
         for trial in range(3):
             trajs = simulate(spatial, 2, 20, 200, seed0=6000 + 500 * trial)
-            labels = rng.choice(["low", "middle", "high"], size=200)
-            items = tuple(zip(trajs, labels))
-            train = LabeledCorpus(items=items[:100], label_order=("low", "middle", "high"))
-            test = LabeledCorpus(items=items[100:], label_order=("low", "middle", "high"))
-            _, rho = threshold_classify(train, test, spatial)
+            ranks = rng.choice(3, size=200)
+            _, rho = threshold_classify(trajs[:100], ranks[:100], trajs[100:], ranks[100:],
+                                        spatial)
             rhos.append(abs(rho))
         assert float(np.median(rhos)) < 0.15
 
     def test_two_class_threshold_matches_sweep_oracle(self, sim_setup):
         spatial, _ = sim_setup
-        items = scored_corpus_by_class(spatial, 3, 30, (12, 0, 12), 4000,
-                                       scales=(3.0, 1.0, 1.0))
-        items = [(t, "low" if lab == "low" else "high") for t, lab in items]
-        train = LabeledCorpus(items=tuple(items), label_order=("low", "high"))
-        predicted, _ = threshold_classify(train, train, spatial)
-        scores = {t.id: bbscore(t, spatial).bbscore for t, _ in items}
-        xs = np.array([scores[t.id] for t, _ in items])
-        ys = np.array([0 if lab == "low" else 1 for _, lab in items])
+        # ranks 0 and 2: rank 1 is absent, as a label no record carries
+        trajs, ranks = scored_corpus_by_class(spatial, 3, 30, (12, 0, 12), 4000,
+                                              scales=(3.0, 1.0, 1.0))
+        predicted, _ = threshold_classify(trajs, ranks, trajs, ranks, spatial)
+        xs = np.array([bbscore(t, spatial).bbscore for t in trajs])
         # exhaustive sweep over all candidate cuts
         best = -1
         for cut in np.concatenate([[xs.min() - 1], np.unique(xs), [xs.max() + 1]]):
-            hits = int(np.sum((xs >= cut) & (ys == 0)) + np.sum((xs < cut) & (ys == 1)))
+            hits = int(np.sum((xs >= cut) & (ranks == 0)) + np.sum((xs < cut) & (ranks == 2)))
             best = max(best, hits)
-        got = sum(1 for (t, lab), pred in zip(items, predicted) if lab == pred)
-        assert got == best
+        assert set(predicted.tolist()) <= {0, 2}
+        assert int(np.sum(predicted == ranks)) == best
 
     def test_predictions_monotone_in_score(self, sim_setup):
         spatial, _ = sim_setup
-        items = scored_corpus_by_class(spatial, 3, 30, (10, 10, 10), 5000,
-                                       scales=(3.0, 1.7, 1.0))
-        corpus = LabeledCorpus(items=tuple(items), label_order=("low", "middle", "high"))
-        predicted, _ = threshold_classify(corpus, corpus, spatial)
-        order = {"low": 0, "middle": 1, "high": 2}
-        scored = sorted(
-            ((bbscore(t, spatial).bbscore, order[p]) for (t, _), p in zip(corpus.items, predicted))
-        )
+        trajs, ranks = scored_corpus_by_class(spatial, 3, 30, (10, 10, 10), 5000,
+                                              scales=(3.0, 1.7, 1.0))
+        predicted, _ = threshold_classify(trajs, ranks, trajs, ranks, spatial)
+        scored = sorted(zip((bbscore(t, spatial).bbscore for t in trajs), predicted.tolist()))
         ranks = [r for _, r in scored]
         assert all(a >= b for a, b in zip(ranks, ranks[1:]))
 
     def test_degenerate_labels(self, sim_setup):
         spatial, originals = sim_setup
-        items = tuple((t, "low") for t in originals[:4])
-        corpus = LabeledCorpus(items=items, label_order=("low", "middle", "high"))
-        with pytest.raises(ValidationError,
-                           match=r"training corpus has labels \['low'\]; need >= 2"):
-            threshold_classify(corpus, corpus, spatial)
+        ranks = np.zeros(4, dtype=int)
+        with pytest.raises(ValidationError, match=r"training corpus has one label; need >= 2"):
+            threshold_classify(originals[:4], ranks, originals[:4], ranks, spatial)
 
-    def test_labeled_corpus_ranks(self, sim_setup):
-        _, originals = sim_setup
-        items = ((originals[0], "low"), (originals[1], "high"), (originals[2], "low"))
-        corpus = LabeledCorpus(items=items, label_order=("low", "middle", "high"))
-        assert corpus.ranks.tolist() == [0, 2, 0]
-        with pytest.raises(ValidationError, match="'unknown' outside"):
-            LabeledCorpus(items=((originals[0], "unknown"),), label_order=("low", "high"))
-        with pytest.raises(ValidationError, match="duplicates"):
-            LabeledCorpus(items=items, label_order=("low", "high", "low"))
+    def test_ranks_must_match_the_corpora(self, sim_setup):
+        spatial, originals = sim_setup
+        docs, ranks = originals[:4], np.array([0, 1, 0, 1])
+        for bad in ([ranks[:3], ranks], [ranks, ranks[:3]], [ranks[:, None], ranks]):
+            with pytest.raises(ValidationError, match="one rank per document of each set"):
+                threshold_classify(docs, bad[0], docs, bad[1], spatial)
+        for bad in (ranks - 1, ranks + 0.5, ranks.astype(bool)):
+            with pytest.raises(ValidationError, match="integer ranks >= 0"):
+                threshold_classify(docs, ranks, docs, bad, spatial)
+
+
+class TestCorpusOrder:
+    @pytest.mark.parametrize("use_pvalue", [False, True])
+    def test_permuting_documents_with_their_ranks(self, sim_setup, use_pvalue):
+        spatial, _ = sim_setup
+        trajs, ranks = scored_corpus_by_class(spatial, 3, 30, (8, 8, 8), 6000,
+                                              scales=(3.0, 1.7, 1.0))
+        train, train_ranks, test, test_ranks = trajs[::2], ranks[::2], trajs[1::2], ranks[1::2]
+        predicted, rho = threshold_classify(train, train_ranks, test, test_ranks, spatial,
+                                            use_pvalue=use_pvalue)
+        acc = relative_accuracy(train, test, train_ranks, test_ranks, spatial,
+                                use_pvalue=use_pvalue)
+        rng = np.random.default_rng(12)
+        for _ in range(3):
+            p, q = rng.permutation(len(train)), rng.permutation(len(test))
+            train_p, test_q = [train[i] for i in p], [test[i] for i in q]
+            got, got_rho = threshold_classify(train_p, train_ranks[p], test_q, test_ranks[q],
+                                              spatial, use_pvalue=use_pvalue)
+            np.testing.assert_array_equal(got, predicted[q])
+            # the correlation's sums run in the new order, so only rounding may differ
+            assert got_rho == pytest.approx(rho, rel=1e-12)
+            assert relative_accuracy(train_p, test_q, train_ranks[p], test_ranks[q], spatial,
+                                     use_pvalue=use_pvalue) == acc
 
 
 class TestDomainSwap:
+    def test_model_of_another_dimension_names_a_document(self, sim_setup):
+        spatial, originals = sim_setup
+        with pytest.raises(DimensionMismatchError,
+                           match="trajectory 'doc-000' has d=3, spatial covariance has dim 2"):
+            domain_swap_compare(originals[:4], originals[4:8], spatial, SpdMatrix(np.eye(2)))
+
     def test_same_corpus_exactly_half(self, sim_setup):
         spatial, originals = sim_setup
         result = domain_swap_compare(originals, originals, spatial, spatial)
