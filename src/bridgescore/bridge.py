@@ -66,18 +66,6 @@ class LatentTrajectory:
     def d(self) -> int:
         return self.points.shape[1]
 
-    @property
-    def start(self) -> np.ndarray:
-        return self.points[0]
-
-    @property
-    def end(self) -> np.ndarray:
-        return self.points[-1]
-
-    def interior(self) -> np.ndarray:
-        """The T-1 interior points, shape (T-1, d)."""
-        return self.points[1:-1]
-
 
 def check_dim(traj: LatentTrajectory, spatial: SpdMatrix) -> None:
     """Raise DimensionMismatchError, naming traj, unless its d is the covariance's."""
@@ -85,17 +73,6 @@ def check_dim(traj: LatentTrajectory, spatial: SpdMatrix) -> None:
         raise DimensionMismatchError(
             f"trajectory {traj.id!r} has d={traj.d}, spatial covariance has dim {spatial.dim}"
         )
-
-
-def bridge_mean(traj: LatentTrajectory) -> np.ndarray:
-    """Chord means mu_t = s_0 + (t/T)(s_T - s_0) for t = 1..T-1, shape (d, T-1)."""
-    t = np.arange(1, traj.T, dtype=float) / traj.T
-    return np.outer(traj.start, 1.0 - t) + np.outer(traj.end, t)
-
-
-def residuals(traj: LatentTrajectory) -> np.ndarray:
-    """Interior points minus the bridge mean, shape (d, T-1)."""
-    return traj.interior().T - bridge_mean(traj)
 
 
 def increments(points, times=None) -> np.ndarray:

@@ -45,7 +45,7 @@ from .fileio import (
     write_trainer_state,
     write_trajectories,
 )
-from .numerics import SpdMatrix
+from .numerics import SpdMatrix, chi_square_sf
 
 if TYPE_CHECKING:
     from .evalsuite import ShuffleSpec
@@ -217,7 +217,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_score(args) -> int:
-    from .score import bbscore_batch, heuristic_bbscore
+    from .score import heuristic_bbscore, score_statistics
     sha = hashlib.sha256()
     (trajs,), (model,) = _inputs([args.input], [args.model], sha)
     digest = sha.hexdigest()
@@ -226,8 +226,9 @@ def cmd_score(args) -> int:
             f"{args.input} is the corpus the model was fitted on; "
             "pass --allow-in-sample to score it anyway (biases bbscore toward 1)"
         )
-    reports = bbscore_batch(trajs, model.spatial)
     # every score, and a NumericalError, before the first byte is written
+    statistic, dof = score_statistics(trajs, model.spatial)
+    bbscore, p_value = statistic / dof, chi_square_sf(statistic, dof)
     extras = ([{"heuristic_score": heuristic_bbscore(traj)} for traj in trajs]
               if args.with_heuristic else [{}] * len(trajs))
     header = {
@@ -241,15 +242,15 @@ def cmd_score(args) -> int:
     if args.with_heuristic:
         header["heuristic"] = "reconstruction"
     write_lines(args.out, header, ({
-        "id": rep.trajectory_id,
-        "bbscore": rep.bbscore,
-        "statistic": rep.statistic,
-        "dof": rep.dof,
-        "p_value": rep.p_value,
+        "id": traj.id,
+        "bbscore": score,
+        "statistic": stat,
+        "dof": k,
+        "p_value": p,
         **extra,
-    } for rep, extra in zip(reports, extras)))
-    mean_score = float(np.mean([r.bbscore for r in reports]))
-    print(f"score: {len(reports)} documents, mean bbscore {mean_score:.4f} -> {args.out}",
+    } for traj, score, stat, k, p, extra in zip(trajs, bbscore.tolist(), statistic.tolist(),
+                                                 dof.tolist(), p_value.tolist(), extras)))
+    print(f"score: {len(trajs)} documents, mean bbscore {np.mean(bbscore):.4f} -> {args.out}",
           file=_log(args.out))
     return 0
 

@@ -54,10 +54,6 @@ class LinearEncoder:
     def d_in(self) -> int:
         return self.weights.shape[1]
 
-    @property
-    def d_out(self) -> int:
-        return self.weights.shape[0]
-
     @classmethod
     def identity(cls, d: int) -> "LinearEncoder":
         return cls(weights=np.eye(d))

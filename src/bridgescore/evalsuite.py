@@ -225,27 +225,18 @@ def _distinct(classes, orders) -> list[int]:
     return kept
 
 
-def _distinct_copies(traj: LatentTrajectory, spec: ShuffleSpec) -> tuple[list[int], np.ndarray]:
-    """The copy numbers and stacked (k, T+1, d) points of the distinct shuffled copies.
-
-    A copy equal, point for point, to the original or to an earlier copy is
-    dropped. The copies index the validated original, so they need no checks.
-    """
-    orders = _shuffle_orders(traj.T + 1, spec, np.random.default_rng(spec.seed), traj.id)
-    kept = _distinct(_classes(traj.points), orders)
-    return kept, traj.points[orders[kept]]
-
-
 def make_shuffle_set(traj: LatentTrajectory, spec: ShuffleSpec) -> list[LatentTrajectory]:
     """Up to spec.copies distinct shuffled copies; never contains the original.
 
-    Duplicates (exact point-sequence equality) are discarded, so short
-    sequences can yield fewer copies than requested. Deterministic per seed.
+    A copy equal, point for point, to the original or to an earlier copy is
+    dropped, so short sequences can yield fewer copies than requested. Each
+    kept copy's id ends in its copy number. Deterministic per seed.
     """
-    kept, stacked = _distinct_copies(traj, spec)
+    orders = _shuffle_orders(traj.T + 1, spec, np.random.default_rng(spec.seed), traj.id)
+    kept = _distinct(_classes(traj.points), orders)
     tag = f"g{spec.block_size}" if spec.kind == "global_block" else f"l{spec.num_windows}"
     return [LatentTrajectory(id=f"{traj.id}#{tag}-{i}", domain=traj.domain, points=points)
-            for i, points in zip(kept, stacked)]
+            for i, points in zip(kept, traj.points[orders[kept]])]
 
 
 def _incoherence(statistic, dof, use_pvalue: bool) -> np.ndarray:
@@ -438,11 +429,11 @@ def domain_swap_compare(corpus_a, corpus_b, sigma_a: SpdMatrix,
                         pairing: str = "cross") -> dict:
     """Score two corpora under swapped domain models.
 
-    For each supplied covariance, returns the fraction of (a, b) pairs with
-    bbscore(a) < bbscore(b), ties counting 0.5, i.e. how often corpus A looks
-    more coherent under that model. pairing "cross" counts the full cross
-    product by sorting, the ties being the pairs neither way below;
-    "matched" pairs records with equal ids.
+    For each supplied covariance, returns the fraction of (a, b) pairs in
+    which a has the lower bbscore, statistic / dof, ties counting 0.5, i.e.
+    how often corpus A looks more coherent under that model. pairing
+    "cross" counts the full cross product by sorting, the ties being the
+    pairs neither way below; "matched" pairs records with equal ids.
     """
     if pairing not in ("cross", "matched"):
         raise ValidationError(f"pairing must be 'cross' or 'matched', got {pairing!r}")

@@ -18,8 +18,7 @@ from bridgescore import (
     LinearEncoder,
     ShuffleSpec,
     SpdMatrix,
-    bbscore,
-    bbscore_batch,
+    chi_square_sf,
     cl_gradient,
     cl_loss,
     discrimination_accuracies,
@@ -31,6 +30,7 @@ from bridgescore import (
     nll_gradient,
     sample_bridge,
     sample_triplets,
+    score_statistics,
 )
 from bridgescore.cli import main as cli_main
 from conftest import dense_log_density, random_spd, random_trajectory
@@ -106,14 +106,14 @@ def test_criterion_3_bbscore_calibration():
         rng = np.random.default_rng(303)
         d, T, n = 4, 26, 2000  # dof = (T-1) d = 100
         spatial = SpdMatrix(random_spd(rng, d))
-        reports = bbscore_batch(simulate(spatial, d, T, n, seed0=60_000), spatial)
-        stats = np.array([r.statistic for r in reports])
+        stats, dof = score_statistics(simulate(spatial, d, T, n, seed0=60_000), spatial)
         assert abs(float(stats.mean()) - 100.0) <= 7.0
         assert abs(float(stats.var()) - 200.0) <= 40.0
-        assert kstest([r.p_value for r in reports], "uniform").pvalue > 0.01
+        assert kstest(chi_square_sf(stats, dof), "uniform").pvalue > 0.01
 
         own = random_trajectory(rng, 3, 9)
-        assert abs(bbscore(own, mle_sigma([own])).bbscore - 1.0) <= 1e-10
+        (stat,), (k,) = score_statistics([own], mle_sigma([own]))
+        assert abs(stat / k - 1.0) <= 1e-10
 
 
 def test_criterion_4_length_comparability():
@@ -124,7 +124,8 @@ def test_criterion_4_length_comparability():
         means = []
         for T in (10, 50, 200):
             trajs = simulate(spatial, d, T, 600, seed0=100 * T)
-            means.append(float(np.mean([r.bbscore for r in bbscore_batch(trajs, spatial)])))
+            stats, dof = score_statistics(trajs, spatial)
+            means.append(float(np.mean(stats / dof)))
         for a in means:
             for b in means:
                 assert abs(a / b - 1.0) < 0.05

@@ -9,13 +9,11 @@ from bridgescore import (
     SingularEstimateError,
     SpdMatrix,
     ValidationError,
-    bridge_mean,
     increments,
     log_likelihood,
     mle_sigma,
     pooled_covariance,
     quadratic_form,
-    residuals,
     sample_bridge,
     shrink_covariance,
 )
@@ -30,6 +28,13 @@ from conftest import (
 )
 
 
+def chord_residuals(traj):
+    """Interior points minus their means on the chord from s_0 to s_T, shape (d, T-1)."""
+    t = np.arange(1, traj.T) / traj.T
+    pts = traj.points
+    return pts[1:-1].T - (np.outer(pts[0], 1 - t) + np.outer(pts[-1], t))
+
+
 class TestLatentTrajectory:
     def test_rejects_short_sequences(self):
         with pytest.raises(ValidationError):
@@ -42,7 +47,6 @@ class TestLatentTrajectory:
     def test_shape_accessors(self, rng):
         t = random_trajectory(rng, 3, 7)
         assert t.T == 7 and t.d == 3
-        assert t.interior().shape == (6, 3)
 
 
 class TestTemporalCov:
@@ -67,7 +71,7 @@ class TestTemporalCov:
             )
             assert np.linalg.slogdet(temporal_matrix(T))[1] == pytest.approx(-np.log(T))
             t = random_trajectory(rng, 1, T)
-            r = residuals(t)[0]
+            r = chord_residuals(t)[0]
             dense = float(r @ np.linalg.solve(temporal_matrix(T), r))
             assert quadratic_form(SpdMatrix(np.eye(1)),
                                   increments(t.points)) == pytest.approx(dense, rel=1e-10)
@@ -82,7 +86,7 @@ class TestIncrementKernel:
 
     def test_t2(self, rng):
         t = random_trajectory(rng, 2, 2)
-        r = residuals(t)[:, 0]
+        r = chord_residuals(t)[:, 0]
         np.testing.assert_allclose(increments(t.points), [r, -r], atol=1e-15)
         sigma = random_spd(rng, 2)
         value = quadratic_form(SpdMatrix(sigma), increments(t.points))
@@ -92,7 +96,7 @@ class TestIncrementKernel:
         trajs = [random_trajectory(rng, 3, T, traj_id=f"m{T}") for T in (2, 3, 7, 19, 40)]
         acc = np.zeros((3, 3))
         for t in trajs:
-            r = residuals(t)
+            r = chord_residuals(t)
             acc += r @ np.linalg.solve(temporal_matrix(t.T), r.T)
         weight = sum(t.T - 1 for t in trajs)
         m, w = pooled_covariance(trajs)
@@ -107,7 +111,7 @@ class TestIncrementKernel:
             times = [0, *triple, T]
             gap = increments(t.points[times], times)
             cols = np.array(triple) - 1
-            r = residuals(t)[:, cols]
+            r = chord_residuals(t)[:, cols]
             sub = temporal_matrix(T)[np.ix_(cols, cols)]
             dense = float(np.trace(np.linalg.solve(sigma, r) @ np.linalg.solve(sub, r.T)))
             value = quadratic_form(SpdMatrix(sigma), gap)
@@ -150,37 +154,6 @@ class TestIncrementKernel:
         spatial = SpdMatrix(np.eye(2))
         with pytest.raises(NumericalError, match="trajectory 'p2': its statistic overflows"):
             score_statistics(trajs, spatial)
-
-
-class TestBridgeMean:
-    def test_zero_endpoints(self):
-        pts = [[0, 0], [1, 2], [3, 4], [5, 6], [7, 8], [0, 0]]
-        t = LatentTrajectory("a", "x", np.asarray(pts, dtype=float))
-        assert np.all(bridge_mean(t) == 0.0)
-
-    def test_linear_interpolation(self):
-        t = LatentTrajectory("a", "x", [[0.0], [9.0], [9.0], [9.0], [4.0]])
-        np.testing.assert_allclose(bridge_mean(t), [[1.0, 2.0, 3.0]])
-
-    def test_midpoint(self):
-        t = LatentTrajectory("a", "x", [[1.0, 0.0], [0.0, 0.0], [0.0, 2.0]])
-        np.testing.assert_allclose(bridge_mean(t), [[0.5], [1.0]])
-
-
-class TestResiduals:
-    def test_chord_gives_zero(self):
-        pts = np.linspace([0.0, 1.0], [4.0, -3.0], num=9)
-        t = LatentTrajectory("a", "x", pts)
-        assert np.allclose(residuals(t), 0.0)
-
-    def test_simple_case(self):
-        t = LatentTrajectory("a", "x", [[0.0], [1.0], [0.0]])
-        np.testing.assert_allclose(residuals(t), [[1.0]])
-
-    def test_round_trip(self, rng):
-        t = random_trajectory(rng, 3, 8)
-        rebuilt = residuals(t) + bridge_mean(t)
-        np.testing.assert_allclose(rebuilt.T, t.interior(), atol=1e-14)
 
 
 class TestSampleBridge:
@@ -288,7 +261,7 @@ class TestLogLikelihood:
         shifted = LatentTrajectory(
             "a", "x", t.points + u + np.outer(np.arange(t.T + 1), v)
         )
-        np.testing.assert_allclose(residuals(shifted), residuals(t),
+        np.testing.assert_allclose(chord_residuals(shifted), chord_residuals(t),
                                    atol=1e-10)
         assert log_likelihood(shifted, spatial) == pytest.approx(
             log_likelihood(t, spatial), abs=1e-10

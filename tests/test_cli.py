@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import bridgescore
-from bridgescore import ValidationError, bbscore_batch
+from bridgescore import SpdMatrix, ValidationError, chi_square_sf, score_statistics
 from bridgescore.cli import main
 from bridgescore.fileio import (
     SigmaModel,
@@ -21,7 +21,6 @@ from bridgescore.fileio import (
     write_sigma_model,
     write_trajectories,
 )
-from bridgescore.score import score_statistics
 
 
 def run(*argv):
@@ -312,7 +311,6 @@ class TestFit:
     def test_recovers_generating_covariance(self, tmp_path, capsys):
         # simulate from a known covariance written as a model file, refit,
         # and check the printed error against that generating covariance
-        from bridgescore import SpdMatrix
         from conftest import random_spd
 
         rng = np.random.default_rng(17)
@@ -479,8 +477,9 @@ class TestScore:
         assert "heuristic_score" in json.loads(lines[1])
 
     def test_heuristic_of_a_chord_document_exit_2_without_output(self, tmp_path, capsys):
-        # the heuristic's variance MLE is zero on the chord: every score is computed,
-        # and the error raised, before the output file is opened
+        # the heuristic's variance MLE is zero on the chord, and its squared residuals
+        # overflow near 1e160: every score is computed, and the error raised, before
+        # the output file is opened
         _, _, model = self.setup_pair(tmp_path)
         path = tmp_path / "chord.jsonl"
         write_trajectories(path, [TrajectoryRecord(
@@ -491,6 +490,22 @@ class TestScore:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("numerical error: ") and "lies on its chord" in err[0]
+        assert not out.exists()
+
+        # a valid model under which the statistic stays finite; a fresh interpreter
+        # shows any numpy warning on stderr
+        model, path = tmp_path / "big-model.json", tmp_path / "big.jsonl"
+        write_sigma_model(model, SigmaModel(spatial=SpdMatrix(1e300 * np.eye(2)), weight=100,
+                                            domain="x", epsilon=0.0, source_corpus_digest=""))
+        write_trajectories(path, [TrajectoryRecord(
+            trajectory_from([[0, 0], [1e160, -1e160], [0, 1e160]], "big"))])
+        assert run("score", "--in", path, "--model", model, "--out", tmp_path / "big.out") == 0
+        out = tmp_path / "big-scores.jsonl"
+        done = run_process("-m", "bridgescore.cli", "score", "--in", path, "--model", model,
+                           "--out", out, "--with-heuristic")
+        assert done.returncode == 2
+        assert done.stderr == ("numerical error: trajectory 'big': "
+                               "its heuristic score is not finite\n")
         assert not out.exists()
 
 
@@ -690,8 +705,8 @@ class TestDuplicateIdsAcrossFiles:
     @staticmethod
     def scores(path, model):
         trajs = [r.trajectory for r in read_trajectories(path)[0]]
-        reports = bbscore_batch(trajs, read_sigma_model(model).spatial)
-        return {r.trajectory_id: r.bbscore for r in reports}
+        statistic, dof = score_statistics(trajs, read_sigma_model(model).spatial)
+        return dict(zip([t.id for t in trajs], (statistic / dof).tolist()))
 
     def test_relative_labels(self, tmp_path, capsys):
         a = simulate_file(tmp_path, name="a.jsonl", n=8, T=15, seed=61)
@@ -830,8 +845,6 @@ class TestTrainCommand:
 
     def test_sigma_model_weight_floor(self, tmp_path):
         model = tmp_path / "m.json"
-        from bridgescore import SpdMatrix
-
         write_sigma_model(model, SigmaModel(
             spatial=SpdMatrix(np.eye(3)), weight=2, domain="x",
             epsilon=0.0, source_corpus_digest=""))
@@ -843,12 +856,13 @@ def scores_match_the_library(corpus, model, scores):
     """The rows of a score file, checked against score_statistics on the corpus as read."""
     trajs = [rec.trajectory for rec in read_trajectories(corpus)[0]]
     statistic, dof = score_statistics(trajs, read_sigma_model(model).spatial)
+    p_value = chi_square_sf(statistic, dof)
     rows = [json.loads(line) for line in scores.read_text().splitlines()[1:]]
     assert [row["id"] for row in rows] == [traj.id for traj in trajs]
     assert [row["dof"] for row in rows] == dof.tolist()
-    for row, stat, k in zip(rows, statistic, dof):
+    for row, stat, k, p in zip(rows, statistic, dof, p_value):
         assert row["statistic"] == stat and row["bbscore"] == stat / k
-        assert 0.0 <= row["p_value"] <= 1.0
+        assert row["p_value"] == p
     return rows
 
 

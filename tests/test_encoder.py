@@ -28,8 +28,8 @@ from bridgescore import (
     train,
     update_sigma_hat,
 )
-from bridgescore.bridge import residuals
 from conftest import dense_quad_form, random_spd, temporal_matrix
+from test_bridge import chord_residuals
 
 
 def raw_sequence(rng, d_in, T, seq_id="r", domain="dom", scale=1.0):
@@ -230,7 +230,7 @@ class TestNllLoss:
                 nll_batch_loss(enc, [seq], sigma, triplets=[trip]) for trip in triples
             ])
             traj = encode(enc, seq)
-            r = residuals(traj)
+            r = chord_residuals(traj)
             quad = float(np.trace(np.linalg.solve(sigma.entries, r) @ kernel @ r.T))
             assert avg == pytest.approx(quad, rel=1e-10)
             assert float(np.trace(kernel @ tc)) == pytest.approx(3.0, rel=1e-10)
@@ -487,8 +487,7 @@ def dense_pooled_covariance(trajs):
     """sum_i R_i Sigma_Ti^-1 R_i^T / sum_i (T_i - 1) with the dense temporal matrix."""
     acc, weight = 0.0, 0
     for traj in trajs:
-        t = np.arange(1, traj.T) / traj.T
-        r = traj.interior().T - np.outer(traj.start, 1 - t) - np.outer(traj.end, t)
+        r = chord_residuals(traj)
         acc = acc + r @ np.linalg.solve(temporal_matrix(traj.T), r.T)
         weight += traj.T - 1
     return acc / weight

@@ -14,7 +14,6 @@ from bridgescore import (
     ShuffleSpec,
     SpdMatrix,
     ValidationError,
-    bbscore,
     discrimination_accuracies,
     domain_swap_compare,
     increments,
@@ -22,6 +21,7 @@ from bridgescore import (
     mle_sigma,
     relative_accuracy,
     sample_bridge,
+    score_statistics,
     stable_seed,
     threshold_classify,
 )
@@ -32,6 +32,12 @@ from conftest import dense_quad_form, random_spd, random_trajectory
 
 def point_multiset(traj):
     return Counter(tuple(p) for p in traj.points)
+
+
+def bbscores(trajs, spatial):
+    """Each document's bbscore, statistic / dof, in input order."""
+    statistic, dof = score_statistics(trajs, spatial)
+    return statistic / dof
 
 
 def simulate(spatial, d, T, n, seed0, prefix="doc"):
@@ -239,9 +245,11 @@ class TestMakeShuffleSet:
                 if points.tobytes() not in seen:
                     seen.add(points.tobytes())
                     want.append(i)
-            kept, copies = ev._distinct_copies(t, spec)
-            assert kept == want
-            np.testing.assert_array_equal(copies, stacked[want])
+            copies = make_shuffle_set(t, spec)
+            tag = "g2" if kind == "global_block" else "l2"
+            # each copy's id ends in its copy number
+            assert [int(c.id.removeprefix(f"rep#{tag}-")) for c in copies] == want
+            assert [c.points.tobytes() for c in copies] == [p.tobytes() for p in stacked[want]]
 
     def test_deterministic_per_seed(self, rng):
         t = random_trajectory(rng, 2, 15)
@@ -276,14 +284,15 @@ def per_copy_accuracy(originals, spec, spatial, use_pvalue, per_document, whiten
 
     whiten scores each copy from its own points, whitened relative to the
     original's first point as discrimination whitens them, so statistics equal
-    in exact arithmetic tie as they do there; otherwise bbscore scores each copy.
+    in exact arithmetic tie as they do there; otherwise score_statistics scores
+    each copy.
     """
     def incoherence(traj, origin):
-        if not whiten:
-            rep = bbscore(traj, spatial)
-            return -rep.p_value if use_pvalue else rep.bbscore
-        incr = increments((traj.points - origin) @ spatial.inv_chol.T)
-        statistic, dof = np.einsum("nd,nd->", incr, incr), (traj.T - 1) * traj.d
+        if whiten:
+            incr = increments((traj.points - origin) @ spatial.inv_chol.T)
+            statistic, dof = np.einsum("nd,nd->", incr, incr), (traj.T - 1) * traj.d
+        else:
+            (statistic,), (dof,) = score_statistics([traj], spatial)
         return -chi_square_sf(statistic, dof) if use_pvalue else statistic / dof
 
     credits, doc_means = [], []
@@ -431,16 +440,15 @@ class TestRelativeAccuracy:
                                seed=stable_seed(5, t.id))
             set_b.extend(make_shuffle_set(t, spec))
         acc = relative_accuracy(set_a, set_b, np.ones(len(set_a)), np.zeros(len(set_b)), spatial)
-        scores_a = {t.id: bbscore(t, spatial).bbscore for t in set_a}
-        scores_b = {t.id: bbscore(t, spatial).bbscore for t in set_b}
-        wins = sum(1 for sa in scores_a.values() for sb in scores_b.values() if sa < sb)
+        wins = sum(1 for sa in bbscores(set_a, spatial) for sb in bbscores(set_b, spatial)
+                   if sa < sb)
         assert acc == pytest.approx(wins / (len(set_a) * len(set_b)))
 
     def test_self_generated_truth_scores_one(self, sim_setup):
         spatial, originals = sim_setup
         set_a, set_b = originals[:5], originals[5:10]
         # the truth ranks more coherent documents, of lower bbscore, higher
-        rank_a, rank_b = ([-bbscore(t, spatial).bbscore for t in s] for s in (set_a, set_b))
+        rank_a, rank_b = (-bbscores(s, spatial) for s in (set_a, set_b))
         assert relative_accuracy(set_a, set_b, rank_a, rank_b, spatial) == 1.0
 
     def test_complement_under_reversed_truth(self, sim_setup):
@@ -512,7 +520,7 @@ class TestThresholdClassify:
         trajs, ranks = scored_corpus_by_class(spatial, 3, 30, (12, 0, 12), 4000,
                                               scales=(3.0, 1.0, 1.0))
         predicted, _ = threshold_classify(trajs, ranks, trajs, ranks, spatial)
-        xs = np.array([bbscore(t, spatial).bbscore for t in trajs])
+        xs = bbscores(trajs, spatial)
         # exhaustive sweep over all candidate cuts
         best = -1
         for cut in np.concatenate([[xs.min() - 1], np.unique(xs), [xs.max() + 1]]):
@@ -526,7 +534,7 @@ class TestThresholdClassify:
         trajs, ranks = scored_corpus_by_class(spatial, 3, 30, (10, 10, 10), 5000,
                                               scales=(3.0, 1.7, 1.0))
         predicted, _ = threshold_classify(trajs, ranks, trajs, ranks, spatial)
-        scored = sorted(zip((bbscore(t, spatial).bbscore for t in trajs), predicted.tolist()))
+        scored = sorted(zip(bbscores(trajs, spatial).tolist(), predicted.tolist()))
         ranks = [r for _, r in scored]
         assert all(a >= b for a, b in zip(ranks, ranks[1:]))
 
