@@ -256,15 +256,12 @@ def cmd_score(args) -> int:
 
 
 def cmd_shuffle(args) -> int:
-    from .evalsuite import make_shuffle_set, stable_seed
+    from .evalsuite import make_shuffle_set
     digest = hashlib.sha256()
     (originals,), _ = _inputs([args.input], digest=digest)
-    size = args.block_size if args.kind == "global" else args.windows
-    out_records = []
-    for traj in originals:
-        spec = _shuffle_spec(args, size, seed=stable_seed(args.seed, traj.id))
-        for copy in make_shuffle_set(traj, spec):
-            out_records.append(TrajectoryRecord(trajectory=copy))
+    spec = _shuffle_spec(args, args.block_size if args.kind == "global" else args.windows)
+    out_records = [TrajectoryRecord(trajectory=copy)
+                   for traj in originals for copy in make_shuffle_set(traj, spec)]
     meta = {"seed": args.seed, "kind_of_shuffle": args.kind, "copies": args.copies,
             "source_corpus_digest": digest.hexdigest()}
     write_trajectories(args.out, out_records, meta=meta)
@@ -273,13 +270,13 @@ def cmd_shuffle(args) -> int:
     return 0
 
 
-def _shuffle_spec(args, size: int, seed: int) -> ShuffleSpec:
+def _shuffle_spec(args, size: int) -> ShuffleSpec:
     """Global blocks of size points, or size local windows of args.window_size."""
     from .evalsuite import ShuffleSpec
     if args.kind == "global":
-        return ShuffleSpec(kind="global_block", block_size=size, copies=args.copies, seed=seed)
-    return ShuffleSpec(kind="local_window", num_windows=size,
-                       window_size=args.window_size, copies=args.copies, seed=seed)
+        return ShuffleSpec("global_block", block_size=size, copies=args.copies, seed=args.seed)
+    return ShuffleSpec("local_window", num_windows=size,
+                       window_size=args.window_size, copies=args.copies, seed=args.seed)
 
 
 def cmd_discriminate(args) -> int:
@@ -289,7 +286,7 @@ def cmd_discriminate(args) -> int:
     if not sizes:
         raise ValidationError(f"{option} names no size")
     (originals,), (model,) = _inputs([args.input], [args.model])
-    specs = [_shuffle_spec(args, size, args.seed) for size in sizes]
+    specs = [_shuffle_spec(args, size) for size in sizes]
     # every size is scored, and a size some document is too short for fails, before any output
     accuracies = discrimination_accuracies(originals, specs, model.spatial,
                                            use_pvalue=args.use_pvalue,

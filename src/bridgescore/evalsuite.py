@@ -50,7 +50,8 @@ class ShuffleSpec:
 
     kind "global_block": permute consecutive blocks of block_size points.
     kind "local_window": permute points inside num_windows disjoint windows
-    of window_size consecutive points each.
+    of window_size consecutive points each. seed is a base: each document's
+    shuffles are drawn from stable_seed(seed, its id).
     """
 
     kind: str
@@ -209,20 +210,22 @@ def _classes(points) -> np.ndarray:
                      return_inverse=True)[1]
 
 
-def _distinct(classes, orders) -> list[int]:
-    """The numbers of the orders whose copy equals neither the original nor an earlier copy.
+def _copy_orders(traj, spec: ShuffleSpec, classes) -> tuple[list[int], np.ndarray]:
+    """The numbers and orders of traj's distinct shuffled copies under spec, seeded by traj.id.
 
-    Two copies are equal exactly when they pick byte-equal points at every
-    position, so they are compared as orders over classes (_classes).
+    A copy equal to the original or to an earlier copy is left out. Two copies
+    are equal exactly when they pick byte-equal points at every position, so
+    they are compared as orders over classes, _classes(traj.points).
     """
-    seen = {classes.tobytes()}
-    kept = []
+    rng = np.random.default_rng(stable_seed(spec.seed, traj.id))
+    orders = _shuffle_orders(traj.T + 1, spec, rng, traj.id)
+    seen, kept = {classes.tobytes()}, []
     for i, key in enumerate(classes[orders]):
         key = key.tobytes()
         if key not in seen:
             seen.add(key)
             kept.append(i)
-    return kept
+    return kept, orders[kept]
 
 
 def make_shuffle_set(traj: LatentTrajectory, spec: ShuffleSpec) -> list[LatentTrajectory]:
@@ -230,13 +233,13 @@ def make_shuffle_set(traj: LatentTrajectory, spec: ShuffleSpec) -> list[LatentTr
 
     A copy equal, point for point, to the original or to an earlier copy is
     dropped, so short sequences can yield fewer copies than requested. Each
-    kept copy's id ends in its copy number. Deterministic per seed.
+    kept copy's id ends in its copy number. Copies are drawn as discrimination
+    draws them (_copy_orders).
     """
-    orders = _shuffle_orders(traj.T + 1, spec, np.random.default_rng(spec.seed), traj.id)
-    kept = _distinct(_classes(traj.points), orders)
+    kept, orders = _copy_orders(traj, spec, _classes(traj.points))
     tag = f"g{spec.block_size}" if spec.kind == "global_block" else f"l{spec.num_windows}"
     return [LatentTrajectory(id=f"{traj.id}#{tag}-{i}", domain=traj.domain, points=points)
-            for i, points in zip(kept, traj.points[orders[kept]])]
+            for i, points in zip(kept, traj.points[orders])]
 
 
 def _incoherence(statistic, dof, use_pvalue: bool) -> np.ndarray:
@@ -314,11 +317,7 @@ def _credits(originals, specs, spatial: SpdMatrix, use_pvalue: bool) -> list:
     out = [[] for _ in specs]
     for traj in originals:
         n, classes = traj.T + 1, _classes(traj.points)
-        kept = []
-        for spec in specs:
-            rng = np.random.default_rng(stable_seed(spec.seed, traj.id))
-            orders = _shuffle_orders(n, spec, rng, traj.id)
-            kept.append(orders[_distinct(classes, orders)])
+        kept = [_copy_orders(traj, spec, classes)[1] for spec in specs]
         counts = [len(k) for k in kept]
         if not any(counts):
             continue

@@ -11,21 +11,22 @@ any number of parts, and a child that fails costs time, not output: its
 part is redone here. Ingestion rejects any malformed record, a duplicate id
 and a record whose d differs from the first's with a path:line diagnostic.
 
-Each corpus line is parsed once. orjson is handed the bytes of an ordinary
-record line: one past line 1, with no '\r', starting with '{' and ending with
-'}' before its newline, and nested no deeper than _DEEPEST; orjson checks
-its UTF-8 itself. Every other line, and an ordinary line whose bytes orjson
-rejects, takes the text route: it is decoded (bytes that are not UTF-8 are a
-'cannot read file' error), split on '\r' as universal newlines split it, and
-stripped. There the standard json module parses line 1, which may be a
-header holding an integer past 64 bits that orjson would read as a float,
+Each corpus line is parsed once, by one rule wherever it sits; a header is
+parsed like any record line, and no command reads its values. orjson is
+handed the bytes of an ordinary line: one with no '\r', starting with '{'
+and ending with '}' before its newline, and nested no deeper than _DEEPEST;
+orjson checks its UTF-8 itself. Every other line, and an ordinary line whose
+bytes orjson rejects, takes the text route: it is decoded (bytes that are
+not UTF-8 are a 'cannot read file' error), split on '\r' as universal
+newlines split it, and stripped. There orjson parses the text of a line
+that nests no deeper than _DEEPEST, and the standard json module parses
 any line that orjson rejected (NaN, Infinity, numbers past float range,
-lone surrogate escapes) and any line that could nest deeper than _DEEPEST;
-orjson parses every other line, and json any of those it rejects. Where
-orjson parses a line, json's value is the same in every field a record
-reads, so records and errors are those of a read by json alone, except that
-any line nested past json's recursion limit, which depends on the stack in
-use, but within _DEEPEST is judged on orjson's value. json reads model and
+lone surrogate escapes) and any line that could nest deeper. Where orjson
+parses a line, json's value is the same in every field a record reads, so
+records and errors are those of a read by json alone, except that a line
+nested past json's recursion limit, which depends on the stack in use, but
+within _DEEPEST is judged on orjson's value, and that a header's integer
+past 64 bits reads back as orjson's float. json reads model and
 trainer-state files.
 
 Every file is written in this process by one writer, write_lines, with
@@ -259,28 +260,14 @@ def _cut(fh, size: int, n: int) -> list[tuple[int, int | None]]:
     return list(zip(starts, [*starts[1:], None]))
 
 
-def _text_value(line: str, where: str, first: bool, shallow: bool):
-    """A stripped text line parsed: by orjson, then json if orjson rejects it, past line 1.
-
-    json alone parses line 1 and a line that is not shallow: one that may nest
-    past _DEEPEST, or one whose bytes orjson has rejected. Line 1 nested past
-    json's recursion limit, but shallow, is judged as any later line is, on
-    orjson's value when orjson accepts it.
-    """
-    if shallow and not first:
+def _text_value(line: str, where: str, shallow: bool):
+    """A stripped text line parsed: by orjson when shallow, else or on rejection by json."""
+    if shallow:
         try:
             return orjson.loads(line)
         except orjson.JSONDecodeError:
-            return _json_value(line, where)
-    try:
-        return _json_value(line, where)
-    except ValidationError as exc:
-        if not (shallow and isinstance(exc.__cause__, RecursionError)):
-            raise
-        try:
-            return orjson.loads(line)
-        except orjson.JSONDecodeError:
-            raise exc  # json's verdict, as on any later line
+            pass
+    return _json_value(line, where)
 
 
 def _read_span(fh, path, span: tuple[int, int | None], digest=None):
@@ -301,9 +288,8 @@ def _read_span(fh, path, span: tuple[int, int | None], digest=None):
         if digest is not None:
             digest.update(raw)
         shallow = _shallow(raw)
-        # one line past line 1, with nothing that strip would remove but its newline
-        if (shallow and (start or lineno) and raw[:1] == b"{" and raw.endswith((b"}\n", b"}"))
-                and b"\r" not in raw):
+        # one line with nothing that strip would remove but its newline
+        if shallow and raw[:1] == b"{" and raw.endswith((b"}\n", b"}")) and b"\r" not in raw:
             try:
                 values = (orjson.loads(raw),)
             except orjson.JSONDecodeError:
@@ -316,17 +302,16 @@ def _read_span(fh, path, span: tuple[int, int | None], digest=None):
             values = text.replace("\r\n", "\n").split("\r") if "\r" in text else (text,)
         for row in values:  # orjson's value, or the text of each line
             lineno += 1
-            first = start == 0 and lineno == 1
             where = f"{path}:{lineno}"
             try:
                 if isinstance(row, str):
                     row = row.strip()
                     if not row:
                         continue
-                    row = _text_value(row, where, first, shallow)
+                    row = _text_value(row, where, shallow)
                 if not isinstance(row, dict):
                     raise ValidationError(f"{where}: expected a JSON object")
-                if first and row.get("kind") == "trajectories":
+                if not start and lineno == 1 and row.get("kind") == "trajectories":
                     header = row
                     continue
                 rows.append((lineno, _parse_record(path, lineno, row, raw)))

@@ -48,7 +48,8 @@ def heuristic_bbscore(traj: LatentTrajectory) -> float:
     sigma2 * t(T-t)/T * I_d), mu_t on the chord from s_0 to s_T, with the
     plug-in sigma2_hat = [sum_t ||s_t - mu_t||^2 * T / (t(T-t))] / [(T-1) d].
     Raises NumericalError, naming the trajectory, when sigma2_hat is zero
-    (the trajectory lies on its chord) or the score is not finite.
+    (the trajectory lies on its chord, or its squared residuals underflow)
+    or the score is not finite.
     """
     T, d, pts = traj.T, traj.d, traj.points
     t = np.arange(1, T, dtype=float)
@@ -58,6 +59,8 @@ def heuristic_bbscore(traj: LatentTrajectory) -> float:
         v = t * (T - t) / T
         weighted = float(np.sum(np.sum(r * r, axis=0) / v))
         s2 = weighted / ((T - 1) * d)
+        if s2 <= 0.0 and r.any():
+            raise NumericalError(f"trajectory {traj.id!r}: its residuals underflow float64")
         if s2 <= 0.0:
             raise NumericalError(f"trajectory {traj.id!r} lies on its chord; "
                                  "the variance MLE is zero")

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -403,6 +404,14 @@ class TestFit:
         assert done.stderr.splitlines() == [
             "numerical error: domain 'sim': covariance estimate of dim 3 is singular (epsilon=0.0)"
         ]
+        assert not state.exists()
+        # with the default blend the objective rises at epoch 1 and stays up: exit 2
+        done = run_process("-m", "bridgescore.cli", "train", "--corpora", fit_corpus,
+                           "--step-size", 1e-6, "--out", state)
+        assert done.returncode == 2
+        [line] = done.stderr.splitlines()
+        assert re.fullmatch(r"numerical error: epoch 1: objective \S+ rose above its initial "
+                            r"value -\S+", line)
         assert not state.exists()
 
 

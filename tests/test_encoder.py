@@ -433,7 +433,8 @@ class TestTrain:
         corpora, _, theta_star = identifiable_corpora(9, domains=("solo",))
         state = TrainerState(encoder=LinearEncoder(theta_star), seed=4,
                              step_size=50.0, batch_size=4)
-        with pytest.raises(NumericalError, match="exceeded 10x its initial magnitude"):
+        with pytest.raises(NumericalError,
+                           match=r"^epoch 1: objective \S+ rose above its initial value \S+$"):
             train(state, corpora, 10)
 
     @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])

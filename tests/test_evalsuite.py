@@ -1,6 +1,5 @@
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -239,7 +238,8 @@ class TestMakeShuffleSet:
         for seed in range(20):
             spec = ShuffleSpec(kind=kind, block_size=2, num_windows=2, window_size=2,
                                copies=12, seed=seed)
-            stacked = t.points[ev._shuffle_orders(10, spec, np.random.default_rng(seed), "rep")]
+            rng = np.random.default_rng(stable_seed(seed, "rep"))
+            stacked = t.points[ev._shuffle_orders(10, spec, rng, "rep")]
             seen, want = {t.points.tobytes()}, []
             for i, points in enumerate(stacked):
                 if points.tobytes() not in seen:
@@ -297,7 +297,7 @@ def per_copy_accuracy(originals, spec, spatial, use_pvalue, per_document, whiten
 
     credits, doc_means = [], []
     for traj in sorted(originals, key=lambda t: t.id):
-        copies = make_shuffle_set(traj, replace(spec, seed=stable_seed(spec.seed, traj.id)))
+        copies = make_shuffle_set(traj, spec)
         base = incoherence(traj, traj.points[0])
         doc = [1.0 if base < x else 0.5 if base == x else 0.0
                for x in (incoherence(c, traj.points[0]) for c in copies)]
@@ -322,8 +322,7 @@ class TestDiscrimination:
             originals.append(LatentTrajectory(f"r{trial}-rep", "x", [a, b, a, b, a, b, b]))
             spec = ShuffleSpec(kind=kind, block_size=2, num_windows=2, window_size=3,
                                copies=12, seed=trial)
-            rep_copies = make_shuffle_set(
-                originals[-1], replace(spec, seed=stable_seed(spec.seed, originals[-1].id)))
+            rep_copies = make_shuffle_set(originals[-1], spec)
             assert 0 < len(rep_copies) < spec.copies  # repeated points: dedupe fires
             batched = discrimination_accuracies(originals, [spec], spatial,
                                                 use_pvalue=use_pvalue,
@@ -354,7 +353,7 @@ class TestDiscrimination:
         discrimination_accuracies(shifted, [spec], SpdMatrix(sigma))
         assert len(seen) == len(docs)
         for doc, statistic in zip(docs, seen):
-            copies = make_shuffle_set(doc, replace(spec, seed=stable_seed(spec.seed, doc.id)))
+            copies = make_shuffle_set(doc, spec)
             dense = [dense_quad_form(c, sigma) for c in [doc, *copies]]
             np.testing.assert_allclose(statistic, dense, rtol=1e-12, atol=0)
 
@@ -369,8 +368,8 @@ class TestDiscrimination:
         spatial, originals = sim_setup
 
         # a "copy" equal to the original ties with it
-        monkeypatch.setattr(ev, "_shuffle_orders", lambda n, spec, rng, name: np.arange(n)[None])
-        monkeypatch.setattr(ev, "_distinct", lambda classes, orders: [0])
+        monkeypatch.setattr(ev, "_copy_orders",
+                            lambda traj, spec, classes: ([0], np.arange(traj.T + 1)[None]))
         spec = ShuffleSpec(kind="global_block", block_size=1, copies=5, seed=0)
         assert ev.discrimination_accuracies(originals, [spec], spatial)[0] == 0.5
 
@@ -436,8 +435,7 @@ class TestRelativeAccuracy:
         set_a = originals[:6]
         set_b = []
         for t in set_a:
-            spec = ShuffleSpec(kind="global_block", block_size=1, copies=3,
-                               seed=stable_seed(5, t.id))
+            spec = ShuffleSpec(kind="global_block", block_size=1, copies=3, seed=5)
             set_b.extend(make_shuffle_set(t, spec))
         acc = relative_accuracy(set_a, set_b, np.ones(len(set_a)), np.zeros(len(set_b)), spatial)
         wins = sum(1 for sa in bbscores(set_a, spatial) for sb in bbscores(set_b, spatial)
@@ -463,8 +461,7 @@ class TestRelativeAccuracy:
         set_a = originals[:10]
         set_b = []
         for t in originals[10:20]:
-            spec = ShuffleSpec(kind="global_block", block_size=1, copies=3,
-                               seed=stable_seed(21, t.id))
+            spec = ShuffleSpec(kind="global_block", block_size=1, copies=3, seed=21)
             set_b.extend(make_shuffle_set(t, spec))
         assert relative_accuracy(set_a, set_b, np.ones(len(set_a)), np.zeros(len(set_b)),
                                  spatial) > 0.85

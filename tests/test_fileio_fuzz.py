@@ -4,14 +4,16 @@ Inputs are arbitrary bytes, arbitrary JSON values, and valid corpus records,
 model files and weight matrices with one field or one matrix entry replaced
 by an arbitrary value, so that the checks past the JSON parse are reached
 too. Every diagnostic names the file, and a corpus read in two spans gives
-the records or the error of a read in one. The corpus reader parses line 1,
-and any line orjson rejects, with json and the rest with orjson: for any line
-it gives the records, to the bit, or the error of a read by json alone, except
+the records or the error of a read in one. The corpus reader parses every
+line by one rule, line 1 included: orjson parses it, and json any line that
+orjson rejects or that nests too deep for orjson to be asked. For any line it
+gives the records, to the bit, or the error of a read by json alone, except
 that a line nested past json's recursion limit, and within the depth that
-orjson is asked to parse, is judged on orjson's value, on line 1 as on any
-other. A read by json alone replaces orjson.loads with a stub that refuses
-every line, handed as bytes or as text. Runs are derandomized, so the suite
-draws the same examples every time.
+orjson is asked to parse, is judged on orjson's value, and that a header's
+integer past 64 bits reads back as orjson's float. A read by json alone
+replaces orjson.loads with a stub that refuses every line, handed as bytes
+or as text. Runs are derandomized, so the suite draws the same examples
+every time.
 """
 
 import json
@@ -175,8 +177,6 @@ HEADER = '{"kind":"trajectories","created_by":"x","seed":%s}'
 @example(rows=['{"id":"a","id":"b","domain":"d","points":[[0],[1],[2]],"points":[[5],[6],[7]]}'])
 @example(rows=["\ufeff" + RECORD % "[[0],[1],[2]]"])
 @example(rows=['{"id":"\x01","domain":"d","points":[[0],[1],[2]]}'])
-@example(rows=[HEADER % 2 ** 64, RECORD % "[[0],[1],[2]]"])
-@example(rows=[HEADER % "18446744073709551616"])
 @example(rows=[RECORD % "[[0],[1],[2]]",
                '{"id":"b","domain":"d","points":[[18446744073709551616],[1],[2]]}'])
 @example(rows=[RECORD % "[[0],[1],[2]]", HEADER % 1])
@@ -203,10 +203,20 @@ HEADER = '{"kind":"trajectories","created_by":"x","seed":%s}'
 @example(rows=[RECORD % "[[0],[1],[2]]", '{"id":"b","domain":"d","points":[[0],[1],[2]]}'])
 def test_corpus_lines_read_as_json_reads_them(input_file, rows):
     lines = [row if isinstance(row, str) else json.dumps(row) for row in rows]
-    # as the file's first lines, of which json parses line 1, and after a header, where
-    # orjson parses every line it accepts
+    # as the file's first lines and after a header: one rule parses every line
     for text in ("\n".join(lines), "\n".join([HEADER % 1, *lines])):
         same_as_json_alone(input_file, text.encode("utf-8", "surrogateescape"))
+
+
+@pytest.mark.parametrize("rows", [[RECORD % "[[0],[1],[2]]"], []], ids=["record", "alone"])
+def test_a_header_integer_past_64_bits_reads_as_orjsons_float(input_file, rows):
+    # a header is parsed like any record line, and no command reads its values: the
+    # records are json's, and only the header's integer differs
+    input_file.write_text("\n".join([HEADER % 2 ** 64, *rows]))
+    header, records = corpus_outcome(input_file, 1)
+    json_header, json_records = corpus_outcome(input_file, 1, json_only=True)
+    assert records == json_records
+    assert header == json_header.replace(str(2 ** 64), repr(float(2 ** 64)))
 
 
 def deep_record(depth: int, where: str) -> str:
@@ -258,8 +268,24 @@ def test_deep_nesting_past_line_one_reads_as_orjsons_value(input_file, depth, wh
             assert str(exc) == f"{input_file}:{len(lines)}: {VERDICT[where]}"
 
 
+@pytest.mark.parametrize("line, verdict", [
+    (RECORD.encode() % b"[[NaN],[1],[2]]", "'points' contains a non-finite number"),
+    (RECORD.encode() % b"[[0],[1]]" + b"\r\n", "'points' must list at least 3 vectors"),
+    (b'{"id":"a\xff","domain":"d","points":[[0],[1],[2]]}',
+     "cannot read file ('utf-8' codec can't decode byte 0xff in position 8: invalid start byte)"),
+], ids=["nan", "crlf", "not-utf-8"])
+def test_line_one_is_judged_as_any_other_line(input_file, line, verdict):
+    # a line that orjson rejects, or that is not handed to it as bytes, gets one verdict
+    # on line 1 and after a header, with its line number shifted by one
+    for lines in ([HEADER.encode() % b"1", line], [line]):
+        input_file.write_bytes(b"\n".join(lines))
+        with pytest.raises(ValidationError) as exc:
+            read_trajectories(input_file)
+        assert str(exc.value) == f"{input_file}:{len(lines)}: {verdict}"
+
+
 def test_each_corpus_line_is_parsed_once(input_file, monkeypatch):
-    # json parses line 1, whose header may hold an integer past 64 bits; orjson the rest
+    # orjson parses every line that it accepts, line 1 included
     parsers = []
     for module in (fileio.json, fileio.orjson):
         def loads(text, module=module, loads=module.loads):
@@ -269,12 +295,12 @@ def test_each_corpus_line_is_parsed_once(input_file, monkeypatch):
     header, valid = HEADER % 2 ** 64, RECORD % "[[0],[1],[2]]"
     input_file.write_text(f"{header}\n{valid}\n")
     seed = read_trajectories(input_file)[1]["seed"]
-    assert type(seed) is int and seed == 2 ** 64
+    assert type(seed) is float and seed == 2 ** 64
     input_file.write_text(f"{header}\n{valid}\n" '{"id":"b","domain":"d","points":[[0],[1]]}\n')
     parsers.clear()
     with pytest.raises(ValidationError, match=":3: 'points' must list at least 3 vectors"):
         read_trajectories(input_file)
-    assert parsers == ["json", "orjson", "orjson"]
+    assert parsers == ["orjson", "orjson", "orjson"]
 
 
 def test_a_line_orjson_rejects_is_not_handed_to_it_again(input_file, monkeypatch):
@@ -290,12 +316,14 @@ def test_a_line_orjson_rejects_is_not_handed_to_it_again(input_file, monkeypatch
     with pytest.raises(ValidationError, match=":3: 'points' contains a non-finite number"):
         read_trajectories(input_file)
     # the CRLF line is text, orjson's and then json's; the last line is never reached
-    assert parsers == [("json", "str"), ("orjson", "bytes"), ("orjson", "str"), ("json", "str")]
+    assert parsers == [("orjson", "bytes"), ("orjson", "bytes"), ("orjson", "str"),
+                       ("json", "str")]
     input_file.write_text(f"{HEADER % 1}\n{valid}\n{nan}\n")
     parsers.clear()
     with pytest.raises(ValidationError, match=":3: 'points' contains a non-finite number"):
         read_trajectories(input_file)
-    assert parsers == [("json", "str"), ("orjson", "bytes"), ("orjson", "bytes"), ("json", "str")]
+    assert parsers == [("orjson", "bytes"), ("orjson", "bytes"), ("orjson", "bytes"),
+                       ("json", "str")]
 
 
 def bits_to_float(bits: int) -> float:

@@ -215,12 +215,17 @@ class TestHeuristic:
         with pytest.raises(NumericalError, match="'a' lies on its chord; the variance MLE is zero"):
             heuristic_bbscore(LatentTrajectory("a", "x", pts))
 
-    @pytest.mark.parametrize("residual", [1e160, 2.2e-162])
-    def test_out_of_range_names_trajectory(self, residual):
+    @pytest.mark.parametrize("residual, problem", [
+        pytest.param((1e160, 0.0), "its heuristic score is not finite", id="1e+160"),
+        pytest.param((2.2e-162, 0.0), "its heuristic score is not finite", id="2.2e-162"),
+        pytest.param((1e-163, 2e-163), "its residuals underflow float64", id="1e-163"),
+    ])
+    def test_out_of_range_names_trajectory(self, residual, problem):
         # a squared residual near 1e320 overflows float64; near 5e-324 the variance
-        # times t(T-t)/T underflows to 0 and its log to -inf. No RuntimeWarning escapes
-        pts = [[0.0, 0.0], [residual, 0.0], [0.0, 0.0]]
-        with pytest.raises(NumericalError, match="'x': its heuristic score is not finite"):
+        # times t(T-t)/T underflows to 0 and its log to -inf; below that every squared
+        # residual rounds to 0, off the chord. No RuntimeWarning escapes
+        pts = [[0.0, 0.0], list(residual), [0.0, 0.0]]
+        with pytest.raises(NumericalError, match=f"^trajectory 'x': {problem}$"):
             heuristic_bbscore(LatentTrajectory("x", "x", pts))
 
     def test_independence_gap(self, rng):
