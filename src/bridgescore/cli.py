@@ -1,7 +1,8 @@
 """Command-line interface tying the library into reproducible workflows.
 
-Every command is deterministic given its input files, flags, and --seed;
-output files embed the tool version and input digests. Commands hand rows
+Every command is deterministic given its input files and flags; only
+simulate, shuffle, discriminate and train draw random numbers, from --seed.
+Output files embed the tool version and input digests. Commands hand rows
 to fileio's one writer, write_lines or a writer built on it, and read their
 corpora and models through one gate, _inputs. Each command imports the
 modules only it runs (encoder, evalsuite, score) when it runs, so that fit
@@ -207,7 +208,7 @@ def cmd_fit(args) -> int:
     print(
         f"fit: d={d} weight={weight} logdet={spatial.log_det():.6f} "
         f"trace={float(np.trace(spatial.entries)):.6f} sigma2={sigma2:.6f} "
-        f"epsilon={args.epsilon} seed={args.seed} -> {args.out}", file=log
+        f"epsilon={args.epsilon} -> {args.out}", file=log
     )
     if ref is not None:
         err = np.linalg.norm(spatial.entries - ref.spatial.entries)
@@ -237,7 +238,6 @@ def cmd_score(args) -> int:
         "model_digest": file_digest(args.model),
         "corpus_digest": digest,
         "in_sample": bool(digest == model.source_corpus_digest),
-        "seed": args.seed,
     }
     if args.with_heuristic:
         header["heuristic"] = "reconstruction"
@@ -289,10 +289,9 @@ def cmd_discriminate(args) -> int:
     specs = [_shuffle_spec(args, size) for size in sizes]
     # every size is scored, and a size some document is too short for fails, before any output
     accuracies = discrimination_accuracies(originals, specs, model.spatial,
-                                           use_pvalue=args.use_pvalue,
                                            per_document=args.per_document)
     print(f"discrimination ({args.kind}, copies={args.copies}, seed={args.seed}, "
-          f"use_pvalue={args.use_pvalue}, per_document={args.per_document})")
+          f"per_document={args.per_document})")
     print(f"{header:>10}  {'accuracy':>8}")
     for size, acc in zip(sizes, accuracies):
         print(f"{size:>10}  {acc:>8.4f}")
@@ -311,7 +310,7 @@ def cmd_relative(args) -> int:
     acc = relative_accuracy(set_a, set_b, rank_a, rank_b, model.spatial,
                             use_pvalue=args.use_pvalue)
     print(f"relative accuracy: {acc:.4f} over {len(set_a)}x{len(set_b)} cross pairs "
-          f"(truth={args.truth}, use_pvalue={args.use_pvalue}, seed={args.seed})")
+          f"(truth={args.truth}, use_pvalue={args.use_pvalue})")
     return 0
 
 
@@ -325,9 +324,9 @@ def cmd_classify(args) -> int:
                                         use_pvalue=use_pvalue)
     hits = np.count_nonzero(predicted == test_ranks)
     print(f"classify: spearman_rho={rho:.4f} accuracy={hits / len(predicted):.4f} "
-          f"n={len(predicted)} axis={args.axis} seed={args.seed}")
+          f"n={len(predicted)} axis={args.axis}")
     if args.out:
-        write_lines(args.out, {"kind": "predictions", "spearman_rho": rho, "seed": args.seed},
+        write_lines(args.out, {"kind": "predictions", "spearman_rho": rho},
                     ({"id": traj.id, "label": order[truth], "predicted": order[pred]}
                      for traj, truth, pred in zip(test, test_ranks.tolist(), predicted.tolist())))
     return 0
@@ -338,7 +337,7 @@ def cmd_compare_domains(args) -> int:
     corpora, models = _inputs([args.corpus_a, args.corpus_b],
                               [p for p in (args.model_a, args.model_b, args.model_ref) if p])
     results = domain_swap_compare(*corpora, *(m.spatial for m in models), pairing=args.pairing)
-    print(f"domain comparison (pairing={args.pairing}, seed={args.seed})")
+    print(f"domain comparison (pairing={args.pairing})")
     print(f"{'model':>10}  {'frac A more coherent':>22}")
     for tag in ("sigma_a", "sigma_b", "sigma_ref"):
         if tag in results:
@@ -381,8 +380,7 @@ def cmd_train(args) -> int:
         print(f"train: initial nll={trace[0]:.6f}", file=log)
         for epoch, value in enumerate(trace[1:], start=1):
             print(f"train: epoch {epoch}: nll={value:.6f}", file=log)
-    write_trainer_state(args.out, state, extra={"seed": args.seed, "epochs": args.epochs,
-                                                "nll_trace": trace,
+    write_trainer_state(args.out, state, extra={"epochs": args.epochs, "nll_trace": trace,
                                                 "source_corpus_digest": digest.hexdigest()})
     print(f"train: wrote state to {args.out} (seed={args.seed})", file=log)
     return 0
@@ -425,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", default=None, help="only fit records in this domain")
     p.add_argument("--epsilon", type=float, default=1e-7)
     p.add_argument("--compare-to", default=None, help="print relative error vs this model")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)
 
@@ -435,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-in-sample", action="store_true")
     p.add_argument("--with-heuristic", action="store_true",
                    help="also emit the reconstructed heuristic score")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_score)
 
@@ -458,7 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--windows", type=_int_list, default=[1, 2, 3])
     p.add_argument("--window-size", type=int, default=3)
     p.add_argument("--copies", type=int, default=20)
-    p.add_argument("--use-pvalue", action="store_true")
     p.add_argument("--per-document", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_discriminate)
@@ -471,7 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label-order", default="low,middle,high",
                    help="labels from least to most coherent")
     p.add_argument("--use-pvalue", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_relative)
 
     p = sub.add_parser("classify", help="threshold classification with Spearman correlation")
@@ -481,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label-order", default="low,middle,high")
     p.add_argument("--axis", choices=("auto", "score", "pvalue"), default="auto")
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("compare-domains", help="score two corpora under swapped domain models")
@@ -491,7 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-b", required=True)
     p.add_argument("--model-ref", default=None)
     p.add_argument("--pairing", choices=("cross", "matched"), default="cross")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_compare_domains)
 
     p = sub.add_parser("train", help="train the linear encoder on a multi-domain corpus")

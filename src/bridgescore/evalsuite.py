@@ -242,13 +242,10 @@ def make_shuffle_set(traj: LatentTrajectory, spec: ShuffleSpec) -> list[LatentTr
             for i, points in zip(kept, traj.points[orders])]
 
 
-def _incoherence(statistic, dof, use_pvalue: bool) -> np.ndarray:
-    # Orient so that larger always means less coherent.
-    return -chi_square_sf(statistic, dof) if use_pvalue else statistic / dof
-
-
 def _corpus_incoherence(trajs, spatial: SpdMatrix, use_pvalue: bool) -> np.ndarray:
-    return _incoherence(*score_statistics(trajs, spatial), use_pvalue)
+    # Orient so that larger always means less coherent.
+    statistic, dof = score_statistics(trajs, spatial)
+    return -chi_square_sf(statistic, dof) if use_pvalue else statistic / dof
 
 
 # Shuffled copies a process scores at least, for its fork to pay for itself.
@@ -256,15 +253,17 @@ FORK_FLOOR = 2000
 
 
 def discrimination_accuracies(originals, specs, spatial: SpdMatrix,
-                              use_pvalue: bool = False, per_document: bool = False) -> list[float]:
+                              per_document: bool = False) -> list[float]:
     """Original-vs-shuffled discrimination accuracy under each of specs, in order.
 
     Every (original, shuffled copy) pair scores 1 when the original comes out
-    strictly more coherent (lower bbscore, or higher p-value with
-    use_pvalue), 0.5 on ties, else 0. Pooled over all pairs by default;
-    per_document averages per-document accuracies instead. Shuffle seeds are
-    derived per document from each spec's seed and the document id. Each
-    document and its distinct copies under every spec are scored together.
+    strictly more coherent (lower bbscore), 0.5 on ties, else 0. A copy has
+    its original's dof, at which the p-value falls as the bbscore rises, so
+    ranking by p-value could only add ties where p-values round together.
+    Pooled over all pairs by default; per_document averages per-document
+    accuracies instead. Shuffle seeds are derived per document from each
+    spec's seed and the document id. Each document and its distinct copies
+    under every spec are scored together.
 
     On Linux the id-sorted originals are cut into contiguous chunks, one per
     CPU this process may run on but none with under FORK_FLOOR shuffled
@@ -282,13 +281,11 @@ def discrimination_accuracies(originals, specs, spatial: SpdMatrix,
         for traj in originals:
             _check_shuffle(traj.T + 1, spec, traj.id)
     spatial.inv_chol  # formed here once, not in each child
-    if use_pvalue:
-        chi_square_sf(1.0, 1)  # imports scipy.special here once, not in each child
     count = len(originals)
     n = min(count, forks.process_count(count * sum(spec.copies for spec in specs), FORK_FLOOR))
     chunks = [originals[k * count // n:(k + 1) * count // n] for k in range(n)]
     credits = [[] for _ in specs]
-    with forks.forked(chunks, lambda chunk: _credits(chunk, specs, spatial, use_pvalue)) as parts:
+    with forks.forked(chunks, lambda chunk: _credits(chunk, specs, spatial)) as parts:
         for part in parts:
             for spec_credits, got in zip(credits, part):
                 spec_credits.extend(got)
@@ -303,7 +300,7 @@ def discrimination_accuracies(originals, specs, spatial: SpdMatrix,
     return accuracies
 
 
-def _credits(originals, specs, spatial: SpdMatrix, use_pvalue: bool) -> list:
+def _credits(originals, specs, spatial: SpdMatrix) -> list:
     """Per spec, the credit array of each original with a distinct shuffled copy, in order.
 
     Each original is taken once: its classes of byte-equal points found, each
@@ -330,7 +327,7 @@ def _credits(originals, specs, spatial: SpdMatrix, use_pvalue: bool) -> list:
             raise NumericalError(
                 f"trajectory {traj.id!r}: its statistic or a shuffled copy's overflows float64"
             )
-        x = _incoherence(statistic, (traj.T - 1) * traj.d, use_pvalue)
+        x = statistic / ((traj.T - 1) * traj.d)
         credit = np.where(x[0] < x[1:], 1.0, np.where(x[0] == x[1:], 0.5, 0.0))
         for spec_credits, part in zip(out, np.split(credit, np.cumsum(counts)[:-1])):
             if part.size:

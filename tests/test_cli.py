@@ -388,7 +388,7 @@ class TestFit:
         assert len(rows) == 20 and np.all(np.isfinite(values))
         assert 0.5 < values[:, 0].mean() < 1.5
         # discrimination whitens every copy through the same factor: finite accuracies
-        for kind, sizes in ((["--use-pvalue"], 4), (["--kind", "local"], 3)):
+        for kind, sizes in ((["--per-document"], 4), (["--kind", "local"], 3)):
             done = run_process("-m", "bridgescore.cli", "discriminate", "--in", fit_corpus,
                                "--model", model, "--copies", 5, "--seed", 3, *kind)
             assert done.returncode == 0 and "Traceback" not in done.stderr
@@ -1143,7 +1143,7 @@ class TestOverflowingCoordinates:
         self.assert_numerical_exit_2(done)
         assert "statistic overflows float64" in done.stderr
 
-    @pytest.mark.parametrize("argv", [["--block-sizes", 1], ["--block-sizes", 1, "--use-pvalue"],
+    @pytest.mark.parametrize("argv", [["--block-sizes", 1], ["--block-sizes", 1, "--per-document"],
                                       ["--kind", "local", "--windows", 1, "--window-size", 3]])
     def test_discriminate(self, tmp_path, huge, argv):
         model = tmp_path / "m.json"
@@ -1318,6 +1318,38 @@ class TestUsageErrors:
         assert message in done.stderr
         assert "Traceback" not in done.stderr
 
+    @pytest.mark.parametrize("command, removed", [
+        ("fit", "--seed 1"), ("score", "--seed 1"), ("relative", "--seed 1"),
+        ("classify", "--seed 1"), ("compare-domains", "--seed 1"),
+        ("discriminate", "--use-pvalue"),
+    ])
+    def test_removed_option_exits_1(self, tmp_path, command, removed):
+        # no command defines an option that cannot change its result: naming one is a usage error
+        low = simulate_file(tmp_path, name="low.jsonl", n=6, T=12, domain="a", label="low")
+        high = simulate_file(tmp_path, name="high.jsonl", n=6, T=12, seed=2, domain="b",
+                             label="high")
+        both, model, out = tmp_path / "both.jsonl", tmp_path / "m.json", tmp_path / "out.jsonl"
+        write_trajectories(both, read_trajectories(low)[0] + read_trajectories(high)[0])
+        assert run("fit", "--in", both, "--out", model) == 0
+        argv = {
+            "fit": ["--in", both, "--out", out],
+            "score": ["--in", low, "--model", model, "--out", out],
+            "relative": ["--set-a", high, "--set-b", low, "--model", model],
+            "classify": ["--train", both, "--test", both, "--model", model,
+                         "--label-order", "low,high", "--out", out],
+            "compare-domains": ["--corpus-a", low, "--corpus-b", high,
+                                "--model-a", model, "--model-b", model],
+            "discriminate": ["--in", both, "--model", model, "--block-sizes", 1, "--copies", 2],
+        }[command]
+        done = run_process("-m", "bridgescore.cli", command, *argv, *removed.split())
+        assert done.returncode == 1
+        assert done.stderr.startswith("usage: bridgescore")
+        assert f"bridgescore: error: unrecognized arguments: {removed}\n" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stdout == ""
+        assert not out.exists()
+        assert run(command, *argv) == 0  # and runs without it
+
     @pytest.mark.parametrize("argv", [["--help"], ["fit", "--help"], ["--version"]])
     def test_help_and_version_exit_0(self, argv):
         done = run_process("-m", "bridgescore.cli", *argv)
@@ -1468,16 +1500,15 @@ class TestStartup:
         assert f"bridgescore.{loaded}" in modules
         assert not modules & {f"bridgescore.{name}" for name in absent}
 
-    @pytest.mark.parametrize("use_pvalue", [False, True])
-    def test_discriminate_loads_scipy_special_only_for_pvalues(self, tmp_path, use_pvalue):
+    def test_discriminate_loads_no_scipy(self, tmp_path):
         corpus = simulate_file(tmp_path, n=6, d=2, T=12, seed=5)
         model = tmp_path / "m.json"
         assert run("fit", "--in", corpus, "--out", model) == 0
         argv = ["discriminate", "--in", str(corpus), "--model", str(model), "--copies", "2",
-                "--block-sizes", "1", *(["--use-pvalue"] if use_pvalue else [])]
+                "--block-sizes", "1"]
         done = run_process("-c", "import sys; from bridgescore.cli import main; "
                                  f"assert main({argv!r}) == 0; "
                                  "print('scipy.linalg' in sys.modules, "
                                  "'scipy.special' in sys.modules)")
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == f"False {use_pvalue}"
+        assert done.stdout.splitlines()[-1] == "False False"

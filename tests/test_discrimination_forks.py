@@ -52,18 +52,16 @@ def corpus():
 
 
 @pytest.mark.parametrize("kind", SPECS)
-@pytest.mark.parametrize("use_pvalue", [False, True])
 @pytest.mark.parametrize("per_document", [False, True])
 @pytest.mark.parametrize("n", [2, 3])
-def test_accuracies_do_not_depend_on_process_count(corpus, children, kind, use_pvalue,
-                                                   per_document, n):
+def test_accuracies_do_not_depend_on_process_count(corpus, children, kind, per_document, n):
     spatial, originals = corpus
     specs = SPECS[kind]
-    want = at(1, discrimination_accuracies, originals, specs, spatial, use_pvalue, per_document)
+    want = at(1, discrimination_accuracies, originals, specs, spatial, per_document=per_document)
     assert children == []
-    assert want == [ev.discrimination_accuracies(originals, [spec], spatial, use_pvalue,
-                                                 per_document)[0] for spec in specs]
-    got = at(n, discrimination_accuracies, originals, specs, spatial, use_pvalue, per_document)
+    assert want == [ev.discrimination_accuracies(originals, [spec], spatial,
+                                                 per_document=per_document)[0] for spec in specs]
+    got = at(n, discrimination_accuracies, originals, specs, spatial, per_document=per_document)
     assert got == want
     assert [child.sent for child in children] == [True] * (n - 1)
 

@@ -25,7 +25,6 @@ from bridgescore import (
     threshold_classify,
 )
 import bridgescore.evalsuite as ev
-from bridgescore.numerics import chi_square_sf
 from conftest import dense_quad_form, random_spd, random_trajectory
 
 
@@ -279,7 +278,7 @@ def sim_setup():
     return spatial, originals
 
 
-def per_copy_accuracy(originals, spec, spatial, use_pvalue, per_document, whiten=True):
+def per_copy_accuracy(originals, spec, spatial, per_document, whiten=True):
     """Discrimination as one score per make_shuffle_set copy.
 
     whiten scores each copy from its own points, whitened relative to the
@@ -293,7 +292,7 @@ def per_copy_accuracy(originals, spec, spatial, use_pvalue, per_document, whiten
             statistic, dof = np.einsum("nd,nd->", incr, incr), (traj.T - 1) * traj.d
         else:
             (statistic,), (dof,) = score_statistics([traj], spatial)
-        return -chi_square_sf(statistic, dof) if use_pvalue else statistic / dof
+        return statistic / dof
 
     credits, doc_means = [], []
     for traj in sorted(originals, key=lambda t: t.id):
@@ -309,9 +308,8 @@ def per_copy_accuracy(originals, spec, spatial, use_pvalue, per_document, whiten
 
 class TestDiscrimination:
     @pytest.mark.parametrize("kind", ["global_block", "local_window"])
-    @pytest.mark.parametrize("use_pvalue", [False, True])
     @pytest.mark.parametrize("per_document", [False, True])
-    def test_batched_matches_per_copy_path(self, kind, use_pvalue, per_document):
+    def test_batched_matches_per_copy_path(self, kind, per_document):
         rng = np.random.default_rng(2024)
         for trial in range(3):
             d = int(rng.integers(1, 5))
@@ -325,16 +323,14 @@ class TestDiscrimination:
             rep_copies = make_shuffle_set(originals[-1], spec)
             assert 0 < len(rep_copies) < spec.copies  # repeated points: dedupe fires
             batched = discrimination_accuracies(originals, [spec], spatial,
-                                                use_pvalue=use_pvalue,
                                                 per_document=per_document)[0]
-            assert batched == per_copy_accuracy(originals, spec, spatial, use_pvalue,
-                                                per_document)
+            assert batched == per_copy_accuracy(originals, spec, spatial, per_document)
             # no repeated points, no copy tied with its original: bbscore orders them alike
             distinct = originals[:-1]
-            batched = discrimination_accuracies(distinct, [spec], spatial, use_pvalue=use_pvalue,
+            batched = discrimination_accuracies(distinct, [spec], spatial,
                                                 per_document=per_document)[0]
-            assert batched == per_copy_accuracy(distinct, spec, spatial, use_pvalue,
-                                                per_document, whiten=False)
+            assert batched == per_copy_accuracy(distinct, spec, spatial, per_document,
+                                                whiten=False)
 
     @pytest.mark.parametrize("offset", [0.0, 1e6])
     def test_statistics_match_the_dense_oracle(self, monkeypatch, rng, offset):
@@ -346,10 +342,19 @@ class TestDiscrimination:
         # the same points without the offset, exactly: the subtraction rounds nothing
         docs = [LatentTrajectory(t.id, t.domain, t.points - offset) for t in shifted]
         spec = ShuffleSpec(kind="global_block", block_size=2, copies=5, seed=3)
-        seen, incoherence = [], ev._incoherence
-        monkeypatch.setattr(ev, "_incoherence",
-                            lambda statistic, *rest: seen.append(statistic) or
-                            incoherence(statistic, *rest))
+        seen = []
+
+        class Spy:
+            """numpy, save that each einsum's result, a document's statistics, is recorded."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def einsum(self, *args):
+                seen.append(np.einsum(*args))
+                return seen[-1]
+
+        monkeypatch.setattr(ev, "np", Spy())
         discrimination_accuracies(shifted, [spec], SpdMatrix(sigma))
         assert len(seen) == len(docs)
         for doc, statistic in zip(docs, seen):
@@ -396,13 +401,6 @@ class TestDiscrimination:
         a = discrimination_accuracies(originals, [spec], spatial)[0]
         b = discrimination_accuracies(originals[::-1], [spec], spatial)[0]
         assert a == b
-
-    def test_pvalue_ordering_matches_at_fixed_dof(self, sim_setup):
-        spatial, originals = sim_setup
-        spec = ShuffleSpec(kind="global_block", block_size=2, copies=5, seed=5)
-        raw = discrimination_accuracies(originals, [spec], spatial, use_pvalue=False)[0]
-        pv = discrimination_accuracies(originals, [spec], spatial, use_pvalue=True)[0]
-        assert raw == pv
 
     def test_rescaling_with_refit_invariant(self, sim_setup):
         spatial, originals = sim_setup
