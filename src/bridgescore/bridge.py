@@ -195,17 +195,20 @@ def pooled_covariance(trajs) -> tuple[np.ndarray, int]:
     raise NumericalError(f"trajectory {bad.id!r}: its increments overflow float64")
 
 
-def shrink_covariance(m, epsilon: float) -> tuple[SpdMatrix, float]:
+def shrink_covariance(m, weight: int, epsilon: float) -> tuple[SpdMatrix, float]:
     """A pooled covariance M blended toward its isotropic scale, and that scale.
 
     Returns ((1 - eps) M + eps sigma2 I, sigma2) with sigma2 = tr(M)/d; eps = 0
     leaves M as it is. fit, mle_sigma and the trainer all estimate through
-    here. Raises ValidationError for eps outside [0, 1] and
-    SingularEstimateError when the result is not positive-definite.
+    here. Raises InsufficientDataError when weight, M's sum(T_i - 1), is below
+    d, as M's rank is then below d; then ValidationError for eps outside
+    [0, 1] and SingularEstimateError when the result is not positive-definite.
     """
+    d = m.shape[0]
+    if weight < d:
+        raise InsufficientDataError(f"pooled weight {weight} is below dimension {d}")
     if not 0.0 <= epsilon <= 1.0:
         raise ValidationError(f"epsilon must lie in [0, 1], got {epsilon}")
-    d = m.shape[0]
     sigma2 = float(np.trace(m)) / d
     blended = (1.0 - epsilon) * m + epsilon * sigma2 * np.eye(d)
     try:
@@ -217,15 +220,10 @@ def shrink_covariance(m, epsilon: float) -> tuple[SpdMatrix, float]:
 
 
 def mle_sigma(trajs) -> SpdMatrix:
-    """Pooled maximum-likelihood estimate of the spatial covariance.
+    """Pooled maximum-likelihood estimate of the spatial covariance: shrink_covariance at eps = 0.
 
-    Requires pooled weight sum(T_i - 1) >= d; raises SingularEstimateError
-    when the residuals do not span R^d (e.g. straight-line trajectories).
+    Raises InsufficientDataError when the pooled weight sum(T_i - 1) is below
+    d, and SingularEstimateError when the residuals do not span R^d (e.g.
+    straight-line trajectories).
     """
-    m, weight = pooled_covariance(trajs)
-    d = m.shape[0]
-    if weight < d:
-        raise InsufficientDataError(
-            f"pooled weight {weight} is below dimension {d}; the estimate would be singular"
-        )
-    return shrink_covariance(m, 0.0)[0]
+    return shrink_covariance(*pooled_covariance(trajs), 0.0)[0]

@@ -34,7 +34,6 @@ from .bridge import pooled_covariance, sample_bridge, shrink_covariance
 from .errors import InsufficientDataError, NumericalError, ValidationError
 from .fileio import (
     TOOL_VERSION,
-    SigmaModel,
     TrajectoryRecord,
     check_writable,
     file_digest,
@@ -198,12 +197,9 @@ def cmd_fit(args) -> int:
     if ref is not None and ref.d != d:
         raise ValidationError(f"--compare-to model has d={ref.d}, fitted d={d}")
     m, weight = pooled_covariance(trajs)
-    if weight < d:
-        raise InsufficientDataError(f"pooled weight {weight} is below dimension {d}")
-    spatial, sigma2 = shrink_covariance(m, args.epsilon)
-    write_sigma_model(args.out, SigmaModel(spatial=spatial, weight=weight, domain=trajs[0].domain,
-                                           epsilon=args.epsilon,
-                                           source_corpus_digest=digest.hexdigest()))
+    spatial, sigma2 = shrink_covariance(m, weight, args.epsilon)
+    write_sigma_model(args.out, spatial, weight=weight, domain=trajs[0].domain,
+                      epsilon=args.epsilon, source_corpus_digest=digest.hexdigest())
     log = _log(args.out)
     print(
         f"fit: d={d} weight={weight} logdet={spatial.log_det():.6f} "

@@ -13,9 +13,11 @@ The NLL terms depend on the data only through increment covariances. The
 trainer takes each domain's (M, n) from bridge.pooled_covariance, the
 estimator behind fit, on the raw sequences: M = sum_i dM_i^T dM_i / n, the
 pooled covariance of the encoded corpus is W M W^T, and its summed quadratic
-form is n <Sigma^-1 W M, W>_F. A batch's gradient uses the Gram matrix of its
-own increments. The trainer never re-encodes the corpus, and it runs on
-numpy alone.
+form is n <Sigma^-1 W M, W>_F. Each Sigma_hat is W M W^T through
+bridge.shrink_covariance, as in fit, so a domain whose n is below d_out is
+rejected as fit rejects such a corpus. A batch's gradient uses the Gram
+matrix of its own increments. The trainer never re-encodes the corpus, and it
+runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -243,11 +245,11 @@ def _pooled(encoder: LinearEncoder, domain: str, corpus) -> tuple[np.ndarray, in
     return pooled_covariance(corpus)
 
 
-def _refresh_sigma(state: TrainerState, domain: str, m) -> SpdMatrix:
-    """update_sigma_hat from a domain's pooled raw covariance M.
+def _refresh_sigma(state: TrainerState, domain: str, m, n: int) -> SpdMatrix:
+    """update_sigma_hat from a domain's pooled raw covariance M and its weight n.
 
     Raises NumericalError naming the domain when W M W^T, or its trace,
-    overflows float64.
+    overflows float64, and shrink_covariance's errors with the domain's name.
     """
     w = state.encoder.weights
     with np.errstate(over="ignore", invalid="ignore"):  # checked once, on W M W^T and its trace
@@ -256,9 +258,9 @@ def _refresh_sigma(state: TrainerState, domain: str, m) -> SpdMatrix:
     if not finite:
         raise NumericalError(f"domain {domain!r}: its encoded covariance overflows float64")
     try:
-        updated, sigma2 = shrink_covariance(0.5 * (encoded + encoded.T), state.epsilon)
-    except SingularEstimateError as exc:
-        raise SingularEstimateError(f"domain {domain!r}: {exc}") from exc
+        updated, sigma2 = shrink_covariance(0.5 * (encoded + encoded.T), n, state.epsilon)
+    except (InsufficientDataError, SingularEstimateError) as exc:
+        raise type(exc)(f"domain {domain!r}: {exc}") from exc
     state.sigma_hat[domain] = updated
     state.sigma_scalar[domain] = sigma2
     return updated
@@ -281,9 +283,11 @@ def update_sigma_hat(state: TrainerState, domain: str, corpus) -> SpdMatrix:
     Computes the pooled MLE of the encoded corpus, W M W^T, blends it with
     epsilon * sigma2_hat * I (sigma2_hat = tr(MLE)/d) through
     shrink_covariance, and stores both the covariance and sigma2_hat on the
-    state. With epsilon = 0 this is exactly the pooled MLE.
+    state. With epsilon = 0 this is exactly the pooled MLE. Raises
+    InsufficientDataError, naming the domain, when the corpus's pooled weight
+    is below d_out.
     """
-    return _refresh_sigma(state, domain, _pooled(state.encoder, domain, corpus)[0])
+    return _refresh_sigma(state, domain, *_pooled(state.encoder, domain, corpus))
 
 
 def nll_objective(state: TrainerState, corpora) -> float:
@@ -325,7 +329,7 @@ def train(state: TrainerState, corpora, epochs: int) -> tuple[TrainerState, list
     pooled = {domain: _pooled(state.encoder, domain, corpora[domain]) for domain in domains}
     for domain in domains:
         if domain not in state.sigma_hat:
-            _refresh_sigma(state, domain, pooled[domain][0])
+            _refresh_sigma(state, domain, *pooled[domain])
     initial = _objective(state, pooled)
     trace = [initial]
     for epoch in range(1, epochs + 1):
@@ -341,7 +345,7 @@ def train(state: TrainerState, corpora, epochs: int) -> tuple[TrainerState, list
                 if not np.isfinite(weights).all():
                     raise NumericalError(f"domain {domain!r}: a gradient step overflows float64")
                 state.encoder = LinearEncoder(weights)
-            _refresh_sigma(state, domain, pooled[domain][0])
+            _refresh_sigma(state, domain, *pooled[domain])
         current = _objective(state, pooled)
         trace.append(current)
         if current > initial:

@@ -35,6 +35,11 @@ arrays are spelled by orjson, which spells 0 and every |x| in [1e-4, 1e16)
 as json does; each token with an 'e' or a '0.0000', which covers every
 other value, is respelled as repr(float(token)) (_floats). Writers embed
 no timestamps, so reruns produce byte-identical files.
+
+A model file is one JSON object. read_sigma_model validates d, weight,
+epsilon and matrix, but returns only what commands read back: the matrix,
+and source_corpus_digest for score's in-sample guard. domain and created_by
+are provenance alone.
 """
 
 from __future__ import annotations
@@ -380,30 +385,26 @@ def read_trajectories(path, digest=None) -> tuple[list[TrajectoryRecord], dict]:
 
 @dataclass(frozen=True)
 class SigmaModel:
-    """A fitted spatial covariance plus its provenance metadata."""
+    """A fitted spatial covariance and the digest of the corpus it was fitted on."""
 
     spatial: SpdMatrix
-    weight: int
-    domain: str
-    epsilon: float
     source_corpus_digest: str
-    created_by: str = TOOL_VERSION
 
     @property
     def d(self) -> int:
         return self.spatial.dim
 
 
-def write_sigma_model(path, model: SigmaModel) -> None:
+def write_sigma_model(path, spatial: SpdMatrix, *, weight: int, domain: str, epsilon: float,
+                      source_corpus_digest: str) -> None:
     write_lines(path, {
         "kind": "sigma_model",
-        "d": model.d,
-        "weight": int(model.weight),
-        "domain": model.domain,
-        "epsilon": model.epsilon,
-        "matrix": model.spatial.entries,
-        "created_by": model.created_by,
-        "source_corpus_digest": model.source_corpus_digest,
+        "d": spatial.dim,
+        "weight": int(weight),
+        "domain": domain,
+        "epsilon": epsilon,
+        "matrix": spatial.entries,
+        "source_corpus_digest": source_corpus_digest,
     })
 
 
@@ -416,7 +417,7 @@ def _load_json(path):
 
 
 def read_sigma_model(path) -> SigmaModel:
-    """Load and validate a covariance model (symmetric PD, weight >= d)."""
+    """Load and validate a covariance model (symmetric PD, integer weight >= d, finite epsilon)."""
     payload = _load_json(path)
     if not isinstance(payload, dict):
         raise ValidationError(f"{path}: model file must hold a JSON object")
@@ -435,19 +436,12 @@ def read_sigma_model(path) -> SigmaModel:
     if matrix.shape != (d, d):
         raise ValidationError(f"{path}: matrix shape {matrix.shape} does not match d={d}")
     if weight < d:
-        raise ValidationError(f"{path}: weight {weight} is below dimension {d}")
+        raise ValidationError(f"{path}: weight {weight} is below d={d}")
     try:
         spd = SpdMatrix(matrix)
     except (ValidationError, NotPositiveDefiniteError) as exc:
         raise ValidationError(f"{path}: matrix is not symmetric positive-definite: {exc}") from exc
-    return SigmaModel(
-        spatial=spd,
-        weight=weight,
-        domain=str(payload.get("domain", "")),
-        epsilon=float(epsilon),
-        source_corpus_digest=str(payload.get("source_corpus_digest", "")),
-        created_by=str(payload.get("created_by", "")),
-    )
+    return SigmaModel(spd, str(payload.get("source_corpus_digest", "")))
 
 
 def write_trainer_state(path, state: TrainerState, extra: dict | None = None) -> None:

@@ -281,7 +281,7 @@ class TestMleSigma:
             mle_sigma(trajs)
 
     def test_insufficient_weight(self, rng):
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(InsufficientDataError, match=r"^pooled weight 1 is below dimension 3$"):
             mle_sigma([random_trajectory(rng, 3, 2)])
         with pytest.raises(InsufficientDataError):
             mle_sigma([])
@@ -360,13 +360,13 @@ class TestMleSigma:
 class TestShrinkCovariance:
     def pooled(self, rng):
         trajs = [random_trajectory(rng, 3, 9, traj_id=f"t{i}") for i in range(4)]
-        return pooled_covariance(trajs)[0]
+        return pooled_covariance(trajs)
 
     @pytest.mark.parametrize("eps", [0.0, 1e-7, 0.3, 1.0])
     def test_blend_arithmetic(self, rng, eps):
         # the fit command writes these bits: keep the blend's order of operations
-        m = self.pooled(rng)
-        spatial, sigma2 = shrink_covariance(m, eps)
+        m, weight = self.pooled(rng)
+        spatial, sigma2 = shrink_covariance(m, weight, eps)
         assert sigma2 == float(np.trace(m)) / 3
         np.testing.assert_array_equal(spatial.entries,
                                       (1.0 - eps) * m + eps * sigma2 * np.eye(3))
@@ -374,8 +374,16 @@ class TestShrinkCovariance:
     @pytest.mark.parametrize("eps", [-0.1, 1.5, 5.0, float("nan"), float("inf")])
     def test_epsilon_out_of_range(self, rng, eps):
         with pytest.raises(ValidationError, match="epsilon must lie in"):
-            shrink_covariance(self.pooled(rng), eps)
+            shrink_covariance(*self.pooled(rng), eps)
 
     def test_singular_result(self):
         with pytest.raises(SingularEstimateError, match="singular"):
-            shrink_covariance(np.array([[1.0, 1.0], [1.0, 1.0]]), 0.0)
+            shrink_covariance(np.array([[1.0, 1.0], [1.0, 1.0]]), 2, 0.0)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.3, 1.5, float("nan")])
+    def test_weight_below_dimension_is_rejected_before_epsilon(self, eps):
+        # the one weight rule of fit, mle_sigma and the trainer, checked before epsilon
+        with pytest.raises(InsufficientDataError,
+                           match=r"^pooled weight 2 is below dimension 3$"):
+            shrink_covariance(np.eye(3), 2, eps)
+        assert shrink_covariance(np.eye(3), 3, 0.0)[0].dim == 3

@@ -14,7 +14,6 @@ import bridgescore
 from bridgescore import SpdMatrix, ValidationError, chi_square_sf, score_statistics
 from bridgescore.cli import main
 from bridgescore.fileio import (
-    SigmaModel,
     TrajectoryRecord,
     file_digest,
     read_sigma_model,
@@ -261,7 +260,7 @@ class TestFit:
         assert "weight=" in out and "logdet=" in out and "sigma2=" in out
         model = read_sigma_model(model_path)
         assert model.d == 2
-        assert model.weight == 30 * 19
+        assert json.loads(model_path.read_text())["weight"] == 30 * 19
         assert model.source_corpus_digest
 
     def test_epsilon_one_gives_isotropic(self, tmp_path):
@@ -316,9 +315,8 @@ class TestFit:
 
         rng = np.random.default_rng(17)
         star = tmp_path / "star.json"
-        write_sigma_model(star, SigmaModel(
-            spatial=SpdMatrix(random_spd(rng, 4)),
-            weight=4, domain="truth", epsilon=0.0, source_corpus_digest=""))
+        write_sigma_model(star, SpdMatrix(random_spd(rng, 4)),
+                          weight=4, domain="truth", epsilon=0.0, source_corpus_digest="")
         corpus = tmp_path / "big.jsonl"
         assert run("simulate", "--d", 4, "--T", 50, "--n", 200, "--sigma", star,
                    "--seed", 23, "--out", corpus) == 0
@@ -338,7 +336,7 @@ class TestFit:
         write_trajectories(mixed, ra + rb)
         model_path = tmp_path / "m.json"
         assert run("fit", "--in", mixed, "--domain", "wiki", "--out", model_path) == 0
-        assert read_sigma_model(model_path).domain == "wiki"
+        assert json.loads(model_path.read_text())["domain"] == "wiki"
         rc = run("fit", "--in", mixed, "--domain", "absent", "--out", model_path)
         assert rc == 1
 
@@ -370,8 +368,8 @@ class TestFit:
         sigma = q @ np.diag([1.0, 1e-5, 1e-10]) @ q.T
         spatial = bridgescore.SpdMatrix(0.5 * (sigma + sigma.T))
         gen = tmp_path / "gen.json"
-        write_sigma_model(gen, SigmaModel(spatial=spatial, weight=100, domain="x", epsilon=0.0,
-                                          source_corpus_digest=""))
+        write_sigma_model(gen, spatial, weight=100, domain="x", epsilon=0.0,
+                          source_corpus_digest="")
         fit_corpus = simulate_file(tmp_path, name="fit.jsonl", n=20, d=d, T=30, seed=1, sigma=gen)
         held_out = simulate_file(tmp_path, name="held.jsonl", n=20, d=d, T=30, seed=2, sigma=gen)
         model = tmp_path / "m.json"
@@ -504,8 +502,8 @@ class TestScore:
         # a valid model under which the statistic stays finite; a fresh interpreter
         # shows any numpy warning on stderr
         model, path = tmp_path / "big-model.json", tmp_path / "big.jsonl"
-        write_sigma_model(model, SigmaModel(spatial=SpdMatrix(1e300 * np.eye(2)), weight=100,
-                                            domain="x", epsilon=0.0, source_corpus_digest=""))
+        write_sigma_model(model, SpdMatrix(1e300 * np.eye(2)), weight=100,
+                          domain="x", epsilon=0.0, source_corpus_digest="")
         write_trajectories(path, [TrajectoryRecord(
             trajectory_from([[0, 0], [1e160, -1e160], [0, 1e160]], "big"))])
         assert run("score", "--in", path, "--model", model, "--out", tmp_path / "big.out") == 0
@@ -842,6 +840,22 @@ class TestTrainCommand:
                    "--d-out", 1, "--out", out) == 0
         assert np.shape(json.loads(out.read_text())["weights"]) == (1, 2)
 
+    @pytest.mark.parametrize("epsilon", [[], ["--epsilon", 0]])
+    def test_domain_weight_below_dimension_exits_1(self, tmp_path, epsilon):
+        # two T=3 documents at d=8: pooled weight 4, which fit rejects too
+        corpus = simulate_file(tmp_path, n=2, d=8, T=3, sigma="random-spd:1", domain="a")
+        out = tmp_path / "state.json"
+        argv = ["-m", "bridgescore.cli", "train", "--corpora", corpus, "--epochs", 2,
+                "--step-size", "1e-6", *epsilon, "--out", out]
+        done = run_process(*argv)
+        assert done.returncode == 1
+        assert done.stderr == "error: domain 'a': pooled weight 4 is below dimension 8\n"
+        assert not out.exists()
+        if not epsilon:  # four encoded dimensions need a weight of four only
+            done = run_process(*argv, "--d-out", 4)
+            assert done.returncode == 0, done.stderr
+            assert np.shape(json.loads(out.read_text())["weights"]) == (4, 8)
+
     def test_sigma_model_file_rejects_tampering(self, tmp_path):
         corpus = simulate_file(tmp_path, n=20, T=12, seed=91)
         model = tmp_path / "m.json"
@@ -854,9 +868,8 @@ class TestTrainCommand:
 
     def test_sigma_model_weight_floor(self, tmp_path):
         model = tmp_path / "m.json"
-        write_sigma_model(model, SigmaModel(
-            spatial=SpdMatrix(np.eye(3)), weight=2, domain="x",
-            epsilon=0.0, source_corpus_digest=""))
+        write_sigma_model(model, SpdMatrix(np.eye(3)), weight=2, domain="x",
+                          epsilon=0.0, source_corpus_digest="")
         with pytest.raises(ValidationError, match="weight"):
             read_sigma_model(model)
 
@@ -873,6 +886,24 @@ def scores_match_the_library(corpus, model, scores):
         assert row["statistic"] == stat and row["bbscore"] == stat / k
         assert row["p_value"] == p
     return rows
+
+
+@pytest.mark.parametrize("d", [3, 8])
+def test_fit_and_train_reject_the_same_corpora(tmp_path, capsys, d):
+    # one document of T = weight + 1, whose increments span weight dimensions
+    for weight in (d - 1, d, d + 1):
+        corpus = simulate_file(tmp_path, name=f"w{weight}.jsonl", n=1, d=d, T=weight + 1,
+                               seed=weight, sigma="random-spd:3")
+        capsys.readouterr()
+        fitted = run("fit", "--in", corpus, "--out", tmp_path / f"m{weight}.json")
+        fit_err = capsys.readouterr().err
+        trained = run("train", "--corpora", corpus, "--epochs", 1, "--step-size", "1e-8",
+                      "--out", tmp_path / f"s{weight}.json")
+        train_err = capsys.readouterr().err
+        assert (fitted, trained) == ((1, 1) if weight < d else (0, 0))
+        assert train_err == fit_err.replace("error: ", "error: domain 'sim': ")
+        if weight < d:
+            assert fit_err == f"error: pooled weight {weight} is below dimension {d}\n"
 
 
 class TestLongDocument:
@@ -924,9 +955,8 @@ class TestMalformedModelFiles:
     def test_bad_field_exits_1(self, tmp_path, change):
         corpus = simulate_file(tmp_path, n=5, T=8, seed=3)
         model = tmp_path / "m.json"
-        write_sigma_model(model, SigmaModel(
-            spatial=bridgescore.SpdMatrix(np.eye(2)), weight=50, domain="x",
-            epsilon=0.0, source_corpus_digest=""))
+        write_sigma_model(model, bridgescore.SpdMatrix(np.eye(2)), weight=50, domain="x",
+                          epsilon=0.0, source_corpus_digest="")
         model.write_text(json.dumps({**json.loads(model.read_text()), **change}))
         with pytest.raises(ValidationError, match="m.json"):
             read_sigma_model(model)
@@ -1392,8 +1422,8 @@ class TestWriters:
         a = scaled[:3] @ scaled[:3].T + np.eye(3)
         spatial = SpdMatrix(0.5 * (a + a.T))
         model = tmp_path / "m.json"
-        write_sigma_model(model, SigmaModel(spatial=spatial, weight=9, domain="x",
-                                            epsilon=0.0, source_corpus_digest=""))
+        write_sigma_model(model, spatial, weight=9, domain="x",
+                          epsilon=0.0, source_corpus_digest="")
         assert f'"matrix":{self.per_float(spatial.entries)}' in model.read_text()
         state = TrainerState(encoder=LinearEncoder(weights=scaled[:2]),
                              sigma_hat={"x": spatial, "y": SpdMatrix(np.eye(3))},

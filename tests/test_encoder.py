@@ -341,6 +341,16 @@ class TestUpdateSigmaHat:
         with pytest.raises(InsufficientDataError):
             update_sigma_hat(state, "a", [])
 
+    def test_weight_below_d_out_names_the_domain(self, rng):
+        seqs = [raw_sequence(rng, 4, 3, seq_id="s", domain="a")]  # pooled weight 2
+        state = TrainerState(encoder=LinearEncoder.identity(4))
+        with pytest.raises(InsufficientDataError,
+                           match=r"^domain 'a': pooled weight 2 is below dimension 4$"):
+            update_sigma_hat(state, "a", seqs)
+        assert state.sigma_hat == {}
+        state = TrainerState(encoder=LinearEncoder(np.eye(2, 4)))
+        assert update_sigma_hat(state, "a", seqs).dim == 2
+
     @pytest.mark.parametrize("eps", [0.0, 0.3])
     def test_identity_encoder_is_fits_estimate_bit_for_bit(self, rng, eps):
         # 40 documents: pooled_covariance sums them in more than one GEMM block
@@ -348,7 +358,7 @@ class TestUpdateSigmaHat:
                 for k in range(40)]
         state = TrainerState(encoder=LinearEncoder.identity(3), epsilon=eps)
         updated = update_sigma_hat(state, "a", seqs[::-1])
-        expected = shrink_covariance(pooled_covariance(seqs)[0], eps)[0]
+        expected = shrink_covariance(*pooled_covariance(seqs), eps)[0]
         np.testing.assert_array_equal(updated.entries, expected.entries)
 
 
@@ -419,15 +429,19 @@ class TestTrain:
         corpora, sigma_true, theta_star = identifiable_corpora(8)
         pert = rng.standard_normal(theta_star.shape)
         init = theta_star + 0.02 * np.linalg.norm(theta_star) / np.linalg.norm(pert) * pert
+        before = TrainerState(encoder=LinearEncoder(init), epsilon=1e-7)
+        for dom, seqs in corpora.items():
+            update_sigma_hat(before, dom, seqs)
         # step chosen so the scale-collapse drift of the trace objective stays
         # well under the Monte-Carlo noise floor over this horizon
         state = TrainerState(encoder=LinearEncoder(init), seed=3,
                              step_size=1e-8, batch_size=8, epsilon=1e-7)
         state, trace = train(state, corpora, 12)
         assert trace[-1] < trace[0]
-        for dom, cov in state.sigma_hat.items():
-            rel = np.linalg.norm(cov.entries - sigma_true) / np.linalg.norm(sigma_true)
-            assert rel < 0.2, f"domain {dom} recovery error {rel}"
+        for when, covs in (("initial", before.sigma_hat), ("final", state.sigma_hat)):
+            for dom, cov in covs.items():
+                rel = np.linalg.norm(cov.entries - sigma_true) / np.linalg.norm(sigma_true)
+                assert rel < 0.2, f"domain {dom} recovery error {rel} at the {when} weights"
 
     def test_divergence_guard(self):
         corpora, _, theta_star = identifiable_corpora(9, domains=("solo",))
@@ -482,6 +496,61 @@ class TestTrain:
             traces.append(tuple(trace))
         assert traces[0] == traces[1]
         assert len(traces[0]) == 3
+
+
+def two_domain_corpora(d=8, n=60):
+    """Bridge samples of two domains under different covariances, T from 20 to 60."""
+    rng = np.random.default_rng(21)
+    corpora = {}
+    for dom in ("a", "b"):
+        spatial = SpdMatrix(random_spd(rng, d))
+        corpora[dom] = [sample_bridge(d, int(rng.integers(20, 61)), spatial, np.zeros(d),
+                                      np.zeros(d), rng, id=f"{dom}-{i:03d}", domain=dom)
+                        for i in range(n)]
+    return corpora
+
+
+class TestScaleEquivariance:
+    """At epsilon 0 the refreshed objective sees a square W only through log|det W|.
+
+    Each Sigma_j is W M_j W^T, so log|Sigma_j| = 2 log|det W| + log|M_j| and
+    tr(Sigma_j^-1 W M_j W^T) = d: the objective is
+    sum_j n_j (log|M_j| + d) + 2 n log|det W| with n = sum_j n_j.
+    """
+
+    @staticmethod
+    def refreshed(corpora, weights):
+        state = TrainerState(encoder=LinearEncoder(weights), epsilon=0.0)
+        for dom, seqs in corpora.items():
+            update_sigma_hat(state, dom, seqs)
+        return nll_objective(state, corpora)
+
+    @staticmethod
+    def shift(corpora, w1, w2):
+        n = sum(pooled_covariance(seqs)[1] for seqs in corpora.values())
+        return 2 * n * (np.linalg.slogdet(w2)[1] - np.linalg.slogdet(w1)[1])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_objective_moves_by_log_det(self, seed):
+        corpora = two_domain_corpora()
+        w1, w2 = np.random.default_rng(seed).standard_normal((2, 8, 8))
+        moved = self.refreshed(corpora, w2) - self.refreshed(corpora, w1)
+        assert moved == pytest.approx(self.shift(corpora, w1, w2), rel=1e-12)
+
+    def test_train_trace_ends_above_the_refreshed_objective(self):
+        corpora = two_domain_corpora()
+        state = TrainerState(encoder=LinearEncoder.identity(8), epsilon=0.0, step_size=1e-6,
+                             seed=3)
+        w0 = state.encoder.weights
+        state, trace = train(state, corpora, 8)
+        w8 = state.encoder.weights
+        start, end = self.refreshed(corpora, w0), self.refreshed(corpora, w8)
+        assert trace[0] == pytest.approx(start, rel=1e-12)
+        assert end - start == pytest.approx(self.shift(corpora, w0, w8), rel=1e-12)
+        # The trace's last value misses the identity: domain 'a' refreshed its Sigma
+        # before domain 'b''s steps moved W, and at epsilon 0 the refreshed Sigma is
+        # the one that minimizes a domain's term, so the stale one leaves it higher.
+        assert trace[-1] > end + 1e-6 * (trace[0] - end)
 
 
 def dense_pooled_covariance(trajs):
