@@ -6,15 +6,19 @@ All randomized operations are deterministic given their seed; per-document
 randomness derives from a stable hash of the document id, so results never
 depend on corpus order. Discrimination takes each document once for every
 shuffle size of one call: its classes of byte-equal points are found and
-its points whitened once, and it and its distinct copies are scored from
-those in one sum of squares. The documents are split over forked processes
-(forks), with the same result for any number of processes. Local windows
-are drawn by reading PCG64's 32-bit stream in Python, as numpy's choice and
-permutation would draw them, at a fraction of the cost of a numpy call per
-window. Relative accuracy, domain comparison and classification thresholds
-count pairs exactly by sorting and sorted search, never one pair at a time;
-ordinal labels reach relative accuracy and classification as one integer
-coherence rank per document, in corpus order.
+its points whitened once, one generator is built per distinct seed and set
+back to its start for each size, and it and its distinct copies are scored
+from those by sums of squares, one block of copies per size. A job of at least twice
+FORK_FLOOR shuffled copies splits the documents over forked processes
+(forks), with the same result for any number of processes; smaller jobs,
+where a fork adds more CPU time than it saves wall time, run in this
+process. Local windows are drawn by reading PCG64's 32-bit stream in
+Python, as numpy's choice and permutation would draw them, at a fraction of
+the cost of a numpy call per window. Relative accuracy, domain comparison
+and classification thresholds count pairs exactly by sorting and sorted
+search, never one pair at a time; ordinal labels reach relative accuracy
+and classification as one integer coherence rank per document, in corpus
+order.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from itertools import chain
 import numpy as np
 
 from . import forks
-from .bridge import LatentTrajectory, check_dim, increments
+from .bridge import LatentTrajectory, check_dim
 from .errors import (
     DegenerateInputError,
     EmptySetError,
@@ -113,14 +117,15 @@ def _shuffle_orders(n: int, spec: ShuffleSpec, rng: np.random.Generator, name: s
     # a permutation is drawn again while it is the identity: permuted rows
     # take the stream of one permutation call each, so a batch of the
     # copies still needed draws what a call per copy would
-    block = np.arange(n) // spec.block_size
-    identity = np.arange(block[-1] + 1)
+    size = spec.block_size
+    identity = np.arange(-(-n // size))
     perms = np.empty((0, identity.size), dtype=identity.dtype)
     while len(perms) < spec.copies:
         drawn = rng.permuted(np.tile(identity, (spec.copies - len(perms), 1)), axis=1)
         perms = np.concatenate([perms, drawn[(drawn != identity).any(axis=1)]])
-    # a stable sort of the indices by their block's new position keeps blocks intact
-    return np.argsort(np.argsort(perms, axis=1)[:, block], axis=1, kind="stable")
+    # new block p holds block perms[:, p]'s indices; those past n-1 pad the final short block
+    orders = perms[:, :, None] * size + np.arange(size)
+    return orders[orders < n].reshape(spec.copies, n)
 
 
 _LOW = 0xFFFFFFFF
@@ -210,22 +215,32 @@ def _classes(points) -> np.ndarray:
                      return_inverse=True)[1]
 
 
-def _copy_orders(traj, spec: ShuffleSpec, classes) -> tuple[list[int], np.ndarray]:
-    """The numbers and orders of traj's distinct shuffled copies under spec, seeded by traj.id.
+def _copy_orders(traj, specs, classes):
+    """Per spec, the numbers and orders of traj's distinct shuffled copies, seeded by traj.id.
 
     A copy equal to the original or to an earlier copy is left out. Two copies
     are equal exactly when they pick byte-equal points at every position, so
-    they are compared as orders over classes, _classes(traj.points).
+    they are compared as orders over classes, _classes(traj.points). Each
+    spec draws from default_rng(stable_seed(spec.seed, traj.id)) at its start:
+    one generator per distinct seed, its state set back to that start for each
+    later spec of the seed, which costs a tenth of building a generator.
     """
-    rng = np.random.default_rng(stable_seed(spec.seed, traj.id))
-    orders = _shuffle_orders(traj.T + 1, spec, rng, traj.id)
-    seen, kept = {classes.tobytes()}, []
-    for i, key in enumerate(classes[orders]):
-        key = key.tobytes()
-        if key not in seen:
-            seen.add(key)
-            kept.append(i)
-    return kept, orders[kept]
+    starts = {}
+    for spec in specs:
+        if spec.seed in starts:
+            rng, start = starts[spec.seed]
+            rng.bit_generator.state = start
+        else:
+            rng = np.random.default_rng(stable_seed(spec.seed, traj.id))
+            starts[spec.seed] = rng, rng.bit_generator.state
+        orders = _shuffle_orders(traj.T + 1, spec, rng, traj.id)
+        seen, kept = {classes.tobytes()}, []
+        for i, key in enumerate(classes[orders]):
+            key = key.tobytes()
+            if key not in seen:
+                seen.add(key)
+                kept.append(i)
+        yield kept, orders[kept]
 
 
 def make_shuffle_set(traj: LatentTrajectory, spec: ShuffleSpec) -> list[LatentTrajectory]:
@@ -236,7 +251,7 @@ def make_shuffle_set(traj: LatentTrajectory, spec: ShuffleSpec) -> list[LatentTr
     kept copy's id ends in its copy number. Copies are drawn as discrimination
     draws them (_copy_orders).
     """
-    kept, orders = _copy_orders(traj, spec, _classes(traj.points))
+    [(kept, orders)] = _copy_orders(traj, [spec], _classes(traj.points))
     tag = f"g{spec.block_size}" if spec.kind == "global_block" else f"l{spec.num_windows}"
     return [LatentTrajectory(id=f"{traj.id}#{tag}-{i}", domain=traj.domain, points=points)
             for i, points in zip(kept, traj.points[orders])]
@@ -248,8 +263,14 @@ def _corpus_incoherence(trajs, spatial: SpdMatrix, use_pvalue: bool) -> np.ndarr
     return -chi_square_sf(statistic, dof) if use_pvalue else statistic / dof
 
 
-# Shuffled copies a process scores at least, for its fork to pay for itself.
-FORK_FLOOR = 2000
+# Shuffled copies a process scores at least, for its fork to pay for itself:
+# the point where a fork's cut in wall time catches up with the CPU time it
+# adds. Measured on 2 vCPUs with global sizes 1,2,5,10 of 20 copies at d=16,
+# forked against one process, per-pair medians of 20 pairs: 4000 to 16000
+# copies per process cut wall time 5-10% and added 14-28% CPU time; 20000
+# cut 16% and added 17%, 24000 cut 17% and added 18%, and 32000 cut 21%
+# and added 12%.
+FORK_FLOOR = 24000
 
 
 def discrimination_accuracies(originals, specs, spatial: SpdMatrix,
@@ -300,38 +321,52 @@ def discrimination_accuracies(originals, specs, spatial: SpdMatrix,
     return accuracies
 
 
+def _statistics(white, orders) -> np.ndarray:
+    """The sum of squares of increments(white[order]) for each row of orders, shape (k,).
+
+    orders holds k orders of white's n+1 rows. The increments take
+    bridge.increments' own steps, term for term, with one temporary fewer:
+    the steps of one gather, less the chord over n in place.
+    """
+    y = white.take(orders, axis=0)
+    incr = y[:, 1:] - y[:, :-1]
+    incr -= ((y[:, -1] - y[:, 0]) / (y.shape[1] - 1))[:, None]
+    return np.einsum("knd,knd->k", incr, incr)
+
+
 def _credits(originals, specs, spatial: SpdMatrix) -> list:
     """Per spec, the credit array of each original with a distinct shuffled copy, in order.
 
     Each original is taken once: its classes of byte-equal points found, each
     spec's orders drawn and deduplicated, and its points whitened once, Y =
     (points - points[0]) L^-T for Sigma = L L^T. Increments are linear and
-    ignore a shift, so one einsum over increments(Y[orders]) scores it and
-    every copy; statistics equal in exact arithmetic tie as rounding has them.
-    Raises NumericalError naming the first original whose statistic, or a
-    copy's, overflows float64.
+    ignore a shift, so the sums of squares of increments(Y[orders]) score it
+    and every copy: one _statistics call for it, and one for each spec's
+    copies, whose temporaries stay small enough for the cache. Statistics
+    equal in exact arithmetic tie as rounding has them. Raises NumericalError
+    naming the first original whose statistic, or a copy's, overflows float64.
     """
     out = [[] for _ in specs]
-    for traj in originals:
-        n, classes = traj.T + 1, _classes(traj.points)
-        kept = [_copy_orders(traj, spec, classes)[1] for spec in specs]
-        counts = [len(k) for k in kept]
-        if not any(counts):
-            continue
-        with np.errstate(over="ignore", invalid="ignore"):  # checked once, on the statistics
+    with np.errstate(over="ignore", invalid="ignore"):  # checked per original, on its statistics
+        for traj in originals:
+            n, classes = traj.T + 1, _classes(traj.points)
+            kept = [orders for _, orders in _copy_orders(traj, specs, classes)]
+            counts = [len(k) for k in kept]
+            if not any(counts):
+                continue
             # shifted first: whitening raw points that share a large offset loses precision
             white = spatial.whiten(traj.points - traj.points[0])
-            incr = increments(white[np.concatenate([np.arange(n)[None], *kept])])
-            statistic = np.einsum("knd,knd->k", incr, incr)
-        if not np.isfinite(statistic).all():
-            raise NumericalError(
-                f"trajectory {traj.id!r}: its statistic or a shuffled copy's overflows float64"
-            )
-        x = statistic / ((traj.T - 1) * traj.d)
-        credit = np.where(x[0] < x[1:], 1.0, np.where(x[0] == x[1:], 0.5, 0.0))
-        for spec_credits, part in zip(out, np.split(credit, np.cumsum(counts)[:-1])):
-            if part.size:
-                spec_credits.append(part)
+            statistic = np.concatenate([_statistics(white, orders)
+                                        for orders in (np.arange(n)[None], *kept) if len(orders)])
+            if not np.isfinite(statistic).all():
+                raise NumericalError(
+                    f"trajectory {traj.id!r}: its statistic or a shuffled copy's overflows float64"
+                )
+            x = statistic / ((traj.T - 1) * traj.d)
+            credit = np.where(x[0] < x[1:], 1.0, np.where(x[0] == x[1:], 0.5, 0.0))
+            for spec_credits, part in zip(out, np.split(credit, np.cumsum(counts)[:-1])):
+                if part.size:
+                    spec_credits.append(part)
     return out
 
 

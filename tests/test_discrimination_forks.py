@@ -103,6 +103,18 @@ def test_one_process_off_linux(corpus, monkeypatch, children):
     assert children == []
 
 
+@pytest.mark.parametrize("short", [1, 0])
+def test_the_floor_forks_from_twice_its_copies(monkeypatch, children, short):
+    # two documents of FORK_FLOOR - short copies each on 2 CPUs: a job short of twice the
+    # floor is scored here alone, one of twice the floor here and in one child
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    rng = np.random.default_rng(4)
+    originals = [random_trajectory(rng, 2, 12, traj_id=f"doc-{i}") for i in range(2)]
+    spec = ShuffleSpec(kind="global_block", block_size=1, copies=ev.FORK_FLOOR - short, seed=1)
+    discrimination_accuracies(originals, [spec], random_spatial(rng, 2))
+    assert [child.sent for child in children] == [True] * (1 - short)
+
+
 class Box:
     """A result that can be watched by weak reference."""
 

@@ -356,11 +356,11 @@ class TestDiscrimination:
 
         monkeypatch.setattr(ev, "np", Spy())
         discrimination_accuracies(shifted, [spec], SpdMatrix(sigma))
-        assert len(seen) == len(docs)
-        for doc, statistic in zip(docs, seen):
-            copies = make_shuffle_set(doc, spec)
-            dense = [dense_quad_form(c, sigma) for c in [doc, *copies]]
-            np.testing.assert_allclose(statistic, dense, rtol=1e-12, atol=0)
+        # in id order, one einsum scores each original and one its copies
+        assert len(seen) == 2 * len(docs)
+        dense = [dense_quad_form(c, sigma)
+                 for doc in docs for c in [doc, *make_shuffle_set(doc, spec)]]
+        np.testing.assert_allclose(np.concatenate(seen), dense, rtol=1e-12, atol=0)
 
     def test_dimension_mismatch_names_the_document(self, sim_setup):
         spatial, originals = sim_setup
@@ -373,8 +373,8 @@ class TestDiscrimination:
         spatial, originals = sim_setup
 
         # a "copy" equal to the original ties with it
-        monkeypatch.setattr(ev, "_copy_orders",
-                            lambda traj, spec, classes: ([0], np.arange(traj.T + 1)[None]))
+        monkeypatch.setattr(ev, "_copy_orders", lambda traj, specs, classes: [
+            ([0], np.arange(traj.T + 1)[None]) for _ in specs])
         spec = ShuffleSpec(kind="global_block", block_size=1, copies=5, seed=0)
         assert ev.discrimination_accuracies(originals, [spec], spatial)[0] == 0.5
 
@@ -425,6 +425,86 @@ class TestDiscrimination:
         spec = ShuffleSpec(kind="global_block", block_size=1, copies=5, seed=0)
         with pytest.raises(EmptySetError):
             discrimination_accuracies([], [spec], spatial)
+
+
+def fresh_copy_orders(traj, spec):
+    """traj's distinct copy numbers and orders under spec: a fresh generator, points compared."""
+    rng = np.random.default_rng(stable_seed(spec.seed, traj.id))
+    orders = ev._shuffle_orders(traj.T + 1, spec, rng, traj.id)
+    seen, kept = {traj.points.tobytes()}, []
+    for i, order in enumerate(orders):
+        key = traj.points[order].tobytes()
+        if key not in seen:
+            seen.add(key)
+            kept.append(i)
+    return kept, orders[kept]
+
+
+class TestCopyKernel:
+    """Discrimination's statistics and shuffles against their plain definitions, bit for bit."""
+
+    # specs of one seed, then of another, then the first seed again; each
+    # document takes those it has room for
+    SPECS = [ShuffleSpec(kind="local_window", num_windows=2, window_size=3, copies=9, seed=3),
+             ShuffleSpec(kind="global_block", block_size=2, copies=9, seed=3),
+             ShuffleSpec(kind="global_block", block_size=1, copies=9, seed=8),
+             ShuffleSpec(kind="local_window", num_windows=1, window_size=2, copies=9, seed=8),
+             ShuffleSpec(kind="global_block", block_size=1, copies=7, seed=3),
+             ShuffleSpec(kind="local_window", num_windows=1, window_size=3, copies=9, seed=3)]
+
+    @staticmethod
+    def documents(rng, d):
+        a, b = rng.standard_normal((2, d))
+        return [random_trajectory(rng, d, 14, traj_id="plain"),
+                LatentTrajectory("rep", "x", [a, b, a, b, a, b, b]),  # copies equal it
+                random_trajectory(rng, d, 2, traj_id="short"),  # T = 2
+                LatentTrajectory("offset", "x", random_trajectory(rng, d, 9).points + 1e6)]
+
+    @classmethod
+    def specs(cls, traj, kinds=("global_block", "local_window")):
+        fits = []
+        for spec in cls.SPECS:
+            try:
+                ev._check_shuffle(traj.T + 1, spec, traj.id)
+            except ValidationError:
+                continue
+            if spec.kind in kinds:
+                fits.append(spec)
+        return fits
+
+    @pytest.mark.parametrize("kind", ["global_block", "local_window"])
+    def test_statistics_equal_einsum_of_increments(self, monkeypatch, rng, kind):
+        d = 3
+        spatial = SpdMatrix(random_spd(rng, d))
+        seen, statistics = [], ev._statistics
+
+        def spy(white, orders):
+            seen.append(statistics(white, orders))
+            return seen[-1]
+
+        monkeypatch.setattr(ev, "_statistics", spy)
+        for doc in self.documents(rng, d):
+            specs = self.specs(doc, (kind,))
+            seen.clear()
+            ev._credits([doc], specs, spatial)
+            white = spatial.whiten(doc.points - doc.points[0])
+            kept = [orders for _, orders in ev._copy_orders(doc, specs, ev._classes(doc.points))]
+            incr = increments(white[np.concatenate([np.arange(doc.T + 1)[None], *kept])])
+            want = np.einsum("knd,knd->k", incr, incr)
+            assert len(want) > 1, doc.id
+            np.testing.assert_array_equal(np.concatenate(seen).view(np.int64),
+                                          want.view(np.int64))
+
+    def test_rewound_generator_draws_what_a_fresh_one_draws(self, rng):
+        for doc in self.documents(rng, 2):
+            specs = self.specs(doc)
+            assert len({spec.seed for spec in specs}) == 2, doc.id
+            got = list(ev._copy_orders(doc, specs, ev._classes(doc.points)))
+            assert len(got) == len(specs)
+            for spec, (kept, orders) in zip(specs, got):
+                want_kept, want_orders = fresh_copy_orders(doc, spec)
+                assert kept == want_kept
+                np.testing.assert_array_equal(orders, want_orders)
 
 
 class TestRelativeAccuracy:

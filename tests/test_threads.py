@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import bridgescore
+import bridgescore.evalsuite as ev
 
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -82,15 +83,18 @@ def test_cli_import_after_numpy_leaves_the_environment():
 
 
 def test_forking_command_gives_no_fork_warning(tmp_path):
-    # from Python 3.12 os.fork warns in a process with threads; 100 documents of 40 copies
-    # are twice discrimination's fork floor, so discriminate forks on two CPUs or more
-    python("-m", "bridgescore.cli", "simulate", "--d", 16, "--T", 40, "--n", 100, "--seed", 1,
+    # from Python 3.12 os.fork warns in a process with threads; 100 documents of 480
+    # copies are 48000 copies, twice discrimination's fork floor of 24000, so
+    # discriminate forks on two CPUs or more
+    docs, copies = 100, 480
+    assert docs * copies >= 2 * ev.FORK_FLOOR
+    python("-m", "bridgescore.cli", "simulate", "--d", 16, "--T", 40, "--n", docs, "--seed", 1,
            "--out", tmp_path / "c.jsonl")
     python("-m", "bridgescore.cli", "fit", "--in", tmp_path / "c.jsonl",
            "--out", tmp_path / "m.json")
     done = python("-W", "error::DeprecationWarning", "-m", "bridgescore.cli", "discriminate",
                   "--in", tmp_path / "c.jsonl", "--model", tmp_path / "m.json",
-                  "--block-sizes", 1, "--copies", 40, "--seed", 9)
+                  "--block-sizes", 1, "--copies", copies, "--seed", 9)
     assert "Traceback" not in done.stderr
     assert "Warning" not in done.stderr
 
