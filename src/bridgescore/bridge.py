@@ -82,13 +82,15 @@ def increments(points, times=None) -> np.ndarray:
     g_k between observation times (0, 1, .., n unless given), G their sum.
     The rows' summed Sigma^-1 norms are the bridge quadratic form at those
     times, since the precision stays tridiagonal, gap-weighted. Leading axes
-    stack sequences of one length.
+    stack sequences of one length. The steps are np.diff's, taken by one
+    slice subtraction, and the chord is removed from them in place.
     """
     points = np.asarray(points, dtype=float)
-    steps = np.diff(points, axis=-2)
+    steps = points[..., 1:, :] - points[..., :-1, :]
     chord = (points[..., -1, :] - points[..., 0, :])[..., None, :]
     if times is None:
-        return steps - chord / steps.shape[-2]
+        steps -= chord / steps.shape[-2]
+        return steps
     gaps = np.diff(np.asarray(times, dtype=float))
     steps -= (gaps / gaps.sum())[:, None] * chord
     return steps / np.sqrt(gaps)[:, None]

@@ -6,19 +6,18 @@ All randomized operations are deterministic given their seed; per-document
 randomness derives from a stable hash of the document id, so results never
 depend on corpus order. Discrimination takes each document once for every
 shuffle size of one call: its classes of byte-equal points are found and
-its points whitened once, one generator is built per distinct seed and set
-back to its start for each size, and it and its distinct copies are scored
-from those by sums of squares, one block of copies per size. A job of at least twice
-FORK_FLOOR shuffled copies splits the documents over forked processes
-(forks), with the same result for any number of processes; smaller jobs,
-where a fork adds more CPU time than it saves wall time, run in this
-process. Local windows are drawn by reading PCG64's 32-bit stream in
-Python, as numpy's choice and permutation would draw them, at a fraction of
-the cost of a numpy call per window. Relative accuracy, domain comparison
-and classification thresholds count pairs exactly by sorting and sorted
-search, never one pair at a time; ordinal labels reach relative accuracy
-and classification as one integer coherence rank per document, in corpus
-order.
+its points whitened once, and it and its distinct copies are scored from
+those by sums of squares, one block of copies per size. A job of at least
+twice FORK_FLOOR coordinates of shuffled copies (copies times points times
+d) splits the documents over forked processes (forks), with the same result
+for any number of processes; smaller jobs, where a fork adds more CPU time
+than it saves wall time, run in this process. Local windows are drawn by
+reading PCG64's 32-bit stream in Python, as numpy's choice and permutation
+would draw them, at a fraction of the cost of a numpy call per window.
+Relative accuracy, domain comparison and classification thresholds count
+pairs exactly by sorting and sorted search, never one pair at a time;
+ordinal labels reach relative accuracy and classification as one integer
+coherence rank per document, in corpus order.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from itertools import chain
 import numpy as np
 
 from . import forks
-from .bridge import LatentTrajectory, check_dim
+from .bridge import LatentTrajectory, check_dim, increments
 from .errors import (
     DegenerateInputError,
     EmptySetError,
@@ -215,32 +214,22 @@ def _classes(points) -> np.ndarray:
                      return_inverse=True)[1]
 
 
-def _copy_orders(traj, specs, classes):
-    """Per spec, the numbers and orders of traj's distinct shuffled copies, seeded by traj.id.
+def _copy_orders(traj, spec: ShuffleSpec, classes) -> tuple[list[int], np.ndarray]:
+    """The numbers and orders of traj's distinct shuffled copies under spec, seeded by traj.id.
 
     A copy equal to the original or to an earlier copy is left out. Two copies
     are equal exactly when they pick byte-equal points at every position, so
-    they are compared as orders over classes, _classes(traj.points). Each
-    spec draws from default_rng(stable_seed(spec.seed, traj.id)) at its start:
-    one generator per distinct seed, its state set back to that start for each
-    later spec of the seed, which costs a tenth of building a generator.
+    they are compared as orders over classes, _classes(traj.points).
     """
-    starts = {}
-    for spec in specs:
-        if spec.seed in starts:
-            rng, start = starts[spec.seed]
-            rng.bit_generator.state = start
-        else:
-            rng = np.random.default_rng(stable_seed(spec.seed, traj.id))
-            starts[spec.seed] = rng, rng.bit_generator.state
-        orders = _shuffle_orders(traj.T + 1, spec, rng, traj.id)
-        seen, kept = {classes.tobytes()}, []
-        for i, key in enumerate(classes[orders]):
-            key = key.tobytes()
-            if key not in seen:
-                seen.add(key)
-                kept.append(i)
-        yield kept, orders[kept]
+    rng = np.random.default_rng(stable_seed(spec.seed, traj.id))
+    orders = _shuffle_orders(traj.T + 1, spec, rng, traj.id)
+    seen, kept = {classes.tobytes()}, []
+    for i, key in enumerate(classes[orders]):
+        key = key.tobytes()
+        if key not in seen:
+            seen.add(key)
+            kept.append(i)
+    return kept, orders[kept]
 
 
 def make_shuffle_set(traj: LatentTrajectory, spec: ShuffleSpec) -> list[LatentTrajectory]:
@@ -251,7 +240,7 @@ def make_shuffle_set(traj: LatentTrajectory, spec: ShuffleSpec) -> list[LatentTr
     kept copy's id ends in its copy number. Copies are drawn as discrimination
     draws them (_copy_orders).
     """
-    [(kept, orders)] = _copy_orders(traj, [spec], _classes(traj.points))
+    kept, orders = _copy_orders(traj, spec, _classes(traj.points))
     tag = f"g{spec.block_size}" if spec.kind == "global_block" else f"l{spec.num_windows}"
     return [LatentTrajectory(id=f"{traj.id}#{tag}-{i}", domain=traj.domain, points=points)
             for i, points in zip(kept, traj.points[orders])]
@@ -263,14 +252,17 @@ def _corpus_incoherence(trajs, spatial: SpdMatrix, use_pvalue: bool) -> np.ndarr
     return -chi_square_sf(statistic, dof) if use_pvalue else statistic / dof
 
 
-# Shuffled copies a process scores at least, for its fork to pay for itself:
-# the point where a fork's cut in wall time catches up with the CPU time it
-# adds. Measured on 2 vCPUs with global sizes 1,2,5,10 of 20 copies at d=16,
-# forked against one process, per-pair medians of 20 pairs: 4000 to 16000
-# copies per process cut wall time 5-10% and added 14-28% CPU time; 20000
-# cut 16% and added 17%, 24000 cut 17% and added 18%, and 32000 cut 21%
-# and added 12%.
-FORK_FLOOR = 24000
+# Coordinates of shuffled copies a process scores at least, for its fork to
+# pay for itself: a fork must cut wall time by more than the CPU time it
+# adds. A copy's cost follows its (T + 1) * d coordinates; counted in copies,
+# a d=256 one costs about ten times a d=16 one. Forked against one process on
+# 2 vCPUs (sizes 1,2,5,10 global or 1,2,3 local, 20 copies each; per-pair
+# medians of wall / CPU change), the fork first paid, per process, at about
+# 16M coordinates at d=16, T 20..60 (local 11.8M: -17% / +18%, 15.7M: -26% /
+# +14%); under 12.8M at d=16, T 5000 (6.4M: -6% / +15%, 12.8M: -16% / +9%);
+# under 8M at d=64 (local 7.9M: -17% / +6%); and under 17M at d=256 (global
+# 8.4M: -4% / +13%, 16.8M: -22% / -1%).
+FORK_FLOOR = 16_000_000
 
 
 def discrimination_accuracies(originals, specs, spatial: SpdMatrix,
@@ -287,9 +279,9 @@ def discrimination_accuracies(originals, specs, spatial: SpdMatrix,
     under every spec are scored together.
 
     On Linux the id-sorted originals are cut into contiguous chunks, one per
-    CPU this process may run on but none with under FORK_FLOOR shuffled
-    copies to score: this process scores the first chunk, and a forked child
-    each other one (forks.forked). Shuffles are seeded per document and the
+    CPU this process may run on but at most one per FORK_FLOOR coordinates of
+    shuffled copies to score: this process scores the first chunk, and a
+    forked child each other one (forks.forked). Shuffles are seeded per document and the
     chunks' credits are merged in id order, so every mean sums as one
     process sums it. Each original's d and every spec are checked first.
     """
@@ -303,7 +295,8 @@ def discrimination_accuracies(originals, specs, spatial: SpdMatrix,
             _check_shuffle(traj.T + 1, spec, traj.id)
     spatial.inv_chol  # formed here once, not in each child
     count = len(originals)
-    n = min(count, forks.process_count(count * sum(spec.copies for spec in specs), FORK_FLOOR))
+    work = sum(spec.copies for spec in specs) * sum(traj.points.size for traj in originals)
+    n = min(count, forks.process_count(work, FORK_FLOOR))
     chunks = [originals[k * count // n:(k + 1) * count // n] for k in range(n)]
     credits = [[] for _ in specs]
     with forks.forked(chunks, lambda chunk: _credits(chunk, specs, spatial)) as parts:
@@ -321,19 +314,6 @@ def discrimination_accuracies(originals, specs, spatial: SpdMatrix,
     return accuracies
 
 
-def _statistics(white, orders) -> np.ndarray:
-    """The sum of squares of increments(white[order]) for each row of orders, shape (k,).
-
-    orders holds k orders of white's n+1 rows. The increments take
-    bridge.increments' own steps, term for term, with one temporary fewer:
-    the steps of one gather, less the chord over n in place.
-    """
-    y = white.take(orders, axis=0)
-    incr = y[:, 1:] - y[:, :-1]
-    incr -= ((y[:, -1] - y[:, 0]) / (y.shape[1] - 1))[:, None]
-    return np.einsum("knd,knd->k", incr, incr)
-
-
 def _credits(originals, specs, spatial: SpdMatrix) -> list:
     """Per spec, the credit array of each original with a distinct shuffled copy, in order.
 
@@ -341,7 +321,7 @@ def _credits(originals, specs, spatial: SpdMatrix) -> list:
     spec's orders drawn and deduplicated, and its points whitened once, Y =
     (points - points[0]) L^-T for Sigma = L L^T. Increments are linear and
     ignore a shift, so the sums of squares of increments(Y[orders]) score it
-    and every copy: one _statistics call for it, and one for each spec's
+    and every copy: one increments call for it, and one for each spec's
     copies, whose temporaries stay small enough for the cache. Statistics
     equal in exact arithmetic tie as rounding has them. Raises NumericalError
     naming the first original whose statistic, or a copy's, overflows float64.
@@ -349,15 +329,17 @@ def _credits(originals, specs, spatial: SpdMatrix) -> list:
     out = [[] for _ in specs]
     with np.errstate(over="ignore", invalid="ignore"):  # checked per original, on its statistics
         for traj in originals:
-            n, classes = traj.T + 1, _classes(traj.points)
-            kept = [orders for _, orders in _copy_orders(traj, specs, classes)]
+            classes = _classes(traj.points)
+            kept = [_copy_orders(traj, spec, classes)[1] for spec in specs]
             counts = [len(k) for k in kept]
             if not any(counts):
                 continue
             # shifted first: whitening raw points that share a large offset loses precision
             white = spatial.whiten(traj.points - traj.points[0])
-            statistic = np.concatenate([_statistics(white, orders)
-                                        for orders in (np.arange(n)[None], *kept) if len(orders)])
+            stacks = chain([white[None]],
+                           (white.take(orders, axis=0) for orders in kept if len(orders)))
+            statistic = np.concatenate([np.einsum("knd,knd->k", incr, incr)
+                                        for incr in map(increments, stacks)])
             if not np.isfinite(statistic).all():
                 raise NumericalError(
                     f"trajectory {traj.id!r}: its statistic or a shuffled copy's overflows float64"

@@ -103,6 +103,18 @@ class TestIncrementKernel:
         assert w == weight
         np.testing.assert_allclose(m, acc / weight, rtol=1e-12, atol=0)
 
+    def test_steps_less_the_chord_bit_for_bit(self, rng):
+        # the steps by slice subtraction, the chord removed in place: np.diff's steps
+        # less the chord over n, to the bit, for one document and for a stack
+        for shape in ((3, 2), (7, 3), (4, 12, 5)):
+            for offset in (0.0, 1e6):
+                points = rng.standard_normal(shape) + offset
+                steps = np.diff(points, axis=-2)
+                chord = (points[..., -1, :] - points[..., 0, :])[..., None, :]
+                want = steps - chord / steps.shape[-2]
+                np.testing.assert_array_equal(increments(points).view(np.int64),
+                                              want.view(np.int64))
+
     def test_triplet_gap_form(self, rng):
         T, d = 12, 2
         t = random_trajectory(rng, d, T)

@@ -1,6 +1,6 @@
 """Discrimination split over forked processes: the same accuracies for any process count.
 
-A floor of one shuffled copy and a patched CPU set fix how many processes
+A floor of one coordinate and a patched CPU set fix how many processes
 share the documents, so that two and three processes, and the forked
 children they start, run on small corpora and on a host with any number
 of CPUs.
@@ -33,7 +33,7 @@ SPECS = {
 
 
 def at(n, call, *args, **kwargs):
-    """call on a host with n CPUs and a floor of one copy: n processes share the documents."""
+    """call on a host with n CPUs and a floor of one coordinate: n processes share the work."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ev, "FORK_FLOOR", 1)
         mp.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
@@ -104,13 +104,17 @@ def test_one_process_off_linux(corpus, monkeypatch, children):
 
 
 @pytest.mark.parametrize("short", [1, 0])
-def test_the_floor_forks_from_twice_its_copies(monkeypatch, children, short):
-    # two documents of FORK_FLOOR - short copies each on 2 CPUs: a job short of twice the
-    # floor is scored here alone, one of twice the floor here and in one child
+def test_the_floor_forks_from_twice_its_work(monkeypatch, children, short):
+    # on 2 CPUs, the fewest copies whose coordinates reach twice FORK_FLOOR fork one child,
+    # and one copy fewer none; scoring is stubbed, since only the split is looked at
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(ev, "_credits", lambda chunk, specs, spatial: [[np.ones(1)]] * len(specs))
     rng = np.random.default_rng(4)
     originals = [random_trajectory(rng, 2, 12, traj_id=f"doc-{i}") for i in range(2)]
-    spec = ShuffleSpec(kind="global_block", block_size=1, copies=ev.FORK_FLOOR - short, seed=1)
+    coordinates = sum(traj.points.size for traj in originals)
+    copies = -(-2 * ev.FORK_FLOOR // coordinates) - short
+    assert (copies * coordinates >= 2 * ev.FORK_FLOOR) == (not short)
+    spec = ShuffleSpec(kind="global_block", block_size=1, copies=copies, seed=1)
     discrimination_accuracies(originals, [spec], random_spatial(rng, 2))
     assert [child.sent for child in children] == [True] * (1 - short)
 

@@ -306,6 +306,24 @@ def per_copy_accuracy(originals, spec, spatial, per_document, whiten=True):
     return float(np.mean(doc_means)) if per_document else float(np.mean(credits))
 
 
+def recorded_einsums(monkeypatch) -> list:
+    """The list to which each einsum evalsuite calls, a block of statistics, appends its result."""
+    seen = []
+
+    class Spy:
+        """numpy, save that each einsum's result is recorded."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def einsum(self, *args):
+            seen.append(np.einsum(*args))
+            return seen[-1]
+
+    monkeypatch.setattr(ev, "np", Spy())
+    return seen
+
+
 class TestDiscrimination:
     @pytest.mark.parametrize("kind", ["global_block", "local_window"])
     @pytest.mark.parametrize("per_document", [False, True])
@@ -342,25 +360,48 @@ class TestDiscrimination:
         # the same points without the offset, exactly: the subtraction rounds nothing
         docs = [LatentTrajectory(t.id, t.domain, t.points - offset) for t in shifted]
         spec = ShuffleSpec(kind="global_block", block_size=2, copies=5, seed=3)
-        seen = []
-
-        class Spy:
-            """numpy, save that each einsum's result, a document's statistics, is recorded."""
-
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-            def einsum(self, *args):
-                seen.append(np.einsum(*args))
-                return seen[-1]
-
-        monkeypatch.setattr(ev, "np", Spy())
+        seen = recorded_einsums(monkeypatch)
         discrimination_accuracies(shifted, [spec], SpdMatrix(sigma))
         # in id order, one einsum scores each original and one its copies
         assert len(seen) == 2 * len(docs)
         dense = [dense_quad_form(c, sigma)
                  for doc in docs for c in [doc, *make_shuffle_set(doc, spec)]]
         np.testing.assert_allclose(np.concatenate(seen), dense, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kind", ["global_block", "local_window"])
+    def test_statistics_equal_einsum_of_increments(self, monkeypatch, rng, kind):
+        # bit for bit, though each spec's copies are scored as a block of their own; each
+        # document, repeated points, T = 2 and a large offset among them, takes the specs
+        # it has room for
+        d = 3
+        spatial = SpdMatrix(random_spd(rng, d))
+        specs = [ShuffleSpec(kind=kind, block_size=b, num_windows=w, window_size=size,
+                             copies=9, seed=seed)
+                 for b, w, size, seed in ((2, 2, 3, 3), (1, 1, 2, 8), (1, 1, 3, 3))]
+        a, b = rng.standard_normal((2, d))
+        docs = [random_trajectory(rng, d, 14, traj_id="plain"),
+                LatentTrajectory("rep", "x", [a, b, a, b, a, b, b]),
+                random_trajectory(rng, d, 2, traj_id="short"),
+                LatentTrajectory("offset", "x", random_trajectory(rng, d, 9).points + 1e6)]
+        seen = recorded_einsums(monkeypatch)
+        for doc in docs:
+            fits = []
+            for spec in specs:
+                try:
+                    ev._check_shuffle(doc.T + 1, spec, doc.id)
+                except ValidationError:
+                    continue
+                fits.append(spec)
+            seen.clear()
+            ev._credits([doc], fits, spatial)
+            white = spatial.whiten(doc.points - doc.points[0])
+            classes = ev._classes(doc.points)
+            kept = [ev._copy_orders(doc, spec, classes)[1] for spec in fits]
+            incr = increments(white[np.concatenate([np.arange(doc.T + 1)[None], *kept])])
+            want = np.einsum("knd,knd->k", incr, incr)
+            assert len(want) > 1, doc.id
+            np.testing.assert_array_equal(np.concatenate(seen).view(np.int64),
+                                          want.view(np.int64))
 
     def test_dimension_mismatch_names_the_document(self, sim_setup):
         spatial, originals = sim_setup
@@ -373,8 +414,8 @@ class TestDiscrimination:
         spatial, originals = sim_setup
 
         # a "copy" equal to the original ties with it
-        monkeypatch.setattr(ev, "_copy_orders", lambda traj, specs, classes: [
-            ([0], np.arange(traj.T + 1)[None]) for _ in specs])
+        monkeypatch.setattr(ev, "_copy_orders",
+                            lambda traj, spec, classes: ([0], np.arange(traj.T + 1)[None]))
         spec = ShuffleSpec(kind="global_block", block_size=1, copies=5, seed=0)
         assert ev.discrimination_accuracies(originals, [spec], spatial)[0] == 0.5
 
@@ -425,86 +466,6 @@ class TestDiscrimination:
         spec = ShuffleSpec(kind="global_block", block_size=1, copies=5, seed=0)
         with pytest.raises(EmptySetError):
             discrimination_accuracies([], [spec], spatial)
-
-
-def fresh_copy_orders(traj, spec):
-    """traj's distinct copy numbers and orders under spec: a fresh generator, points compared."""
-    rng = np.random.default_rng(stable_seed(spec.seed, traj.id))
-    orders = ev._shuffle_orders(traj.T + 1, spec, rng, traj.id)
-    seen, kept = {traj.points.tobytes()}, []
-    for i, order in enumerate(orders):
-        key = traj.points[order].tobytes()
-        if key not in seen:
-            seen.add(key)
-            kept.append(i)
-    return kept, orders[kept]
-
-
-class TestCopyKernel:
-    """Discrimination's statistics and shuffles against their plain definitions, bit for bit."""
-
-    # specs of one seed, then of another, then the first seed again; each
-    # document takes those it has room for
-    SPECS = [ShuffleSpec(kind="local_window", num_windows=2, window_size=3, copies=9, seed=3),
-             ShuffleSpec(kind="global_block", block_size=2, copies=9, seed=3),
-             ShuffleSpec(kind="global_block", block_size=1, copies=9, seed=8),
-             ShuffleSpec(kind="local_window", num_windows=1, window_size=2, copies=9, seed=8),
-             ShuffleSpec(kind="global_block", block_size=1, copies=7, seed=3),
-             ShuffleSpec(kind="local_window", num_windows=1, window_size=3, copies=9, seed=3)]
-
-    @staticmethod
-    def documents(rng, d):
-        a, b = rng.standard_normal((2, d))
-        return [random_trajectory(rng, d, 14, traj_id="plain"),
-                LatentTrajectory("rep", "x", [a, b, a, b, a, b, b]),  # copies equal it
-                random_trajectory(rng, d, 2, traj_id="short"),  # T = 2
-                LatentTrajectory("offset", "x", random_trajectory(rng, d, 9).points + 1e6)]
-
-    @classmethod
-    def specs(cls, traj, kinds=("global_block", "local_window")):
-        fits = []
-        for spec in cls.SPECS:
-            try:
-                ev._check_shuffle(traj.T + 1, spec, traj.id)
-            except ValidationError:
-                continue
-            if spec.kind in kinds:
-                fits.append(spec)
-        return fits
-
-    @pytest.mark.parametrize("kind", ["global_block", "local_window"])
-    def test_statistics_equal_einsum_of_increments(self, monkeypatch, rng, kind):
-        d = 3
-        spatial = SpdMatrix(random_spd(rng, d))
-        seen, statistics = [], ev._statistics
-
-        def spy(white, orders):
-            seen.append(statistics(white, orders))
-            return seen[-1]
-
-        monkeypatch.setattr(ev, "_statistics", spy)
-        for doc in self.documents(rng, d):
-            specs = self.specs(doc, (kind,))
-            seen.clear()
-            ev._credits([doc], specs, spatial)
-            white = spatial.whiten(doc.points - doc.points[0])
-            kept = [orders for _, orders in ev._copy_orders(doc, specs, ev._classes(doc.points))]
-            incr = increments(white[np.concatenate([np.arange(doc.T + 1)[None], *kept])])
-            want = np.einsum("knd,knd->k", incr, incr)
-            assert len(want) > 1, doc.id
-            np.testing.assert_array_equal(np.concatenate(seen).view(np.int64),
-                                          want.view(np.int64))
-
-    def test_rewound_generator_draws_what_a_fresh_one_draws(self, rng):
-        for doc in self.documents(rng, 2):
-            specs = self.specs(doc)
-            assert len({spec.seed for spec in specs}) == 2, doc.id
-            got = list(ev._copy_orders(doc, specs, ev._classes(doc.points)))
-            assert len(got) == len(specs)
-            for spec, (kept, orders) in zip(specs, got):
-                want_kept, want_orders = fresh_copy_orders(doc, spec)
-                assert kept == want_kept
-                np.testing.assert_array_equal(orders, want_orders)
 
 
 class TestRelativeAccuracy:

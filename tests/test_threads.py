@@ -83,13 +83,13 @@ def test_cli_import_after_numpy_leaves_the_environment():
 
 
 def test_forking_command_gives_no_fork_warning(tmp_path):
-    # from Python 3.12 os.fork warns in a process with threads; 100 documents of 480
-    # copies are 48000 copies, twice discrimination's fork floor of 24000, so
-    # discriminate forks on two CPUs or more
-    docs, copies = 100, 480
-    assert docs * copies >= 2 * ev.FORK_FLOOR
-    python("-m", "bridgescore.cli", "simulate", "--d", 16, "--T", 40, "--n", docs, "--seed", 1,
-           "--out", tmp_path / "c.jsonl")
+    # from Python 3.12 os.fork warns in a process with threads; 100 documents of 41 points
+    # at d=16 are 65600 coordinates, and 500 copies of them 32.8M, twice discrimination's
+    # fork floor of 16M, so discriminate forks on two CPUs or more
+    docs, points, d, copies = 100, 41, 16, 500
+    assert docs * points * d * copies >= 2 * ev.FORK_FLOOR
+    python("-m", "bridgescore.cli", "simulate", "--d", d, "--T", points - 1, "--n", docs,
+           "--seed", 1, "--out", tmp_path / "c.jsonl")
     python("-m", "bridgescore.cli", "fit", "--in", tmp_path / "c.jsonl",
            "--out", tmp_path / "m.json")
     done = python("-W", "error::DeprecationWarning", "-m", "bridgescore.cli", "discriminate",
