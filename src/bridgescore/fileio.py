@@ -13,21 +13,20 @@ and a record whose d differs from the first's with a path:line diagnostic.
 
 Each corpus line is parsed once, by one rule wherever it sits; a header is
 parsed like any record line, and no command reads its values. orjson is
-handed the bytes of an ordinary line: one with no '\r', starting with '{'
-and ending with '}' before its newline, and nested no deeper than _DEEPEST;
-orjson checks its UTF-8 itself. Every other line, and an ordinary line whose
-bytes orjson rejects, takes the text route: it is decoded (bytes that are
-not UTF-8 are a 'cannot read file' error), split on '\r' as universal
-newlines split it, and stripped. There orjson parses the text of a line
-that nests no deeper than _DEEPEST, and the standard json module parses
-any line that orjson rejected (NaN, Infinity, numbers past float range,
-lone surrogate escapes) and any line that could nest deeper. Where orjson
-parses a line, json's value is the same in every field a record reads, so
-records and errors are those of a read by json alone, except that a line
-nested past json's recursion limit, which depends on the stack in use, but
-within _DEEPEST is judged on orjson's value, and that a header's integer
-past 64 bits reads back as orjson's float. json reads model and
-trainer-state files.
+handed the bytes of every line that universal newlines keep whole, one with
+no '\r' but a final CRLF's, nested no deeper than _DEEPEST; it skips JSON
+whitespace around the value and checks the UTF-8 itself. Every other line,
+and every line whose bytes orjson rejects, is decoded (bytes that are not
+UTF-8 are a 'cannot read file' error), split on '\r' as universal newlines
+split it, stripped, and parsed by the standard json module alone: NaN,
+Infinity, numbers past float range, lone surrogate escapes, padding that
+strip removes and JSON does not (a form feed, a no-break space) and lines
+that could nest deeper are json's. Where orjson parses a line, json's value
+is the same in every field a record reads, so records and errors are those
+of a read by json alone, except on a line orjson is handed: one nested past
+json's recursion limit, which depends on the stack in use, is judged on
+orjson's value, and a header's integer past 64 bits reads back as orjson's
+float. json reads model and trainer-state files.
 
 Every file is written in this process by one writer, write_lines, with
 the bytes of json.dumps with sorted keys and compact separators. Float
@@ -265,16 +264,6 @@ def _cut(fh, size: int, n: int) -> list[tuple[int, int | None]]:
     return list(zip(starts, [*starts[1:], None]))
 
 
-def _text_value(line: str, where: str, shallow: bool):
-    """A stripped text line parsed: by orjson when shallow, else or on rejection by json."""
-    if shallow:
-        try:
-            return orjson.loads(line)
-        except orjson.JSONDecodeError:
-            pass
-    return _json_value(line, where)
-
-
 def _read_span(fh, path, span: tuple[int, int | None], digest=None):
     """One span of fh parsed: (header, [(line, record)], error, lines read).
 
@@ -292,14 +281,15 @@ def _read_span(fh, path, span: tuple[int, int | None], digest=None):
         values = None  # nothing parsed from raw yet
         if digest is not None:
             digest.update(raw)
-        shallow = _shallow(raw)
-        # one line with nothing that strip would remove but its newline
-        if shallow and raw[:1] == b"{" and raw.endswith((b"}\n", b"}")) and b"\r" not in raw:
+        cr = raw.find(b"\r")
+        # one line as universal newlines split it: no '\r' but a final CRLF's
+        if (cr < 0 or cr == len(raw) - 2 and raw.endswith(b"\n")) and _shallow(raw):
             try:
                 values = (orjson.loads(raw),)
             except orjson.JSONDecodeError:
-                shallow = False  # its text is judged by json alone
-        if values is None:
+                pass  # its text is judged by json alone
+        texts = values is None
+        if texts:
             try:
                 text = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
@@ -309,11 +299,11 @@ def _read_span(fh, path, span: tuple[int, int | None], digest=None):
             lineno += 1
             where = f"{path}:{lineno}"
             try:
-                if isinstance(row, str):
+                if texts:
                     row = row.strip()
                     if not row:
                         continue
-                    row = _text_value(row, where, shallow)
+                    row = _json_value(row, where)
                 if not isinstance(row, dict):
                     raise ValidationError(f"{where}: expected a JSON object")
                 if not start and lineno == 1 and row.get("kind") == "trajectories":

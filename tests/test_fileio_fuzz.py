@@ -5,15 +5,15 @@ model files and weight matrices with one field or one matrix entry replaced
 by an arbitrary value, so that the checks past the JSON parse are reached
 too. Every diagnostic names the file, and a corpus read in two spans gives
 the records or the error of a read in one. The corpus reader parses every
-line by one rule, line 1 included: orjson parses it, and json any line that
-orjson rejects or that nests too deep for orjson to be asked. For any line it
-gives the records, to the bit, or the error of a read by json alone, except
-that a line nested past json's recursion limit, and within the depth that
-orjson is asked to parse, is judged on orjson's value, and that a header's
+line by one rule, line 1 included: orjson is handed the bytes of each line
+that universal newlines keep whole and that nests no deeper than it is asked
+to parse, and json alone parses the text of every other line and of every
+line orjson rejects. For any line it gives the records, to the bit, or the
+error of a read by json alone, except on a line orjson is handed: one nested
+past json's recursion limit is judged on orjson's value, and a header's
 integer past 64 bits reads back as orjson's float. A read by json alone
-replaces orjson.loads with a stub that refuses every line, handed as bytes
-or as text. Runs are derandomized, so the suite draws the same examples
-every time.
+replaces orjson.loads with a stub that refuses every line. Runs are
+derandomized, so the suite draws the same examples every time.
 """
 
 import json
@@ -118,10 +118,8 @@ def test_arbitrary_json_value(input_file, value):
 
 
 def refuse(doc):
-    """orjson.loads refusing every line, handed its text or its bytes."""
-    if isinstance(doc, bytes):
-        doc = doc.decode("utf-8", errors="replace")
-    raise orjson.JSONDecodeError("refused", doc, 0)
+    """orjson.loads refusing every line it is handed."""
+    raise orjson.JSONDecodeError("refused", doc.decode("utf-8", errors="replace"), 0)
 
 
 def corpus_outcome(path, spans, json_only=False):
@@ -181,14 +179,19 @@ HEADER = '{"kind":"trajectories","created_by":"x","seed":%s}'
                '{"id":"b","domain":"d","points":[[18446744073709551616],[1],[2]]}'])
 @example(rows=[RECORD % "[[0],[1],[2]]", HEADER % 1])
 @example(rows=[RECORD % ("[[%s]]" % "],[".join(map(str, range(12_000))))])
-# lines that orjson is not handed as bytes, or rejects as bytes: a '\r' between tokens,
-# padding that strip removes, a BOM, bytes that are not UTF-8 (a lone surrogate here stands
-# for the byte it escapes), a blank line of '\x1c'
+# lines that orjson is not handed, or rejects: a lone '\r' between tokens or around a
+# record, padding that strip removes and JSON does not, a BOM, bytes that are not UTF-8 (a
+# lone surrogate here stands for the byte it escapes), a blank line of '\x1c'; and lines
+# it is handed with JSON whitespace around the record
 @example(rows=['{"id":"a",\r"domain":"d","points":[[0],[1],[2]]}'])
 @example(rows=['{"id":"a","domain":"d",\r\n"points":[[0],[1],[2]]}', RECORD % "[[0],[1],[2]]"])
 @example(rows=[RECORD % "[[0],[1],[2]]" + "\r", '{"id":"b","domain":"d","points":[[0],[1]]}'])
+@example(rows=["\r" + RECORD % "[[0],[1],[2]]"])
+@example(rows=[RECORD % "[[0],[1],[2]]" + "\r\r"])
 @example(rows=[RECORD % "[[0],[1],[2]]" + pad for pad in ("\x0c", "\x1c", "\xa0", "\u2028")])
 @example(rows=[" \t" + RECORD % "[[0],[1],[2]]", "\ufeff" + RECORD % "[[0],[1],[2]]"])
+# a string that orjson parses, holding a record's text
+@example(rows=[json.dumps(RECORD % "[[0],[1],[2]]")])
 @example(rows=['{"id":"a\udcff","domain":"d","points":[[0],[1],[2]]}'])
 @example(rows=['{"id":"a\udced\udca0\udc80","domain":"d","points":[[0],[1],[2]]}'])
 @example(rows=[RECORD % "[[0],[1],[2]]", "\x1c", '{"id":"b","domain":"d","points":[[0],[1],[2]]}'])
@@ -248,6 +251,16 @@ def test_deep_nesting_read_as_json_reads_it(input_file, depth, where):
             assert where == "extra"  # accepted only as json accepts it
 
 
+@pytest.mark.parametrize("where", ["points", "extra", "label"])
+def test_a_deep_line_padded_with_a_form_feed_reads_as_json_reads_it(input_file, where):
+    # orjson rejects the form feed, so json alone judges the line, at the recursion limit
+    # in use
+    line = deep_record(9000, where) + "\x0c"
+    for lines in ([line], [HEADER % 1, line]):
+        input_file.write_text("\n".join(lines))
+        assert corpus_outcome(input_file, 1) == corpus_outcome(input_file, 1, json_only=True)
+
+
 # The verdict on a deep record, where both parsers give one value
 VERDICT = {"points": "'points' must list at least 3 vectors",
            "label": "'label' must be a string when present", "extra": None}
@@ -275,8 +288,8 @@ def test_deep_nesting_past_line_one_reads_as_orjsons_value(input_file, depth, wh
      "cannot read file ('utf-8' codec can't decode byte 0xff in position 8: invalid start byte)"),
 ], ids=["nan", "crlf", "not-utf-8"])
 def test_line_one_is_judged_as_any_other_line(input_file, line, verdict):
-    # a line that orjson rejects, or that is not handed to it as bytes, gets one verdict
-    # on line 1 and after a header, with its line number shifted by one
+    # a line that orjson rejects, ends in CRLF or is not UTF-8 gets one verdict on line 1
+    # and after a header, with its line number shifted by one
     for lines in ([HEADER.encode() % b"1", line], [line]):
         input_file.write_bytes(b"\n".join(lines))
         with pytest.raises(ValidationError) as exc:
@@ -284,14 +297,20 @@ def test_line_one_is_judged_as_any_other_line(input_file, line, verdict):
         assert str(exc.value) == f"{input_file}:{len(lines)}: {verdict}"
 
 
+def parser_calls(monkeypatch) -> list:
+    """A list that each json.loads and orjson.loads call appends (module, argument type) to."""
+    calls = []
+    for module in (fileio.json, fileio.orjson):
+        def loads(doc, module=module, loads=module.loads):
+            calls.append((module.__name__, type(doc).__name__))
+            return loads(doc)
+        monkeypatch.setattr(module, "loads", loads)
+    return calls
+
+
 def test_each_corpus_line_is_parsed_once(input_file, monkeypatch):
     # orjson parses every line that it accepts, line 1 included
-    parsers = []
-    for module in (fileio.json, fileio.orjson):
-        def loads(text, module=module, loads=module.loads):
-            parsers.append(module.__name__)
-            return loads(text)
-        monkeypatch.setattr(module, "loads", loads)
+    parsers = parser_calls(monkeypatch)
     header, valid = HEADER % 2 ** 64, RECORD % "[[0],[1],[2]]"
     input_file.write_text(f"{header}\n{valid}\n")
     seed = read_trajectories(input_file)[1]["seed"]
@@ -300,30 +319,42 @@ def test_each_corpus_line_is_parsed_once(input_file, monkeypatch):
     parsers.clear()
     with pytest.raises(ValidationError, match=":3: 'points' must list at least 3 vectors"):
         read_trajectories(input_file)
-    assert parsers == ["orjson", "orjson", "orjson"]
+    assert parsers == [("orjson", "bytes")] * 3
 
 
 def test_a_line_orjson_rejects_is_not_handed_to_it_again(input_file, monkeypatch):
-    # orjson refuses a NaN record's bytes, and json alone judges its text
-    parsers = []
-    for module in (fileio.json, fileio.orjson):
-        def loads(doc, module=module, loads=module.loads):
-            parsers.append((module.__name__, type(doc).__name__))
-            return loads(doc)
-        monkeypatch.setattr(module, "loads", loads)
+    # orjson refuses a NaN record's bytes, and json alone judges its text, with an LF or a
+    # CRLF line end; the line after it is never reached
+    parsers = parser_calls(monkeypatch)
     valid, nan = RECORD % "[[0],[1],[2]]", RECORD.replace('"a"', '"b"') % "[[NaN],[1],[2]]"
-    input_file.write_text(f"{HEADER % 1}\n{valid}\n{nan}\r\n{nan}\n")
-    with pytest.raises(ValidationError, match=":3: 'points' contains a non-finite number"):
-        read_trajectories(input_file)
-    # the CRLF line is text, orjson's and then json's; the last line is never reached
-    assert parsers == [("orjson", "bytes"), ("orjson", "bytes"), ("orjson", "str"),
-                       ("json", "str")]
-    input_file.write_text(f"{HEADER % 1}\n{valid}\n{nan}\n")
-    parsers.clear()
-    with pytest.raises(ValidationError, match=":3: 'points' contains a non-finite number"):
-        read_trajectories(input_file)
-    assert parsers == [("orjson", "bytes"), ("orjson", "bytes"), ("orjson", "bytes"),
-                       ("json", "str")]
+    for eol in ("\r\n", "\n"):
+        input_file.write_bytes(f"{HEADER % 1}\n{valid}\n{nan}{eol}{nan}\n".encode())
+        parsers.clear()
+        with pytest.raises(ValidationError, match=":3: 'points' contains a non-finite number"):
+            read_trajectories(input_file)
+        assert parsers == [("orjson", "bytes"), ("orjson", "bytes"), ("orjson", "bytes"),
+                           ("json", "str")]
+
+
+def test_lf_crlf_and_indented_copies_read_alike(input_file, monkeypatch):
+    # each line of every copy is one line as universal newlines split it, handed to orjson
+    # once as bytes and never to json: the records, and a short record's error, are the LF
+    # copy's
+    parsers = parser_calls(monkeypatch)
+    lines = [HEADER % 1, RECORD % "[[0],[1],[2]]",
+             '{"id":"b","domain":"d","points":[[0.5],[1e-7],[2]],"label":"x"}']
+    short = '{"id":"c","domain":"d","points":[[0],[1]]}'
+    reads = []
+    for pad, eol in (("", "\n"), ("", "\r\n"), (" \t", "\n")):
+        reads.append([])
+        for rows in (lines, [*lines[:2], short]):
+            input_file.write_bytes("".join(pad + row + eol for row in rows).encode())
+            parsers.clear()
+            reads[-1].append(corpus_outcome(input_file, 1))
+            assert parsers == [("orjson", "bytes")] * 3
+    lf, crlf, indented = reads
+    assert lf == crlf == indented
+    assert lf[1] == f"{input_file}:3: 'points' must list at least 3 vectors"
 
 
 def bits_to_float(bits: int) -> float:
