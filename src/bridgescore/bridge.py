@@ -164,7 +164,8 @@ def pooled_covariance(trajs) -> tuple[np.ndarray, int]:
 
     Returns (M, weight) with M = (sum_i R_i Sigma_Ti^-1 R_i^T) / weight
     = (sum_i dR_i^T dR_i) / weight, weight = sum_i (T_i - 1), symmetrized. The
-    Gram sum runs in id order, _GRAM_DOCS documents per BLAS call.
+    Gram sum runs in id order, _GRAM_DOCS documents per BLAS call, their
+    increments stacked in one buffer that every call reuses.
     shrink_covariance turns M into a validated covariance. Raises
     NumericalError, naming the document, when the sum overflows float64.
     """
@@ -179,9 +180,15 @@ def pooled_covariance(trajs) -> tuple[np.ndarray, int]:
             )
     acc = np.zeros((d, d))
     weight = sum(t.T - 1 for t in trajs)
+    groups = [trajs[lo:lo + _GRAM_DOCS] for lo in range(0, len(trajs), _GRAM_DOCS)]
+    buf = np.empty((max(sum(t.T for t in group) for group in groups), d))
     with np.errstate(over="ignore", invalid="ignore"):  # checked once, on the result
-        for lo in range(0, len(trajs), _GRAM_DOCS):
-            incr = np.concatenate([increments(t.points) for t in trajs[lo:lo + _GRAM_DOCS]])
+        for group in groups:
+            rows = 0
+            for t in group:
+                buf[rows:rows + t.T] = increments(t.points)
+                rows += t.T
+            incr = buf[:rows]
             acc += incr.T @ incr
         m = acc / weight
         m = 0.5 * (m + m.T)

@@ -4,12 +4,13 @@ Trajectory corpora are JSONL: an optional header object on the first line,
 then one document per line. A corpus is returned whole, as a list held in
 memory. On Linux a corpus is read in contiguous parts, one per CPU this
 process may run on, through forked children (forks): the file is cut into
-byte spans of lines, none under SPAN_FLOOR bytes (4 MiB). This process
-parses the first span; a child opens the file itself, parses and validates
-its span and pickles its records back. Records and errors are the same for
-any number of parts, and a child that fails costs time, not output: its
-part is redone here. Ingestion rejects any malformed record, a duplicate id
-and a record whose d differs from the first's with a path:line diagnostic.
+byte spans of lines, none under SPAN_FLOOR bytes (8 MiB), so a corpus under
+16 MiB is read in one process. This process parses the first span; a child
+opens the file itself, parses and validates its span and pickles its
+records back. Records and errors are the same for any number of parts, and
+a child that fails costs time, not output: its part is redone here.
+Ingestion rejects any malformed record, a duplicate id and a record whose d
+differs from the first's with a path:line diagnostic.
 
 Each corpus line is parsed once, by one rule wherever it sits; a header is
 parsed like any record line, and no command reads its values. orjson is
@@ -31,9 +32,9 @@ float. json reads model and trainer-state files.
 Every file is written in this process by one writer, write_lines, with
 the bytes of json.dumps with sorted keys and compact separators. Float
 arrays are spelled by orjson, which spells 0 and every |x| in [1e-4, 1e16)
-as json does; each token with an 'e' or a '0.0000', which covers every
-other value, is respelled as repr(float(token)) (_floats). Writers embed
-no timestamps, so reruns produce byte-identical files.
+as json does; each row holding any other finite value, found by a numpy
+mask, is spelled by float.__repr__ (_floats). Writers embed no
+timestamps, so reruns produce byte-identical files.
 
 A model file is one JSON object. read_sigma_model validates d, weight,
 epsilon and matrix, but returns only what commands read back: the matrix,
@@ -46,6 +47,7 @@ from __future__ import annotations
 import errno
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -82,33 +84,28 @@ def file_digest(path) -> str:
 def _floats(arr: np.ndarray) -> str:
     """arr, a float array of one or more dimensions, as json.dumps spells arr.tolist() compactly.
 
-    orjson writes 1e16, 1e-7 and 0.00005 where json writes 1e+16, 1e-07 and
-    5e-05. Each token holding an 'e' or a '0.0000' is respelled whole, from
-    the ',' or '[' before it to the ',' or ']' after it, so that a token such
-    as '10.000049', which orjson spells as json does, is rewritten as itself.
-    Its bounds are found by str searches that stop at the nearest ',', so
-    that no character is visited in Python.
+    orjson spells 0 and every |x| in [1e-4, 1e16) as json does, but writes
+    1e16, 1e-7 and 0.00005 where json writes 1e+16, 1e-07 and 5e-05, each
+    with an 'e' or a '0.0000'; a text with neither is returned as it is.
+    Otherwise each row along the last axis that holds such a value is spelled
+    again by float.__repr__, json's own spelling, and every other row keeps
+    orjson's; a non-finite value stays orjson's null. The k-th row's numbers
+    end the k-th nonempty piece of orjson's text split on ']'.
     """
-    text = orjson.dumps(np.ascontiguousarray(arr, dtype=float),
-                        option=orjson.OPT_SERIALIZE_NUMPY).decode()
-    tokens = {}  # start: end
-    for mark in ("e", "0.0000"):
-        at = text.find(mark)
-        while at >= 0:
-            comma = text.rfind(",", 0, at)
-            start = max(comma, text.rfind("[", comma + 1, at)) + 1
-            comma = text.find(",", at)
-            if comma < 0:
-                comma = len(text)
-            end = text.find("]", at, comma)
-            end = comma if end < 0 else end
-            tokens[start] = end
-            at = text.find(mark, end)
-    out, pos = [], 0
-    for start, end in sorted(tokens.items()):
-        out += [text[pos:start], repr(float(text[start:end]))]
-        pos = end
-    return "".join([*out, text[pos:]])
+    arr = np.ascontiguousarray(arr, dtype=float)
+    text = orjson.dumps(arr, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    if "e" not in text and "0.0000" not in text:
+        return text
+    rows = arr.reshape(-1, arr.shape[-1])
+    mag = np.abs(rows)
+    odd = np.flatnonzero((((0 < mag) & (mag < 1e-4)) | (mag >= 1e16)).any(axis=1))
+    pieces = text.split("]")
+    at = [i for i, piece in enumerate(pieces) if piece]
+    for k in odd.tolist():
+        piece = pieces[at[k]]
+        pieces[at[k]] = piece[:piece.rfind("[") + 1] + ",".join(
+            [repr(v) if math.isfinite(v) else "null" for v in rows[k].tolist()])
+    return "]".join(pieces)
 
 
 def _dumps(obj) -> str:
@@ -165,8 +162,15 @@ def write_trajectories(path, records, meta: dict | None = None) -> None:
          **({} if rec.label is None else {"label": rec.label})} for rec in records))
 
 
-# Corpus text per span below which a process costs more than it saves.
-SPAN_FLOOR = 4 << 20
+# Corpus bytes a process reads at least. A fork should cut wall time by more
+# than the CPU time it adds. A read alone, forked against one process on 2
+# vCPUs (T 20..60, medians of 10 alternating pairs of wall cut / CPU added):
+# 10.1 MB at d=64, 0.007 / 0.044 s; 20.4 MB at d=64, 0.022 / 0.077 s;
+# 24.4 MB at d=256, 0.053 / 0.063 s; 38.1 MB at d=16, 0.060 / 0.173 s. End to
+# end, fit of a 23.2 MB d=256 corpus read in one process took 0.592 s against
+# 0.512 s forked (6 of 6 pairs) for 0.040 s less CPU. So under 16 MiB a read
+# runs in one process, and from 16 MiB it forks.
+SPAN_FLOOR = 8 << 20
 
 
 def _matrix(value, exact: bool = True) -> np.ndarray | None:

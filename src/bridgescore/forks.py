@@ -6,7 +6,11 @@ itself and forks a child per other part, which pickles work(part) back
 through a pipe. Results come back in part order, so they are those of one
 process doing every part in turn, and a child that fails costs time, not
 output: its part is redone here. Only Linux forks; elsewhere, and on one
-CPU, there is one part.
+CPU, there is one part. Each caller sets a floor of work per process: 8 MiB
+of corpus text for the reader (fileio.SPAN_FLOOR, so two processes from
+16 MiB) and 16M coordinates of shuffled copies for discrimination
+(evalsuite.FORK_FLOOR). A child leaves through os._exit, as the CLI's own
+process does once its command returns (cli.entry_point).
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ from bridgescore import (
     LinearEncoder,
     ShuffleSpec,
     SpdMatrix,
+    TrainerState,
     chi_square_sf,
     cl_gradient,
     cl_loss,
@@ -31,6 +32,7 @@ from bridgescore import (
     sample_bridge,
     sample_triplets,
     score_statistics,
+    update_sigma_hat,
 )
 from bridgescore.cli import main as cli_main
 from conftest import dense_log_density, random_spd, random_trajectory
@@ -184,6 +186,7 @@ def test_criterion_6_training_sanity(tmp_path):
         theta_star = np.linalg.inv(mixing)
 
         rows = []
+        raw_corpora = {}
         counter = 0
         for dom in ("news", "wiki"):
             for i in range(n):
@@ -192,6 +195,8 @@ def test_criterion_6_training_sanity(tmp_path):
                                      domain=dom)
                 counter += 1
                 raw = traj.points @ mixing.T
+                raw_corpora.setdefault(dom, []).append(
+                    LatentTrajectory(id=traj.id, domain=dom, points=raw))
                 rows.append(json.dumps({
                     "id": traj.id, "domain": dom,
                     "points": [[float(v) for v in p] for p in raw],
@@ -223,6 +228,12 @@ def test_criterion_6_training_sanity(tmp_path):
                 np.linalg.cholesky(fitted)  # PD after the final update
                 rel = np.linalg.norm(fitted - sigma) / np.linalg.norm(sigma)
                 assert rel < 0.2, f"epsilon={eps} domain={dom} recovery error {rel:.3f}"
+                # the initial weights recover sigma within the bound too: a square
+                # encoder's training only rescales it, so the bound shows no learning
+                start = TrainerState(LinearEncoder(weights=init), epsilon=eps)
+                rel0 = (np.linalg.norm(update_sigma_hat(start, dom, raw_corpora[dom]).entries
+                                       - sigma) / np.linalg.norm(sigma))
+                assert rel0 < 0.2, f"epsilon={eps} domain={dom} initial recovery error {rel0:.3f}"
 
 
 def test_criterion_7_directional_discrimination():

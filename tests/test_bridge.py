@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import bridgescore.bridge as bridge
 from bridgescore import (
     DimensionMismatchError,
     InsufficientDataError,
@@ -156,6 +157,19 @@ class TestIncrementKernel:
         m_rev, w_rev = pooled_covariance(trajs[::-1])
         np.testing.assert_array_equal(m, m_rev)
         assert w == w_rev
+
+    def test_pooled_gram_bit_for_bit_with_concatenated_groups(self, rng):
+        # the groups' increments stacked in one reused buffer: the same Gram sum, to the
+        # bit, as one np.concatenate per group of _GRAM_DOCS id-ordered documents
+        group = bridge._GRAM_DOCS
+        trajs = [random_trajectory(rng, 5, int(T), traj_id=f"g{i:03d}")
+                 for i, T in enumerate(rng.integers(2, 60, 2 * group + 7))]
+        acc = np.zeros((5, 5))
+        for lo in range(0, len(trajs), group):
+            incr = np.concatenate([increments(t.points) for t in trajs[lo:lo + group]])
+            acc += incr.T @ incr
+        m = acc / sum(t.T - 1 for t in trajs)
+        np.testing.assert_array_equal(pooled_covariance(trajs[::-1])[0], 0.5 * (m + m.T))
 
     def test_overflow_names_first_document(self, rng):
         # finite coordinates whose increments overflow: a NumericalError, not a RuntimeWarning

@@ -1542,3 +1542,71 @@ class TestStartup:
                                  "'scipy.special' in sys.modules)")
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "False False"
+
+
+# a prelude that marks interpreter teardown: atexit handlers run in it, not after os._exit
+TEARDOWN = "import atexit, sys; atexit.register(print, 'teardown', file=sys.stderr)\n"
+LAUNCHERS = {
+    "python -m": "import runpy; runpy.run_module('bridgescore.cli', run_name='__main__')",
+    "console script": "from bridgescore.cli import entry_point; entry_point()",
+}
+
+
+class TestExitPath:
+    """python -m and the console script end through entry_point: os._exit, no teardown.
+
+    stdout and stderr are regular files and PYTHONUNBUFFERED is unset, so stdout is
+    block-buffered: every line main() prints must still reach it, whatever the exit code.
+    """
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        corpus = simulate_file(tmp_path, n=8, T=10)
+        model = tmp_path / "m.json"
+        assert run("fit", "--in", corpus, "--out", model) == 0
+        huge = tmp_path / "huge.jsonl"
+        assert run("simulate", "--d", 2, "--T", 5, "--n", 3, "--endpoints", "random:1e308",
+                   "--out", huge) == 0
+        return {"corpus": corpus, "model": model, "huge": huge,
+                "missing": tmp_path / "missing.json", "out": tmp_path / "refit.json"}
+
+    @staticmethod
+    def launch(tmp_path, launcher, argv):
+        """(exit code, stdout, stderr) of argv run by launcher, into regular files."""
+        out, err = tmp_path / "stdout.txt", tmp_path / "stderr.txt"
+        env = {k: v for k, v in cli_env().items() if k != "PYTHONUNBUFFERED"}
+        with open(out, "w") as stdout, open(err, "w") as stderr:
+            code = subprocess.run([sys.executable, "-c", TEARDOWN + LAUNCHERS[launcher], *argv],
+                                  stdout=stdout, stderr=stderr, env=env, timeout=120).returncode
+        return code, out.read_text(), err.read_text()
+
+    @pytest.mark.parametrize("launcher", LAUNCHERS)
+    @pytest.mark.parametrize("argv, code", [
+        (["discriminate", "--in", "corpus", "--model", "model", "--block-sizes", "1,2",
+          "--per-document"], 0),
+        (["discriminate", "--in", "corpus", "--model", "missing", "--block-sizes", "1,2",
+          "--per-document"], 1),
+        (["discriminate", "--in", "huge", "--model", "model", "--block-sizes", "1,2",
+          "--per-document"], 2),
+        (["fit", "--in", "corpus", "--compare-to", "model", "--out", "out"], 0),
+        (["fit", "--in", "missing", "--out", "out"], 1),
+        (["fit", "--in", "huge", "--out", "out"], 2),
+    ], ids=["discriminate 0", "discriminate 1", "discriminate 2", "fit 0", "fit 1", "fit 2"])
+    def test_every_line_reaches_a_file(self, tmp_path, capsys, inputs, launcher, argv, code):
+        argv = [str(inputs.get(a, a)) for a in argv]
+        capsys.readouterr()
+        assert main(argv) == code
+        want = capsys.readouterr()
+        assert self.launch(tmp_path, launcher, argv) == (code, want.out, want.err)
+        assert bool(want.out) == (code == 0)
+        assert want.err.count("\n") == (code != 0)
+
+    @pytest.mark.parametrize("launcher", LAUNCHERS)
+    def test_argparse_exits_the_normal_way(self, tmp_path, launcher):
+        # --version raises SystemExit inside main(): the interpreter tears down as usual
+        assert self.launch(tmp_path, launcher, ["--version"]) == (
+            0, f"bridgescore {bridgescore.__version__}\n", "teardown\n")
+
+    def test_console_script_is_entry_point(self):
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        assert re.search(r'^bridgescore = "bridgescore\.cli:entry_point"$', pyproject, re.M)

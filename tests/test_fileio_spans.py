@@ -258,3 +258,17 @@ class TestSpanCount:
         path = corpus_file(tmp_path / "c.jsonl")
         assert outcome(path, 3)[0] == expected(rows())
         assert children == []
+
+
+@pytest.mark.parametrize("short", [0, 1], ids=["twice the floor", "one byte fewer"])
+def test_the_floor_forks_from_twice_its_bytes(tmp_path, monkeypatch, children, short):
+    # on 2 CPUs, a file of twice SPAN_FLOOR bytes is read by one forked child too, and one
+    # byte fewer by this process alone; parsing is stubbed, since only the split is looked at
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(fileio, "_read_span", lambda fh, path, span, digest=None: ({}, [], None, 0))
+    line = b" " * 1023 + b"\n"
+    path = tmp_path / "c.jsonl"
+    path.write_bytes((line * (2 * fileio.SPAN_FLOOR // len(line)))[:2 * fileio.SPAN_FLOOR - short])
+    assert path.stat().st_size == 2 * fileio.SPAN_FLOOR - short
+    assert read_trajectories(path) == ([], {})
+    assert [child.sent for child in children] == [True] * (1 - short)

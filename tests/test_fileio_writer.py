@@ -2,8 +2,9 @@
 
 A patched CPU set makes the host report one, two or three CPUs; the writer
 forks no child at any count. The expected bytes are built here, one
-json.dumps per line, and _floats, which spells float arrays through orjson,
-is checked against json.dumps of the same values.
+json.dumps per line, and _floats, which spells float arrays through orjson
+and respells the rows orjson spells otherwise, is checked against
+json.dumps of the same values.
 """
 
 import json
@@ -184,6 +185,38 @@ def test_floats_of_a_non_contiguous_array():
 def test_floats_of_any_finite_values(values):
     arr = np.array(values)
     assert _floats(arr) == json_spelling(arr)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(-20, 2), st.integers(0, 2**32 - 1))
+def test_floats_of_near_identity_matrices(n, decade, seed):
+    # trainer weights: a unit diagonal whose rows hold perturbations of any size
+    arr = np.eye(n) + 10.0 ** decade * np.random.default_rng(seed).standard_normal((n, n))
+    assert _floats(arr) == json_spelling(arr)
+
+
+# values json spells as orjson does, and values it spells otherwise
+PLAIN = st.one_of(st.sampled_from([0.0, -0.0]),
+                  st.floats(1e-4, 1e16, exclude_max=True),
+                  st.floats(-1e16, -1e-4, exclude_min=True))
+ODD = st.one_of(st.floats(-1e-4, 1e-4, exclude_min=True, exclude_max=True).filter(bool),
+                st.floats(min_value=1e16, allow_infinity=False),
+                st.floats(max_value=-1e16, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda width: st.lists(
+    st.lists(st.one_of(PLAIN, ODD), min_size=width, max_size=width), min_size=1, max_size=6)))
+def test_floats_of_rows_mixing_both_kinds(rows):
+    arr = np.array(rows)
+    assert _floats(arr) == json_spelling(arr)
+
+
+def test_non_finite_values_are_null_in_either_kind_of_row():
+    # json would write NaN and Infinity, which are not JSON; the writer keeps orjson's null
+    arr = np.array([[np.nan, 1e-5, np.inf], [np.nan, 1.5, -np.inf], [-np.inf, 1e16, 0.5]])
+    assert _floats(arr) == "[[null,1e-05,null],[null,1.5,null],[null,1e+16,0.5]]"
+    assert _floats(arr.ravel()) == "[null,1e-05,null,null,1.5,null,null,1e+16,0.5]"
 
 
 def test_dumps_spells_arrays_in_nested_dicts_as_json():
