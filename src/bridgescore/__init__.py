@@ -14,12 +14,12 @@ _HOME = {name: module for module, names in {
               "SingularEstimateError ValidationError",
     "numerics": "SpdMatrix average_ranks chi_square_sf spearman_rho",
     "bridge": "LatentTrajectory increments log_likelihood mle_sigma pooled_covariance "
-              "quadratic_form sample_bridge shrink_covariance",
+              "quadratic_form sample_bridge shrink_covariance stable_seed",
     "score": "heuristic_bbscore score_statistics",
     "encoder": "LinearEncoder TrainerState cl_gradient cl_loss encode nll_batch_loss "
                "nll_gradient nll_objective sample_triplets train update_sigma_hat",
     "evalsuite": "ShuffleSpec discrimination_accuracies domain_swap_compare "
-                 "make_shuffle_set relative_accuracy stable_seed threshold_classify",
+                 "make_shuffle_set relative_accuracy threshold_classify",
 }.items() for name in names.split()}
 
 __all__ = [*_HOME]

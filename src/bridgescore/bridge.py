@@ -19,6 +19,7 @@ The trainer's linear encoder reduces the likelihood further (see encoder).
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 
@@ -110,6 +111,13 @@ def quadratic_form(spatial: SpdMatrix, incr) -> float:
         raise DimensionMismatchError(f"increments of d={incr.shape[1]} vs sigma dim {spatial.dim}")
     z = spatial.whiten(incr)
     return float(np.vdot(z, z))
+
+
+def stable_seed(base_seed: int, *parts) -> int:
+    """A 64-bit seed derived from a base seed and string parts via SHA-256."""
+    text = "|".join([str(int(base_seed)), *map(str, parts)])
+    digest = hashlib.sha256(text.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big")
 
 
 def sample_bridge(d, T, spatial: SpdMatrix, s0, sT, seed, *,

@@ -5,12 +5,12 @@ simulate, shuffle, discriminate and train draw random numbers, from --seed.
 Output files embed the tool version and input digests. Commands hand rows
 to fileio's one writer, write_lines or a writer built on it, and read their
 corpora and models through one gate, _inputs. Each command imports the
-modules only it runs (encoder, evalsuite, score) when it runs, so that fit
-loads none of them. Exit codes: 0 on success, 1 on validation errors, usage
-errors, failed writes and a closed stdout, 2 on numerical failures. The
-bridgescore script and python -m bridgescore.cli run main() through
-entry_point, which flushes stdout and stderr and exits through os._exit,
-skipping interpreter teardown.
+modules only it runs (encoder, evalsuite, score) when it runs, so that
+simulate and fit load none of them. Exit codes: 0 on success, 1 on
+validation errors, usage errors, failed writes and a closed stdout, 2 on
+numerical failures. The bridgescore script and python -m bridgescore.cli
+run main() through entry_point, which flushes stdout and stderr and exits
+through os._exit, skipping interpreter teardown.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ if "numpy" not in sys.modules and not any(
 
 import numpy as np  # noqa: E402
 
-from .bridge import pooled_covariance, sample_bridge, shrink_covariance
+from .bridge import pooled_covariance, sample_bridge, shrink_covariance, stable_seed
 from .errors import InsufficientDataError, NumericalError, ValidationError
 from .fileio import (
     TOOL_VERSION,
@@ -153,7 +153,6 @@ def _parse_endpoint_scale(spec: str) -> float:
 
 
 def cmd_simulate(args) -> int:
-    from .evalsuite import stable_seed
     if args.d < 1:
         raise ValidationError(f"--d {args.d}: expected an integer >= 1")
     if args.n < 0:

@@ -16,7 +16,8 @@ pooled covariance of the encoded corpus is W M W^T, and its summed quadratic
 form is n <Sigma^-1 W M, W>_F. Each Sigma_hat is W M W^T through
 bridge.shrink_covariance, as in fit, so a domain whose n is below d_out is
 rejected as fit rejects such a corpus. A batch's gradient uses the Gram
-matrix of its own increments. The trainer never re-encodes the corpus, and it
+matrix of its own increments, which train takes once per sequence and call
+and keeps beside the corpus. The trainer never re-encodes the corpus, and it
 runs on numpy alone.
 """
 
@@ -181,6 +182,11 @@ def _increment_gram(encoder: LinearEncoder, batch, triplets=None) -> np.ndarray:
                 )
             m = increments(seq.points[times], times)
         rows.append(m)
+    return _gram(rows)
+
+
+def _gram(rows) -> np.ndarray:
+    """sum_i m_i^T m_i over a list of increment arrays m_i, stacked in order: one GEMM."""
     stacked = np.concatenate(rows)
     return stacked.T @ stacked
 
@@ -311,10 +317,12 @@ def train(state: TrainerState, corpora, epochs: int) -> tuple[TrainerState, list
     Per epoch and per domain, iterate batches taking fixed-step gradient
     steps on the within-batch trace loss while Sigma_hat_j stays fixed, then
     refresh Sigma_hat_j and move to the next domain. Each domain's pooled raw
-    covariance is formed once, up front. The returned trace holds the full-data
-    objective before training and after each epoch; an epoch that leaves it
-    above its initial value raises NumericalError. Fully deterministic
-    given state.seed; epochs=0 returns the state untouched.
+    covariance is formed once, up front, and outside triplet mode so are each
+    sequence's increments, a second copy of the corpus in memory. The
+    returned trace holds the full-data objective before training and after
+    each epoch; an epoch that leaves it above its initial value raises
+    NumericalError. Fully deterministic given state.seed; epochs=0 returns
+    the state untouched.
     """
     if epochs < 0:
         raise ValidationError(f"epochs must be >= 0, got {epochs}")
@@ -330,6 +338,9 @@ def train(state: TrainerState, corpora, epochs: int) -> tuple[TrainerState, list
     for domain in domains:
         if domain not in state.sigma_hat:
             _refresh_sigma(state, domain, *pooled[domain])
+    # each sequence's increments, taken once: the same rows nll_gradient would stack per batch
+    incr = None if state.triplet_mode else {
+        domain: [increments(seq.points) for seq in seqs[domain]] for domain in domains}
     initial = _objective(state, pooled)
     trace = [initial]
     for epoch in range(1, epochs + 1):
@@ -337,10 +348,15 @@ def train(state: TrainerState, corpora, epochs: int) -> tuple[TrainerState, list
             order = rng.permutation(len(seqs[domain]))
             sigma = state.sigma_hat[domain]
             for lo in range(0, len(order), state.batch_size):
-                batch = [seqs[domain][i] for i in order[lo:lo + state.batch_size]]
-                triplets = sample_triplets(batch, rng) if state.triplet_mode else None
+                picks = order[lo:lo + state.batch_size]
                 with np.errstate(over="ignore", invalid="ignore"):  # checked once, on the step
-                    grad = nll_gradient(state.encoder, batch, sigma, triplets)
+                    if incr is None:
+                        batch = [seqs[domain][i] for i in picks]
+                        grad = nll_gradient(state.encoder, batch, sigma,
+                                            sample_triplets(batch, rng))
+                    else:
+                        gram = _gram([incr[domain][i] for i in picks])
+                        grad = 2.0 * sigma.solve(state.encoder.weights @ gram)
                     weights = state.encoder.weights - state.step_size * grad
                 if not np.isfinite(weights).all():
                     raise NumericalError(f"domain {domain!r}: a gradient step overflows float64")

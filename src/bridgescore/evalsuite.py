@@ -22,14 +22,13 @@ coherence rank per document, in corpus order.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
 from . import forks
-from .bridge import LatentTrajectory, check_dim, increments
+from .bridge import LatentTrajectory, check_dim, increments, stable_seed
 from .errors import (
     DegenerateInputError,
     EmptySetError,
@@ -38,13 +37,6 @@ from .errors import (
 )
 from .numerics import SpdMatrix, chi_square_sf, spearman_rho
 from .score import score_statistics
-
-
-def stable_seed(base_seed: int, *parts) -> int:
-    """A 64-bit seed derived from a base seed and string parts via SHA-256."""
-    text = "|".join([str(int(base_seed)), *map(str, parts)])
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
 
 
 @dataclass(frozen=True)

@@ -30,11 +30,13 @@ orjson's value, and a header's integer past 64 bits reads back as orjson's
 float. json reads model and trainer-state files.
 
 Every file is written in this process by one writer, write_lines, with
-the bytes of json.dumps with sorted keys and compact separators. Float
-arrays are spelled by orjson, which spells 0 and every |x| in [1e-4, 1e16)
-as json does; each row holding any other finite value, found by a numpy
-mask, is spelled by float.__repr__ (_floats). Writers embed no
-timestamps, so reruns produce byte-identical files.
+the bytes of json.dumps with sorted keys and compact separators, each line
+ended by b'\n' on every platform. Lines are built as bytes and written to a
+binary file, never decoded or encoded again. Float arrays are spelled by
+orjson, which spells 0 and every |x| in [1e-4, 1e16) as json does; each
+other finite value, found by a numpy mask, is respelled alone by
+float.__repr__ (_floats). Writers embed no timestamps, so reruns produce
+byte-identical files.
 
 A model file is one JSON object. read_sigma_model validates d, weight,
 epsilon and matrix, but returns only what commands read back: the matrix,
@@ -47,7 +49,6 @@ from __future__ import annotations
 import errno
 import hashlib
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -81,40 +82,48 @@ def file_digest(path) -> str:
         return _feed(fh, hashlib.sha256()).hexdigest()
 
 
-def _floats(arr: np.ndarray) -> str:
+def _floats(arr: np.ndarray) -> bytes:
     """arr, a float array of one or more dimensions, as json.dumps spells arr.tolist() compactly.
 
     orjson spells 0 and every |x| in [1e-4, 1e16) as json does, but writes
-    1e16, 1e-7 and 0.00005 where json writes 1e+16, 1e-07 and 5e-05, each
-    with an 'e' or a '0.0000'; a text with neither is returned as it is.
-    Otherwise each row along the last axis that holds such a value is spelled
-    again by float.__repr__, json's own spelling, and every other row keeps
-    orjson's; a non-finite value stays orjson's null. The k-th row's numbers
-    end the k-th nonempty piece of orjson's text split on ']'.
+    1e16, 1e-7 and 0.00005 where json writes 1e+16, 1e-07 and 5e-05. A numpy
+    mask finds those finite values, and each is spelled again by
+    float.__repr__, json's own spelling; every other token keeps orjson's,
+    and a non-finite value stays orjson's null. The k-th row along the last
+    axis ends the k-th nonempty piece of orjson's bytes split on ']', its
+    tokens split on ','.
     """
     arr = np.ascontiguousarray(arr, dtype=float)
-    text = orjson.dumps(arr, option=orjson.OPT_SERIALIZE_NUMPY).decode()
-    if "e" not in text and "0.0000" not in text:
+    text = orjson.dumps(arr, option=orjson.OPT_SERIALIZE_NUMPY)
+    if not arr.size:
         return text
     rows = arr.reshape(-1, arr.shape[-1])
     mag = np.abs(rows)
-    odd = np.flatnonzero((((0 < mag) & (mag < 1e-4)) | (mag >= 1e16)).any(axis=1))
-    pieces = text.split("]")
+    odd = ((0 < mag) & (mag < 1e-4)) | ((1e16 <= mag) & (mag < np.inf))
+    hit = np.flatnonzero(odd.any(axis=1))
+    if not hit.size:
+        return text
+    pieces = text.split(b"]")
     at = [i for i, piece in enumerate(pieces) if piece]
-    for k in odd.tolist():
+    for k in hit.tolist():
         piece = pieces[at[k]]
-        pieces[at[k]] = piece[:piece.rfind("[") + 1] + ",".join(
-            [repr(v) if math.isfinite(v) else "null" for v in rows[k].tolist()])
-    return "]".join(pieces)
+        cut = piece.rfind(b"[") + 1
+        tokens = piece[cut:].split(b",")
+        cols = np.flatnonzero(odd[k])
+        for j, value in zip(cols.tolist(), rows[k, cols].tolist()):
+            tokens[j] = repr(value).encode()
+        pieces[at[k]] = piece[:cut] + b",".join(tokens)
+    return b"]".join(pieces)
 
 
-def _dumps(obj) -> str:
+def _dumps(obj) -> bytes:
     """obj as json.dumps spells it with sorted keys and compact separators; arrays via _floats."""
     if isinstance(obj, np.ndarray):
         return _floats(obj)
     if isinstance(obj, dict) and any(isinstance(v, (dict, np.ndarray)) for v in obj.values()):
-        return "{" + ",".join(f"{json.dumps(k)}:{_dumps(v)}" for k, v in sorted(obj.items())) + "}"
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        return b"{" + b",".join(
+            json.dumps(k).encode() + b":" + _dumps(v) for k, v in sorted(obj.items())) + b"}"
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
 
 
 def _file_error(path, exc: Exception, action: str) -> ValidationError:
@@ -141,10 +150,10 @@ def write_lines(path, header: dict, rows=()) -> None:
     close, such as a full disk or a closed pipe, is a path: error.
     """
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_dumps({"created_by": TOOL_VERSION, **header}) + "\n")
+        with open(path, "wb") as fh:
+            fh.write(_dumps({"created_by": TOOL_VERSION, **header}) + b"\n")
             for row in rows:
-                fh.write(_dumps(row) + "\n")
+                fh.write(_dumps(row) + b"\n")
     except OSError as exc:
         raise _file_error(path, exc, "write") from exc
 

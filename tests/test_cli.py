@@ -28,9 +28,14 @@ def run(*argv):
 
 
 def cli_env():
-    """The environment of a fresh interpreter that imports this checkout's package."""
+    """The environment of a fresh interpreter that imports this checkout's package.
+
+    PYTHONUNBUFFERED is left out, so that a child's stdout is block-buffered, as
+    it is for a user, and a lost flush shows.
+    """
     src = str(Path(bridgescore.__file__).resolve().parents[1])
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
@@ -704,6 +709,44 @@ class TestRelativeClassifyCompare:
                    "--model-a", model_a, "--model-b", model_b) == 0
         out = capsys.readouterr().out
         assert "sigma_a" in out and "sigma_b" in out
+
+
+class TestMixedLengths:
+    """bbscore, the statistic over its dof, ranks sets of different lengths on one scale.
+
+    Set A holds 20 documents of T=200 drawn from the model's covariance, set B 20 of
+    T=20..40 from another, so every B document is less coherent. Their raw statistics
+    rank the other way, as a long document's sum is the larger.
+    """
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("mixed")
+        a = simulate_file(d, name="a.jsonl", n=20, d=8, T=200, seed=21, sigma="random-spd:1",
+                          domain="a", label="high")
+        b = simulate_file(d, name="b.jsonl", n=20, d=8, T="20:40", seed=22,
+                          sigma="random-spd:2", domain="b", label="low")
+        fit_corpus = simulate_file(d, name="fitc.jsonl", n=40, d=8, T=50, seed=23,
+                                   sigma="random-spd:1", domain="fit")
+        model = d / "m.json"
+        assert run("fit", "--in", fit_corpus, "--out", model) == 0
+        both = d / "both.jsonl"
+        both.write_bytes(a.read_bytes() + b"".join(b.read_bytes().splitlines(True)[1:]))
+        return {"a": a, "b": b, "both": both, "model": model}
+
+    def test_relative(self, files, capsys):
+        capsys.readouterr()
+        assert run("relative", "--set-a", files["a"], "--set-b", files["b"],
+                   "--model", files["model"], "--truth", "a-more-coherent") == 0
+        assert capsys.readouterr().out.startswith("relative accuracy: 1.0000 over 20x20")
+
+    def test_classify_by_score(self, files, capsys):
+        capsys.readouterr()
+        assert run("classify", "--train", files["both"], "--test", files["both"],
+                   "--model", files["model"], "--label-order", "low,high",
+                   "--axis", "score") == 0
+        assert capsys.readouterr().out.startswith(
+            "classify: spearman_rho=1.0000 accuracy=1.0000 n=40")
 
 
 class TestDuplicateIdsAcrossFiles:
@@ -1510,6 +1553,7 @@ class TestStartup:
         ("fit", "fileio", ("evalsuite", "score", "encoder")),
         ("train", "encoder", ("evalsuite", "score")),
         ("discriminate", "evalsuite", ("encoder",)),
+        ("simulate", "bridge", ("evalsuite", "score", "encoder")),
     ])
     def test_each_command_loads_only_its_modules(self, tmp_path, command, loaded, absent):
         corpus = simulate_file(tmp_path, n=6, d=2, T=12, seed=5)
@@ -1521,6 +1565,7 @@ class TestStartup:
                       "--out", tmp_path / "state.json"],
             "discriminate": ["--in", corpus, "--model", model, "--copies", "2",
                              "--block-sizes", "1"],
+            "simulate": ["--d", "2", "--T", "8", "--n", "3", "--out", tmp_path / "sim.jsonl"],
         }[command]
         # -X importtime lists every module the process imports, one per stderr line
         done = run_process("-X", "importtime", "-m", "bridgescore.cli", command, *argv)
@@ -1555,8 +1600,8 @@ LAUNCHERS = {
 class TestExitPath:
     """python -m and the console script end through entry_point: os._exit, no teardown.
 
-    stdout and stderr are regular files and PYTHONUNBUFFERED is unset, so stdout is
-    block-buffered: every line main() prints must still reach it, whatever the exit code.
+    stdout and stderr are regular files and cli_env leaves PYTHONUNBUFFERED unset, so stdout
+    is block-buffered: every line main() prints must still reach it, whatever the exit code.
     """
 
     @pytest.fixture
@@ -1574,10 +1619,10 @@ class TestExitPath:
     def launch(tmp_path, launcher, argv):
         """(exit code, stdout, stderr) of argv run by launcher, into regular files."""
         out, err = tmp_path / "stdout.txt", tmp_path / "stderr.txt"
-        env = {k: v for k, v in cli_env().items() if k != "PYTHONUNBUFFERED"}
         with open(out, "w") as stdout, open(err, "w") as stderr:
             code = subprocess.run([sys.executable, "-c", TEARDOWN + LAUNCHERS[launcher], *argv],
-                                  stdout=stdout, stderr=stderr, env=env, timeout=120).returncode
+                                  stdout=stdout, stderr=stderr, env=cli_env(),
+                                  timeout=120).returncode
         return code, out.read_text(), err.read_text()
 
     @pytest.mark.parametrize("launcher", LAUNCHERS)

@@ -3,8 +3,8 @@
 A patched CPU set makes the host report one, two or three CPUs; the writer
 forks no child at any count. The expected bytes are built here, one
 json.dumps per line, and _floats, which spells float arrays through orjson
-and respells the rows orjson spells otherwise, is checked against
-json.dumps of the same values.
+and respells the tokens orjson spells otherwise, is checked against
+json.dumps of the same values, byte for byte.
 """
 
 import json
@@ -119,8 +119,8 @@ def test_shuffle_out_does_not_depend_on_part_count(tmp_path, children):
     assert children == []
 
 
-def json_spelling(arr) -> str:
-    return json.dumps(arr.tolist(), separators=(",", ":"))
+def json_spelling(arr) -> bytes:
+    return json.dumps(arr.tolist(), separators=(",", ":")).encode()
 
 
 def ulps(values):
@@ -172,7 +172,7 @@ def test_floats_of_arrays_dense_in_respelled_tokens(shape):
     arr = values.reshape(shape)
     text = _floats(arr)
     assert text == json_spelling(arr)
-    assert text.count("e") + text.count("0.0000") > 3900
+    assert text.count(b"e") + text.count(b"0.0000") > 3900
 
 
 def test_floats_of_a_non_contiguous_array():
@@ -215,8 +215,8 @@ def test_floats_of_rows_mixing_both_kinds(rows):
 def test_non_finite_values_are_null_in_either_kind_of_row():
     # json would write NaN and Infinity, which are not JSON; the writer keeps orjson's null
     arr = np.array([[np.nan, 1e-5, np.inf], [np.nan, 1.5, -np.inf], [-np.inf, 1e16, 0.5]])
-    assert _floats(arr) == "[[null,1e-05,null],[null,1.5,null],[null,1e+16,0.5]]"
-    assert _floats(arr.ravel()) == "[null,1e-05,null,null,1.5,null,null,1e+16,0.5]"
+    assert _floats(arr) == b"[[null,1e-05,null],[null,1.5,null],[null,1e+16,0.5]]"
+    assert _floats(arr.ravel()) == b"[null,1e-05,null,null,1.5,null,null,1e+16,0.5]"
 
 
 def test_dumps_spells_arrays_in_nested_dicts_as_json():
@@ -224,7 +224,7 @@ def test_dumps_spells_arrays_in_nested_dicts_as_json():
     a, b = rng.standard_normal((3, 2)) * 1e-6, rng.standard_normal((2, 2)) * 1e20
     obj = {"z": a, "é": "ü", "m": {"y": b, "x": 1.5e-7}, "n": [1, None], "k": {"q": {"p": 2}}}
     plain = {**obj, "z": a.tolist(), "m": {"y": b.tolist(), "x": 1.5e-7}}
-    assert _dumps(obj) == json.dumps(plain, sort_keys=True, separators=(",", ":"))
+    assert _dumps(obj) == json.dumps(plain, sort_keys=True, separators=(",", ":")).encode()
 
 
 @pytest.fixture(scope="module")
@@ -260,6 +260,7 @@ def outputs(tmp_path_factory):
 @pytest.mark.parametrize("name", ["big.jsonl", "small.jsonl", "large.jsonl", "model.json",
                                   "shuffled.jsonl", "state.json", "triplet.json"])
 def test_cli_files_are_json_spelling(outputs, name):
-    lines = (outputs / name).read_text(encoding="utf-8").splitlines(keepends=True)
-    assert lines == [json.dumps(json.loads(line), sort_keys=True, separators=(",", ":")) + "\n"
-                     for line in lines]
+    # bytes, not text: universal newlines would hide a stray '\r'
+    lines = (outputs / name).read_bytes().splitlines(keepends=True)
+    assert lines == [json.dumps(json.loads(line), sort_keys=True,
+                                separators=(",", ":")).encode() + b"\n" for line in lines]
