@@ -7,13 +7,10 @@ randomness derives from a stable hash of the document id, so results never
 depend on corpus order. Discrimination takes each document once for every
 shuffle size of one call: its classes of byte-equal points are found and
 its points whitened once, and it and its distinct copies are scored from
-those by sums of squares, one block of copies per size. A job of at least
-twice FORK_FLOOR coordinates of shuffled copies (copies times points times
-d) splits the documents over forked processes (forks), with the same result
-for any number of processes; smaller jobs, where a fork adds more CPU time
-than it saves wall time, run in this process. Local windows are drawn by
-reading PCG64's 32-bit stream in Python, as numpy's choice and permutation
-would draw them, at a fraction of the cost of a numpy call per window.
+those by sums of squares, one block of copies per size, in this process.
+Local windows are drawn by reading PCG64's 32-bit stream in Python, as
+numpy's choice and permutation would draw them, at a fraction of the cost
+of a numpy call per window.
 Relative accuracy, domain comparison and classification thresholds count
 pairs exactly by sorting and sorted search, never one pair at a time;
 ordinal labels reach relative accuracy and classification as one integer
@@ -27,7 +24,6 @@ from itertools import chain
 
 import numpy as np
 
-from . import forks
 from .bridge import LatentTrajectory, check_dim, increments, stable_seed
 from .errors import (
     DegenerateInputError,
@@ -244,19 +240,6 @@ def _corpus_incoherence(trajs, spatial: SpdMatrix, use_pvalue: bool) -> np.ndarr
     return -chi_square_sf(statistic, dof) if use_pvalue else statistic / dof
 
 
-# Coordinates of shuffled copies a process scores at least, for its fork to
-# pay for itself: a fork must cut wall time by more than the CPU time it
-# adds. A copy's cost follows its (T + 1) * d coordinates; counted in copies,
-# a d=256 one costs about ten times a d=16 one. Forked against one process on
-# 2 vCPUs (sizes 1,2,5,10 global or 1,2,3 local, 20 copies each; per-pair
-# medians of wall / CPU change), the fork first paid, per process, at about
-# 16M coordinates at d=16, T 20..60 (local 11.8M: -17% / +18%, 15.7M: -26% /
-# +14%); under 12.8M at d=16, T 5000 (6.4M: -6% / +15%, 12.8M: -16% / +9%);
-# under 8M at d=64 (local 7.9M: -17% / +6%); and under 17M at d=256 (global
-# 8.4M: -4% / +13%, 16.8M: -22% / -1%).
-FORK_FLOOR = 16_000_000
-
-
 def discrimination_accuracies(originals, specs, spatial: SpdMatrix,
                               per_document: bool = False) -> list[float]:
     """Original-vs-shuffled discrimination accuracy under each of specs, in order.
@@ -268,14 +251,8 @@ def discrimination_accuracies(originals, specs, spatial: SpdMatrix,
     Pooled over all pairs by default; per_document averages per-document
     accuracies instead. Shuffle seeds are derived per document from each
     spec's seed and the document id. Each document and its distinct copies
-    under every spec are scored together.
-
-    On Linux the id-sorted originals are cut into contiguous chunks, one per
-    CPU this process may run on but at most one per FORK_FLOOR coordinates of
-    shuffled copies to score: this process scores the first chunk, and a
-    forked child each other one (forks.forked). Shuffles are seeded per document and the
-    chunks' credits are merged in id order, so every mean sums as one
-    process sums it. Each original's d and every spec are checked first.
+    under every spec are scored together, in id order. Each original's d and
+    every spec are checked first.
     """
     originals = sorted(originals, key=lambda t: t.id)
     if not originals:
@@ -285,18 +262,8 @@ def discrimination_accuracies(originals, specs, spatial: SpdMatrix,
     for spec in specs:
         for traj in originals:
             _check_shuffle(traj.T + 1, spec, traj.id)
-    spatial.inv_chol  # formed here once, not in each child
-    count = len(originals)
-    work = sum(spec.copies for spec in specs) * sum(traj.points.size for traj in originals)
-    n = min(count, forks.process_count(work, FORK_FLOOR))
-    chunks = [originals[k * count // n:(k + 1) * count // n] for k in range(n)]
-    credits = [[] for _ in specs]
-    with forks.forked(chunks, lambda chunk: _credits(chunk, specs, spatial)) as parts:
-        for part in parts:
-            for spec_credits, got in zip(credits, part):
-                spec_credits.extend(got)
     accuracies = []
-    for spec_credits in credits:
+    for spec_credits in _credits(originals, specs, spatial):
         if not spec_credits:
             raise EmptySetError("no shuffled copies were produced")
         if per_document:

@@ -58,7 +58,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 import orjson
 
-from . import __version__, forks
+from . import __version__
 from .bridge import LatentTrajectory
 from .errors import NotPositiveDefiniteError, ValidationError
 from .numerics import SpdMatrix
@@ -344,6 +344,7 @@ def read_trajectories(path, digest=None) -> tuple[list[TrajectoryRecord], dict]:
     pipe, which cannot be read twice), then the rest while the children
     parse it.
     """
+    from . import forks  # loaded by the commands that read a corpus
     records: list[TrajectoryRecord] = []
     header: dict = {}
     seen_ids: set[str] = set()

@@ -1,16 +1,15 @@
 """Work split over forked processes, one per CPU this process may run on.
 
-The corpus reader and discrimination share one call, forked(parts, work):
-the caller cuts its work into contiguous parts, computes the first part
-itself and forks a child per other part, which pickles work(part) back
-through a pipe. Results come back in part order, so they are those of one
-process doing every part in turn, and a child that fails costs time, not
-output: its part is redone here. Only Linux forks; elsewhere, and on one
-CPU, there is one part. Each caller sets a floor of work per process: 8 MiB
-of corpus text for the reader (fileio.SPAN_FLOOR, so two processes from
-16 MiB) and 16M coordinates of shuffled copies for discrimination
-(evalsuite.FORK_FLOOR). A child leaves through os._exit, as the CLI's own
-process does once its command returns (cli.entry_point).
+The corpus reader (fileio.read_trajectories) calls forked(parts, work): it
+cuts its work into contiguous parts, computes the first part itself and
+forks a child per other part, which pickles work(part) back through a pipe.
+Results come back in part order, so they are those of one process doing
+every part in turn, and a child that fails costs time, not output: its part
+is redone here. Only Linux forks; elsewhere, and on one CPU, there is one
+part. The reader sets a floor of 8 MiB of corpus text per process
+(fileio.SPAN_FLOOR), so two processes from 16 MiB. A child leaves through
+os._exit, as the CLI's own process does once its command returns
+(cli.entry_point).
 """
 
 from __future__ import annotations
@@ -43,11 +42,8 @@ class Child:
     its work, as for a child that dies. The child may call BLAS. The CLI
     runs BLAS on one thread, so it forks a process with no other threads;
     where numpy runs OpenBLAS's thread pool, OpenBLAS stops it before a fork
-    and the child starts its own at its first threaded call. What the
-    children only read, such as an inverse Cholesky factor or an imported
-    scipy module, is best made before the fork, so that each child does not
-    make it again. Spawn would cost a fresh interpreter and numpy import per
-    child.
+    and the child starts its own at its first threaded call. Spawn would
+    cost a fresh interpreter and numpy import per child.
     """
 
     def __init__(self, send):

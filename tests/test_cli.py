@@ -1007,6 +1007,13 @@ class TestMalformedModelFiles:
                            "--out", tmp_path / "s.jsonl")
         assert_clean_exit_1(done, "m.json")
 
+    def test_largest_finite_epsilon_loads(self, tmp_path):
+        model = tmp_path / "m.json"
+        write_sigma_model(model, bridgescore.SpdMatrix(np.eye(2)), weight=50, domain="x",
+                          epsilon=sys.float_info.max, source_corpus_digest="")
+        assert b'"epsilon":1.7976931348623157e+308' in model.read_bytes()
+        np.testing.assert_array_equal(read_sigma_model(model).spatial.entries, np.eye(2))
+
     @pytest.mark.parametrize("text", ["[1, 2]", "null", '"model"', "3"])
     def test_not_an_object_exits_1(self, tmp_path, text):
         corpus = simulate_file(tmp_path, n=5, T=8, seed=3)
@@ -1553,7 +1560,7 @@ class TestStartup:
         ("fit", "fileio", ("evalsuite", "score", "encoder")),
         ("train", "encoder", ("evalsuite", "score")),
         ("discriminate", "evalsuite", ("encoder",)),
-        ("simulate", "bridge", ("evalsuite", "score", "encoder")),
+        ("simulate", "bridge", ("evalsuite", "score", "encoder", "forks")),
     ])
     def test_each_command_loads_only_its_modules(self, tmp_path, command, loaded, absent):
         corpus = simulate_file(tmp_path, n=6, d=2, T=12, seed=5)

@@ -454,6 +454,17 @@ class TestDiscrimination:
                            for t in reference])
         assert discrimination_accuracies(scaled, [spec], refit)[0] == base
 
+    @pytest.mark.parametrize("kind", ["global_block", "local_window"])
+    @pytest.mark.parametrize("per_document", [False, True])
+    def test_specs_scored_together_match_one_call_each(self, sim_setup, kind, per_document):
+        spatial, originals = sim_setup
+        specs = [ShuffleSpec(kind=kind, block_size=b, num_windows=b, copies=6, seed=3)
+                 for b in (1, 2, 3)]
+        together = discrimination_accuracies(originals, specs, spatial, per_document=per_document)
+        assert together == [discrimination_accuracies(originals, [spec], spatial,
+                                                      per_document=per_document)[0]
+                            for spec in specs]
+
     def test_per_document_flag(self, sim_setup):
         spatial, originals = sim_setup
         spec = ShuffleSpec(kind="global_block", block_size=2, copies=5, seed=5)
@@ -573,6 +584,15 @@ class TestThresholdClassify:
         scored = sorted(zip(bbscores(trajs, spatial).tolist(), predicted.tolist()))
         ranks = [r for _, r in scored]
         assert all(a >= b for a, b in zip(ranks, ranks[1:]))
+
+    def test_score_at_a_threshold_is_less_coherent(self, monkeypatch):
+        # scores stand in for the documents: the training threshold is exactly 2.5, and a
+        # test score of 2.5 is on the side of x >= threshold
+        monkeypatch.setattr(ev, "_corpus_incoherence",
+                            lambda trajs, spatial, use_pvalue: np.asarray(trajs, dtype=float))
+        predicted, _ = threshold_classify([3.0, 4.0, 1.0, 2.0], [0, 0, 1, 1],
+                                          [2.5, 2.0, 3.0], [0, 1, 0], None, use_pvalue=False)
+        np.testing.assert_array_equal(predicted, [0, 1, 0])
 
     def test_degenerate_labels(self, sim_setup):
         spatial, originals = sim_setup

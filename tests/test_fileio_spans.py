@@ -11,6 +11,7 @@ import os
 import pickle
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -97,6 +98,17 @@ def test_records_do_not_depend_on_span_count(tmp_path, children, name, n):
     assert outcome(path, n) == (expected(rows_), header)
     assert len(children) == (n - 1 if "\n" in text else 0)  # spans end on a newline
     assert all(child.sent for child in children)
+
+
+def test_cut_points_in_one_line_start_one_span(tmp_path, children):
+    # at 3 spans both cut points fall inside the long middle line: the span after it is
+    # started once, and the last document is read once
+    rows_ = rows(3)
+    rows_[1]["domain"] = "b" * 4000
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(("\n".join(lines(rows_)) + "\n").encode())
+    assert outcome(path, 3) == outcome(path, 1) == (expected(rows_), {})
+    assert [child.sent for child in children] == [True]
 
 
 def corrupt(edits: dict[int, bytes]) -> bytes:
@@ -194,6 +206,20 @@ def test_forks_after_blas_threads_started(tmp_path, monkeypatch, children):
     path = corpus_file(tmp_path / "c.jsonl")
     assert outcome(path, 3) == outcome(path, 1)
     assert [child.sent for child in children] == [True, True]
+
+
+class Box:
+    """A result that can be watched by weak reference."""
+
+
+def test_forked_holds_no_result_once_yielded(children):
+    previous = None
+    with forks.forked(range(4), lambda part: Box()) as results:
+        for box in results:
+            assert previous is None or previous() is None
+            previous = weakref.ref(box)
+            del box
+    assert [child.sent for child in children] == [True] * 3
 
 
 def test_reads_a_pipe(tmp_path, children):

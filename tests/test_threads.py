@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import bridgescore
-import bridgescore.evalsuite as ev
+import bridgescore.fileio as fileio
 
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -83,18 +83,15 @@ def test_cli_import_after_numpy_leaves_the_environment():
 
 
 def test_forking_command_gives_no_fork_warning(tmp_path):
-    # from Python 3.12 os.fork warns in a process with threads; 100 documents of 41 points
-    # at d=16 are 65600 coordinates, and 500 copies of them 32.8M, twice discrimination's
-    # fork floor of 16M, so discriminate forks on two CPUs or more
-    docs, points, d, copies = 100, 41, 16, 500
-    assert docs * points * d * copies >= 2 * ev.FORK_FLOOR
-    python("-m", "bridgescore.cli", "simulate", "--d", d, "--T", points - 1, "--n", docs,
-           "--seed", 1, "--out", tmp_path / "c.jsonl")
-    python("-m", "bridgescore.cli", "fit", "--in", tmp_path / "c.jsonl",
-           "--out", tmp_path / "m.json")
-    done = python("-W", "error::DeprecationWarning", "-m", "bridgescore.cli", "discriminate",
-                  "--in", tmp_path / "c.jsonl", "--model", tmp_path / "m.json",
-                  "--block-sizes", 1, "--copies", copies, "--seed", 9)
+    # from Python 3.12 os.fork warns in a process with threads; 400 documents of 41 points
+    # at d=64 make a corpus of at least twice SPAN_FLOOR bytes, so fit forks its read on
+    # two CPUs or more
+    corpus = tmp_path / "c.jsonl"
+    python("-m", "bridgescore.cli", "simulate", "--d", 64, "--T", 40, "--n", 400,
+           "--seed", 1, "--out", corpus)
+    assert corpus.stat().st_size >= 2 * fileio.SPAN_FLOOR
+    done = python("-W", "error::DeprecationWarning", "-m", "bridgescore.cli", "fit",
+                  "--in", corpus, "--out", tmp_path / "m.json")
     assert "Traceback" not in done.stderr
     assert "Warning" not in done.stderr
 
