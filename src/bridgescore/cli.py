@@ -22,11 +22,11 @@ import os
 import sys
 from typing import TYPE_CHECKING, NoReturn
 
-# One BLAS thread, unless the environment chooses a count: forked corpus reads
-# are the only parallelism, a thread pool only spins, and LAPACK's d=256
-# Cholesky bytes would depend on the CPU count. Once numpy is loaded the
-# setting cannot take effect, and writing it would only leak into the caller's
-# subprocesses.
+# One BLAS thread, unless the environment chooses a count: the corpus reader's
+# forked children (fileio) are the only parallelism, a thread pool only spins,
+# and LAPACK's d=256 Cholesky bytes would depend on the CPU count. Once numpy
+# is loaded the setting cannot take effect, and writing it would only leak
+# into the caller's subprocesses.
 if "numpy" not in sys.modules and not any(
         os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                           "MKL_NUM_THREADS")):

@@ -2,15 +2,16 @@
 
 Trajectory corpora are JSONL: an optional header object on the first line,
 then one document per line. A corpus is returned whole, as a list held in
-memory. On Linux a corpus is read in contiguous parts, one per CPU this
-process may run on, through forked children (forks): the file is cut into
-byte spans of lines, none under SPAN_FLOOR bytes (8 MiB), so a corpus under
-16 MiB is read in one process. This process parses the first span; a child
-opens the file itself, parses and validates its span and pickles its
-records back. Records and errors are the same for any number of parts, and
-a child that fails costs time, not output: its part is redone here.
-Ingestion rejects any malformed record, a duplicate id and a record whose d
-differs from the first's with a path:line diagnostic.
+memory. Ingestion rejects any malformed record, a duplicate id and a record
+whose d differs from the first's with a path:line diagnostic.
+
+On Linux a corpus is read in up to one process per CPU this process may run
+on. The file is cut into byte spans of whole lines, none under SPAN_FLOOR
+bytes (8 MiB), so a corpus under 16 MiB is read in one process. This
+process parses the first span; a forked child (_Child) per other span opens
+the file itself, parses and validates its span and pickles its records back
+through a pipe. Records and errors are the same for any number of spans,
+and a child that fails costs time, not output: its span is parsed here.
 
 Each corpus line is parsed once, by one rule wherever it sits; a header is
 parsed like any record line, and no command reads its values. orjson is
@@ -50,8 +51,10 @@ import errno
 import hashlib
 import json
 import os
+import pickle
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -178,7 +181,7 @@ def write_trajectories(path, records, meta: dict | None = None) -> None:
 # 24.4 MB at d=256, 0.053 / 0.063 s; 38.1 MB at d=16, 0.060 / 0.173 s. End to
 # end, fit of a 23.2 MB d=256 corpus read in one process took 0.592 s against
 # 0.512 s forked (6 of 6 pairs) for 0.040 s less CPU. So under 16 MiB a read
-# runs in one process, and from 16 MiB it forks.
+# runs in one process, and from 16 MiB a child is forked.
 SPAN_FLOOR = 8 << 20
 
 
@@ -278,13 +281,14 @@ def _cut(fh, size: int, n: int) -> list[tuple[int, int | None]]:
 
 
 def _read_span(fh, path, span: tuple[int, int | None], digest=None):
-    """One span of fh parsed: (header, [(line, record)], error, lines read).
+    """One span of fh parsed: (header, [(line, record)], lines, error).
 
     Lines are numbered from the span's start and split as universal newlines
-    split them. Parsing stops at the first error, given as (line, message
-    after its 'path:line' prefix), or None, so that the caller can number
-    it from the start of the file. digest, a hashlib hash, is fed the bytes
-    read, when given.
+    split them. Parsing stops at the first error: error is then its message
+    after the 'path:line' prefix and lines its line, so that the caller can
+    number it from the start of the file; otherwise error is None and lines
+    the count of lines read. digest, a hashlib hash, is fed the bytes read
+    and then, once the span parses, the rest of the file, when given.
     """
     start, end = span
     if start:
@@ -306,7 +310,7 @@ def _read_span(fh, path, span: tuple[int, int | None], digest=None):
             try:
                 text = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
-                return header, rows, (lineno + 1, f": cannot read file ({exc})"), lineno + 1
+                return header, rows, lineno + 1, f": cannot read file ({exc})"
             values = text.replace("\r\n", "\n").split("\r") if "\r" in text else (text,)
         for row in values:  # orjson's value, or the text of each line
             lineno += 1
@@ -325,65 +329,136 @@ def _read_span(fh, path, span: tuple[int, int | None], digest=None):
                 rows.append((lineno, _parse_record(path, lineno, row, raw)))
                 del row  # frees its lists of floats before the next line is parsed
             except ValidationError as exc:
-                return header, rows, (lineno, str(exc)[len(where):]), lineno
+                return header, rows, lineno, str(exc)[len(where):]
         pos += len(raw)
         if pos == end:
             break
-    return header, rows, None, lineno
+    if digest is not None:
+        _feed(fh, digest)
+    return header, rows, lineno, None
+
+
+def _span_count(size: int) -> int:
+    """How many spans a corpus of size bytes is read in: one per CPU, none under SPAN_FLOOR.
+
+    Only Linux reads in spans: Windows has no fork, and macOS makes it
+    unsafe once system libraries have started threads.
+    """
+    if sys.platform != "linux":
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), size // SPAN_FLOOR))
+
+
+def _send(result, pipe) -> None:
+    pickle.dump(result, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+class _Child:
+    """A forked process that parses one span of the corpus at path and pickles it to .pipe.
+
+    The child opens the file itself, so that it does not move the offset of
+    the file this process reads, and leaves through os._exit whatever
+    happens, as the CLI's own process does once its command returns
+    (cli.entry_point): it never returns into the caller, runs its cleanup or
+    flushes buffers it inherited. It exits 0 only when its result was sent
+    and the pipe closed. The child may call BLAS. The CLI runs BLAS on one
+    thread, so the child is forked from a process with no other threads;
+    where numpy runs OpenBLAS's thread pool, OpenBLAS stops it before a fork
+    and the child starts its own at its first threaded call. Spawn would
+    cost a fresh interpreter and numpy import per child.
+    """
+
+    def __init__(self, path, span: tuple[int, int | None]):
+        self.path, self.span = path, span
+        r, w = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:  # no process to spare: result() parses the span here
+            self.pid = None
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(r)
+                with open(w, "wb") as pipe:
+                    _send(self._parse(), pipe)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(w)
+        self.pipe = open(r, "rb")
+
+    def _parse(self):
+        with open(self.path, "rb") as own:
+            return _read_span(own, self.path, self.span)
+
+    def result(self):
+        """The span parsed: the child's pickle once it exits 0, else parsed in this process."""
+        try:
+            got = pickle.load(self.pipe)
+        except (EOFError, pickle.UnpicklingError):  # the child died before it sent everything
+            got = None
+        pid, self.pid = self.pid, None
+        self.pipe.close()
+        if pid is not None and os.waitpid(pid, 0)[1] == 0 and got is not None:
+            return got
+        return self._parse()
+
+    def stop(self) -> None:
+        """Kill and reap the child if result() has not reaped it."""
+        self.pipe.close()
+        if self.pid is not None:
+            import signal  # loaded only by a read that stops early
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
 
 
 def read_trajectories(path, digest=None) -> tuple[list[TrajectoryRecord], dict]:
     """Read a corpus, enforcing all record invariants with line diagnostics.
 
-    The file is cut into spans; this process parses the first while forked
-    children parse the others, each through its own open file. Records are
-    merged, and ids and d checked against earlier records, in line order, so
-    the records, and the first error, are those of one line-by-line read.
-    digest, a hashlib hash, is fed every byte of the file once when given:
-    the first span's as they are parsed (all of them for one span, as for a
-    pipe, which cannot be read twice), then the rest while the children
-    parse it.
+    The file is cut into spans (_span_count); this process parses the first
+    while a forked child parses each other one. Records are merged, and ids
+    and d checked against earlier records, in line order, so the records,
+    and the first error, are those of one line-by-line read. digest, a
+    hashlib hash, is fed every byte of the file once when given: the first
+    span's as they are parsed (all of them for one span, as for a pipe,
+    which cannot be read twice), then the rest while the children parse it.
+    Children still running when the read stops are killed.
     """
-    from . import forks  # loaded by the commands that read a corpus
     records: list[TrajectoryRecord] = []
     header: dict = {}
     seen_ids: set[str] = set()
     offset = 0  # lines before the span
-
-    def parse(span):
-        if span[0]:  # a child's span, or one redone here
-            with open(path, "rb") as own:
-                return _read_span(own, path, span)
-        got = _read_span(fh, path, span, digest)
-        if digest is not None and span[1] is not None and got[2] is None:
-            fh.seek(span[1])
-            _feed(fh, digest)
-        return got
-
+    children: list[_Child] = []
     try:
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
-            spans = _cut(fh, size, forks.process_count(size, SPAN_FLOOR))
-            with forks.forked(spans, parse) as parts:
-                for head, rows, error, lines in parts:
-                    header = header or head
-                    for lineno, rec in rows:
-                        traj = rec.trajectory
-                        if traj.id in seen_ids:
-                            problem = f"duplicate id {traj.id!r} within file"
-                        elif records and traj.d != records[0].trajectory.d:
-                            problem = (f"trajectory {traj.id!r} has d={traj.d}, expected "
-                                       f"{records[0].trajectory.d} like the records before it")
-                        else:
-                            seen_ids.add(traj.id)
-                            records.append(rec)
-                            continue
-                        raise ValidationError(f"{path}:{offset + lineno}: {problem}")
-                    if error is not None:
-                        raise ValidationError(f"{path}:{offset + error[0]}{error[1]}")
-                    offset += lines
+            first, *rest = _cut(fh, size, _span_count(size))
+            for span in rest:
+                children.append(_Child(path, span))
+            spans = chain([_read_span(fh, path, first, digest)], (c.result() for c in children))
+            for head, rows, lines, error in spans:
+                header = header or head
+                for lineno, rec in rows:
+                    traj = rec.trajectory
+                    if traj.id in seen_ids:
+                        problem = f"duplicate id {traj.id!r} within file"
+                    elif records and traj.d != records[0].trajectory.d:
+                        problem = (f"trajectory {traj.id!r} has d={traj.d}, expected "
+                                   f"{records[0].trajectory.d} like the records before it")
+                    else:
+                        seen_ids.add(traj.id)
+                        records.append(rec)
+                        continue
+                    raise ValidationError(f"{path}:{offset + lineno}: {problem}")
+                if error is not None:
+                    raise ValidationError(f"{path}:{offset + lines}{error}")
+                offset += lines
     except OSError as exc:
         raise _file_error(path, exc, "read") from exc
+    finally:
+        for child in children:
+            child.stop()
     return records, header
 
 

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-import bridgescore.forks as forks
+import bridgescore.fileio as fileio
 from bridgescore import LatentTrajectory, SpdMatrix
 
 
@@ -84,19 +84,27 @@ def rng():
 
 @pytest.fixture
 def children(monkeypatch):
-    """The forked children started, in fork order; .sent is whether one sent its part whole."""
+    """The reader's forked children, in fork order; .sent is whether one sent its span whole.
+
+    A child's span is parsed in this process only when the child did not send it: _parse
+    runs here then, and in the child's own process otherwise.
+    """
     started = []
 
-    class Counted(forks.Child):
+    class Counted(fileio._Child):
         sent = None
 
-        def __init__(self, send):
+        def __init__(self, path, span):
             started.append(self)
-            super().__init__(send)
+            super().__init__(path, span)
 
-        def ok(self):
-            self.sent = super().ok()
-            return self.sent
+        def _parse(self):
+            self.sent = False
+            return super()._parse()
 
-    monkeypatch.setattr(forks, "Child", Counted)
+        def result(self):
+            self.sent = True
+            return super().result()
+
+    monkeypatch.setattr(fileio, "_Child", Counted)
     return started

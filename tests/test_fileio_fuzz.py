@@ -322,6 +322,16 @@ def test_each_corpus_line_is_parsed_once(input_file, monkeypatch):
     assert parsers == [("orjson", "bytes")] * 3
 
 
+def test_a_long_shallow_line_is_handed_to_orjson(input_file, monkeypatch):
+    # a line past _DEEPEST bytes is counted for '[' and '{' bytes, and this one has few
+    parsers = parser_calls(monkeypatch)
+    line = RECORD % json.dumps([[0.5] * 2000] * 3)
+    assert len(line) > fileio._DEEPEST
+    input_file.write_text(f"{HEADER % 1}\n{line}\n")
+    assert [r.trajectory.points.shape for r in read_trajectories(input_file)[0]] == [(3, 2000)]
+    assert parsers == [("orjson", "bytes")] * 2
+
+
 def test_a_line_orjson_rejects_is_not_handed_to_it_again(input_file, monkeypatch):
     # orjson refuses a NaN record's bytes, and json alone judges its text, with an LF or a
     # CRLF line end; the line after it is never reached

@@ -5,22 +5,21 @@ is cut into, so that two and three spans, and the forked children they
 start, run on small files and on a host with any number of CPUs.
 """
 
+import errno
 import hashlib
 import json
 import os
 import pickle
 import sys
 import threading
-import weakref
 
 import numpy as np
 import pytest
 
 import bridgescore.fileio as fileio
-import bridgescore.forks as forks
 from bridgescore import SpdMatrix, ValidationError
 from bridgescore.bridge import increments, quadratic_form
-from bridgescore.fileio import read_trajectories, write_trajectories
+from bridgescore.fileio import _span_count, read_trajectories, write_trajectories
 
 pytestmark = pytest.mark.skipif(sys.platform != "linux", reason="only Linux forks span readers")
 
@@ -158,14 +157,14 @@ def test_failed_reading_child_costs_no_output(tmp_path, monkeypatch, children, p
     path = corpus_file(tmp_path / "c.jsonl")
     want = outcome(path, 1)
 
-    def fail(work, span, pipe):
+    def fail(result, pipe):
         if partial:  # a pickle cut short, as from a child killed while it sends
-            data = pickle.dumps(work(span))
+            data = pickle.dumps(result)
             pipe.write(data[:len(data) // 2])
             pipe.flush()
         os._exit(1)
 
-    monkeypatch.setattr(forks, "_send", fail)
+    monkeypatch.setattr(fileio, "_send", fail)
     assert outcome(path, 3) == want
     assert [child.sent for child in children] == [False, False]
 
@@ -189,7 +188,7 @@ def test_digest_hashes_each_byte_once(tmp_path, monkeypatch, children, name, n, 
     path = tmp_path / "c.jsonl"
     path.write_bytes(data)
     if fail:  # every child dies, so its span is parsed again here
-        monkeypatch.setattr(forks, "_send", lambda work, span, pipe: os._exit(1))
+        monkeypatch.setattr(fileio, "_send", lambda result, pipe: os._exit(1))
     digest = Counted()
     records, header = at(n, read_trajectories, path, digest)
     assert (summary(records), header) == (expected(CORPORA[name][1]), CORPORA[name][2])
@@ -208,18 +207,29 @@ def test_forks_after_blas_threads_started(tmp_path, monkeypatch, children):
     assert [child.sent for child in children] == [True, True]
 
 
-class Box:
-    """A result that can be watched by weak reference."""
+def test_no_child_outlives_a_failed_read(tmp_path, children):
+    # an error in the first span stops the read before any child's result is read: every
+    # child started is killed and reaped, so this process has no child left
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(corrupt({1: b"[1, 2]"}))
+    assert outcome(path, 3) == f"{path}:1: expected a JSON object"
+    assert len(children) == 2
+    assert all(child.pid is None for child in children)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
-def test_forked_holds_no_result_once_yielded(children):
-    previous = None
-    with forks.forked(range(4), lambda part: Box()) as results:
-        for box in results:
-            assert previous is None or previous() is None
-            previous = weakref.ref(box)
-            del box
-    assert [child.sent for child in children] == [True] * 3
+def test_a_failed_fork_costs_no_output(tmp_path, monkeypatch, children):
+    # with no process to spare, each span a child would have read is parsed here
+    path = corpus_file(tmp_path / "c.jsonl")
+    want = outcome(path, 1)
+
+    def fork():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", fork)
+    assert outcome(path, 3) == want
+    assert [(child.pid, child.sent) for child in children] == [(None, False)] * 2
 
 
 def test_reads_a_pipe(tmp_path, children):
@@ -255,32 +265,28 @@ def test_writes_a_pipe(tmp_path, children):
     assert children == []
 
 
-def span_count(nbytes):
-    return forks.process_count(nbytes, fileio.SPAN_FLOOR)
-
-
 class TestSpanCount:
     def test_bounded_by_cpus_and_floor(self):
         cpus = len(os.sched_getaffinity(0))
         for nbytes in [0, 1, fileio.SPAN_FLOOR - 1, fileio.SPAN_FLOOR, 3 * fileio.SPAN_FLOOR,
                        10 ** 15]:
-            n = span_count(nbytes)
+            n = _span_count(nbytes)
             assert 1 <= n <= cpus
             assert n == 1 or nbytes // n >= fileio.SPAN_FLOOR
 
     def test_one_per_cpu_above_the_floor(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
         floor = fileio.SPAN_FLOOR
-        assert [span_count(k * floor) for k in [0, 1, 2, 3, 8, 100]] == [1, 1, 2, 3, 8, 8]
-        assert span_count(3 * floor - 1) == 2
+        assert [_span_count(k * floor) for k in [0, 1, 2, 3, 8, 100]] == [1, 1, 2, 3, 8, 8]
+        assert _span_count(3 * floor - 1) == 2
 
     def test_one_span_on_one_cpu(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert span_count(10 ** 15) == 1
+        assert _span_count(10 ** 15) == 1
 
     def test_one_span_off_linux(self, tmp_path, monkeypatch, children):
         monkeypatch.setattr(sys, "platform", "darwin")
-        assert span_count(10 ** 15) == 1
+        assert _span_count(10 ** 15) == 1
         path = corpus_file(tmp_path / "c.jsonl")
         assert outcome(path, 3)[0] == expected(rows())
         assert children == []
@@ -291,7 +297,7 @@ def test_the_floor_forks_from_twice_its_bytes(tmp_path, monkeypatch, children, s
     # on 2 CPUs, a file of twice SPAN_FLOOR bytes is read by one forked child too, and one
     # byte fewer by this process alone; parsing is stubbed, since only the split is looked at
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(fileio, "_read_span", lambda fh, path, span, digest=None: ({}, [], None, 0))
+    monkeypatch.setattr(fileio, "_read_span", lambda fh, path, span, digest=None: ({}, [], 0, None))
     line = b" " * 1023 + b"\n"
     path = tmp_path / "c.jsonl"
     path.write_bytes((line * (2 * fileio.SPAN_FLOOR // len(line)))[:2 * fileio.SPAN_FLOOR - short])
