@@ -13,9 +13,9 @@ _HOME = {name: module for module, names in {
               "InsufficientDataError NotPositiveDefiniteError NumericalError "
               "SingularEstimateError ValidationError",
     "numerics": "SpdMatrix average_ranks chi_square_sf spearman_rho",
-    "bridge": "LatentTrajectory increments log_likelihood mle_sigma pooled_covariance "
-              "quadratic_form sample_bridge shrink_covariance stable_seed",
-    "score": "heuristic_bbscore score_statistics",
+    "bridge": "LatentTrajectory heuristic_bbscore increments log_likelihood mle_sigma "
+              "pooled_covariance quadratic_form sample_bridge score_statistics "
+              "shrink_covariance stable_seed",
     "encoder": "LinearEncoder TrainerState cl_gradient cl_loss encode nll_batch_loss "
                "nll_gradient nll_objective sample_triplets train update_sigma_hat",
     "evalsuite": "ShuffleSpec discrimination_accuracies domain_swap_compare "

@@ -15,6 +15,14 @@ and pooled MLE all use that form, one O(T d^2) product per document with the
 inverse Cholesky factor of Sigma; sample_bridge applies Sigma_T's closed-form
 Cholesky factor as a cumulative sum. Neither forms a (T-1) x (T-1) matrix.
 The trainer's linear encoder reduces the likelihood further (see encoder).
+
+score_statistics gives each document's quadratic form, a chi-square variate
+on (T-1) d degrees of freedom under the generating covariance, and that dof:
+bbscore = statistic / dof has expectation 1 at every length, larger meaning
+less plausible, and numerics.chi_square_sf(statistic, dof) is a
+length-comparable p-value. heuristic_bbscore, the predecessor's score
+(isotropic covariance, temporally independent interior points), is a
+reconstruction from its published description, labeled so wherever reported.
 """
 
 from __future__ import annotations
@@ -111,6 +119,59 @@ def quadratic_form(spatial: SpdMatrix, incr) -> float:
         raise DimensionMismatchError(f"increments of d={incr.shape[1]} vs sigma dim {spatial.dim}")
     z = spatial.whiten(incr)
     return float(np.vdot(z, z))
+
+
+def score_statistics(trajs, spatial: SpdMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Statistics tr(Sigma^-1 (s-mu) Sigma_T^-1 (s-mu)^T) and their dof (T-1) d, in input order.
+
+    One quadratic_form per document, so a statistic does not depend on its
+    neighbours or the corpus order. Raises DimensionMismatchError naming the
+    first trajectory whose d differs from the covariance's, and
+    NumericalError naming the first whose statistic overflows float64.
+    """
+    trajs = list(trajs)
+    for traj in trajs:
+        check_dim(traj, spatial)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked once, on the statistics
+        statistic = np.array([quadratic_form(spatial, increments(t.points)) for t in trajs])
+    finite = np.isfinite(statistic)
+    if not finite.all():
+        bad = trajs[int(np.argmin(finite))]
+        raise NumericalError(f"trajectory {bad.id!r}: its statistic overflows float64")
+    return statistic, np.array([(t.T - 1) * t.d for t in trajs], dtype=int)
+
+
+def heuristic_bbscore(traj: LatentTrajectory) -> float:
+    """Predecessor score: log-density under independent isotropic marginals.
+
+    Interior points are treated as independent with s_t ~ N(mu_t,
+    sigma2 * t(T-t)/T * I_d), mu_t on the chord from s_0 to s_T, with the
+    plug-in sigma2_hat = [sum_t ||s_t - mu_t||^2 * T / (t(T-t))] / [(T-1) d].
+    Raises NumericalError, naming the trajectory, when sigma2_hat is zero
+    (the trajectory lies on its chord, or its squared residuals underflow)
+    or the score is not finite.
+    """
+    T, d, pts = traj.T, traj.d, traj.points
+    t = np.arange(1, T, dtype=float)
+    f = t / T
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked on the result
+        r = pts[1:-1].T - (np.outer(pts[0], 1.0 - f) + np.outer(pts[-1], f))
+        v = t * (T - t) / T
+        weighted = float(np.sum(np.sum(r * r, axis=0) / v))
+        s2 = weighted / ((T - 1) * d)
+        if s2 <= 0.0 and r.any():
+            raise NumericalError(f"trajectory {traj.id!r}: its residuals underflow float64")
+        if s2 <= 0.0:
+            raise NumericalError(f"trajectory {traj.id!r} lies on its chord; "
+                                 "the variance MLE is zero")
+        score = float(
+            -0.5 * (T - 1) * d * LOG_2PI
+            - 0.5 * d * float(np.sum(np.log(s2 * v)))
+            - 0.5 * weighted / s2
+        )
+    if not np.isfinite(score):
+        raise NumericalError(f"trajectory {traj.id!r}: its heuristic score is not finite")
+    return score
 
 
 def stable_seed(base_seed: int, *parts) -> int:

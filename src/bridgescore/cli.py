@@ -5,8 +5,8 @@ simulate, shuffle, discriminate and train draw random numbers, from --seed.
 Output files embed the tool version and input digests. Commands hand rows
 to fileio's one writer, write_lines or a writer built on it, and read their
 corpora and models through one gate, _inputs. Each command imports the
-modules only it runs (encoder, evalsuite, score) when it runs, so that
-simulate and fit load none of them. Exit codes: 0 on success, 1 on
+modules only it runs (encoder, evalsuite) when it runs, so that
+simulate, fit and score load neither of them. Exit codes: 0 on success, 1 on
 validation errors, usage errors, failed writes and a closed stdout, 2 on
 numerical failures. The bridgescore script and python -m bridgescore.cli
 run main() through entry_point, which flushes stdout and stderr and exits
@@ -34,13 +34,19 @@ if "numpy" not in sys.modules and not any(
 
 import numpy as np  # noqa: E402
 
-from .bridge import pooled_covariance, sample_bridge, shrink_covariance, stable_seed
+from .bridge import (
+    heuristic_bbscore,
+    pooled_covariance,
+    sample_bridge,
+    score_statistics,
+    shrink_covariance,
+    stable_seed,
+)
 from .errors import InsufficientDataError, NumericalError, ValidationError
 from .fileio import (
     TOOL_VERSION,
     TrajectoryRecord,
     check_writable,
-    file_digest,
     read_sigma_model,
     read_trajectories,
     read_weights,
@@ -217,7 +223,6 @@ def cmd_fit(args) -> int:
 
 
 def cmd_score(args) -> int:
-    from .score import heuristic_bbscore, score_statistics
     sha = hashlib.sha256()
     (trajs,), (model,) = _inputs([args.input], [args.model], sha)
     digest = sha.hexdigest()
@@ -234,7 +239,7 @@ def cmd_score(args) -> int:
     header = {
         "kind": "scores",
         "model": args.model,
-        "model_digest": file_digest(args.model),
+        "model_digest": model.digest,
         "corpus_digest": digest,
         "in_sample": bool(digest == model.source_corpus_digest),
     }

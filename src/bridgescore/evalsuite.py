@@ -8,6 +8,7 @@ depend on corpus order. Discrimination takes each document once for every
 shuffle size of one call: its classes of byte-equal points are found and
 its points whitened once, and it and its distinct copies are scored from
 those by sums of squares, one block of copies per size, in this process.
+A copy has its original's dof, so the two are compared by statistic.
 Local windows are drawn by reading PCG64's 32-bit stream in Python, as
 numpy's choice and permutation would draw them, at a fraction of the cost
 of a numpy call per window.
@@ -24,7 +25,7 @@ from itertools import chain
 
 import numpy as np
 
-from .bridge import LatentTrajectory, check_dim, increments, stable_seed
+from .bridge import LatentTrajectory, check_dim, increments, score_statistics, stable_seed
 from .errors import (
     DegenerateInputError,
     EmptySetError,
@@ -32,7 +33,6 @@ from .errors import (
     ValidationError,
 )
 from .numerics import SpdMatrix, chi_square_sf, spearman_rho
-from .score import score_statistics
 
 
 @dataclass(frozen=True)
@@ -246,8 +246,9 @@ def discrimination_accuracies(originals, specs, spatial: SpdMatrix,
 
     Every (original, shuffled copy) pair scores 1 when the original comes out
     strictly more coherent (lower bbscore), 0.5 on ties, else 0. A copy has
-    its original's dof, at which the p-value falls as the bbscore rises, so
-    ranking by p-value could only add ties where p-values round together.
+    its original's dof, so the pair is decided by their statistics: dividing
+    both by the dof, or ranking by p-value, keeps their order and could only
+    add ties where the quotients or p-values round together.
     Pooled over all pairs by default; per_document averages per-document
     accuracies instead. Shuffle seeds are derived per document from each
     spec's seed and the document id. Each document and its distinct copies
@@ -281,9 +282,11 @@ def _credits(originals, specs, spatial: SpdMatrix) -> list:
     (points - points[0]) L^-T for Sigma = L L^T. Increments are linear and
     ignore a shift, so the sums of squares of increments(Y[orders]) score it
     and every copy: one increments call for it, and one for each spec's
-    copies, whose temporaries stay small enough for the cache. Statistics
-    equal in exact arithmetic tie as rounding has them. Raises NumericalError
-    naming the first original whose statistic, or a copy's, overflows float64.
+    copies, whose temporaries stay small enough for the cache. A copy's
+    statistic is compared with its original's as it is, since the two share
+    one dof; statistics equal in exact arithmetic tie as rounding has them.
+    Raises NumericalError naming the first original whose statistic, or a
+    copy's, overflows float64.
     """
     out = [[] for _ in specs]
     with np.errstate(over="ignore", invalid="ignore"):  # checked per original, on its statistics
@@ -303,8 +306,8 @@ def _credits(originals, specs, spatial: SpdMatrix) -> list:
                 raise NumericalError(
                     f"trajectory {traj.id!r}: its statistic or a shuffled copy's overflows float64"
                 )
-            x = statistic / ((traj.T - 1) * traj.d)
-            credit = np.where(x[0] < x[1:], 1.0, np.where(x[0] == x[1:], 0.5, 0.0))
+            credit = np.where(statistic[0] < statistic[1:], 1.0,
+                              np.where(statistic[0] == statistic[1:], 0.5, 0.0))
             for spec_credits, part in zip(out, np.split(credit, np.cumsum(counts)[:-1])):
                 if part.size:
                     spec_credits.append(part)

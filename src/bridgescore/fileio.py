@@ -41,8 +41,9 @@ byte-identical files.
 
 A model file is one JSON object. read_sigma_model validates d, weight,
 epsilon and matrix, but returns only what commands read back: the matrix,
-and source_corpus_digest for score's in-sample guard. domain and created_by
-are provenance alone.
+source_corpus_digest for score's in-sample guard, and the SHA-256 of the
+bytes it parsed, which score records as the model's provenance. domain and
+created_by are provenance alone.
 """
 
 from __future__ import annotations
@@ -70,19 +71,6 @@ if TYPE_CHECKING:  # the encoder loads with the commands that train
     from .encoder import TrainerState
 
 TOOL_VERSION = f"bridgescore {__version__}"
-
-
-def _feed(fh, digest):
-    """digest fed the rest of fh, read in 1 MiB chunks."""
-    while chunk := fh.read(1 << 20):
-        digest.update(chunk)
-    return digest
-
-
-def file_digest(path) -> str:
-    """SHA-256 hex digest of a file's bytes."""
-    with open(path, "rb") as fh:
-        return _feed(fh, hashlib.sha256()).hexdigest()
 
 
 def _floats(arr: np.ndarray) -> bytes:
@@ -334,7 +322,8 @@ def _read_span(fh, path, span: tuple[int, int | None], digest=None):
         if pos == end:
             break
     if digest is not None:
-        _feed(fh, digest)
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
     return header, rows, lineno, None
 
 
@@ -361,11 +350,12 @@ class _Child:
     happens, as the CLI's own process does once its command returns
     (cli.entry_point): it never returns into the caller, runs its cleanup or
     flushes buffers it inherited. It exits 0 only when its result was sent
-    and the pipe closed. The child may call BLAS. The CLI runs BLAS on one
-    thread, so the child is forked from a process with no other threads;
-    where numpy runs OpenBLAS's thread pool, OpenBLAS stops it before a fork
-    and the child starts its own at its first threaded call. Spawn would
-    cost a fresh interpreter and numpy import per child.
+    and the pipe closed. The child only parses; it makes no BLAS call. The
+    CLI runs BLAS on one thread, so it forks from a process with no other
+    threads. A library caller may read a big corpus while OpenBLAS's thread
+    pool runs, and the fork stays safe then, as OpenBLAS stops its pool
+    before a fork (test_fileio_spans.py::test_forks_after_blas_threads_started).
+    Spawn would cost a fresh interpreter and numpy import per child.
     """
 
     def __init__(self, path, span: tuple[int, int | None]):
@@ -464,10 +454,11 @@ def read_trajectories(path, digest=None) -> tuple[list[TrajectoryRecord], dict]:
 
 @dataclass(frozen=True)
 class SigmaModel:
-    """A fitted spatial covariance and the digest of the corpus it was fitted on."""
+    """A fitted spatial covariance, the digest of the corpus it was fitted on, and its file's."""
 
     spatial: SpdMatrix
     source_corpus_digest: str
+    digest: str  # SHA-256 hex of the model file's bytes, as read_sigma_model parsed them
 
     @property
     def d(self) -> int:
@@ -487,17 +478,26 @@ def write_sigma_model(path, spatial: SpdMatrix, *, weight: int, domain: str, eps
     })
 
 
-def _load_json(path):
+def _load_json(path, digest=None):
+    """The JSON value of the file at path; digest, a hashlib hash, is fed its bytes when given.
+
+    The bytes are read once. JSON takes '\r' and '\n' alike, so the text
+    parses as universal newlines would have read it.
+    """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
+        text = data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise _file_error(path, exc, "read") from exc
+    if digest is not None:
+        digest.update(data)
     return _json_value(text, str(path))
 
 
 def read_sigma_model(path) -> SigmaModel:
     """Load and validate a covariance model (symmetric PD, integer weight >= d, finite epsilon)."""
-    payload = _load_json(path)
+    sha = hashlib.sha256()
+    payload = _load_json(path, sha)
     if not isinstance(payload, dict):
         raise ValidationError(f"{path}: model file must hold a JSON object")
     for key in ("d", "weight", "matrix"):
@@ -520,7 +520,7 @@ def read_sigma_model(path) -> SigmaModel:
         spd = SpdMatrix(matrix)
     except (ValidationError, NotPositiveDefiniteError) as exc:
         raise ValidationError(f"{path}: matrix is not symmetric positive-definite: {exc}") from exc
-    return SigmaModel(spd, str(payload.get("source_corpus_digest", "")))
+    return SigmaModel(spd, str(payload.get("source_corpus_digest", "")), sha.hexdigest())
 
 
 def write_trainer_state(path, state: TrainerState, extra: dict | None = None) -> None:

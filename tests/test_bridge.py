@@ -18,7 +18,7 @@ from bridgescore import (
     sample_bridge,
     shrink_covariance,
 )
-from bridgescore.score import score_statistics
+from bridgescore.bridge import score_statistics
 from conftest import (
     dense_log_density,
     dense_quad_form,

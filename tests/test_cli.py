@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from bridgescore import SpdMatrix, ValidationError, chi_square_sf, score_statist
 from bridgescore.cli import main
 from bridgescore.fileio import (
     TrajectoryRecord,
-    file_digest,
     read_sigma_model,
     read_trajectories,
     write_sigma_model,
@@ -209,12 +209,54 @@ class TestIngestionDiagnostics:
 
 
 class TestFileDigest:
+    """A digest is fed every byte of the file that was read, once and in order."""
+
     @pytest.mark.parametrize("size", [0, 1 << 20, (1 << 20) + 1, 5 * (1 << 19) + 7])
-    def test_matches_whole_file_hash(self, tmp_path, size):
-        data = np.random.default_rng(size).bytes(size)
-        path = tmp_path / "blob.bin"
+    def test_matches_whole_file_hash(self, tmp_path, monkeypatch, size):
+        # a corpus read in two spans, the second of size bytes: once the first span parses,
+        # this process hashes the rest in 1 MiB chunks while a forked child parses it
+        record = b'{"id":"%s","domain":"d","points":[[0],[1],[2]]}\n'
+        first = record % b"a" + b" " * size + b"\n"  # over half the file: the cut falls after it
+        blank = b" " * (size - len(record % b"b") - 1) + b"\n"  # a line of spaces, skipped
+        rest = record % b"b" + blank if size else b""
+        assert len(rest) == size
+        data = first + rest
+        path = tmp_path / "c.jsonl"
         path.write_bytes(data)
-        assert file_digest(path) == hashlib.sha256(data).hexdigest()
+        monkeypatch.setattr(bridgescore.fileio, "SPAN_FLOOR", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        fed = []  # each chunk the digest is fed, in order
+        records, _ = read_trajectories(path, SimpleNamespace(update=fed.append))
+        assert [r.trajectory.id for r in records] == ["a", "b"][:1 + bool(size)]
+        assert b"".join(fed) == data
+
+    def test_model_digest_is_its_bytes(self, tmp_path):
+        # the model followed by JSON whitespace, '\r' among them
+        path = tmp_path / "m.json"
+        write_sigma_model(path, SpdMatrix(np.eye(2)), weight=2, domain="d", epsilon=0.0,
+                          source_corpus_digest="c")
+        data = path.read_bytes() + b" \t\r\n\r \n"
+        path.write_bytes(data)
+        assert read_sigma_model(path).digest == hashlib.sha256(data).hexdigest()
+
+    def test_score_records_the_model_it_read(self, tmp_path, monkeypatch):
+        # the model file is replaced after score has read it: the header names what was read
+        corpus = simulate_file(tmp_path, n=6, seed=3)
+        model = tmp_path / "m.json"
+        assert run("fit", "--in", corpus, "--out", model) == 0
+        read = model.read_bytes()
+        score_statistics = bridgescore.cli.score_statistics
+
+        def replace_then_score(trajs, spatial):
+            model.write_bytes(read + b"\n")
+            return score_statistics(trajs, spatial)
+
+        monkeypatch.setattr(bridgescore.cli, "score_statistics", replace_then_score)
+        out = tmp_path / "s.jsonl"
+        assert run("score", "--in", corpus, "--model", model, "--allow-in-sample",
+                   "--out", out) == 0
+        header = json.loads(out.read_bytes().splitlines()[0])
+        assert header["model_digest"] == hashlib.sha256(read).hexdigest()
 
 
 CLI = [sys.executable, "-m", "bridgescore.cli"]
@@ -1557,10 +1599,11 @@ class TestStartup:
         assert scored.startswith("score: 6 documents")
 
     @pytest.mark.parametrize("command, loaded, absent", [
-        ("fit", "fileio", ("evalsuite", "score", "encoder", "signal")),
-        ("train", "encoder", ("evalsuite", "score")),
+        ("fit", "fileio", ("evalsuite", "encoder", "signal")),
+        ("train", "encoder", ("evalsuite",)),
         ("discriminate", "evalsuite", ("encoder",)),
-        ("simulate", "bridge", ("evalsuite", "score", "encoder", "signal")),
+        ("simulate", "bridge", ("evalsuite", "encoder", "signal")),
+        ("score", "bridge", ("evalsuite", "encoder")),
     ])
     def test_each_command_loads_only_its_modules(self, tmp_path, command, loaded, absent):
         corpus = simulate_file(tmp_path, n=6, d=2, T=12, seed=5)
@@ -1573,6 +1616,8 @@ class TestStartup:
             "discriminate": ["--in", corpus, "--model", model, "--copies", "2",
                              "--block-sizes", "1"],
             "simulate": ["--d", "2", "--T", "8", "--n", "3", "--out", tmp_path / "sim.jsonl"],
+            "score": ["--in", corpus, "--model", model, "--allow-in-sample",
+                      "--out", tmp_path / "s.jsonl"],
         }[command]
         # -X importtime lists every module the process imports, one per stderr line
         done = run_process("-X", "importtime", "-m", "bridgescore.cli", command, *argv)
